@@ -2,7 +2,8 @@
 
 Exit codes: 0 = engine reports no empty cube and the oracle (if run)
 agrees; 10 = UNSAT by empty cube (oracle-confirmed or oracle skipped);
-20 = engine and oracle disagree; 2 = usage or parse error.
+20 = engine and oracle disagree; 2 = usage error, unreadable input or
+parse error.
 """
 
 from __future__ import annotations
@@ -105,8 +106,9 @@ def instance_seed(base: int, point_index: int, i: int) -> int:
 
 
 def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
-    """Returns (instance, source label, seeds).  Raises SystemExit(2) on
-    parse failure after printing diagnostics to stderr."""
+    """Returns (instance, source label, seeds).  Raises SystemExit(2) on an
+    unreadable input or a parse failure after printing diagnostics to
+    stderr."""
     if config.gen is not None:
         spec = config.gen
         inst = gen_random_3sat(spec.n, spec.m_points[0], spec.seed)
@@ -117,8 +119,12 @@ def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
         text = sys.stdin.read()
         label = "<stdin>"
     else:
-        with open(config.input_path) as fh:
-            text = fh.read()
+        try:
+            with open(config.input_path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_PARSE) from None
         label = config.input_path
     result = parse_dimacs(text)
     for diag in result.diagnostics:

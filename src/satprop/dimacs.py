@@ -50,9 +50,11 @@ def parse_dimacs(text: str) -> ParseResult:
 
     Comment lines start with 'c'; one 'p cnf <vars> <clauses>' problem line
     is required before any clause; clauses are nonzero integers terminated
-    by 0 and may span lines.  Header/clause count mismatch and dropped
-    tautologies are warnings; out-of-range literals, missing header, and
-    clauses wider than 3 distinct variables are errors.
+    by 0 and may span lines.  A line starting with '%' ends the data, as in
+    the SATLIB benchmark files, whose '%' line is followed by a stray '0'.
+    Header/clause count mismatch and dropped tautologies are warnings;
+    out-of-range literals, missing header, and clauses wider than 3
+    distinct variables are errors.
     """
     diagnostics: list[ParseDiagnostic] = []
     num_vars: int | None = None
@@ -93,6 +95,8 @@ def parse_dimacs(text: str) -> ParseResult:
         stripped = line.lstrip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):  # SATLIB end-of-data trailer
+            break
         if stripped.startswith("p"):
             col = line.index("p") + 1
             if num_vars is not None:

@@ -14,7 +14,6 @@ count/project <= 20, full truth-table partition <= 16.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .bitspace import Partition
@@ -32,28 +31,47 @@ class OracleVerdict:
     solution_count: int | None
 
 
-@lru_cache(maxsize=None)
+# Cells 0-7 of the column of positions 0, 1 and 2, as one byte.
+_LOW_COLUMN_BYTES = (b"\xaa", b"\xcc", b"\xf0")
+
+
 def _column(pos: int, n: int) -> int:
-    """Bitmask over 2^n cells where bit `pos` of the cell index is 1."""
-    period = 1 << (pos + 1)
-    chunk = ((1 << (1 << pos)) - 1) << (1 << pos)
-    reps = ((1 << (1 << n)) - 1) // ((1 << period) - 1)
-    return chunk * reps
+    """Bitmask over 2^n cells where bit `pos` of the cell index is 1: a byte
+    pattern repeated over the 2^n / 8 bytes of the mask (little-endian, so
+    cell 0 is the low bit of the first byte)."""
+    if pos < 3:
+        pattern = _LOW_COLUMN_BYTES[pos]
+    else:  # 2^pos cells clear, then 2^pos cells set
+        half = 1 << (pos - 3)
+        pattern = b"\x00" * half + b"\xff" * half
+    cells = 1 << n
+    column = int.from_bytes(pattern * max(1, cells // (8 * len(pattern))), "little")
+    return column & ((1 << cells) - 1)
 
 
-def _sat_mask(instance: Instance, vars_order: Sequence[int]) -> int:
+def _columns(n: int) -> list[int]:
+    """The columns of positions 0 .. n-1 over 2^n cells."""
+    return [_column(pos, n) for pos in range(n)]
+
+
+def _sat_mask(
+    instance: Instance, vars_order: Sequence[int], columns: Sequence[int] | None = None
+) -> int:
     """Truth-table mask over all assignments to vars_order (ascending id at
-    bit position 0): bit set iff the assignment satisfies every clause."""
+    bit position 0): bit set iff the assignment satisfies every clause.
+    `columns` are the `_columns` of len(vars_order), built here if absent."""
     n = len(vars_order)
     pos = {v: i for i, v in enumerate(vars_order)}
     full = (1 << (1 << n)) - 1
     if instance.has_empty_clause:
         return 0
+    if columns is None:
+        columns = _columns(n)
     acc = full
     for clause in instance.clauses:
         clause_mask = 0
         for lit in clause.literals:
-            col = _column(pos[lit.variable], n)
+            col = columns[pos[lit.variable]]
             clause_mask |= (full ^ col) if lit.negated else col
         acc &= clause_mask
         if acc == 0:
@@ -179,13 +197,14 @@ def projected_solution_sets(
         raise ValueError(
             f"{len(vars_order)} variables exceeds projection limit {COUNT_LIMIT}"
         )
-    mask = _sat_mask(instance, vars_order)
+    columns = _columns(len(vars_order))
+    mask = _sat_mask(instance, vars_order, columns)
     pos = {v: i for i, v in enumerate(vars_order)}
     full = (1 << (1 << len(vars_order))) - 1
     out: dict[Triple, set[int]] = {}
     for triple in triples:
         cells = set()
-        cols = [_column(pos[v], len(vars_order)) for v in triple]
+        cols = [columns[pos[v]] for v in triple]
         for cell in range(8):
             sel = mask
             for i, col in enumerate(cols):

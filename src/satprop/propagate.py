@@ -2,24 +2,49 @@
 
 Cubes sharing one or two variables are adjacent; along each directed edge
 the source cube's projection onto the shared variables is imposed on the
-target (the unidirectional combination).  A FIFO worklist re-enqueues the
-outgoing edges of any cube that changed, and the system runs until no
-edge application changes anything.  Cubes only ever lose GREEN cells, so
-the number of change-making applications is bounded by 8 x cube count and
-the fixpoint is independent of scheduling order.
+target (the unidirectional combination, `bitspace.bc_uni`).  A FIFO
+worklist re-enqueues the outgoing edges of any cube that changed, and the
+system runs until no edge application changes anything.  Cubes only ever
+lose GREEN cells, so the number of change-making applications is bounded by
+8 x cube count and the fixpoint is independent of scheduling order.
 
-A bidirectional variant applying the full two-sided combination per
-undirected pair exists to check that both settle to the same state.
+The engine works on integer masks.  Cubes are numbered in sorted-triple
+order and their GREEN masks kept in a list indexed by that number.
+Adjacency is built from a variable -> cubes index, and stored as flat
+arrays: edge e runs from `src[e]` to `tgt[e]`, and each cube's out-edges
+are one contiguous range of edge ids, in target order.  An ordered pair of
+adjacent triples has one of 18 shapes, given by the positions the shared
+variables hold in each triple (9 with one shared variable, 9 with two).
+Each shape has a 256-entry table, built from `bitspace.bc_uni` at import,
+that maps a source mask to the target cells it supports, so applying an
+edge is `masks[t] & table[masks[s]]`.  `Partition` objects are built only
+for the state a `PropagationResult` returns.
+
+One worklist loop serves both modes.  In unidirectional mode (`fixpoint`)
+a work item is a directed edge.  In bidirectional mode
+(`bidirectional_fixpoint`, which exists to check that both modes settle to
+the same state) it is an undirected pair, updated by the two-sided
+combination; since bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two
+table lookups on the masks from before the application.  The adjacency
+depends only on the set of triples.  It is reused while that set is
+unchanged and a result computed on it is still held, so the repeated
+fixpoints of `extract_assignment` build it once, and no graph outlives the
+results that use it.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable, Sequence
 
-from .bitspace import Partition, bc, bc_uni, impose
+# bc is not used here, but callers that wrap the layer functions look bc,
+# bc_uni and impose up by name in this module, so all three stay importable.
+from .bitspace import Partition, bc, bc_uni, impose  # noqa: F401
 from .clausal import ClausalState, Instance, Triple
 
 Edge = tuple[Triple, Triple]
@@ -60,40 +85,127 @@ class PropagationResult:
     stats: PropStats
     trace: list[TraceRecord] | None = None
     extracted: Extraction | None = None
+    # The adjacency the result was computed on; holding it keeps it
+    # available to later fixpoints over the same triples (see _graph_of).
+    _graph: _Graph | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def verdict(self) -> str:
         return "empty_cube" if self.empty_triple is not None else "no_empty_cube"
 
 
+def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
+    """Shape code of an ordered pair of triples: bit i is set when src[i] is
+    a shared variable, bit 3 + j when tgt[j] is."""
+    shared = set(src) & set(tgt)
+    code = 0
+    for i, var in enumerate(src):
+        if var in shared:
+            code |= 1 << i
+    for j, var in enumerate(tgt):
+        if var in shared:
+            code |= 8 << j
+    return code
+
+
+def _shape_tables() -> dict[int, tuple[int, ...]]:
+    """For each shape, the table whose entry m is the mask of target cells
+    that agree on the shared variables with some GREEN cell of source mask
+    m.  The images of the 8 single source cells come from `bc_uni` on a
+    representative pair of triples; a mask's image is the union of its
+    cells' images, since projection and lifting both preserve unions."""
+    tables: dict[int, tuple[int, ...]] = {}
+    triples = list(combinations(range(1, 6), 3))
+    for src in triples:
+        for tgt in triples:
+            code = _shape(src, tgt)
+            if code in tables or not 0 < len(set(src) & set(tgt)) < 3:
+                continue
+            full = Partition(tgt, 0xFF)
+            table = [0]  # entries for the masks below 1 << cell
+            for cell in range(8):
+                image = bc_uni(full, Partition(src, 1 << cell)).green_mask
+                table += [mask | image for mask in table]
+            tables[code] = tuple(table)
+    return tables
+
+
+_TABLES = _shape_tables()
+
+
+class _Graph:
+    """Adjacency of a set of triples as flat arrays.  Cube i is `nodes[i]`;
+    edge e carries `table[e]` from cube `src[e]` to cube `tgt[e]`; the
+    out-edges of cube i are ids `first[i]` to `first[i + 1] - 1`.  Edge ids
+    therefore follow (source triple, target triple) order."""
+
+    def __init__(self, nodes: tuple[Triple, ...]) -> None:
+        self.nodes = nodes
+        # var -> (cube, bit 3 + position of var in that cube's triple)
+        index: dict[int, list[tuple[int, int]]] = {}
+        for i, triple in enumerate(nodes):
+            for pos, var in enumerate(triple):
+                index.setdefault(var, []).append((i, 8 << pos))
+        self.src: list[int] = []
+        self.tgt: list[int] = []
+        self.table: list[tuple[int, ...]] = []
+        self.first = [0]
+        for s, triple in enumerate(nodes):
+            shapes: dict[int, int] = {}
+            for pos, var in enumerate(triple):
+                for t, tgt_bit in index[var]:
+                    shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
+            del shapes[s]
+            for t in sorted(shapes):
+                self.src.append(s)
+                self.tgt.append(t)
+                self.table.append(_TABLES[shapes[t]])
+            self.first.append(len(self.tgt))
+
+    def pairs(self) -> tuple[list[int], list[int], list, list, list[list[int]]]:
+        """Undirected pairs (a, b), a < b, in (a, b) order: the lists of a
+        and of b, of the tables carrying b's mask onto a and a's onto b, and
+        for each cube the ids of the pairs touching it."""
+        a_of: list[int] = []
+        b_of: list[int] = []
+        onto_a: list[tuple[int, ...]] = []
+        onto_b: list[tuple[int, ...]] = []
+        touching: list[list[int]] = [[] for _ in self.nodes]
+        for e, (a, b) in enumerate(zip(self.src, self.tgt)):
+            if a < b:
+                back = bisect_left(self.tgt, a, self.first[b], self.first[b + 1])
+                touching[a].append(len(a_of))
+                touching[b].append(len(a_of))
+                a_of.append(a)
+                b_of.append(b)
+                onto_a.append(self.table[back])
+                onto_b.append(self.table[e])
+        return a_of, b_of, onto_a, onto_b, touching
+
+
+# The last graph built, held weakly: it lives only as long as a result
+# computed on it.  A graph is a pure function of its triples, so reusing it
+# changes no result.
+_last_graph: Callable[[], _Graph | None] = lambda: None
+
+
+def _graph_of(state: ClausalState) -> _Graph:
+    global _last_graph
+    nodes = tuple(sorted(state.cubes))
+    graph = _last_graph()
+    if graph is None or graph.nodes != nodes:
+        graph = _Graph(nodes)
+        _last_graph = weakref.ref(graph)
+    return graph
+
+
 def build_adjacency(state: ClausalState) -> AdjacencyGraph:
-    """All ordered pairs of distinct triples sharing 1 or 2 variables."""
-    nodes = tuple(state.triples())
-    edges = []
-    for src in nodes:
-        src_set = set(src)
-        for tgt in nodes:
-            if tgt != src and len(src_set & set(tgt)) in (1, 2):
-                edges.append((src, tgt))
-    return AdjacencyGraph(nodes, tuple(sorted(edges)))
-
-
-def apply_edge(state: ClausalState, edge: Edge) -> tuple[ClausalState, bool]:
-    """Impose the source cube's shared-coordinate projection on the target.
-    Returns the new state and whether any target cell turned RED."""
-    src, tgt = edge
-    new_state = state.copy()
-    changed = _apply_edge_inplace(new_state.cubes, edge)
-    return new_state, changed
-
-
-def _apply_edge_inplace(cubes: dict[Triple, Partition], edge: Edge) -> bool:
-    src, tgt = edge
-    updated = bc_uni(cubes[tgt], cubes[src])
-    if updated.green_mask == cubes[tgt].green_mask:
-        return False
-    cubes[tgt] = updated
-    return True
+    """All ordered pairs of distinct triples sharing 1 or 2 variables, in
+    (source, target) order."""
+    graph = _graph_of(state)
+    nodes = graph.nodes
+    edges = tuple((nodes[s], nodes[t]) for s, t in zip(graph.src, graph.tgt))
+    return AdjacencyGraph(nodes, edges)
 
 
 def fixpoint(
@@ -111,66 +223,11 @@ def fixpoint(
     closure (the fixpoint masks can differ below an empty cube, the verdict
     cannot).
     """
-    graph = build_adjacency(state)
-    out_edges: dict[Triple, list[Edge]] = {node: [] for node in graph.nodes}
-    for edge in graph.edges:
-        out_edges[edge[0]].append(edge)
-
-    rng = random.Random(seed) if order == "random" else None
     if order not in ("fifo", "random"):
         raise ValueError(f"unknown order {order!r}, expected 'fifo' or 'random'")
-
-    cubes = dict(state.cubes)
-    stats = PropStats()
+    rng = random.Random(seed) if order == "random" else None
     trace: list[TraceRecord] | None = [] if record_trace else None
-
-    empty_triple = _find_empty(cubes)
-    if empty_triple is not None and early_exit:
-        return PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
-
-    initial = list(graph.edges)
-    if rng is not None:
-        rng.shuffle(initial)
-    queue: deque[Edge | None] = deque(initial)
-    queued: set[Edge] = set(initial)
-    queue.append(None)  # pass marker
-    if initial:
-        stats.passes = 1
-
-    changed_this_pass = False
-    while queue:
-        item = queue.popleft()
-        if item is None:
-            if queue and changed_this_pass:
-                stats.passes += 1
-                queue.append(None)
-                changed_this_pass = False
-            continue
-        edge = item
-        queued.discard(edge)
-        stats.edge_applications += 1
-        before = cubes[edge[1]].green_mask
-        if _apply_edge_inplace(cubes, edge):
-            after = cubes[edge[1]].green_mask
-            removed = (before ^ after).bit_count()
-            stats.applications_changed += 1
-            stats.cells_removed += removed
-            changed_this_pass = True
-            if trace is not None:
-                trace.append(TraceRecord(edge, before, after, removed))
-            if after == 0:
-                if early_exit:
-                    return PropagationResult(
-                        ClausalState(cubes), edge[1], stats, trace
-                    )
-            requeue = [e for e in out_edges[edge[1]] if e not in queued]
-            if rng is not None:
-                rng.shuffle(requeue)
-            for e in requeue:
-                queue.append(e)
-                queued.add(e)
-
-    return PropagationResult(ClausalState(cubes), _find_empty(cubes), stats, trace)
+    return _propagate(state, early_exit, False, rng, trace)
 
 
 def bidirectional_fixpoint(
@@ -178,67 +235,125 @@ def bidirectional_fixpoint(
 ) -> PropagationResult:
     """As fixpoint, but applying the symmetric two-sided combination to both
     cubes of each undirected adjacent pair."""
-    graph = build_adjacency(state)
-    pairs = sorted({tuple(sorted((a, b))) for a, b in graph.edges})
-    touching: dict[Triple, list[tuple[Triple, Triple]]] = {n: [] for n in graph.nodes}
-    for pair in pairs:
-        touching[pair[0]].append(pair)
-        touching[pair[1]].append(pair)
+    return _propagate(state, early_exit, True, None, None)
 
+
+def _propagate(
+    state: ClausalState,
+    early_exit: bool,
+    bidirectional: bool,
+    rng: random.Random | None,
+    trace: list[TraceRecord] | None,
+) -> PropagationResult:
+    graph = _graph_of(state)
+    masks = [state.cubes[triple].green_mask for triple in graph.nodes]
+    stats, empty = _worklist(graph, masks, early_exit, bidirectional, rng, trace)
     cubes = dict(state.cubes)
-    stats = PropStats()
+    for triple, mask in zip(graph.nodes, masks):
+        if mask != cubes[triple].green_mask:
+            cubes[triple] = Partition(triple, mask)
+    empty_triple = None if empty is None else graph.nodes[empty]
+    result = PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
+    result._graph = graph
+    return result
 
-    empty_triple = _find_empty(cubes)
-    if empty_triple is not None and early_exit:
-        return PropagationResult(ClausalState(cubes), empty_triple, stats)
 
-    queue: deque[tuple[Triple, Triple] | None] = deque(pairs)
-    queued = set(pairs)
-    queue.append(None)
-    if pairs:
-        stats.passes = 1
+def _worklist(
+    graph: _Graph,
+    masks: list[int],
+    early_exit: bool,
+    bidirectional: bool,
+    rng: random.Random | None,
+    trace: list[TraceRecord] | None,
+) -> tuple[PropStats, int | None]:
+    """The propagation loop of both modes.  Updates `masks` in place and
+    returns the stats and the id of the empty cube it reports, if any.
+
+    Work items are edge ids, or pair ids in bidirectional mode.  All of them
+    start queued, in id order or shuffled by `rng`; a None marker ends each
+    pass.  When a cube changes, the items leaving it (touching it, for
+    pairs) that are not already queued are appended, shuffled by `rng`.
+    """
+    if early_exit and 0 in masks:
+        return PropStats(), masks.index(0)
+    nodes = graph.nodes
+    if bidirectional:
+        a_of, b_of, onto_a, onto_b, touching = graph.pairs()
+        count = len(a_of)
+    else:
+        src, tgt, table, first = graph.src, graph.tgt, graph.table, graph.first
+        count = len(tgt)
+
+    items: Sequence[int] = range(count)
+    if rng is not None:
+        items = list(items)
+        rng.shuffle(items)
+    queue: deque[int | None] = deque(items)
+    queue.append(None)  # pass marker
+    queued = bytearray(b"\x01") * count
+    popleft, extend = queue.popleft, queue.extend
+    passes = 1 if count else 0
+    applications = changed = removed_total = 0
     changed_this_pass = False
+    empty = None
 
     while queue:
-        item = queue.popleft()
+        item = popleft()
         if item is None:
             if queue and changed_this_pass:
-                stats.passes += 1
+                passes += 1
                 queue.append(None)
                 changed_this_pass = False
             continue
-        pair = item
-        queued.discard(pair)
-        a, b = pair
-        stats.edge_applications += 1
-        before_a, before_b = cubes[a].green_mask, cubes[b].green_mask
-        new_a, new_b = bc(cubes[a], cubes[b])
-        if (new_a.green_mask, new_b.green_mask) != (before_a, before_b):
-            removed = (before_a ^ new_a.green_mask).bit_count() + (
-                before_b ^ new_b.green_mask
-            ).bit_count()
-            cubes[a], cubes[b] = new_a, new_b
-            stats.applications_changed += 1
-            stats.cells_removed += removed
-            changed_this_pass = True
-            if early_exit and (new_a.green_mask == 0 or new_b.green_mask == 0):
-                empty = a if new_a.green_mask == 0 else b
-                return PropagationResult(ClausalState(cubes), empty, stats)
-            for node in (a, b):
-                if cubes[node].green_mask != (before_a if node == a else before_b):
-                    for p in touching[node]:
-                        if p not in queued:
-                            queue.append(p)
-                            queued.add(p)
+        queued[item] = 0
+        applications += 1
+        if bidirectional:
+            a, b = a_of[item], b_of[item]
+            before_a, before_b = masks[a], masks[b]
+            after_a = before_a & onto_a[item][before_b]
+            after_b = before_b & onto_b[item][before_a]
+            if after_a == before_a and after_b == before_b:
+                continue
+            masks[a], masks[b] = after_a, after_b
+            removed = (before_a ^ after_a).bit_count()
+            removed += (before_b ^ after_b).bit_count()
+            if early_exit and not (after_a and after_b):
+                empty = a if after_a == 0 else b
+            successors = [touching[a]] if after_a != before_a else []
+            if after_b != before_b:
+                successors.append(touching[b])
+        else:
+            t = tgt[item]
+            before = masks[t]
+            after = before & table[item][masks[src[item]]]
+            if after == before:
+                continue
+            masks[t] = after
+            removed = (before ^ after).bit_count()
+            if trace is not None:
+                edge = (nodes[src[item]], nodes[t])
+                trace.append(TraceRecord(edge, before, after, removed))
+            if early_exit and after == 0:
+                empty = t
+            successors = [range(first[t], first[t + 1])]
+        changed += 1
+        removed_total += removed
+        changed_this_pass = True
+        if empty is not None:
+            break
+        requeue = []
+        for group in successors:
+            for e in group:
+                if not queued[e]:
+                    queued[e] = 1
+                    requeue.append(e)
+        if rng is not None:
+            rng.shuffle(requeue)
+        extend(requeue)
+    else:
+        empty = masks.index(0) if 0 in masks else None
 
-    return PropagationResult(ClausalState(cubes), _find_empty(cubes), stats)
-
-
-def _find_empty(cubes: Mapping[Triple, Partition]) -> Triple | None:
-    for triple in sorted(cubes):
-        if cubes[triple].green_mask == 0:
-            return triple
-    return None
+    return PropStats(passes, applications, changed, removed_total), empty
 
 
 def extract_assignment(

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,25 @@ def test_solve_single_clause(capsys, tmp_path):
     assert report["cubes"] == [{"triple": [1, 2, 3], "mask": "0xDF"}]
     assert report["oracle_verdict"] == "sat"
     assert report["oracle_agrees"] is True
+    assert report["assignment_verified"] is True
+
+
+def test_solve_unreadable_input_exit_2(capsys, tmp_path):
+    for path in (tmp_path / "no-such.cnf", tmp_path):
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_solve_satlib_file_with_trailer(capsys):
+    path = Path(__file__).parent / "data" / "satlib_trailer.cnf"
+    code, out, err = run(capsys, "solve", "--input", str(path), "--oracle", "on")
+    assert code == EXIT_OK
+    assert err == ""
+    report = json.loads(out)
+    assert report["instance"]["num_clauses"] == 4
+    assert report["oracle_verdict"] == "sat"
     assert report["assignment_verified"] is True
 
 

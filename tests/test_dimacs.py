@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +55,16 @@ def test_parse_out_of_range_literal_position():
     (err,) = result.errors
     assert (err.line, err.column) == (3, 4)
     assert "out of range" in err.message
+
+
+def test_parse_satlib_trailer():
+    text = (Path(__file__).parent / "data" / "satlib_trailer.cnf").read_text()
+    result = parse_dimacs(text)
+    assert result.diagnostics == []
+    assert result.instance is not None
+    assert not result.instance.has_empty_clause
+    assert [c.as_ints() for c in result.instance.clauses] == [
+        (1, -2, 3), (-1, 4, -5), (2, -3, -4), (-1, -2, 5)]
 
 
 def test_parse_missing_header():

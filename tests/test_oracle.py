@@ -8,6 +8,22 @@ from satprop.clausal import Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 
 
+def _column_by_formula(pos, n):
+    """Column of `pos` over 2^n cells: the period-2^(pos+1) chunk times the
+    repunit that repeats it over the whole mask."""
+    period = 1 << (pos + 1)
+    chunk = ((1 << (1 << pos)) - 1) << (1 << pos)
+    reps = ((1 << (1 << n)) - 1) // ((1 << period) - 1)
+    return chunk * reps
+
+
+def test_columns_match_formula():
+    for n in range(15):
+        assert oracle._columns(n) == [_column_by_formula(pos, n) for pos in range(n)]
+    for pos in (0, 1, 2, 3, 4, 11, 19):
+        assert oracle._column(pos, 20) == _column_by_formula(pos, 20)
+
+
 def test_brute_force_single_clause():
     inst = Instance.from_raw(3, [[1, 2, 3]])
     verdict = oracle.brute_force_sat(inst)

@@ -1,13 +1,17 @@
 import itertools
+import random
 
 import pytest
 
-from satprop import oracle
-from satprop.bitspace import Partition
+from satprop import cli, oracle
+from satprop.bitspace import Partition, bc, bc_uni
 from satprop.clausal import ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
-    apply_edge,
+    _TABLES,
+    TraceRecord,
+    _Graph,
+    _shape,
     bidirectional_fixpoint,
     build_adjacency,
     extract_assignment,
@@ -53,26 +57,75 @@ def test_adjacency_pairwise_single_shared():
     assert len(graph.edges) == 6
 
 
-# --- apply_edge ---------------------------------------------------------------
+# --- edge application ---------------------------------------------------------
 
-def test_apply_edge_no_change_from_all_green_source():
+def test_edge_from_all_green_source_changes_nothing():
     state = state_of(
         Partition.all_green((1, 2, 3)), Partition((2, 3, 4), 0xAB))
-    _, changed = apply_edge(state, ((1, 2, 3), (2, 3, 4)))
-    assert not changed
+    result = fixpoint(state, record_trace=True)
+    assert result.fixpoint.cubes[(2, 3, 4)].green_mask == 0xAB
+    assert all(rec.edge[1] != (2, 3, 4) for rec in result.trace)
 
 
-def test_apply_edge_prunes_target():
+def test_edge_prunes_target():
     state = state_of(
         Partition((1, 2, 3), 0xFC), Partition.all_green((2, 3, 4)))
-    new_state, changed = apply_edge(state, ((1, 2, 3), (2, 3, 4)))
-    assert changed
-    assert new_state.cubes[(2, 3, 4)].green_mask == 0xEE
-    # source untouched, original state untouched
-    assert new_state.cubes[(1, 2, 3)].green_mask == 0xFC
-    assert state.cubes[(2, 3, 4)].green_mask == 0xFF
-    again, changed = apply_edge(new_state, ((1, 2, 3), (2, 3, 4)))
-    assert not changed
+    result = fixpoint(state, record_trace=True)
+    # one change, on the target only; the input state is left as it was
+    assert result.trace == [
+        TraceRecord(((1, 2, 3), (2, 3, 4)), 0xFF, 0xEE, 2)]
+    assert masks(result.fixpoint) == {(1, 2, 3): 0xFC, (2, 3, 4): 0xEE}
+    assert masks(state) == {(1, 2, 3): 0xFC, (2, 3, 4): 0xFF}
+    again = fixpoint(result.fixpoint)
+    assert again.stats.edge_applications == 2
+    assert again.stats.applications_changed == 0
+
+
+# --- shape tables ---------------------------------------------------------------
+
+def _representatives():
+    """One ordered pair of overlapping triples per shape, drawn from other
+    variables than the tables were built from."""
+    triples = list(itertools.combinations((10, 20, 30, 40, 50, 60), 3))
+    pairs = {}
+    for src in triples:
+        for tgt in triples:
+            if 0 < len(set(src) & set(tgt)) < 3:
+                pairs[_shape(src, tgt)] = (src, tgt)
+    return pairs
+
+
+def test_shape_tables_match_bc_uni():
+    pairs = _representatives()
+    assert len(pairs) == 18 and set(pairs) == set(_TABLES)
+    rng = random.Random(5)
+    for code, (src, tgt) in pairs.items():
+        table = _TABLES[code]
+        for src_mask in range(256):
+            source = Partition(src, src_mask)
+            for tgt_mask in (0xFF, rng.randrange(256), rng.randrange(256)):
+                want = bc_uni(Partition(tgt, tgt_mask), source).green_mask
+                assert tgt_mask & table[src_mask] == want, (src, tgt, src_mask)
+
+
+def test_graph_edges_carry_their_shape_table():
+    state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
+    graph = _Graph(tuple(state.triples()))
+    assert len(graph.tgt) == len(build_adjacency(state).edges)
+    for e, (s, t) in enumerate(zip(graph.src, graph.tgt)):
+        src, tgt = graph.nodes[s], graph.nodes[t]
+        assert graph.first[s] <= e < graph.first[s + 1]
+        assert graph.table[e] is _TABLES[_shape(src, tgt)]
+
+
+def test_bc_is_two_one_sided_combinations():
+    # the identity bidirectional mode relies on, on every pair of masks
+    for ca, cb in cli._LAYOUTS.values():
+        for ma in range(256):
+            p = Partition(ca, ma)
+            for mb in range(256):
+                q = Partition(cb, mb)
+                assert bc(p, q) == (bc_uni(p, q), bc_uni(q, p))
 
 
 # --- fixpoint -----------------------------------------------------------------
