@@ -187,20 +187,11 @@ class ClausalState:
 
     cubes: dict[Triple, Partition]
 
-    def copy(self) -> "ClausalState":
-        return ClausalState(dict(self.cubes))
-
     def triples(self) -> list[Triple]:
         return sorted(self.cubes)
 
     def total_green(self) -> int:
         return sum(cube.green_mask.bit_count() for cube in self.cubes.values())
-
-    def phantom_vars(self, num_vars: int) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for triple in self.cubes:
-            seen.update(v for v in triple if v > num_vars)
-        return tuple(sorted(seen))
 
 
 @dataclass

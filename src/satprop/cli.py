@@ -532,8 +532,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.input and args.gen:
         raise ValueError("--input and --gen are mutually exclusive")
     gen = parse_gen_spec(args.gen) if args.gen else None
-    if args.subcommand in ("solve", "trace") and not (args.input or gen):
-        raise ValueError(f"{args.subcommand} requires --input or --gen")
+    if args.subcommand in ("solve", "trace"):
+        if not (args.input or gen):
+            raise ValueError(f"{args.subcommand} requires --input or --gen")
+        if gen is not None and (len(gen.m_points) != 1 or gen.count != 1):
+            raise ValueError(
+                f"{args.subcommand} takes one instance: --gen needs a single m "
+                f"and count=1 (use bench for sweeps)"
+            )
     order, order_seed = parse_order(args.order)
     return RunConfig(
         subcommand=args.subcommand,

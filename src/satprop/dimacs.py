@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .clausal import EMPTY, TAUTOLOGY, Instance, canonicalize
+from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
 
 _TOKEN = re.compile(r"\S+")
 
@@ -59,8 +59,8 @@ def parse_dimacs(text: str) -> ParseResult:
     diagnostics: list[ParseDiagnostic] = []
     num_vars: int | None = None
     declared_clauses = 0
-    raw_clauses: list[list[int]] = []
-    has_empty = False
+    clauses: list[Clause] = []
+    empty_clauses = 0
     tautologies = 0
     pending: list[int] = []
     pending_pos: tuple[int, int] | None = None
@@ -72,7 +72,7 @@ def parse_dimacs(text: str) -> ParseResult:
         diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
 
     def finish_clause(line: int, col: int) -> None:
-        nonlocal has_empty, tautologies
+        nonlocal empty_clauses, tautologies
         assert num_vars is not None
         start = pending_pos or (line, col)
         distinct = {abs(lit) for lit in pending}
@@ -85,11 +85,10 @@ def parse_dimacs(text: str) -> ParseResult:
             tautologies += 1
             warning(start[0], start[1], "tautological clause dropped")
         elif result is EMPTY:
-            has_empty = True
+            empty_clauses += 1
             warning(start[0], start[1], "empty clause: instance is trivially unsatisfiable")
-            raw_clauses.append([])
         else:
-            raw_clauses.append(list(pending))
+            clauses.append(result)
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
@@ -145,7 +144,7 @@ def parse_dimacs(text: str) -> ParseResult:
         return ParseResult(None, diagnostics)
     if pending:
         error(pending_pos[0], pending_pos[1], "clause not terminated by 0")
-    parsed_count = len(raw_clauses) + tautologies
+    parsed_count = len(clauses) + empty_clauses + tautologies
     if parsed_count != declared_clauses:
         warning(last_line, 1,
                 f"header declares {declared_clauses} clauses, found {parsed_count}")
@@ -153,15 +152,7 @@ def parse_dimacs(text: str) -> ParseResult:
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
 
-    instance = Instance.from_raw(num_vars, [c for c in raw_clauses if c])
-    if has_empty:
-        instance = Instance(
-            instance.num_vars, instance.clauses, True, instance.tautologies_dropped
-        )
-    if tautologies:
-        instance = Instance(
-            instance.num_vars, instance.clauses, instance.has_empty_clause, tautologies
-        )
+    instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
     return ParseResult(instance, diagnostics)
 
 

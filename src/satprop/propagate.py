@@ -27,9 +27,16 @@ the same state) it is an undirected pair, updated by the two-sided
 combination; since bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two
 table lookups on the masks from before the application.  The adjacency
 depends only on the set of triples.  It is reused while that set is
-unchanged and a result computed on it is still held, so the repeated
-fixpoints of `extract_assignment` build it once, and no graph outlives the
+unchanged and a result computed on it is still held, so `extract_assignment`
+works on the graph its result was computed on, and no graph outlives the
 results that use it.
+
+Extraction propagates incrementally.  It starts from a closed fixpoint, in
+which no edge can fire, and a unit only removes cells, so after imposing a
+unit it queues just the out-edges of the cubes the unit changed, on a copy
+of the masks that is kept if no cube empties and dropped if one does.  This
+reaches the same fixpoint and verdict as propagating from scratch, without
+rescanning every edge for every variable and value.
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
-# bc is not used here, but callers that wrap the layer functions look bc,
-# bc_uni and impose up by name in this module, so all three stay importable.
+# bc and impose are not used here, but callers that wrap the layer functions
+# look bc, bc_uni and impose up by name in this module, so all three stay
+# importable.
 from .bitspace import Partition, bc, bc_uni, impose  # noqa: F401
 from .clausal import ClausalState, Instance, Triple
 
@@ -131,6 +139,14 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
 
 
 _TABLES = _shape_tables()
+
+# _UNIT_CELLS[pos][value]: the cells of a triple whose variable at position
+# pos takes value (F = False, T = True).
+_UNIT_CELLS = tuple(
+    tuple(sum(1 << cell for cell in range(8) if (cell >> pos & 1) == value)
+          for value in (0, 1))
+    for pos in range(3)
+)
 
 
 class _Graph:
@@ -265,14 +281,16 @@ def _worklist(
     bidirectional: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
+    items: Sequence[int] | None = None,
 ) -> tuple[PropStats, int | None]:
     """The propagation loop of both modes.  Updates `masks` in place and
     returns the stats and the id of the empty cube it reports, if any.
 
-    Work items are edge ids, or pair ids in bidirectional mode.  All of them
-    start queued, in id order or shuffled by `rng`; a None marker ends each
-    pass.  When a cube changes, the items leaving it (touching it, for
-    pairs) that are not already queued are appended, shuffled by `rng`.
+    Work items are edge ids, or pair ids in bidirectional mode.  By default
+    all of them start queued, in id order or shuffled by `rng`; `items`
+    queues only those, in the order given.  A None marker ends each pass.
+    When a cube changes, the items leaving it (touching it, for pairs) that
+    are not already queued are appended, shuffled by `rng`.
     """
     if early_exit and 0 in masks:
         return PropStats(), masks.index(0)
@@ -284,13 +302,18 @@ def _worklist(
         src, tgt, table, first = graph.src, graph.tgt, graph.table, graph.first
         count = len(tgt)
 
-    items: Sequence[int] = range(count)
-    if rng is not None:
-        items = list(items)
-        rng.shuffle(items)
+    if items is None:
+        items = range(count)
+        if rng is not None:
+            items = list(items)
+            rng.shuffle(items)
+        queued = bytearray(b"\x01") * count
+    else:
+        queued = bytearray(count)
+        for item in items:
+            queued[item] = 1
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
-    queued = bytearray(b"\x01") * count
     popleft, extend = queue.popleft, queue.extend
     passes = 1 if count else 0
     applications = changed = removed_total = 0
@@ -361,36 +384,51 @@ def extract_assignment(
 ) -> Extraction | None:
     """Greedy assignment extraction with one-level value backtracking.
 
-    Walks variables in ascending order, tries F then T, imposes the choice
-    on every cube containing the variable and re-propagates; if both values
-    empty a cube, gives up.  Any assignment returned is verified by direct
-    clause evaluation.  Not a complete solver by design: returning None on
-    a satisfiable instance is a recorded possibility, not a bug.
+    Walks the variables of the cubes in ascending order and tries F, then
+    T: the value's cells are kept in every cube containing the variable, and
+    propagation resumes from the cubes that lost cells.  The first value
+    that empties no cube is committed; if both do, extraction gives up.
+    Variables of the instance that no cube holds are set F, and any
+    assignment returned is verified by direct clause evaluation.  Not a
+    complete solver by design: returning None on a satisfiable instance is
+    a recorded possibility, not a bug.
+
+    Precondition: `result.fixpoint` is closed, i.e. no edge application
+    changes it.  Every result of `fixpoint` or `bidirectional_fixpoint`
+    without an empty cube is.  Cubes only lose cells, so on a closed state
+    only the edges leaving a cube the unit changed can fire, and resuming
+    from those reaches the fixpoint, and the verdict, that propagating from
+    scratch would.
     """
     if result.empty_triple is not None:
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
-    state = result.fixpoint.copy()
-    cube_vars = sorted({v for triple in state.cubes for v in triple})
+    graph = _graph_of(result.fixpoint)
+    first = graph.first
+    masks = [result.fixpoint.cubes[triple].green_mask for triple in graph.nodes]
+    # var -> (cube, position of var in that cube's triple)
+    occurrences: dict[int, list[tuple[int, int]]] = {}
+    for i, triple in enumerate(graph.nodes):
+        for pos, var in enumerate(triple):
+            occurrences.setdefault(var, []).append((i, pos))
     chosen: dict[int, bool] = {}
 
-    for var in cube_vars:
-        committed = None
+    for var in sorted(occurrences):
         for value in (False, True):
-            unit = Partition((var,), 0b01 if not value else 0b10)
-            trial = ClausalState(
-                {
-                    triple: impose(cube, unit) if var in triple else cube
-                    for triple, cube in state.cubes.items()
-                }
-            )
-            trial_result = fixpoint(trial)
-            if trial_result.empty_triple is None:
-                committed = (value, trial_result.fixpoint)
+            trial = masks[:]
+            edges: list[int] = []
+            for i, pos in occurrences[var]:
+                after = trial[i] & _UNIT_CELLS[pos][value]
+                if after != trial[i]:
+                    trial[i] = after
+                    edges.extend(range(first[i], first[i + 1]))
+            # a cube the unit emptied is reported before any edge is applied
+            _, empty = _worklist(graph, trial, True, False, None, None, items=edges)
+            if empty is None:
+                chosen[var], masks = value, trial
                 break
-        if committed is None:
+        else:
             return None
-        chosen[var], state = committed
 
     assignment = {v: False for v in range(1, instance.num_vars + 1)}
     for var, value in chosen.items():

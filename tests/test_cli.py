@@ -58,6 +58,15 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "trace"])
+@pytest.mark.parametrize("spec", ["n=12,m=30..50,seed=1", "n=12,m=30,seed=1,count=5"])
+def test_single_instance_commands_reject_multi_instance_gen(capsys, subcommand, spec):
+    code, out, err = run(capsys, subcommand, "--gen", spec)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and "single m and count=1" in err
+
+
 # --- solve --------------------------------------------------------------------
 
 def test_solve_single_clause(capsys, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satprop import clausal, dimacs
+from satprop.clausal import Instance
 from satprop.dimacs import (
     emit_dimacs,
     gen_random_3sat,
@@ -92,6 +94,37 @@ def test_parse_empty_clause_flags_trivially_unsat():
     assert result.instance is not None
     assert result.instance.has_empty_clause
     assert any("trivially" in w.message for w in result.warnings)
+
+
+def test_parse_canonicalizes_each_clause_once(monkeypatch):
+    calls = []
+    built = []
+
+    def counting_canonicalize(literals, num_vars):
+        calls.append(list(literals))
+        return real_canonicalize(literals, num_vars)
+
+    def counting_post_init(instance):
+        built.append(instance)
+        real_post_init(instance)
+
+    real_canonicalize = clausal.canonicalize
+    real_post_init = Instance.__post_init__
+    monkeypatch.setattr(clausal, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(dimacs, "canonicalize", counting_canonicalize)
+    monkeypatch.setattr(Instance, "__post_init__", counting_post_init)
+    result = parse_dimacs("p cnf 4 3\n1 -1 2 0\n0\n1 2 3 0\n")
+    inst = result.instance
+    assert [c.as_ints() for c in inst.clauses] == [(1, 2, 3)]
+    assert inst.num_vars == 4
+    assert inst.has_empty_clause
+    assert inst.tautologies_dropped == 1
+    assert [str(d) for d in result.diagnostics] == [
+        "2:1: warning: tautological clause dropped",
+        "3:1: warning: empty clause: instance is trivially unsatisfiable",
+    ]
+    assert calls == [[1, -1, 2], [], [1, 2, 3]]
+    assert built == [inst]
 
 
 def test_diagnostics_point_into_source():

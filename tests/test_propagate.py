@@ -4,11 +4,12 @@ import random
 import pytest
 
 from satprop import cli, oracle
-from satprop.bitspace import Partition, bc, bc_uni
+from satprop.bitspace import Partition, bc, bc_uni, impose
 from satprop.clausal import ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
     _TABLES,
+    Extraction,
     TraceRecord,
     _Graph,
     _shape,
@@ -272,3 +273,38 @@ def test_extract_may_fail_without_asserting_unsat():
         extraction = extract_assignment(result, inst)
         if extraction is not None:
             assert extraction.verified
+
+
+def _extract_from_scratch(result, instance):
+    """Reference for `extract_assignment`, as it was before it propagated
+    incrementally: each trial imposes the unit on a copy of the state and
+    runs a full fixpoint."""
+    state = result.fixpoint
+    chosen = {}
+    for var in sorted({v for triple in state.cubes for v in triple}):
+        for value in (False, True):
+            unit = Partition((var,), 0b10 if value else 0b01)
+            trial = fixpoint(ClausalState({
+                triple: impose(cube, unit) if var in triple else cube
+                for triple, cube in state.cubes.items()}))
+            if trial.empty_triple is None:
+                chosen[var], state = value, trial.fixpoint
+                break
+        else:
+            return None
+    assignment = {v: chosen.get(v, False) for v in range(1, instance.num_vars + 1)}
+    return Extraction(assignment, instance.evaluate(assignment))
+
+
+@pytest.mark.parametrize("n, m, seed", [(100, 300, 0), (100, 300, 1), (200, 600, 0)])
+def test_extract_matches_from_scratch_reference(n, m, seed):
+    inst = gen_random_3sat(n, m, seed)
+    state = build_clausal_partition(inst).state
+    result = fixpoint(state)
+    want = _extract_from_scratch(result, inst)
+    assert want is not None and want.verified
+    assert extract_assignment(result, inst) == want
+    # any closed fixpoint of the state is the same one, so the assignment
+    # does not depend on the order or mode that computed it
+    assert extract_assignment(fixpoint(state, order="random", seed=5), inst) == want
+    assert extract_assignment(bidirectional_fixpoint(state), inst) == want
