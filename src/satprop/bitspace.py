@@ -139,21 +139,14 @@ def _lift_mask(mask: int, sub: tuple[int, ...], coords: tuple[int, ...]) -> int:
     return out
 
 
-def cellwise(op: str, p: Partition, q: Partition) -> Partition:
-    """Apply an operator cell by cell; `op` is "WS" or "BS"."""
-    if op == "WS":
-        return cellwise_ws(p, q)
-    if op == "BS":
-        return cellwise_bs(p, q)
-    raise ValueError(f"unknown operator {op!r}, expected 'WS' or 'BS'")
-
-
 def cellwise_ws(p: Partition, q: Partition) -> Partition:
+    """Apply WS cell by cell to two partitions on the same coordinates."""
     _check_same_coords(p, q)
     return Partition(p.coords, p.green_mask | q.green_mask)
 
 
 def cellwise_bs(p: Partition, q: Partition) -> Partition:
+    """Apply BS cell by cell to two partitions on the same coordinates."""
     _check_same_coords(p, q)
     return Partition(p.coords, p.green_mask & q.green_mask)
 
@@ -165,20 +158,13 @@ def _check_same_coords(p: Partition, q: Partition) -> None:
         )
 
 
-def cross(op: str, p: Partition, q: Partition) -> Partition:
-    """Cross-product extension over disjoint coordinates; `op` is "WS" or "BS"."""
-    if op == "WS":
-        return cross_ws(p, q)
-    if op == "BS":
-        return cross_bs(p, q)
-    raise ValueError(f"unknown operator {op!r}, expected 'WS' or 'BS'")
-
-
 def cross_ws(p: Partition, q: Partition) -> Partition:
+    """Cross-product extension over disjoint coordinates under WS."""
     return _cross(p, q, use_ws=True)
 
 
 def cross_bs(p: Partition, q: Partition) -> Partition:
+    """Cross-product extension over disjoint coordinates under BS."""
     return _cross(p, q, use_ws=False)
 
 

@@ -83,16 +83,16 @@ def canonicalize(
     the empty clause.  Raises on variable ids outside 1..num_vars."""
     polarity: dict[int, bool] = {}
     for raw in literals:
-        lit = raw if isinstance(raw, Literal) else Literal.from_int(raw)
-        if lit.variable > num_vars:
-            raise ValueError(
-                f"variable u{lit.variable} exceeds declared count {num_vars}"
-            )
-        if lit.variable in polarity:
-            if polarity[lit.variable] != lit.negated:
-                return TAUTOLOGY
+        if isinstance(raw, Literal):
+            var, negated = raw.variable, raw.negated
+        elif raw == 0:
+            raise ValueError("literal 0 is reserved as clause terminator")
         else:
-            polarity[lit.variable] = lit.negated
+            var, negated = abs(raw), raw < 0
+        if var > num_vars:
+            raise ValueError(f"variable u{var} exceeds declared count {num_vars}")
+        if polarity.setdefault(var, negated) != negated:
+            return TAUTOLOGY
     if not polarity:
         return EMPTY
     return Clause(tuple(Literal(v, polarity[v]) for v in sorted(polarity)))
@@ -151,6 +151,8 @@ class Instance:
 def host_triple(clause: Clause, num_vars: int) -> Triple:
     """The canonical triple hosting a clause: its own variables, padded with
     the smallest absent ids.  Padding past num_vars uses phantom ids."""
+    if len(clause.literals) == 3:
+        return clause.variables()  # type: ignore[return-value]
     vars_ = set(clause.variables())
     triple = sorted(vars_)
     candidate = 1
@@ -162,23 +164,36 @@ def host_triple(clause: Clause, num_vars: int) -> Triple:
     return tuple(sorted(triple))  # type: ignore[return-value]
 
 
+# _CELLS[pos][bit]: the cells of a triple whose coordinate at position pos
+# equals bit.  A literal is falsified exactly where its variable equals its
+# `negated` flag, so a clause's falsifying cells are the AND of
+# _CELLS[pos][negated] over its literals.
+_CELLS = tuple(
+    tuple(sum(1 << cell for cell in range(8) if cell >> pos & 1 == bit)
+          for bit in (0, 1))
+    for pos in range(3)
+)
+
+
+def _forbidden_mask(clause: Clause, triple: Triple) -> int:
+    """Mask of the host triple's cells whose assignments falsify the clause."""
+    mask = 0xFF
+    for lit in clause.literals:
+        try:
+            pos = triple.index(lit.variable)
+        except ValueError:
+            raise ValueError(
+                f"variable u{lit.variable} not in triple {triple}"
+            ) from None
+        mask &= _CELLS[pos][lit.negated]
+    return mask
+
+
 def forbidden_cells(clause: Clause, triple: Triple) -> set[int]:
     """Cell indices of the host triple whose assignments falsify the clause:
     one cell for a 3-variable clause, 2^(3-t) for a t-variable clause."""
-    positions = {}
-    for lit in clause.literals:
-        if lit.variable not in triple:
-            raise ValueError(f"variable u{lit.variable} not in triple {triple}")
-        positions[lit.variable] = triple.index(lit.variable)
-    cells = set()
-    for cell in range(8):
-        falsified = all(
-            (cell >> positions[lit.variable] & 1 == 1) == lit.negated
-            for lit in clause.literals
-        )
-        if falsified:
-            cells.add(cell)
-    return cells
+    mask = _forbidden_mask(clause, triple)
+    return {cell for cell in range(8) if mask >> cell & 1}
 
 
 @dataclass
@@ -210,10 +225,7 @@ def build_clausal_partition(instance: Instance) -> ClausalBuild:
     cubes: dict[Triple, int] = {}
     for clause in instance.clauses:
         triple = host_triple(clause, instance.num_vars)
-        mask = cubes.get(triple, 0xFF)
-        for cell in forbidden_cells(clause, triple):
-            mask &= ~(1 << cell)
-        cubes[triple] = mask
+        cubes[triple] = cubes.get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
     state = ClausalState(
         {triple: Partition(triple, mask) for triple, mask in sorted(cubes.items())}
     )

@@ -2,8 +2,8 @@
 
 Exit codes: 0 = engine reports no empty cube and the oracle (if run)
 agrees; 10 = UNSAT by empty cube (oracle-confirmed or oracle skipped);
-20 = engine and oracle disagree; 2 = usage error, unreadable input or
-parse error.
+20 = engine and oracle disagree; 2 = usage error, unreadable input,
+unwritable output or parse error.
 """
 
 from __future__ import annotations
@@ -89,7 +89,14 @@ def parse_gen_spec(spec: str) -> GenSpec:
         m_points = list(range(lo, hi + 1, step))
     else:
         m_points = [int(m_spec)]
-    return GenSpec(n, m_points, int(fields["seed"]), int(fields.get("count", 1)))
+    count = int(fields.get("count", 1))
+    if n < 3:
+        raise ValueError(f"--gen needs n >= 3, got {n}")
+    if min(m_points) < 0:
+        raise ValueError(f"--gen needs m >= 0, got {m_spec}")
+    if count < 1:
+        raise ValueError(f"--gen needs count >= 1, got {count}")
+    return GenSpec(n, m_points, int(fields["seed"]), count)
 
 
 def parse_order(spec: str) -> tuple[str, int | None]:
@@ -149,11 +156,17 @@ def _run_oracle(instance: Instance, mode: str) -> oracle.OracleVerdict | None:
 
 
 def _write_out(text: str, path: str | None) -> None:
+    """Write to `path`, or stdout for None or "-".  Raises SystemExit(2)
+    after printing a diagnostic to stderr when the path cannot be written."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
 
 
 def cmd_solve(config: RunConfig) -> int:

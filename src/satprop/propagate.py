@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 # look bc, bc_uni and impose up by name in this module, so all three stay
 # importable.
 from .bitspace import Partition, bc, bc_uni, impose  # noqa: F401
-from .clausal import ClausalState, Instance, Triple
+from .clausal import _CELLS, ClausalState, Instance, Triple
 
 Edge = tuple[Triple, Triple]
 
@@ -139,15 +139,6 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
 
 
 _TABLES = _shape_tables()
-
-# _UNIT_CELLS[pos][value]: the cells of a triple whose variable at position
-# pos takes value (F = False, T = True).
-_UNIT_CELLS = tuple(
-    tuple(sum(1 << cell for cell in range(8) if (cell >> pos & 1) == value)
-          for value in (0, 1))
-    for pos in range(3)
-)
-
 
 class _Graph:
     """Adjacency of a set of triples as flat arrays.  Cube i is `nodes[i]`;
@@ -288,11 +279,12 @@ def _worklist(
 
     Work items are edge ids, or pair ids in bidirectional mode.  By default
     all of them start queued, in id order or shuffled by `rng`; `items`
-    queues only those, in the order given.  A None marker ends each pass.
-    When a cube changes, the items leaving it (touching it, for pairs) that
-    are not already queued are appended, shuffled by `rng`.
+    queues only those, in the order given, and the caller guarantees that
+    no mask is empty on entry.  A None marker ends each pass.  When a cube
+    changes, the items leaving it (touching it, for pairs) that are not
+    already queued are appended, shuffled by `rng`.
     """
-    if early_exit and 0 in masks:
+    if items is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
     nodes = graph.nodes
     if bidirectional:
@@ -373,8 +365,11 @@ def _worklist(
         if rng is not None:
             rng.shuffle(requeue)
         extend(requeue)
-    else:
-        empty = masks.index(0) if 0 in masks else None
+    # Under early_exit a cube emptied in the loop ended it, and none was
+    # empty on entry (checked above, or guaranteed by the caller of `items`),
+    # so only a full closure needs this scan.
+    if not early_exit and 0 in masks:
+        empty = masks.index(0)
 
     return PropStats(passes, applications, changed, removed_total), empty
 
@@ -404,7 +399,6 @@ def extract_assignment(
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
     graph = _graph_of(result.fixpoint)
-    first = graph.first
     masks = [result.fixpoint.cubes[triple].green_mask for triple in graph.nodes]
     # var -> (cube, position of var in that cube's triple)
     occurrences: dict[int, list[tuple[int, int]]] = {}
@@ -415,16 +409,8 @@ def extract_assignment(
 
     for var in sorted(occurrences):
         for value in (False, True):
-            trial = masks[:]
-            edges: list[int] = []
-            for i, pos in occurrences[var]:
-                after = trial[i] & _UNIT_CELLS[pos][value]
-                if after != trial[i]:
-                    trial[i] = after
-                    edges.extend(range(first[i], first[i + 1]))
-            # a cube the unit emptied is reported before any edge is applied
-            _, empty = _worklist(graph, trial, True, False, None, None, items=edges)
-            if empty is None:
+            trial = _impose_unit(graph, masks, occurrences[var], value)
+            if trial is not None:
                 chosen[var], masks = value, trial
                 break
         else:
@@ -436,3 +422,27 @@ def extract_assignment(
             assignment[var] = value
     verified = instance.evaluate(assignment)
     return Extraction(assignment, verified)
+
+
+def _impose_unit(
+    graph: _Graph,
+    masks: list[int],
+    occurrences: list[tuple[int, int]],
+    value: bool,
+) -> list[int] | None:
+    """A copy of `masks` with one variable set to `value` in every cube
+    holding it, at the (cube, position) pairs `occurrences`, and propagated
+    from the cubes that changed; None if a cube empties, without propagating
+    at all when the unit alone empties one."""
+    first = graph.first
+    trial = masks[:]
+    edges: list[int] = []
+    for i, pos in occurrences:
+        after = trial[i] & _CELLS[pos][value]
+        if not after:
+            return None
+        if after != trial[i]:
+            trial[i] = after
+            edges.extend(range(first[i], first[i + 1]))
+    _, empty = _worklist(graph, trial, True, False, None, None, items=edges)
+    return trial if empty is None else None

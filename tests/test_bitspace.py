@@ -11,8 +11,10 @@ from satprop.bitspace import (
     bc,
     bc_uni,
     bs,
-    cellwise,
-    cross,
+    cellwise_bs,
+    cellwise_ws,
+    cross_bs,
+    cross_ws,
     impose,
     lift,
     project,
@@ -80,18 +82,16 @@ def test_render():
 def test_cellwise_masks():
     p = Partition((1, 2, 3), 0xFE)
     q = Partition((1, 2, 3), 0x7F)
-    assert cellwise("BS", p, q).green_mask == 0x7E
+    assert cellwise_bs(p, q).green_mask == 0x7E
     a = Partition((1,), 0b01)
     b = Partition((1,), 0b10)
-    assert cellwise("WS", a, b).green_mask == 0b11
-    assert cellwise("BS", p, Partition.all_green((1, 2, 3))) == p
+    assert cellwise_ws(a, b).green_mask == 0b11
+    assert cellwise_bs(p, Partition.all_green((1, 2, 3))) == p
 
 
 def test_cellwise_coordinate_mismatch():
     with pytest.raises(ValueError, match=r"\[1, 2\].*\[1, 3\]"):
-        cellwise("BS", Partition((1, 2), 0), Partition((1, 3), 0))
-    with pytest.raises(ValueError):
-        cellwise("XS", Partition((1,), 0), Partition((1,), 0))
+        cellwise_bs(Partition((1, 2), 0), Partition((1, 3), 0))
 
 
 # --- cross -------------------------------------------------------------------
@@ -99,22 +99,22 @@ def test_cellwise_coordinate_mismatch():
 def test_cross_images():
     p = Partition((1,), 0b01)
     q = Partition((2,), 0b01)
-    assert cross("BS", p, q).green_mask == 0b0001
-    assert cross("WS", p, q).green_mask == 0b0111
-    r = cross("BS", Partition.all_green((1,)), Partition.all_green((2, 3)))
+    assert cross_bs(p, q).green_mask == 0b0001
+    assert cross_ws(p, q).green_mask == 0b0111
+    r = cross_bs(Partition.all_green((1,)), Partition.all_green((2, 3)))
     assert r == Partition.all_green((1, 2, 3))
 
 
 def test_cross_errors():
     with pytest.raises(ValueError, match="disjoint"):
-        cross("BS", Partition((1, 2), 0), Partition((2, 3), 0))
+        cross_bs(Partition((1, 2), 0), Partition((2, 3), 0))
 
 
 @given(st.integers(0, 3), st.integers(0, 15))
 def test_cross_green_count_is_product(pm, qm):
     p = Partition((1,), pm)
     q = Partition((2, 3), qm)
-    out = cross("BS", p, q)
+    out = cross_bs(p, q)
     assert out.num_cells == p.num_cells * q.num_cells
     assert out.green_count() == p.green_count() * q.green_count()
 
@@ -285,7 +285,7 @@ def test_assemble_single_part_identity():
 def test_assemble_disjoint_equals_cross():
     p = Partition((1,), 0b01)
     q = Partition((2, 3), 0xA)
-    assert assemble([p, q], "BS") == cross("BS", p, q)
+    assert assemble([p, q], "BS") == cross_bs(p, q)
 
 
 def test_assemble_two_cubes_matches_brute_force():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from satprop.clausal import (
     forbidden_cells,
     host_triple,
 )
+from satprop.dimacs import gen_random_3sat
 
 
 def clause_of(*lits, num_vars=10):
@@ -167,3 +169,136 @@ def test_instance_tautology_counter():
 def test_instance_rejects_overflow_variable():
     with pytest.raises(ValueError):
         Instance.from_raw(2, [[1, 2, 3]])
+
+
+# --- differential: mask construction against the per-cell references ----------
+
+def _forbidden_cells_by_cell(clause, triple):
+    """The per-cell loop that built forbidden cells before the mask table."""
+    positions = {}
+    for lit in clause.literals:
+        if lit.variable not in triple:
+            raise ValueError(f"variable u{lit.variable} not in triple {triple}")
+        positions[lit.variable] = triple.index(lit.variable)
+    cells = set()
+    for cell in range(8):
+        falsified = all(
+            (cell >> positions[lit.variable] & 1 == 1) == lit.negated
+            for lit in clause.literals
+        )
+        if falsified:
+            cells.add(cell)
+    return cells
+
+
+def _canonicalize_by_literal(literals, num_vars):
+    """canonicalize as it was, reading every raw literal through a Literal."""
+    polarity = {}
+    for raw in literals:
+        lit = raw if isinstance(raw, Literal) else Literal.from_int(raw)
+        if lit.variable > num_vars:
+            raise ValueError(
+                f"variable u{lit.variable} exceeds declared count {num_vars}"
+            )
+        if lit.variable in polarity:
+            if polarity[lit.variable] != lit.negated:
+                return TAUTOLOGY
+        else:
+            polarity[lit.variable] = lit.negated
+    if not polarity:
+        return EMPTY
+    return Clause(tuple(Literal(v, polarity[v]) for v in sorted(polarity)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _reference_instance(num_vars, raw_clauses):
+    clauses, tautologies, has_empty = [], 0, False
+    for raw in raw_clauses:
+        result = _canonicalize_by_literal(raw, num_vars)
+        if result is TAUTOLOGY:
+            tautologies += 1
+        elif result is EMPTY:
+            has_empty = True
+        else:
+            clauses.append(result)
+    return Instance(num_vars, tuple(clauses), has_empty, tautologies)
+
+
+def _reference_masks(instance):
+    masks = {}
+    for clause in instance.clauses:
+        triple = host_triple(clause, instance.num_vars)
+        mask = masks.get(triple, 0xFF)
+        for cell in _forbidden_cells_by_cell(clause, triple):
+            mask &= ~(1 << cell)
+        masks[triple] = mask
+    return masks
+
+
+def _assert_front_half_matches(instance, reference):
+    assert instance == reference
+    build = build_clausal_partition(instance)
+    assert {t: c.green_mask for t, c in build.state.cubes.items()} == (
+        _reference_masks(reference)
+    )
+    for clause in instance.clauses:
+        triple = host_triple(clause, instance.num_vars)
+        assert forbidden_cells(clause, triple) == (
+            _forbidden_cells_by_cell(clause, triple)
+        )
+
+
+@st.composite
+def raw_clauses(draw):
+    """num_vars in 1..5 (below 3 the host triples pad past num_vars) and up
+    to six raw clauses of zero to five literals: duplicates, tautologies,
+    literal 0, ids past num_vars, and Literal objects mixed with ints."""
+    num_vars = draw(st.integers(1, 5))
+    literal = st.integers(-num_vars - 1, num_vars + 1).flatmap(
+        lambda lit: st.sampled_from(
+            [lit] if lit == 0 else [lit, Literal.from_int(lit)]
+        )
+    )
+    return num_vars, draw(st.lists(st.lists(literal, max_size=5), max_size=8))
+
+
+@given(raw_clauses())
+def test_canonicalize_and_build_match_references(drawn):
+    num_vars, raws = drawn
+    accepted = []
+    for raw in raws:
+        result = _outcome(canonicalize, raw, num_vars)
+        assert result == _outcome(_canonicalize_by_literal, raw, num_vars)
+        if not isinstance(result, tuple):  # not a ValueError
+            accepted.append(raw)
+    _assert_front_half_matches(
+        Instance.from_raw(num_vars, accepted), _reference_instance(num_vars, accepted)
+    )
+
+
+@given(st.data())
+def test_forbidden_cells_match_reference_on_any_host(data):
+    width = data.draw(st.integers(1, 3))
+    vars_ = sorted(data.draw(st.sets(st.integers(1, 6), min_size=width, max_size=width)))
+    clause = clause_of(*[v if data.draw(st.booleans()) else -v for v in vars_])
+    triple = tuple(sorted(data.draw(st.sets(st.integers(1, 6), min_size=3, max_size=3))))
+    assert _outcome(forbidden_cells, clause, triple) == (
+        _outcome(_forbidden_cells_by_cell, clause, triple)
+    )
+
+
+@pytest.mark.parametrize("n", [12, 100, 400])
+def test_random_instances_match_references(n):
+    m = 3 * n
+    rng = random.Random(n)  # the draw gen_random_3sat documents
+    raws = []
+    for _ in range(m):
+        vars_ = sorted(rng.sample(range(1, n + 1), 3))
+        raws.append([v if rng.random() < 0.5 else -v for v in vars_])
+    _assert_front_half_matches(gen_random_3sat(n, m, n), _reference_instance(n, raws))

@@ -42,6 +42,31 @@ def test_parse_gen_spec_forms():
         parse_gen_spec("n=12,m=9..3,seed=7")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("n=2,m=3,seed=1", "n >= 3"),
+    ("n=12,m=-1,seed=1", "m >= 0"),
+    ("n=12,m=-6..12..6,seed=1", "m >= 0"),
+    ("n=12,m=30,seed=1,count=0", "count >= 1"),
+    ("n=12,m=30,seed=1,count=-1", "count >= 1"),
+])
+def test_parse_gen_spec_rejects_out_of_range(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_gen_spec(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "n=2,m=3,seed=1"],
+    ["solve", "--gen", "n=12,m=-1,seed=1"],
+    ["bench", "--gen", "n=2,m=3..6..3,seed=1"],
+    ["bench", "--gen", "n=12,m=30,seed=1,count=-1"],
+])
+def test_out_of_range_gen_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: --gen needs ")
+
+
 def test_parse_order_forms():
     assert parse_order("fifo") == ("fifo", None)
     assert parse_order("random:9") == ("random", 9)
@@ -152,6 +177,21 @@ def test_solve_writes_out_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(out_path.read_text())["tool"] == "satprop"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "n=9,m=30,seed=6", "--out"],
+    ["solve", "--gen", "n=9,m=30,seed=6", "--trace"],
+    ["trace", "--gen", "n=9,m=30,seed=6", "--out"],
+    ["bench", "--gen", "n=8,m=16,seed=2,count=2", "--out"],
+])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 # --- verify -------------------------------------------------------------------
