@@ -14,10 +14,10 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from . import __version__, bitspace, oracle
-from .bitspace import GREEN, RED, Partition, bc, bs, ws
+from . import __version__, bitspace, checks, oracle
+from .bitspace import Partition, bc
 from .clausal import Instance, build_clausal_partition
 from .dimacs import (
     build_report,
@@ -27,11 +27,9 @@ from .dimacs import (
     parse_dimacs,
     write_report,
 )
-from .propagate import (
-    bidirectional_fixpoint,
-    extract_assignment,
-    fixpoint,
-)
+# bidirectional_fixpoint is not used here, but callers that wrap the layer
+# functions look it up by name in this module, so it stays importable.
+from .propagate import bidirectional_fixpoint, extract_assignment, fixpoint  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -283,131 +281,50 @@ def cmd_trace(config: RunConfig) -> int:
     result = fixpoint(
         build.state, order=config.order, seed=config.order_seed, record_trace=True
     )
-    _write_out(_trace_document(result), config.trace_path or config.out_path)
+    _write_out(_trace_document(result), config.out_path)
     return EXIT_UNSAT if result.empty_triple is not None else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# verify: the full property battery
+# verify: the property battery of `checks`, on fixed instance families
 
 
-def _check_algebra() -> str | None:
-    colors = (RED, GREEN)
-    for a in colors:
-        for b in colors:
-            if ws(a, b) not in colors or bs(a, b) not in colors:
-                return "closure violated"
-            if ws(a, b) is not ws(b, a) or bs(a, b) is not bs(b, a):
-                return f"commutativity violated at ({a}, {b})"
-            for c in colors:
-                if ws(ws(a, b), c) is not ws(a, ws(b, c)):
-                    return "WS associativity violated"
-                if bs(bs(a, b), c) is not bs(a, bs(b, c)):
-                    return "BS associativity violated"
-                if bs(a, ws(b, c)) is not ws(bs(a, b), bs(a, c)):
-                    return "BS-over-WS distributivity violated"
-                if ws(a, bs(b, c)) is not bs(ws(a, b), ws(a, c)):
-                    return "WS-over-BS distributivity violated"
-        if ws(a, RED) is not a:
-            return "RED is not the WS identity"
-        if bs(a, GREEN) is not a:
-            return "GREEN is not the BS identity"
-        if bs(a, RED) is not RED:
-            return "RED is not BS-absorbing"
-    return None
-
-
-_LAYOUTS = {
-    "overlap2": ((1, 2, 3), (2, 3, 4)),
-    "overlap1": ((1, 2, 3), (3, 4, 5)),
-}
-
-
-def _check_bc_oracle(
-    quick: bool, bc_fn: Callable = bc
-) -> str | None:
+def _bc_family(quick: bool, bc_fn: Callable) -> Iterator[str | None]:
     rng = random.Random(20260826)
-    for name, (ca, cb) in _LAYOUTS.items():
+    for layout in checks.LAYOUTS:
         if quick:
             pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(2048)]
         else:
             pairs = [(a, b) for a in range(256) for b in range(256)]
         for ma, mb in pairs:
-            p, q = Partition(ca, ma), Partition(cb, mb)
-            got = bc_fn(p, q)
-            want = oracle.join_semantics_oracle(p, q)
-            if (got[0].green_mask, got[1].green_mask) != (
-                want[0].green_mask,
-                want[1].green_mask,
-            ):
-                return (
-                    f"bc mismatch on {name} masks ({mask_hex(ma)}, {mask_hex(mb)})"
-                )
-    return None
+            yield checks.bc_matches_join(layout, ma, mb, bc_fn)
 
 
-def _check_structural_laws(quick: bool) -> str | None:
+def _laws_family(quick: bool) -> Iterator[str | None]:
     rng = random.Random(97)
-    rounds = 100 if quick else 500
-    for _ in range(rounds):
+    for _ in range(100 if quick else 500):
         k = rng.randint(1, 4)
         coords = tuple(sorted(rng.sample(range(1, 9), k)))
-        mask = rng.randrange(1 << (1 << k))
-        p = Partition(coords, mask)
+        p = Partition(coords, rng.randrange(1 << (1 << k)))
         sub = tuple(sorted(rng.sample(coords, rng.randint(1, k))))
-        proj = bitspace.project(p, sub)
-        lifted = bitspace.lift(proj, coords)
-        if lifted.green_mask & p.green_mask != p.green_mask:
-            return "lift(project(p)) lost GREEN cells of p"
-        if bitspace.project(lifted, sub).green_mask != proj.green_mask:
-            return "project(lift(q)) != q"
-        extra = rng.randrange(1 << (1 << len(sub)))
-        q = Partition(sub, extra)
-        imposed = bitspace.impose(p, q)
-        if imposed.green_mask & p.green_mask != imposed.green_mask:
-            return "impose produced GREEN cells outside p"
-    return None
+        q = Partition(sub, rng.randrange(1 << (1 << len(sub))))
+        yield checks.project_lift_impose_laws(p, q)
 
 
-def _check_fixpoint_equivalences(quick: bool) -> str | None:
-    count = 10 if quick else 30
-    for i in range(count):
+def _fixpoint_family(quick: bool) -> Iterator[str | None]:
+    for i in range(10 if quick else 30):
         inst = gen_random_3sat(10, 25 + i, seed=4000 + i)
-        build = build_clausal_partition(inst)
-        base = fixpoint(build.state, early_exit=False)
-        bi = bidirectional_fixpoint(build.state, early_exit=False)
-        if {t: c.green_mask for t, c in base.fixpoint.cubes.items()} != {
-            t: c.green_mask for t, c in bi.fixpoint.cubes.items()
-        }:
-            return f"uni/bi fixpoint mismatch on seed {4000 + i}"
-        for order_seed in range(3):
-            alt = fixpoint(
-                build.state, order="random", seed=order_seed, early_exit=False
-            )
-            if {t: c.green_mask for t, c in base.fixpoint.cubes.items()} != {
-                t: c.green_mask for t, c in alt.fixpoint.cubes.items()
-            }:
-                return f"confluence violated on seed {4000 + i}, order {order_seed}"
-    return None
+        state = build_clausal_partition(inst).state
+        yield checks.uni_bi_confluence(state, f"seed {4000 + i}", range(3))
 
 
-def _check_soundness(quick: bool) -> str | None:
-    count = 10 if quick else 40
-    for i in range(count):
+def _soundness_family(quick: bool) -> Iterator[str | None]:
+    for i in range(10 if quick else 40):
         n = 10 + (i % 5)
         m = int(n * (1.5 + (i % 7) * 0.6))
         inst = gen_random_3sat(n, m, seed=9000 + i)
-        build = build_clausal_partition(inst)
-        result = fixpoint(build.state, early_exit=False)
-        projected = oracle.projected_solution_sets(inst, result.fixpoint.triples())
-        for triple, cells in projected.items():
-            green = set(result.fixpoint.cubes[triple].green_cells())
-            if not cells <= green:
-                return f"soundness violated on seed {9000 + i} triple {triple}"
-        if result.empty_triple is not None:
-            if oracle.brute_force_sat(inst).satisfiable:
-                return f"false UNSAT on seed {9000 + i}"
-    return None
+        result = fixpoint(build_clausal_partition(inst).state, early_exit=False)
+        yield checks.sound(inst, result, f"seed {9000 + i}")
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -415,22 +332,19 @@ def cmd_verify(config: RunConfig) -> int:
     if config.mutate_bc:
         def bc_fn(p, q):  # deliberately wrong: skips the meet step on p's side
             return bitspace.bc_uni(p, q), q
-    checks = [
-        ("algebra-axioms", lambda: _check_algebra()),
-        ("bc-vs-join-oracle", lambda: _check_bc_oracle(config.quick, bc_fn)),
-        ("project-lift-impose-laws", lambda: _check_structural_laws(config.quick)),
-        ("uni-bi-confluence", lambda: _check_fixpoint_equivalences(config.quick)),
-        ("soundness-vs-projections", lambda: _check_soundness(config.quick)),
+    battery = [  # (check name, one result per instance, None when it holds)
+        ("algebra-axioms", [checks.algebra_laws()]),
+        ("bc-vs-join-oracle", _bc_family(config.quick, bc_fn)),
+        ("project-lift-impose-laws", _laws_family(config.quick)),
+        ("uni-bi-confluence", _fixpoint_family(config.quick)),
+        ("soundness-vs-projections", _soundness_family(config.quick)),
     ]
-    failures = 0
-    for name, check in checks:
-        detail = check()
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-    return EXIT_OK if failures == 0 else 1
+    failed = False
+    for name, results in battery:
+        detail = next((d for d in results if d is not None), None)
+        print(f"PASS {name}" if detail is None else f"FAIL {name}: {detail}")
+        failed |= detail is not None
+    return 1 if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +352,6 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_bench(config: RunConfig) -> int:
-    if config.gen is None:
-        print("bench requires --gen", file=sys.stderr)
-        return EXIT_PARSE
     spec = config.gen
     points = []
     for point_index, m in enumerate(spec.m_points):
@@ -515,58 +426,55 @@ def cmd_bench(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand accepts only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="satprop",
         description="Partition-propagation 3SAT engine with a brute-force audit.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_ in [
-        ("solve", "propagate one instance to fixpoint and report the verdict"),
-        ("verify", "run the full property battery"),
-        ("bench", "sweep random instances and audit engine/oracle agreement"),
-        ("trace", "run propagation with a per-application trace"),
-    ]:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--input", help="DIMACS CNF path, or - for stdin")
+    solve = sub.add_parser(
+        "solve", help="propagate one instance to fixpoint and report the verdict")
+    verify = sub.add_parser("verify", help="run the full property battery")
+    bench = sub.add_parser(
+        "bench", help="sweep random instances and audit engine/oracle agreement")
+    trace = sub.add_parser("trace", help="run propagation with a per-application trace")
+    for p in (solve, trace):
+        p.add_argument("--input", dest="input_path",
+                       help="DIMACS CNF path, or - for stdin")
+    for p in (solve, bench, trace):
         p.add_argument("--gen", help="n=<n>,m=<m>|<a>..<b>[..<step>],seed=<s>[,count=<k>]")
-        p.add_argument("--oracle", choices=["on", "off", "auto"], default="auto")
         p.add_argument("--order", default="fifo", help="fifo or random:<seed>")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--quick", action="store_true", help="subsampled verify checks")
-        p.add_argument("--trace", dest="trace_path", help="trace output path")
-        p.add_argument("--timings", action="store_true",
+        p.add_argument("--out", dest="out_path", help="output path (default stdout)")
+    for p in (solve, bench):
+        p.add_argument("--oracle", dest="oracle_mode", choices=["on", "off", "auto"],
+                       default="auto")
+    solve.add_argument("--trace", dest="trace_path", help="trace output path")
+    bench.add_argument("--timings", action="store_true",
                        help="include wall-clock fields in bench output")
-        p.add_argument("--mutate-bc", action="store_true", help=argparse.SUPPRESS)
+    verify.add_argument("--quick", action="store_true", help="subsampled verify checks")
+    verify.add_argument("--mutate-bc", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.input and args.gen:
+    flags = dict(vars(args))  # RunConfig fields, unset ones keep their defaults
+    gen_spec = flags.pop("gen", None)
+    if flags.get("input_path") and gen_spec:
         raise ValueError("--input and --gen are mutually exclusive")
-    gen = parse_gen_spec(args.gen) if args.gen else None
+    gen = parse_gen_spec(gen_spec) if gen_spec else None
     if args.subcommand in ("solve", "trace"):
-        if not (args.input or gen):
+        if not (flags["input_path"] or gen):
             raise ValueError(f"{args.subcommand} requires --input or --gen")
         if gen is not None and (len(gen.m_points) != 1 or gen.count != 1):
             raise ValueError(
                 f"{args.subcommand} takes one instance: --gen needs a single m "
                 f"and count=1 (use bench for sweeps)"
             )
-    order, order_seed = parse_order(args.order)
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        gen=gen,
-        oracle_mode=args.oracle,
-        order=order,
-        order_seed=order_seed,
-        out_path=args.out,
-        trace_path=args.trace_path,
-        quick=args.quick,
-        timings=args.timings,
-        mutate_bc=args.mutate_bc,
-    )
+    if args.subcommand == "bench" and gen is None:
+        raise ValueError("bench requires --gen")
+    order, order_seed = parse_order(flags.pop("order", "fifo"))
+    return RunConfig(**flags, gen=gen, order=order, order_seed=order_seed)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -577,18 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    command = {"solve": cmd_solve, "verify": cmd_verify,
+               "bench": cmd_bench, "trace": cmd_trace}[config.subcommand]
     try:
-        if config.subcommand == "solve":
-            return cmd_solve(config)
-        if config.subcommand == "verify":
-            return cmd_verify(config)
-        if config.subcommand == "bench":
-            return cmd_bench(config)
-        if config.subcommand == "trace":
-            return cmd_trace(config)
+        return command(config)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    raise AssertionError(f"unhandled subcommand {config.subcommand}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satprop import bitspace
+from satprop import bitspace, checks
 from satprop.bitspace import (
     GREEN,
     RED,
@@ -43,10 +43,8 @@ def test_bs_table():
 
 
 def test_identities_and_absorption():
-    for a in (RED, GREEN):
-        assert ws(a, RED) is a
-        assert bs(a, GREEN) is a
-        assert bs(a, RED) is RED
+    # checked along with the other scalar laws
+    assert checks.algebra_laws() is None
 
 
 # --- Partition basics -------------------------------------------------------
@@ -180,12 +178,8 @@ def test_project_monotone(p, data):
 def test_project_lift_laws(p, data):
     sub = tuple(sorted(data.draw(
         st.sets(st.sampled_from(p.coords), min_size=1))))
-    proj = project(p, sub)
-    # project∘lift over the same subset is the identity on the subset
-    assert project(lift(proj, p.coords), sub) == proj
-    # lift∘project never shrinks the original GREEN set
-    roundtrip = lift(proj, p.coords)
-    assert roundtrip.green_mask & p.green_mask == p.green_mask
+    q = Partition(sub, data.draw(st.integers(0, (1 << (1 << len(sub))) - 1)))
+    assert checks.project_lift_impose_laws(p, q) is None
 
 
 # --- impose ------------------------------------------------------------------
@@ -256,8 +250,7 @@ def test_bc_contracting_and_idempotent(p, q):
 @settings(deadline=None)
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_uni_alternation_reaches_bc_fixpoint(ma, mb):
-    for layout in [((1, 2, 3), (2, 3, 4)), ((1, 2, 3), (3, 4, 5))]:
-        ca, cb = layout
+    for ca, cb in checks.LAYOUTS.values():
         p, q = Partition(ca, ma), Partition(cb, mb)
         while True:
             p2 = bc_uni(p, q)

@@ -1,10 +1,12 @@
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from satprop import cli
+from satprop import propagate
+from satprop.bitspace import Partition
 from satprop.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -81,6 +83,23 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
                        "n=3,m=1,seed=1")
     assert code == EXIT_PARSE
     assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --input x.cnf", "verify --gen n=3,m=1,seed=1", "verify --oracle on",
+    "verify --order fifo", "verify --out x.json", "verify --trace t.json",
+    "verify --timings", "solve --gen n=3,m=1,seed=1 --quick",
+    "solve --gen n=3,m=1,seed=1 --timings", "solve --gen n=3,m=1,seed=1 --mutate-bc",
+    "trace --gen n=3,m=1,seed=1 --oracle on", "trace --gen n=3,m=1,seed=1 --quick",
+    "trace --gen n=3,m=1,seed=1 --timings", "trace --gen n=3,m=1,seed=1 --trace t.json",
+    "bench --gen n=3,m=1,seed=1 --input x.cnf", "bench --gen n=3,m=1,seed=1 --quick",
+    "bench --gen n=3,m=1,seed=1 --trace t.json",
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_PARSE
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "trace"])
@@ -209,6 +228,60 @@ def test_verify_mutated_bc_fails(capsys):
     assert "FAIL bc-vs-join-oracle" in out
 
 
+_fixpoint = propagate.fixpoint
+_bidirectional = propagate.bidirectional_fixpoint
+
+
+def _drop_lowest_green(result):
+    """`result` with the lowest GREEN cell of every non-empty cube removed."""
+    cubes = result.fixpoint.cubes
+    for triple, cube in cubes.items():
+        cubes[triple] = Partition(triple, cube.green_mask & (cube.green_mask - 1))
+    return result
+
+
+def _random_orders_drop_a_cell(state, order="fifo", **kwargs):
+    result = _fixpoint(state, order=order, **kwargs)
+    return _drop_lowest_green(result) if order == "random" else result
+
+
+def _claims_empty_cube(state, **kwargs):
+    result = _fixpoint(state, **kwargs)
+    result.empty_triple = result.fixpoint.triples()[0]
+    return result
+
+
+@pytest.mark.parametrize("fakes, failure", [
+    ({"ws": lambda a, b: a},
+     "algebra-axioms: commutativity violated at (Color.RED, Color.GREEN)"),
+    ({"lift": lambda p, target: Partition(tuple(target), 0)},
+     "project-lift-impose-laws: lift(project(p)) lost GREEN cells of p"),
+    ({"lift": lambda p, target: Partition.all_green(tuple(target))},
+     "project-lift-impose-laws: project(lift(q)) != q"),
+    ({"impose": lambda p, q: Partition.all_green(p.coords)},
+     "project-lift-impose-laws: impose produced GREEN cells outside p"),
+    ({"bidirectional_fixpoint": lambda *a, **k: _drop_lowest_green(_bidirectional(*a, **k))},
+     "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4000"),
+    ({"fixpoint": _random_orders_drop_a_cell},
+     "uni-bi-confluence: confluence violated on seed 4000, order 0"),
+    ({"fixpoint": lambda *a, **k: _drop_lowest_green(_fixpoint(*a, **k)),
+      "bidirectional_fixpoint": lambda *a, **k: _drop_lowest_green(_bidirectional(*a, **k))},
+     "soundness-vs-projections: soundness violated on seed 9000 triple (1, 2, 5)"),
+    ({"fixpoint": _claims_empty_cube},
+     "soundness-vs-projections: false UNSAT on seed 9000"),
+])
+def test_verify_reports_each_broken_property(capsys, monkeypatch, fakes, failure):
+    # each fake breaks one property; bind it wherever satprop looks the name up
+    for name, fake in fakes.items():
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("satprop") and hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert f"FAIL {failure}" in out.splitlines()
+    assert out.count("PASS") == 4
+
+
 # --- bench --------------------------------------------------------------------
 
 def test_bench_deterministic_and_sound(capsys):
@@ -242,6 +315,7 @@ def test_bench_counterexamples_reproduce_exit_20(capsys, tmp_path):
 def test_bench_requires_gen(capsys):
     code, _, err = run(capsys, "bench")
     assert code == EXIT_PARSE
+    assert err == "error: bench requires --gen\n"
 
 
 # --- trace --------------------------------------------------------------------

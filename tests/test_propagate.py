@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from satprop import cli, oracle
+from satprop import checks
 from satprop.bitspace import Partition, bc, bc_uni, impose
 from satprop.clausal import ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
@@ -121,7 +121,7 @@ def test_graph_edges_carry_their_shape_table():
 
 def test_bc_is_two_one_sided_combinations():
     # the identity bidirectional mode relies on, on every pair of masks
-    for ca, cb in cli._LAYOUTS.values():
+    for ca, cb in checks.LAYOUTS.values():
         for ma in range(256):
             p = Partition(ca, ma)
             for mb in range(256):
@@ -150,14 +150,14 @@ def test_fixpoint_empty_cube_absorbs_neighbor():
 
 
 def test_fixpoint_matches_oracle_projections_on_forced_chain():
-    # forced units threaded through shared variables
+    # forced units threaded through shared variables: the one solution sets
+    # every variable True, so each cube's projection of it is cell 7 alone
     inst = Instance.from_raw(
         6, [[1], [-1, 2], [-2, 3], [-3, 4], [-4, 5], [-5, 6]])
     build = build_clausal_partition(inst)
     result = fixpoint(build.state, early_exit=False)
-    projected = oracle.projected_solution_sets(inst, result.fixpoint.triples())
-    for triple, cells in projected.items():
-        assert cells == set(result.fixpoint.cubes[triple].green_cells())
+    assert checks.sound(inst, result, "forced chain") is None
+    assert all(cube.green_mask == 1 << 7 for cube in result.fixpoint.cubes.values())
 
 
 def test_fixpoint_monotone_and_bounded():
@@ -177,11 +177,7 @@ def test_fixpoint_confluent_across_orders():
     for seed in range(5):
         inst = gen_random_3sat(9, 35, seed=100 + seed)
         build = build_clausal_partition(inst)
-        reference = masks(fixpoint(build.state, early_exit=False).fixpoint)
-        for order_seed in range(4):
-            alt = fixpoint(build.state, order="random", seed=order_seed,
-                           early_exit=False)
-            assert masks(alt.fixpoint) == reference
+        assert checks.uni_bi_confluence(build.state, f"seed {100 + seed}", range(4)) is None
 
 
 def test_fixpoint_rejects_unknown_order():
@@ -196,9 +192,7 @@ def test_bidirectional_equals_unidirectional():
     for seed in range(10):
         inst = gen_random_3sat(10, 38, seed=200 + seed)
         build = build_clausal_partition(inst)
-        uni = fixpoint(build.state, early_exit=False)
-        bi = bidirectional_fixpoint(build.state, early_exit=False)
-        assert masks(uni.fixpoint) == masks(bi.fixpoint)
+        assert checks.uni_bi_confluence(build.state, f"seed {200 + seed}") is None
 
 
 def test_bidirectional_no_edges_is_noop():
@@ -220,11 +214,7 @@ def test_satisfying_assignments_stay_green():
         inst = gen_random_3sat(8, 34, seed=300 + seed)
         build = build_clausal_partition(inst)
         result = fixpoint(build.state, early_exit=False)
-        projected = oracle.projected_solution_sets(inst, result.fixpoint.triples())
-        for triple, cells in projected.items():
-            assert cells <= set(result.fixpoint.cubes[triple].green_cells())
-        if result.empty_triple is not None:
-            assert not oracle.brute_force_sat(inst).satisfiable
+        assert checks.sound(inst, result, f"seed {300 + seed}") is None
 
 
 # --- extraction ---------------------------------------------------------------
