@@ -83,16 +83,18 @@ def project_lift_impose_laws(p: Partition, q: Partition) -> str | None:
 def uni_bi_confluence(
     state: ClausalState, name: str, order_seeds: Iterable[int] = ()
 ) -> str | None:
-    """The closed FIFO fixpoint of `state` equals the bidirectional one and
-    the one reached in random order under each of `order_seeds`."""
+    """The closed FIFO fixpoint of `state`, and the empty cube it reports,
+    equal those of the two-sided sweep and those reached in random order
+    under each of `order_seeds`."""
     # base is held to the end, so the later runs reuse its adjacency
     base = propagate.fixpoint(state, early_exit=False)
-    bi = propagate.bidirectional_fixpoint(state, early_exit=False)
-    if bi.fixpoint != base.fixpoint:
+    want = (base.fixpoint, base.empty_triple)
+    bi = propagate.bidirectional_fixpoint(state)
+    if (bi.fixpoint, bi.empty_triple) != want:
         return f"uni/bi fixpoint mismatch on {name}"
     for order_seed in order_seeds:
         alt = propagate.fixpoint(state, order="random", seed=order_seed, early_exit=False)
-        if alt.fixpoint != base.fixpoint:
+        if (alt.fixpoint, alt.empty_triple) != want:
             return f"confluence violated on {name}, order {order_seed}"
     return None
 

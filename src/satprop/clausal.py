@@ -215,7 +215,6 @@ class ClausalBuild:
 
     state: ClausalState
     trivially_unsat: bool
-    tautologies_dropped: int
 
 
 def build_clausal_partition(instance: Instance) -> ClausalBuild:
@@ -229,7 +228,7 @@ def build_clausal_partition(instance: Instance) -> ClausalBuild:
     state = ClausalState(
         {triple: Partition(triple, mask) for triple, mask in sorted(cubes.items())}
     )
-    return ClausalBuild(state, instance.has_empty_clause, instance.tautologies_dropped)
+    return ClausalBuild(state, instance.has_empty_clause)
 
 
 def assignment_restriction(

@@ -478,16 +478,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  A SystemExit raised on
+    the way, by argparse (2 for a usage error, 0 for --help and --version)
+    or by a command, becomes the return value."""
     try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    command = {"solve": cmd_solve, "verify": cmd_verify,
-               "bench": cmd_bench, "trace": cmd_trace}[config.subcommand]
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            config = config_from_args(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        command = {"solve": cmd_solve, "verify": cmd_verify,
+                   "bench": cmd_bench, "trace": cmd_trace}[config.subcommand]
         return command(config)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE

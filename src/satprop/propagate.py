@@ -20,12 +20,13 @@ that maps a source mask to the target cells it supports, so applying an
 edge is `masks[t] & table[masks[s]]`.  `Partition` objects are built only
 for the state a `PropagationResult` returns.
 
-One worklist loop serves both modes.  In unidirectional mode (`fixpoint`)
-a work item is a directed edge.  In bidirectional mode
-(`bidirectional_fixpoint`, which exists to check that both modes settle to
-the same state) it is an undirected pair, updated by the two-sided
-combination; since bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two
-table lookups on the masks from before the application.  The adjacency
+`fixpoint` runs one worklist loop over the directed edges.
+`bidirectional_fixpoint` is a separate reference for the paper's two-sided
+combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
+both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
+lookups on the masks from before the update.  It shares the graph and the
+shape tables with the engine, which are tested on their own, and no loop,
+so the two settling to the same state checks the worklist.  The adjacency
 depends only on the set of triples.  It is reused while that set is
 unchanged and a result computed on it is still held, so `extract_assignment`
 works on the graph its result was computed on, and no graph outlives the
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -92,7 +92,6 @@ class PropagationResult:
     empty_triple: Triple | None
     stats: PropStats
     trace: list[TraceRecord] | None = None
-    extracted: Extraction | None = None
     # The adjacency the result was computed on; holding it keeps it
     # available to later fixpoints over the same triples (see _graph_of).
     _graph: _Graph | None = field(default=None, init=False, repr=False, compare=False)
@@ -169,26 +168,6 @@ class _Graph:
                 self.table.append(_TABLES[shapes[t]])
             self.first.append(len(self.tgt))
 
-    def pairs(self) -> tuple[list[int], list[int], list, list, list[list[int]]]:
-        """Undirected pairs (a, b), a < b, in (a, b) order: the lists of a
-        and of b, of the tables carrying b's mask onto a and a's onto b, and
-        for each cube the ids of the pairs touching it."""
-        a_of: list[int] = []
-        b_of: list[int] = []
-        onto_a: list[tuple[int, ...]] = []
-        onto_b: list[tuple[int, ...]] = []
-        touching: list[list[int]] = [[] for _ in self.nodes]
-        for e, (a, b) in enumerate(zip(self.src, self.tgt)):
-            if a < b:
-                back = bisect_left(self.tgt, a, self.first[b], self.first[b + 1])
-                touching[a].append(len(a_of))
-                touching[b].append(len(a_of))
-                a_of.append(a)
-                b_of.append(b)
-                onto_a.append(self.table[back])
-                onto_b.append(self.table[e])
-        return a_of, b_of, onto_a, onto_b, touching
-
 
 # The last graph built, held weakly: it lives only as long as a result
 # computed on it.  A graph is a pure function of its triples, so reusing it
@@ -234,27 +213,50 @@ def fixpoint(
         raise ValueError(f"unknown order {order!r}, expected 'fifo' or 'random'")
     rng = random.Random(seed) if order == "random" else None
     trace: list[TraceRecord] | None = [] if record_trace else None
-    return _propagate(state, early_exit, False, rng, trace)
+    return _propagate(state, early_exit, rng, trace)
 
 
-def bidirectional_fixpoint(
-    state: ClausalState, early_exit: bool = True
-) -> PropagationResult:
-    """As fixpoint, but applying the symmetric two-sided combination to both
-    cubes of each undirected adjacent pair."""
-    return _propagate(state, early_exit, True, None, None)
+def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
+    """The closed fixpoint of the two-sided combination, by Gauss-Seidel
+    sweeps: each adjacent pair a < b, in order, is updated on both sides
+    from the masks before the update, until a sweep changes nothing.  The
+    empty cube reported is the first all-RED cube in triple order.  `passes`
+    counts sweeps and `edge_applications` pair updates."""
+    graph = _graph_of(state)
+    table = dict(zip(zip(graph.src, graph.tgt), graph.table))
+    pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
+    masks = [state.cubes[triple].green_mask for triple in graph.nodes]
+    stats = PropStats()
+    changed = True
+    while changed:
+        changed = False
+        stats.passes += 1
+        stats.edge_applications += len(pairs)
+        for a, b, onto_a, onto_b in pairs:
+            before_a, before_b = masks[a], masks[b]
+            masks[a] = before_a & onto_a[before_b]
+            masks[b] = before_b & onto_b[before_a]
+            removed = (before_a ^ masks[a]).bit_count() + (before_b ^ masks[b]).bit_count()
+            if removed:
+                changed = True
+                stats.applications_changed += 1
+                stats.cells_removed += removed
+    cubes = {triple: Partition(triple, mask) for triple, mask in zip(graph.nodes, masks)}
+    empty = next((triple for triple, mask in zip(graph.nodes, masks) if not mask), None)
+    result = PropagationResult(ClausalState(cubes), empty, stats)
+    result._graph = graph
+    return result
 
 
 def _propagate(
     state: ClausalState,
     early_exit: bool,
-    bidirectional: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
 ) -> PropagationResult:
     graph = _graph_of(state)
     masks = [state.cubes[triple].green_mask for triple in graph.nodes]
-    stats, empty = _worklist(graph, masks, early_exit, bidirectional, rng, trace)
+    stats, empty = _worklist(graph, masks, early_exit, rng, trace)
     cubes = dict(state.cubes)
     for triple, mask in zip(graph.nodes, masks):
         if mask != cubes[triple].green_mask:
@@ -269,30 +271,24 @@ def _worklist(
     graph: _Graph,
     masks: list[int],
     early_exit: bool,
-    bidirectional: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
     items: Sequence[int] | None = None,
 ) -> tuple[PropStats, int | None]:
-    """The propagation loop of both modes.  Updates `masks` in place and
-    returns the stats and the id of the empty cube it reports, if any.
+    """The propagation loop.  Updates `masks` in place and returns the stats
+    and the id of the empty cube it reports, if any.
 
-    Work items are edge ids, or pair ids in bidirectional mode.  By default
-    all of them start queued, in id order or shuffled by `rng`; `items`
-    queues only those, in the order given, and the caller guarantees that
-    no mask is empty on entry.  A None marker ends each pass.  When a cube
-    changes, the items leaving it (touching it, for pairs) that are not
+    Work items are edge ids.  By default all of them start queued, in id
+    order or shuffled by `rng`; `items` queues only those, in the order
+    given, and the caller guarantees that no mask is empty on entry.  A None
+    marker ends each pass.  When a cube changes, its out-edges that are not
     already queued are appended, shuffled by `rng`.
     """
     if items is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
-    nodes = graph.nodes
-    if bidirectional:
-        a_of, b_of, onto_a, onto_b, touching = graph.pairs()
-        count = len(a_of)
-    else:
-        src, tgt, table, first = graph.src, graph.tgt, graph.table, graph.first
-        count = len(tgt)
+    nodes, src, tgt = graph.nodes, graph.src, graph.tgt
+    table, first = graph.table, graph.first
+    count = len(tgt)
 
     if items is None:
         items = range(count)
@@ -322,46 +318,27 @@ def _worklist(
             continue
         queued[item] = 0
         applications += 1
-        if bidirectional:
-            a, b = a_of[item], b_of[item]
-            before_a, before_b = masks[a], masks[b]
-            after_a = before_a & onto_a[item][before_b]
-            after_b = before_b & onto_b[item][before_a]
-            if after_a == before_a and after_b == before_b:
-                continue
-            masks[a], masks[b] = after_a, after_b
-            removed = (before_a ^ after_a).bit_count()
-            removed += (before_b ^ after_b).bit_count()
-            if early_exit and not (after_a and after_b):
-                empty = a if after_a == 0 else b
-            successors = [touching[a]] if after_a != before_a else []
-            if after_b != before_b:
-                successors.append(touching[b])
-        else:
-            t = tgt[item]
-            before = masks[t]
-            after = before & table[item][masks[src[item]]]
-            if after == before:
-                continue
-            masks[t] = after
-            removed = (before ^ after).bit_count()
-            if trace is not None:
-                edge = (nodes[src[item]], nodes[t])
-                trace.append(TraceRecord(edge, before, after, removed))
-            if early_exit and after == 0:
-                empty = t
-            successors = [range(first[t], first[t + 1])]
+        t = tgt[item]
+        before = masks[t]
+        after = before & table[item][masks[src[item]]]
+        if after == before:
+            continue
+        masks[t] = after
+        removed = (before ^ after).bit_count()
+        if trace is not None:
+            edge = (nodes[src[item]], nodes[t])
+            trace.append(TraceRecord(edge, before, after, removed))
         changed += 1
         removed_total += removed
         changed_this_pass = True
-        if empty is not None:
+        if early_exit and after == 0:
+            empty = t
             break
         requeue = []
-        for group in successors:
-            for e in group:
-                if not queued[e]:
-                    queued[e] = 1
-                    requeue.append(e)
+        for e in range(first[t], first[t + 1]):
+            if not queued[e]:
+                queued[e] = 1
+                requeue.append(e)
         if rng is not None:
             rng.shuffle(requeue)
         extend(requeue)
@@ -444,5 +421,5 @@ def _impose_unit(
         if after != trial[i]:
             trial[i] = after
             edges.extend(range(first[i], first[i + 1]))
-    _, empty = _worklist(graph, trial, True, False, None, None, items=edges)
+    _, empty = _worklist(graph, trial, True, None, None, items=edges)
     return trial if empty is None else None

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from satprop import propagate
+from satprop import __version__, propagate
 from satprop.bitspace import Partition
 from satprop.cli import (
     EXIT_DISAGREE,
@@ -96,10 +96,26 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
     "bench --gen n=3,m=1,seed=1 --trace t.json",
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv.split())
-    assert exc.value.code == EXIT_PARSE
+    assert main(argv.split()) == EXIT_PARSE
     assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gen", "n=3,m=1,seed=1", "--oracle", "maybe"],
+     "error: argument --oracle: invalid choice: 'maybe'"),
+    ([], "error: the following arguments are required: subcommand"),
+])
+def test_argparse_usage_errors_return_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert message in err
+
+
+def test_version_returns_0(capsys):
+    code, out, _ = run(capsys, "--version")
+    assert code == EXIT_OK
+    assert out.strip() == __version__
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "trace"])
@@ -230,6 +246,7 @@ def test_verify_mutated_bc_fails(capsys):
 
 _fixpoint = propagate.fixpoint
 _bidirectional = propagate.bidirectional_fixpoint
+_propagate = propagate._propagate
 
 
 def _drop_lowest_green(result):
@@ -245,8 +262,14 @@ def _random_orders_drop_a_cell(state, order="fifo", **kwargs):
     return _drop_lowest_green(result) if order == "random" else result
 
 
-def _claims_empty_cube(state, **kwargs):
-    result = _fixpoint(state, **kwargs)
+def _keeps_input_state(state, *args):
+    result = _propagate(state, *args)
+    result.fixpoint = state
+    return result
+
+
+def _claim_empty_cube(result):
+    """`result` reporting its first cube as all-RED."""
     result.empty_triple = result.fixpoint.triples()[0]
     return result
 
@@ -267,8 +290,11 @@ def _claims_empty_cube(state, **kwargs):
     ({"fixpoint": lambda *a, **k: _drop_lowest_green(_fixpoint(*a, **k)),
       "bidirectional_fixpoint": lambda *a, **k: _drop_lowest_green(_bidirectional(*a, **k))},
      "soundness-vs-projections: soundness violated on seed 9000 triple (1, 2, 5)"),
-    ({"fixpoint": _claims_empty_cube},
+    ({"fixpoint": lambda *a, **k: _claim_empty_cube(_fixpoint(*a, **k)),
+      "bidirectional_fixpoint": lambda *a, **k: _claim_empty_cube(_bidirectional(*a, **k))},
      "soundness-vs-projections: false UNSAT on seed 9000"),
+    ({"_propagate": _keeps_input_state},
+     "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4003"),
 ])
 def test_verify_reports_each_broken_property(capsys, monkeypatch, fakes, failure):
     # each fake breaks one property; bind it wherever satprop looks the name up
@@ -310,6 +336,20 @@ def test_bench_counterexamples_reproduce_exit_20(capsys, tmp_path):
             rc, _, _ = run(capsys, "solve", "--input", str(path),
                            "--oracle", "on")
             assert rc == EXIT_DISAGREE
+
+
+def test_bench_timings_add_wall_time_only(capsys):
+    argv = ["bench", "--gen", "n=8,m=16..24..8,seed=2,count=3", "--oracle", "off"]
+    _, plain, _ = run(capsys, *argv)
+    code, timed, _ = run(capsys, *argv, "--timings")
+    assert code == EXIT_OK
+    plain_points, timed_points = json.loads(plain)["points"], json.loads(timed)["points"]
+    assert len(timed_points) == len(plain_points) == 2
+    for without, with_timings in zip(plain_points, timed_points):
+        assert "wall_time_s" not in without
+        wall = with_timings.pop("wall_time_s")
+        assert isinstance(wall, float) and wall >= 0
+        assert with_timings == without
 
 
 def test_bench_requires_gen(capsys):

@@ -2,12 +2,13 @@
 
 Every case runs the engine on a seeded random 3SAT instance and hashes what
 it returned: the verdict, the four stats, the fixpoint masks and the trace
-records for `fixpoint` under three orders, with early exit on and off; the
-`extract_assignment` result; and the `bidirectional_fixpoint` outcome.  The
-digests in `data/engine_golden.json` were recorded from the engine that
-built a `Partition` per edge application, so a rewrite of the engine must
-reproduce its results byte for byte.  To re-record against the engine on
-the path:
+records for `fixpoint` under three orders, with early exit on and off; and
+the `extract_assignment` result.  The digests in `data/engine_golden.json`
+were recorded from the engine that built a `Partition` per edge
+application, so a rewrite of the engine must reproduce its results byte for
+byte.  On the same instances, the two-sided sweep `bidirectional_fixpoint`
+must reach the masks and the empty cube of the closed FIFO fixpoint.  To
+re-record the digests against the engine on the path:
 
     PYTHONPATH=src python tests/test_engine_golden.py --record
 """
@@ -51,35 +52,36 @@ def _digest(value: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def case_digests() -> dict[str, str]:
-    """One digest per case, keyed by instance, order and early-exit flag."""
-    out: dict[str, str] = {}
+def _instances():
+    """(key, instance, clausal state) of every golden instance."""
     for n in SIZES:
         for ratio in RATIOS:
             for seed in SEEDS:
                 instance = gen_random_3sat(n, round(n * ratio), seed)
                 state = build_clausal_partition(instance).state
-                key = f"n={n},ratio={ratio},seed={seed}"
-                for order, order_seed in ORDERS:
-                    for early_exit in (True, False):
-                        result = fixpoint(state, order=order, seed=order_seed,
-                                          early_exit=early_exit, record_trace=True)
-                        record = _outcome(result)
-                        record["trace"] = [
-                            [list(r.edge[0]), list(r.edge[1]), r.before, r.after,
-                             r.cells_removed] for r in result.trace]
-                        label = order if order_seed is None else f"{order}:{order_seed}"
-                        out[f"{key},order={label},early_exit={early_exit}"] = (
-                            _digest(record))
-                base = fixpoint(state)
-                extraction = (None if base.empty_triple is not None
-                              else extract_assignment(base, instance))
-                out[f"{key},extract"] = _digest(
-                    None if extraction is None else
-                    [sorted(extraction.assignment.items()), extraction.verified])
-                out[f"{key},bidirectional"] = _digest(
-                    [_outcome(bidirectional_fixpoint(state, early_exit=flag))
-                     for flag in (True, False)])
+                yield f"n={n},ratio={ratio},seed={seed}", instance, state
+
+
+def case_digests() -> dict[str, str]:
+    """One digest per case, keyed by instance, order and early-exit flag."""
+    out: dict[str, str] = {}
+    for key, instance, state in _instances():
+        for order, order_seed in ORDERS:
+            for early_exit in (True, False):
+                result = fixpoint(state, order=order, seed=order_seed,
+                                  early_exit=early_exit, record_trace=True)
+                record = _outcome(result)
+                record["trace"] = [
+                    [list(r.edge[0]), list(r.edge[1]), r.before, r.after,
+                     r.cells_removed] for r in result.trace]
+                label = order if order_seed is None else f"{order}:{order_seed}"
+                out[f"{key},order={label},early_exit={early_exit}"] = _digest(record)
+        base = fixpoint(state)
+        extraction = (None if base.empty_triple is not None
+                      else extract_assignment(base, instance))
+        out[f"{key},extract"] = _digest(
+            None if extraction is None else
+            [sorted(extraction.assignment.items()), extraction.verified])
     return out
 
 
@@ -89,6 +91,17 @@ def test_engine_matches_golden_digests():
     assert sorted(got) == sorted(want)
     differing = [key for key in want if got[key] != want[key]]
     assert not differing, f"{len(differing)} cases differ, first: {differing[:5]}"
+
+
+def test_bidirectional_matches_closed_fixpoint():
+    count = 0
+    for key, _, state in _instances():
+        want = fixpoint(state, early_exit=False)
+        got = bidirectional_fixpoint(state)
+        assert _masks(got) == _masks(want), key
+        assert got.empty_triple == want.empty_triple, key
+        count += 1
+    assert count == 120
 
 
 if __name__ == "__main__":

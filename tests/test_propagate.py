@@ -109,6 +109,19 @@ def test_shape_tables_match_bc_uni():
                 assert tgt_mask & table[src_mask] == want, (src, tgt, src_mask)
 
 
+def test_cubes_with_seven_green_cells_are_inert():
+    # a source with at most one RED cell supports every target cell, so its
+    # out-edges never change anything; with two RED cells some shape prunes
+    six_green_pruning = 0
+    for table in _TABLES.values():
+        for mask, image in enumerate(table):
+            if mask.bit_count() >= 7:
+                assert image == 0xFF, mask
+            elif mask.bit_count() == 6:
+                six_green_pruning += image != 0xFF
+    assert six_green_pruning == 36
+
+
 def test_graph_edges_carry_their_shape_table():
     state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
     graph = _Graph(tuple(state.triples()))
