@@ -72,11 +72,6 @@ class Partition:
     def full_mask(self) -> int:
         return (1 << self.num_cells) - 1
 
-    def color_at(self, cell: int) -> Color:
-        if not 0 <= cell < self.num_cells:
-            raise ValueError(f"cell {cell} out of range for {self.k} coordinates")
-        return GREEN if self.green_mask >> cell & 1 else RED
-
     def green_cells(self) -> Iterator[int]:
         mask = self.green_mask
         while mask:

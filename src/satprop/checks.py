@@ -106,7 +106,7 @@ def sound(
     GREEN in `result`, and an empty cube means the instance is UNSAT."""
     projected = oracle.projected_solution_sets(instance, result.fixpoint.triples())
     for triple, cells in projected.items():
-        if not cells <= set(result.fixpoint.cubes[triple].green_cells()):
+        if not all(result.fixpoint.cubes[triple] >> cell & 1 for cell in cells):
             return f"soundness violated on {name} triple {triple}"
     if result.empty_triple is not None and oracle.brute_force_sat(instance).satisfiable:
         return f"false UNSAT on {name}"

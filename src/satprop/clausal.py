@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .bitspace import Partition
-
 Triple = tuple[int, int, int]
 
 
@@ -198,15 +196,18 @@ def forbidden_cells(clause: Clause, triple: Triple) -> set[int]:
 
 @dataclass
 class ClausalState:
-    """Mapping from canonical variable triples to 3-coordinate cubes."""
+    """Mapping from canonical variable triples to the GREEN masks of their
+    8-cell cubes: bit c is set when cell c is GREEN, with cells indexed as
+    in `bitspace` (the triple's variable at position i gives bit 2**i of
+    the cell index)."""
 
-    cubes: dict[Triple, Partition]
+    cubes: dict[Triple, int]
 
     def triples(self) -> list[Triple]:
         return sorted(self.cubes)
 
     def total_green(self) -> int:
-        return sum(cube.green_mask.bit_count() for cube in self.cubes.values())
+        return sum(mask.bit_count() for mask in self.cubes.values())
 
 
 @dataclass
@@ -225,9 +226,7 @@ def build_clausal_partition(instance: Instance) -> ClausalBuild:
     for clause in instance.clauses:
         triple = host_triple(clause, instance.num_vars)
         cubes[triple] = cubes.get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
-    state = ClausalState(
-        {triple: Partition(triple, mask) for triple, mask in sorted(cubes.items())}
-    )
+    state = ClausalState(dict(sorted(cubes.items())))
     return ClausalBuild(state, instance.has_empty_clause)
 
 

@@ -13,12 +13,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__, bitspace, checks, oracle
 from .bitspace import Partition, bc
-from .clausal import Instance, build_clausal_partition
+from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
     build_report,
     emit_dimacs,
@@ -29,7 +29,12 @@ from .dimacs import (
 )
 # bidirectional_fixpoint is not used here, but callers that wrap the layer
 # functions look it up by name in this module, so it stays importable.
-from .propagate import bidirectional_fixpoint, extract_assignment, fixpoint  # noqa: F401
+from .propagate import (  # noqa: F401
+    PropStats,
+    bidirectional_fixpoint,
+    extract_assignment,
+    fixpoint,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,14 +177,11 @@ def cmd_solve(config: RunConfig) -> int:
     build = build_clausal_partition(instance)
     oracle_verdict = _run_oracle(instance, config.oracle_mode)
 
+    empty_triple = assignment = verified = None
+    cubes: list[tuple[Triple, int]] = []
     if build.trivially_unsat:
         engine_verdict = "trivially_unsat"
-        agrees = (not oracle_verdict.satisfiable) if oracle_verdict else None
-        result = None
-        stats = {"passes": 0, "edge_applications": 0,
-                 "applications_changed": 0, "cells_removed": 0}
-        empty_triple = None
-        assignment = verified = None
+        stats = asdict(PropStats())
     else:
         result = fixpoint(
             build.state,
@@ -191,34 +193,19 @@ def cmd_solve(config: RunConfig) -> int:
         engine_verdict = (
             "unsat_by_empty_cube" if empty_triple is not None else "no_empty_cube"
         )
-        assignment = verified = None
         if empty_triple is None:
             extraction = extract_assignment(result, instance)
             if extraction is not None:
                 assignment, verified = extraction.assignment, extraction.verified
-        if oracle_verdict is None:
-            agrees = None
-        elif empty_triple is not None:
-            agrees = not oracle_verdict.satisfiable
-        else:
-            agrees = oracle_verdict.satisfiable
-        stats = {
-            "passes": result.stats.passes,
-            "edge_applications": result.stats.edge_applications,
-            "applications_changed": result.stats.applications_changed,
-            "cells_removed": result.stats.cells_removed,
-        }
+        stats = asdict(result.stats)
+        cubes = sorted(result.fixpoint.cubes.items())
         if config.trace_path is not None:
             _write_out(_trace_document(result), config.trace_path)
-
-    cubes = (
-        []
-        if result is None
-        else [
-            (triple, result.fixpoint.cubes[triple].green_mask)
-            for triple in result.fixpoint.triples()
-        ]
+    engine_unsat = build.trivially_unsat or empty_triple is not None
+    agrees = (
+        None if oracle_verdict is None else engine_unsat != oracle_verdict.satisfiable
     )
+
     seeds = dict(seeds)
     if config.order == "random":
         seeds["order_seed"] = config.order_seed
@@ -245,9 +232,7 @@ def cmd_solve(config: RunConfig) -> int:
 
     if agrees is False:
         return EXIT_DISAGREE
-    if engine_verdict in ("unsat_by_empty_cube", "trivially_unsat"):
-        return EXIT_UNSAT
-    return EXIT_OK
+    return EXIT_UNSAT if engine_unsat else EXIT_OK
 
 
 def _trace_document(result: Any) -> str:
@@ -265,8 +250,8 @@ def _trace_document(result: Any) -> str:
         "version": __version__,
         "records": records,
         "final_cubes": [
-            {"triple": list(t), "mask": mask_hex(result.fixpoint.cubes[t].green_mask)}
-            for t in result.fixpoint.triples()
+            {"triple": list(t), "mask": mask_hex(mask)}
+            for t, mask in sorted(result.fixpoint.cubes.items())
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -312,10 +297,13 @@ def _laws_family(quick: bool) -> Iterator[str | None]:
 
 
 def _fixpoint_family(quick: bool) -> Iterator[str | None]:
-    for i in range(10 if quick else 30):
-        inst = gen_random_3sat(10, 25 + i, seed=4000 + i)
-        state = build_clausal_partition(inst).state
-        yield checks.uni_bi_confluence(state, f"seed {4000 + i}", range(3))
+    instances = [(10, 25 + i, 4000 + i) for i in range(10 if quick else 30)]
+    # closes with every cube all-RED, so the empty cube each run reports is
+    # compared too
+    instances.append((6, 40, 4032))
+    for n, m, seed in instances:
+        state = build_clausal_partition(gen_random_3sat(n, m, seed)).state
+        yield checks.uni_bi_confluence(state, f"seed {seed}", range(3))
 
 
 def _soundness_family(quick: bool) -> Iterator[str | None]:

@@ -17,8 +17,7 @@ adjacent triples has one of 18 shapes, given by the positions the shared
 variables hold in each triple (9 with one shared variable, 9 with two).
 Each shape has a 256-entry table, built from `bitspace.bc_uni` at import,
 that maps a source mask to the target cells it supports, so applying an
-edge is `masks[t] & table[masks[s]]`.  `Partition` objects are built only
-for the state a `PropagationResult` returns.
+edge is `masks[t] & table[masks[s]]`.
 
 `fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
@@ -58,12 +57,6 @@ from .clausal import _CELLS, ClausalState, Instance, Triple
 Edge = tuple[Triple, Triple]
 
 
-@dataclass(frozen=True)
-class AdjacencyGraph:
-    nodes: tuple[Triple, ...]
-    edges: tuple[Edge, ...]
-
-
 @dataclass
 class PropStats:
     passes: int = 0
@@ -95,10 +88,6 @@ class PropagationResult:
     # The adjacency the result was computed on; holding it keeps it
     # available to later fixpoints over the same triples (see _graph_of).
     _graph: _Graph | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def verdict(self) -> str:
-        return "empty_cube" if self.empty_triple is not None else "no_empty_cube"
 
 
 def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
@@ -139,6 +128,7 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
 
 _TABLES = _shape_tables()
 
+
 class _Graph:
     """Adjacency of a set of triples as flat arrays.  Cube i is `nodes[i]`;
     edge e carries `table[e]` from cube `src[e]` to cube `tgt[e]`; the
@@ -168,6 +158,12 @@ class _Graph:
                 self.table.append(_TABLES[shapes[t]])
             self.first.append(len(self.tgt))
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (source triple, target triple) pairs, in id order."""
+        nodes = self.nodes
+        return tuple((nodes[s], nodes[t]) for s, t in zip(self.src, self.tgt))
+
 
 # The last graph built, held weakly: it lives only as long as a result
 # computed on it.  A graph is a pure function of its triples, so reusing it
@@ -185,13 +181,10 @@ def _graph_of(state: ClausalState) -> _Graph:
     return graph
 
 
-def build_adjacency(state: ClausalState) -> AdjacencyGraph:
-    """All ordered pairs of distinct triples sharing 1 or 2 variables, in
-    (source, target) order."""
-    graph = _graph_of(state)
-    nodes = graph.nodes
-    edges = tuple((nodes[s], nodes[t]) for s, t in zip(graph.src, graph.tgt))
-    return AdjacencyGraph(nodes, edges)
+def build_adjacency(state: ClausalState) -> _Graph:
+    """The adjacency of `state`: its `edges` are all ordered pairs of
+    distinct triples sharing 1 or 2 variables, in (source, target) order."""
+    return _graph_of(state)
 
 
 def fixpoint(
@@ -225,7 +218,7 @@ def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
     graph = _graph_of(state)
     table = dict(zip(zip(graph.src, graph.tgt), graph.table))
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
-    masks = [state.cubes[triple].green_mask for triple in graph.nodes]
+    masks = [state.cubes[triple] for triple in graph.nodes]
     stats = PropStats()
     changed = True
     while changed:
@@ -241,8 +234,8 @@ def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
                 changed = True
                 stats.applications_changed += 1
                 stats.cells_removed += removed
-    cubes = {triple: Partition(triple, mask) for triple, mask in zip(graph.nodes, masks)}
-    empty = next((triple for triple, mask in zip(graph.nodes, masks) if not mask), None)
+    cubes = dict(zip(graph.nodes, masks))
+    empty = next((triple for triple, mask in cubes.items() if not mask), None)
     result = PropagationResult(ClausalState(cubes), empty, stats)
     result._graph = graph
     return result
@@ -255,13 +248,10 @@ def _propagate(
     trace: list[TraceRecord] | None,
 ) -> PropagationResult:
     graph = _graph_of(state)
-    masks = [state.cubes[triple].green_mask for triple in graph.nodes]
+    masks = [state.cubes[triple] for triple in graph.nodes]
     stats, empty = _worklist(graph, masks, early_exit, rng, trace)
-    cubes = dict(state.cubes)
-    for triple, mask in zip(graph.nodes, masks):
-        if mask != cubes[triple].green_mask:
-            cubes[triple] = Partition(triple, mask)
     empty_triple = None if empty is None else graph.nodes[empty]
+    cubes = dict(zip(graph.nodes, masks))
     result = PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
     result._graph = graph
     return result
@@ -376,7 +366,7 @@ def extract_assignment(
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
     graph = _graph_of(result.fixpoint)
-    masks = [result.fixpoint.cubes[triple].green_mask for triple in graph.nodes]
+    masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
     # var -> (cube, position of var in that cube's triple)
     occurrences: dict[int, list[tuple[int, int]]] = {}
     for i, triple in enumerate(graph.nodes):

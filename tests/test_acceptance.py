@@ -13,7 +13,7 @@ import json
 import time
 
 from satprop import checks, cli, oracle
-from satprop.bitspace import assemble
+from satprop.bitspace import Partition, assemble
 from satprop.clausal import build_clausal_partition
 from satprop.dimacs import emit_dimacs, gen_random_3sat, parse_dimacs
 from satprop.propagate import fixpoint
@@ -55,7 +55,8 @@ def test_criterion_3_whole_instance_equivalence():
         m = int(n * (1.0 + (i % 8) * 0.5))
         inst = gen_random_3sat(n, m, seed=30_000 + i)
         build = build_clausal_partition(inst)
-        assembled = assemble(build.state.cubes.values(), "BS")
+        assembled = assemble(
+            (Partition(t, mask) for t, mask in build.state.cubes.items()), "BS")
         table = oracle.conjunction_truth_table(inst)
         if table.coords != assembled.coords:
             from satprop.bitspace import project

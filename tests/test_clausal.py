@@ -99,13 +99,13 @@ def test_build_single_clause():
     inst = Instance.from_raw(3, [[-1, 2, -3]])
     build = build_clausal_partition(inst)
     assert not build.trivially_unsat
-    assert build.state.cubes[(1, 2, 3)].green_mask == 0xDF
+    assert build.state.cubes[(1, 2, 3)] == 0xDF
 
 
 def test_build_accumulates_on_shared_triple():
     inst = Instance.from_raw(3, [[1, 2, 3], [-1, 2, -3]])
     build = build_clausal_partition(inst)
-    assert build.state.cubes[(1, 2, 3)].green_mask == 0xDE
+    assert build.state.cubes[(1, 2, 3)] == 0xDE
 
 
 def test_build_all_polarities_gives_all_red():
@@ -115,7 +115,7 @@ def test_build_all_polarities_gives_all_red():
     ]
     inst = Instance.from_raw(3, raws)
     build = build_clausal_partition(inst)
-    assert build.state.cubes[(1, 2, 3)].green_mask == 0x00
+    assert build.state.cubes[(1, 2, 3)] == 0x00
 
 
 def test_build_flags_trivially_unsat():
@@ -130,11 +130,11 @@ def test_build_green_iff_all_hosted_clauses_satisfied():
     by_triple = {}
     for clause in inst.clauses:
         by_triple.setdefault(host_triple(clause, 4), []).append(clause)
-    for triple, cube in build.state.cubes.items():
+    for triple, mask in build.state.cubes.items():
         for cell in range(8):
             sigma = {v: bool(cell >> i & 1) for i, v in enumerate(triple)}
             expected = all(c.satisfied_by(sigma) for c in by_triple[triple])
-            assert (cube.green_mask >> cell & 1 == 1) == expected
+            assert (mask >> cell & 1 == 1) == expected
 
 
 def test_triple_union_covers_constrained_vars():
@@ -244,9 +244,7 @@ def _reference_masks(instance):
 def _assert_front_half_matches(instance, reference):
     assert instance == reference
     build = build_clausal_partition(instance)
-    assert {t: c.green_mask for t, c in build.state.cubes.items()} == (
-        _reference_masks(reference)
-    )
+    assert build.state.cubes == _reference_masks(reference)
     for clause in instance.clauses:
         triple = host_triple(clause, instance.num_vars)
         assert forbidden_cells(clause, triple) == (

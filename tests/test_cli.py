@@ -247,13 +247,14 @@ def test_verify_mutated_bc_fails(capsys):
 _fixpoint = propagate.fixpoint
 _bidirectional = propagate.bidirectional_fixpoint
 _propagate = propagate._propagate
+_worklist = propagate._worklist
 
 
 def _drop_lowest_green(result):
     """`result` with the lowest GREEN cell of every non-empty cube removed."""
     cubes = result.fixpoint.cubes
-    for triple, cube in cubes.items():
-        cubes[triple] = Partition(triple, cube.green_mask & (cube.green_mask - 1))
+    for triple, mask in cubes.items():
+        cubes[triple] = mask & (mask - 1)
     return result
 
 
@@ -266,6 +267,15 @@ def _keeps_input_state(state, *args):
     result = _propagate(state, *args)
     result.fixpoint = state
     return result
+
+
+def _reports_last_empty_cube(graph, masks, early_exit, *args, **kwargs):
+    """`_worklist` reporting the last all-RED cube of a closed run, not the
+    first."""
+    stats, empty = _worklist(graph, masks, early_exit, *args, **kwargs)
+    if not early_exit and 0 in masks:
+        empty = len(masks) - 1 - masks[::-1].index(0)
+    return stats, empty
 
 
 def _claim_empty_cube(result):
@@ -295,6 +305,8 @@ def _claim_empty_cube(result):
      "soundness-vs-projections: false UNSAT on seed 9000"),
     ({"_propagate": _keeps_input_state},
      "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4003"),
+    ({"_worklist": _reports_last_empty_cube},
+     "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4032"),
 ])
 def test_verify_reports_each_broken_property(capsys, monkeypatch, fakes, failure):
     # each fake breaks one property; bind it wherever satprop looks the name up
@@ -379,6 +391,16 @@ def test_trace_two_cube_transition(capsys, tmp_path):
         for r in doc["records"]
     }
     assert transitions[((1, 2, 3), (2, 3, 4))] == ("0xFE", "0xEE")
+
+
+@pytest.mark.parametrize("order", ["fifo", "random:3"])
+def test_solve_trace_matches_trace_subcommand(capsys, tmp_path, order):
+    solve_path, trace_path = tmp_path / "solve.json", tmp_path / "trace.json"
+    gen = ["--gen", "n=9,m=30,seed=6", "--order", order]
+    run(capsys, "solve", *gen, "--oracle", "off", "--trace", str(solve_path))
+    run(capsys, "trace", *gen, "--out", str(trace_path))
+    assert json.loads(trace_path.read_text())["records"]
+    assert solve_path.read_text() == trace_path.read_text()
 
 
 def test_trace_replay_reproduces_fixpoint(capsys):

@@ -33,8 +33,7 @@ ORDERS = (("fifo", None), ("random", 0), ("random", 7))
 
 
 def _masks(result) -> list:
-    return [[list(t), result.fixpoint.cubes[t].green_mask]
-            for t in result.fixpoint.triples()]
+    return [[list(t), result.fixpoint.cubes[t]] for t in result.fixpoint.triples()]
 
 
 def _outcome(result) -> dict:

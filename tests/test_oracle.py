@@ -143,7 +143,8 @@ def test_truth_table_single_clause():
 def test_truth_table_matches_assemble_on_two_cube_configuration():
     inst = Instance.from_raw(4, [[1, 2, 3], [-2, -3, -4]])
     build = build_clausal_partition(inst)
-    assembled = assemble(build.state.cubes.values(), "BS")
+    assembled = assemble(
+        (Partition(t, mask) for t, mask in build.state.cubes.items()), "BS")
     assert oracle.conjunction_truth_table(inst) == assembled
 
 
@@ -168,7 +169,8 @@ def test_assemble_with_padding_matches_projected_table():
     # partition back onto the constrained variables recovers the table
     inst = Instance.from_raw(3, [[1, -2]])
     build = build_clausal_partition(inst)
-    assembled = assemble(build.state.cubes.values(), "BS")
+    assembled = assemble(
+        (Partition(t, mask) for t, mask in build.state.cubes.items()), "BS")
     assert assembled.coords == (1, 2, 3)
     table = oracle.conjunction_truth_table(inst)
     assert table.coords == (1, 2)

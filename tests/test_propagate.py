@@ -20,14 +20,6 @@ from satprop.propagate import (
 )
 
 
-def state_of(*cubes):
-    return ClausalState({p.coords: p for p in cubes})
-
-
-def masks(state):
-    return {t: c.green_mask for t, c in state.cubes.items()}
-
-
 ALL_POLARITIES = [
     [v if s else -v for v, s in zip((1, 2, 3), signs)]
     for signs in itertools.product([False, True], repeat=3)
@@ -37,46 +29,39 @@ ALL_POLARITIES = [
 # --- adjacency ----------------------------------------------------------------
 
 def test_adjacency_overlap_two():
-    graph = build_adjacency(state_of(
-        Partition.all_green((1, 2, 3)), Partition.all_green((2, 3, 4))))
+    graph = build_adjacency(ClausalState({(1, 2, 3): 0xFF, (2, 3, 4): 0xFF}))
     assert set(graph.edges) == {
         ((1, 2, 3), (2, 3, 4)), ((2, 3, 4), (1, 2, 3))}
 
 
 def test_adjacency_disjoint():
-    graph = build_adjacency(state_of(
-        Partition.all_green((1, 2, 3)), Partition.all_green((4, 5, 6))))
+    graph = build_adjacency(ClausalState({(1, 2, 3): 0xFF, (4, 5, 6): 0xFF}))
     assert graph.edges == ()
 
 
 def test_adjacency_pairwise_single_shared():
-    graph = build_adjacency(state_of(
-        Partition.all_green((1, 2, 3)),
-        Partition.all_green((3, 4, 5)),
-        Partition.all_green((1, 4, 6)),
-    ))
+    graph = build_adjacency(ClausalState(
+        {(1, 2, 3): 0xFF, (3, 4, 5): 0xFF, (1, 4, 6): 0xFF}))
     assert len(graph.edges) == 6
 
 
 # --- edge application ---------------------------------------------------------
 
 def test_edge_from_all_green_source_changes_nothing():
-    state = state_of(
-        Partition.all_green((1, 2, 3)), Partition((2, 3, 4), 0xAB))
+    state = ClausalState({(1, 2, 3): 0xFF, (2, 3, 4): 0xAB})
     result = fixpoint(state, record_trace=True)
-    assert result.fixpoint.cubes[(2, 3, 4)].green_mask == 0xAB
+    assert result.fixpoint.cubes[(2, 3, 4)] == 0xAB
     assert all(rec.edge[1] != (2, 3, 4) for rec in result.trace)
 
 
 def test_edge_prunes_target():
-    state = state_of(
-        Partition((1, 2, 3), 0xFC), Partition.all_green((2, 3, 4)))
+    state = ClausalState({(1, 2, 3): 0xFC, (2, 3, 4): 0xFF})
     result = fixpoint(state, record_trace=True)
     # one change, on the target only; the input state is left as it was
     assert result.trace == [
         TraceRecord(((1, 2, 3), (2, 3, 4)), 0xFF, 0xEE, 2)]
-    assert masks(result.fixpoint) == {(1, 2, 3): 0xFC, (2, 3, 4): 0xEE}
-    assert masks(state) == {(1, 2, 3): 0xFC, (2, 3, 4): 0xFF}
+    assert result.fixpoint.cubes == {(1, 2, 3): 0xFC, (2, 3, 4): 0xEE}
+    assert state.cubes == {(1, 2, 3): 0xFC, (2, 3, 4): 0xFF}
     again = fixpoint(result.fixpoint)
     assert again.stats.edge_applications == 2
     assert again.stats.applications_changed == 0
@@ -147,10 +132,10 @@ def test_bc_is_two_one_sided_combinations():
 def test_fixpoint_single_cube_no_edges():
     build = build_clausal_partition(Instance.from_raw(3, [[1, 2, 3]]))
     result = fixpoint(build.state)
-    assert result.verdict == "no_empty_cube"
+    assert result.empty_triple is None
     assert result.stats.edge_applications == 0
     assert result.stats.applications_changed == 0
-    assert masks(result.fixpoint) == masks(build.state)
+    assert result.fixpoint.cubes == build.state.cubes
 
 
 def test_fixpoint_empty_cube_absorbs_neighbor():
@@ -159,7 +144,7 @@ def test_fixpoint_empty_cube_absorbs_neighbor():
     result = fixpoint(build.state)
     assert result.empty_triple == (1, 2, 3)
     full = fixpoint(build.state, early_exit=False)
-    assert full.fixpoint.cubes[(2, 3, 4)].is_all_red()
+    assert full.fixpoint.cubes[(2, 3, 4)] == 0
 
 
 def test_fixpoint_matches_oracle_projections_on_forced_chain():
@@ -170,7 +155,7 @@ def test_fixpoint_matches_oracle_projections_on_forced_chain():
     build = build_clausal_partition(inst)
     result = fixpoint(build.state, early_exit=False)
     assert checks.sound(inst, result, "forced chain") is None
-    assert all(cube.green_mask == 1 << 7 for cube in result.fixpoint.cubes.values())
+    assert all(mask == 1 << 7 for mask in result.fixpoint.cubes.values())
 
 
 def test_fixpoint_monotone_and_bounded():
@@ -178,9 +163,9 @@ def test_fixpoint_monotone_and_bounded():
         inst = gen_random_3sat(10, 40, seed=seed)
         build = build_clausal_partition(inst)
         result = fixpoint(build.state, early_exit=False)
-        for triple, cube in result.fixpoint.cubes.items():
-            initial = build.state.cubes[triple].green_mask
-            assert cube.green_mask & initial == cube.green_mask
+        for triple, mask in result.fixpoint.cubes.items():
+            initial = build.state.cubes[triple]
+            assert mask & initial == mask
         assert result.stats.applications_changed <= 8 * len(build.state.cubes)
         assert result.stats.cells_removed == (
             build.state.total_green() - result.fixpoint.total_green())
@@ -211,7 +196,7 @@ def test_bidirectional_equals_unidirectional():
 def test_bidirectional_no_edges_is_noop():
     build = build_clausal_partition(Instance.from_raw(3, [[1, 2, 3]]))
     result = bidirectional_fixpoint(build.state)
-    assert masks(result.fixpoint) == masks(build.state)
+    assert result.fixpoint.cubes == build.state.cubes
 
 
 def test_bidirectional_finds_empty_cube():
@@ -288,8 +273,9 @@ def _extract_from_scratch(result, instance):
         for value in (False, True):
             unit = Partition((var,), 0b10 if value else 0b01)
             trial = fixpoint(ClausalState({
-                triple: impose(cube, unit) if var in triple else cube
-                for triple, cube in state.cubes.items()}))
+                triple: impose(Partition(triple, mask), unit).green_mask
+                if var in triple else mask
+                for triple, mask in state.cubes.items()}))
             if trial.empty_triple is None:
                 chosen[var], state = value, trial.fixpoint
                 break
