@@ -356,6 +356,8 @@ def cmd_bench(config: RunConfig) -> int:
             "completeness_misses": 0,
             "total_passes": 0,
             "total_cells_removed": 0,
+            # cubes that can prune at the start, with at most 6 GREEN cells
+            "informative_cubes": 0,
             "counterexamples": [],
         }
         elapsed = 0.0
@@ -363,6 +365,8 @@ def cmd_bench(config: RunConfig) -> int:
             seed = instance_seed(spec.seed, point_index, i)
             inst = gen_random_3sat(spec.n, m, seed)
             build = build_clausal_partition(inst)
+            agg["informative_cubes"] += sum(
+                mask.bit_count() <= 6 for mask in build.state.cubes.values())
             start = time.perf_counter()
             result = fixpoint(build.state, order=config.order, seed=config.order_seed)
             elapsed += time.perf_counter() - start

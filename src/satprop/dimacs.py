@@ -12,6 +12,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from . import __version__
@@ -63,7 +64,8 @@ def parse_dimacs(text: str) -> ParseResult:
     empty_clauses = 0
     tautologies = 0
     pending: list[int] = []
-    pending_pos: tuple[int, int] | None = None
+    # where the pending clause starts: (line number, line, token index)
+    pending_start: tuple[int, str, int] | None = None
 
     def error(line: int, col: int, message: str) -> None:
         diagnostics.append(ParseDiagnostic(line, col, message, "error"))
@@ -71,22 +73,24 @@ def parse_dimacs(text: str) -> ParseResult:
     def warning(line: int, col: int, message: str) -> None:
         diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
 
-    def finish_clause(line: int, col: int) -> None:
+    def finish_clause(lineno: int, line: str, k: int) -> None:
+        """Close the pending clause at token k of `line`."""
         nonlocal empty_clauses, tautologies
         assert num_vars is not None
-        start = pending_pos or (line, col)
-        distinct = {abs(lit) for lit in pending}
-        if len(distinct) > 3:
-            error(start[0], start[1],
-                  f"clause has {len(distinct)} distinct variables; this tool is 3SAT-only")
-            return
+        start = pending_start or (lineno, line, k)
+        if len(pending) > 3:
+            width = len({abs(lit) for lit in pending})
+            if width > 3:
+                error(*_position(*start),
+                      f"clause has {width} distinct variables; this tool is 3SAT-only")
+                return
         result = canonicalize(pending, num_vars)
         if result is TAUTOLOGY:
             tautologies += 1
-            warning(start[0], start[1], "tautological clause dropped")
+            warning(*_position(*start), "tautological clause dropped")
         elif result is EMPTY:
             empty_clauses += 1
-            warning(start[0], start[1], "empty clause: instance is trivially unsatisfiable")
+            warning(*_position(*start), "empty clause: instance is trivially unsatisfiable")
         else:
             clauses.append(result)
 
@@ -115,35 +119,33 @@ def parse_dimacs(text: str) -> ParseResult:
                 error(lineno, col, "negative counts in problem line")
                 num_vars = None
             continue
-        for match in _TOKEN.finditer(line):
-            token, col = match.group(), match.start() + 1
-            if num_vars is None:
-                error(lineno, col, "clause data before problem line")
-                return ParseResult(None, diagnostics)
+        if num_vars is None:
+            error(*_position(lineno, line, 0), "clause data before problem line")
+            return ParseResult(None, diagnostics)
+        for k, token in enumerate(stripped.split()):
             try:
                 lit = int(token)
             except ValueError:
-                error(lineno, col, f"not an integer literal: {token!r}")
+                error(*_position(lineno, line, k), f"not an integer literal: {token!r}")
                 continue
             if lit == 0:
-                finish_clause(lineno, col)
+                finish_clause(lineno, line, k)
                 pending = []
-                pending_pos = None
+                pending_start = None
+            elif abs(lit) > num_vars:
+                error(*_position(lineno, line, k),
+                      f"literal {lit} out of range for {num_vars} variables")
             else:
-                if abs(lit) > num_vars:
-                    error(lineno, col,
-                          f"literal {lit} out of range for {num_vars} variables")
-                    continue
-                if pending_pos is None:
-                    pending_pos = (lineno, col)
+                if pending_start is None:
+                    pending_start = (lineno, line, k)
                 pending.append(lit)
 
     last_line = text.count("\n") + 1
     if num_vars is None:
         error(last_line, 1, "missing problem line")
         return ParseResult(None, diagnostics)
-    if pending:
-        error(pending_pos[0], pending_pos[1], "clause not terminated by 0")
+    if pending_start is not None:
+        error(*_position(*pending_start), "clause not terminated by 0")
     parsed_count = len(clauses) + empty_clauses + tautologies
     if parsed_count != declared_clauses:
         warning(last_line, 1,
@@ -154,6 +156,13 @@ def parse_dimacs(text: str) -> ParseResult:
 
     instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
     return ParseResult(instance, diagnostics)
+
+
+def _position(lineno: int, line: str, k: int) -> tuple[int, int]:
+    """Line number and 1-based column of the k-th token of a line.  Columns
+    are worked out only for diagnostics, so clean lines are just split."""
+    match = next(islice(_TOKEN.finditer(line), k, None))
+    return lineno, match.start() + 1
 
 
 def emit_dimacs(instance: Instance) -> str:

@@ -19,17 +19,35 @@ Each shape has a 256-entry table, built from `bitspace.bc_uni` at import,
 that maps a source mask to the target cells it supports, so applying an
 edge is `masks[t] & table[masks[s]]`.
 
+Most cubes cannot prune.  A cube with at least 7 GREEN cells, an inert
+cube, has at most one RED cell, so every assignment of any one or two of its
+variables extends to a GREEN cell: each shape table maps its mask to 0xFF,
+and an edge out of it changes nothing.  In random 3SAT a cube has at most 6
+GREEN cells only when its triple hosts two distinct clauses.  So the graph
+is lazy.  Out-degrees come from the variable -> cubes index by inclusion-
+exclusion: the cubes sharing a variable with (a, b, c) number |C(a)| + |C(b)|
++ |C(c)| - |C(ab)| - |C(ac)| - |C(bc)|, the cube itself being the only one
+that holds all three.  They fix every block's range of edge ids, and a
+block's targets and tables are built when one of its edges is applied from
+a cube that is not inert.  The worklist skips, as one step, a queued block
+whose source is inert when it comes up, and any edge out of an inert cube
+that is not built.  Each skipped edge is counted as an application, and
+that is all applying it would do: it would change no mask, so it would add
+no trace record and requeue nothing.  None of a block's edges targets its
+source, so the source stays inert through the block.  Stats, traces and
+masks are therefore those of applying every edge.
+
 `fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
 both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
-lookups on the masks from before the update.  It shares the graph and the
-shape tables with the engine, which are tested on their own, and no loop,
-so the two settling to the same state checks the worklist.  The adjacency
-depends only on the set of triples.  It is reused while that set is
-unchanged and a result computed on it is still held, so `extract_assignment`
-works on the graph its result was computed on, and no graph outlives the
-results that use it.
+lookups on the masks from before the update; it builds every block.  It
+shares the graph and the shape tables with the engine, which are tested on
+their own, and no loop, so the two settling to the same state checks the
+worklist.  The adjacency depends only on the set of triples.  It is reused,
+with the blocks built so far, while that set is unchanged and a result
+computed on it is still held, so `extract_assignment` works on the graph
+its result was computed on, and no graph outlives the results that use it.
 
 Extraction propagates incrementally.  It starts from a closed fixpoint, in
 which no edge can fire, and a unit only removes cells, so after imposing a
@@ -45,7 +63,7 @@ import random
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, chain, combinations, repeat
 from typing import Callable, Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
@@ -128,39 +146,71 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
 
 _TABLES = _shape_tables()
 
+# _INERT[m] is 1 when mask m has at least 7 GREEN cells.  Every shape table
+# maps such a mask to 0xFF, so no edge out of an inert cube changes anything.
+_INERT = bytes(mask.bit_count() >= 7 for mask in range(256))
+
 
 class _Graph:
     """Adjacency of a set of triples as flat arrays.  Cube i is `nodes[i]`;
     edge e carries `table[e]` from cube `src[e]` to cube `tgt[e]`; the
-    out-edges of cube i are ids `first[i]` to `first[i + 1] - 1`.  Edge ids
-    therefore follow (source triple, target triple) order."""
+    out-edges of cube i, its block, are ids `first[i]` to `first[i + 1] - 1`,
+    in target order.  Edge ids therefore follow (source triple, target
+    triple) order.
+
+    `first` and `src` come from the out-degrees, counted without building
+    any edge; `tgt` and `table` hold a block only once `build` has filled it
+    (`built[i]`), and `edges` builds every block."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
         # var -> (cube, bit 3 + position of var in that cube's triple)
         index: dict[int, list[tuple[int, int]]] = {}
+        # (u, v) -> the number of cubes holding both u < v
+        pairs: dict[tuple[int, int], int] = {}
         for i, triple in enumerate(nodes):
             for pos, var in enumerate(triple):
                 index.setdefault(var, []).append((i, 8 << pos))
-        self.src: list[int] = []
-        self.tgt: list[int] = []
-        self.table: list[tuple[int, ...]] = []
-        self.first = [0]
-        for s, triple in enumerate(nodes):
-            shapes: dict[int, int] = {}
-            for pos, var in enumerate(triple):
-                for t, tgt_bit in index[var]:
-                    shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
-            del shapes[s]
-            for t in sorted(shapes):
-                self.src.append(s)
-                self.tgt.append(t)
-                self.table.append(_TABLES[shapes[t]])
-            self.first.append(len(self.tgt))
+            a, b, c = triple
+            for pair in ((a, b), (a, c), (b, c)):
+                pairs[pair] = pairs.get(pair, 0) + 1
+        self._index = index
+        # The cubes sharing a variable with (a, b, c), by inclusion-exclusion;
+        # only the cube itself holds all three, and it is not its own target.
+        degrees = [
+            len(index[a]) + len(index[b]) + len(index[c])
+            - pairs[a, b] - pairs[a, c] - pairs[b, c]
+            for a, b, c in nodes
+        ]
+        self.first = [0, *accumulate(degrees)]
+        count = self.first[-1]
+        self.src = list(chain.from_iterable(map(repeat, range(len(nodes)), degrees)))
+        self.tgt = [0] * count
+        self.table: list[tuple[int, ...] | None] = [None] * count
+        self.built = bytearray(len(nodes))
+
+    def build(self, s: int) -> None:
+        """Fill in the targets and shape tables of cube s's block."""
+        shapes: dict[int, int] = {}
+        for pos, var in enumerate(self.nodes[s]):
+            for t, tgt_bit in self._index[var]:
+                shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
+        del shapes[s]
+        targets = sorted(shapes)
+        block = slice(self.first[s], self.first[s + 1])
+        self.tgt[block] = targets
+        self.table[block] = [_TABLES[shapes[t]] for t in targets]
+        self.built[s] = 1
+
+    def build_all(self) -> None:
+        for s, built in enumerate(self.built):
+            if not built:
+                self.build(s)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as (source triple, target triple) pairs, in id order."""
+        self.build_all()
         nodes = self.nodes
         return tuple((nodes[s], nodes[t]) for s, t in zip(self.src, self.tgt))
 
@@ -216,6 +266,7 @@ def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
     empty cube reported is the first all-RED cube in triple order.  `passes`
     counts sweeps and `edge_applications` pair updates."""
     graph = _graph_of(state)
+    graph.build_all()
     table = dict(zip(zip(graph.src, graph.tgt), graph.table))
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
     masks = [state.cubes[triple] for triple in graph.nodes]
@@ -263,36 +314,46 @@ def _worklist(
     early_exit: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
-    items: Sequence[int] | None = None,
+    sources: Sequence[int] | None = None,
 ) -> tuple[PropStats, int | None]:
     """The propagation loop.  Updates `masks` in place and returns the stats
     and the id of the empty cube it reports, if any.
 
-    Work items are edge ids.  By default all of them start queued, in id
-    order or shuffled by `rng`; `items` queues only those, in the order
-    given, and the caller guarantees that no mask is empty on entry.  A None
-    marker ends each pass.  When a cube changes, its out-edges that are not
-    already queued are appended, shuffled by `rng`.
+    Work items are edge ids, and `~s` for the whole block of cube s.  By
+    default every edge starts queued: block by block in id order, or as edge
+    ids shuffled by `rng`.  `sources` queues only the blocks of those cubes,
+    in the order given, and the caller guarantees that no mask is empty on
+    entry.  A None marker ends each pass.  When a cube changes, its
+    out-edges that are not already queued are appended, shuffled by `rng`.
+
+    A queued block whose source is inert when it comes up is counted as
+    applied and skipped, since its source cannot change while its edges are
+    applied (none of them targets it); any other block is queued edge by
+    edge in its place.  An edge of a block not yet built is skipped the same
+    way when its source is inert, and builds the block when it is not.
     """
-    if items is None and early_exit and 0 in masks:
+    if sources is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
-    nodes, src, tgt = graph.nodes, graph.src, graph.tgt
-    table, first = graph.table, graph.first
+    nodes, src, tgt, table = graph.nodes, graph.src, graph.tgt, graph.table
+    first, build, inert = graph.first, graph.build, _INERT
     count = len(tgt)
 
-    if items is None:
-        items = range(count)
-        if rng is not None:
-            items = list(items)
-            rng.shuffle(items)
-        queued = bytearray(b"\x01") * count
-    else:
+    items: list[int]
+    if sources is not None:
+        items = [~s for s in sources]
         queued = bytearray(count)
-        for item in items:
-            queued[item] = 1
+        for s in sources:
+            queued[first[s]:first[s + 1]] = b"\x01" * (first[s + 1] - first[s])
+    else:
+        queued = bytearray(b"\x01") * count
+        if rng is None:
+            items = [~s for s in range(len(nodes))]
+        else:
+            items = list(range(count))
+            rng.shuffle(items)
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
-    popleft, extend = queue.popleft, queue.extend
+    popleft, extend, extendleft = queue.popleft, queue.extend, queue.extendleft
     passes = 1 if count else 0
     applications = changed = removed_total = 0
     changed_this_pass = False
@@ -306,18 +367,34 @@ def _worklist(
                 queue.append(None)
                 changed_this_pass = False
             continue
+        if item < 0:
+            s = ~item
+            lo, hi = first[s], first[s + 1]
+            if inert[masks[s]]:
+                applications += hi - lo
+                queued[lo:hi] = bytes(hi - lo)
+            else:
+                extendleft(range(hi - 1, lo - 1, -1))
+            continue
         queued[item] = 0
         applications += 1
+        s = src[item]
+        source = masks[s]
+        onto = table[item]
+        if onto is None:  # an unbuilt block
+            if inert[source]:
+                continue
+            build(s)
+            onto = table[item]
         t = tgt[item]
         before = masks[t]
-        after = before & table[item][masks[src[item]]]
+        after = before & onto[source]
         if after == before:
             continue
         masks[t] = after
         removed = (before ^ after).bit_count()
         if trace is not None:
-            edge = (nodes[src[item]], nodes[t])
-            trace.append(TraceRecord(edge, before, after, removed))
+            trace.append(TraceRecord((nodes[s], nodes[t]), before, after, removed))
         changed += 1
         removed_total += removed
         changed_this_pass = True
@@ -333,8 +410,8 @@ def _worklist(
             rng.shuffle(requeue)
         extend(requeue)
     # Under early_exit a cube emptied in the loop ended it, and none was
-    # empty on entry (checked above, or guaranteed by the caller of `items`),
-    # so only a full closure needs this scan.
+    # empty on entry (checked above, or guaranteed by the caller of
+    # `sources`), so only a full closure needs this scan.
     if not early_exit and 0 in masks:
         empty = masks.index(0)
 
@@ -401,15 +478,14 @@ def _impose_unit(
     holding it, at the (cube, position) pairs `occurrences`, and propagated
     from the cubes that changed; None if a cube empties, without propagating
     at all when the unit alone empties one."""
-    first = graph.first
     trial = masks[:]
-    edges: list[int] = []
+    changed: list[int] = []
     for i, pos in occurrences:
         after = trial[i] & _CELLS[pos][value]
         if not after:
             return None
         if after != trial[i]:
             trial[i] = after
-            edges.extend(range(first[i], first[i + 1]))
-    _, empty = _worklist(graph, trial, True, None, None, items=edges)
+            changed.append(i)
+    _, empty = _worklist(graph, trial, True, None, None, sources=changed)
     return trial if empty is None else None

@@ -12,10 +12,12 @@ from satprop.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSAT,
+    instance_seed,
     main,
     parse_gen_spec,
     parse_order,
 )
+from satprop.dimacs import gen_random_3sat
 
 UNSAT_CNF = "p cnf 3 8\n" + "".join(
     " ".join(str(v if s else -v) for v, s in zip((1, 2, 3), signs)) + " 0\n"
@@ -362,6 +364,22 @@ def test_bench_timings_add_wall_time_only(capsys):
         wall = with_timings.pop("wall_time_s")
         assert isinstance(wall, float) and wall >= 0
         assert with_timings == without
+
+
+def test_bench_counts_informative_cubes(capsys):
+    # a cube has at most 6 GREEN cells when its triple hosts two distinct
+    # clauses; n=6 has only 20 triples, so most instances have some
+    _, out, _ = run(capsys, "bench", "--gen", "n=6,m=2..16..7,seed=3,count=4",
+                    "--oracle", "off")
+    points = json.loads(out)["points"]
+    for point_index, point in enumerate(points):
+        want = 0
+        for i in range(point["count"]):
+            inst = gen_random_3sat(6, point["m"], instance_seed(3, point_index, i))
+            hosts = [clause.variables() for clause in set(inst.clauses)]
+            want += sum(hosts.count(t) >= 2 for t in set(hosts))
+        assert point["informative_cubes"] == want
+    assert [p["informative_cubes"] > 0 for p in points] == [False, True, True]
 
 
 def test_bench_requires_gen(capsys):

@@ -1,12 +1,15 @@
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satprop import clausal, dimacs
-from satprop.clausal import Instance
+from satprop.clausal import EMPTY, TAUTOLOGY, Instance, canonicalize
 from satprop.dimacs import (
+    ParseDiagnostic,
+    ParseResult,
     emit_dimacs,
     gen_random_3sat,
     mask_hex,
@@ -125,6 +128,156 @@ def test_parse_canonicalizes_each_clause_once(monkeypatch):
     ]
     assert calls == [[1, -1, 2], [], [1, 2, 3]]
     assert built == [inst]
+
+
+def _reference_parse(text):
+    """The parser as it was before it split lines: every token through a
+    regex with its column, and a distinct-variable set per clause.  Kept to
+    check that `parse_dimacs` gives the same instance and diagnostics."""
+    diagnostics = []
+    num_vars = None
+    declared_clauses = 0
+    clauses = []
+    empty_clauses = 0
+    tautologies = 0
+    pending = []
+    pending_pos = None
+
+    def error(line, col, message):
+        diagnostics.append(ParseDiagnostic(line, col, message, "error"))
+
+    def warning(line, col, message):
+        diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
+
+    def finish_clause(line, col):
+        nonlocal empty_clauses, tautologies
+        start = pending_pos or (line, col)
+        distinct = {abs(lit) for lit in pending}
+        if len(distinct) > 3:
+            error(start[0], start[1],
+                  f"clause has {len(distinct)} distinct variables; this tool is 3SAT-only")
+            return
+        result = canonicalize(pending, num_vars)
+        if result is TAUTOLOGY:
+            tautologies += 1
+            warning(start[0], start[1], "tautological clause dropped")
+        elif result is EMPTY:
+            empty_clauses += 1
+            warning(start[0], start[1], "empty clause: instance is trivially unsatisfiable")
+        else:
+            clauses.append(result)
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("%"):
+            break
+        if stripped.startswith("p"):
+            col = line.index("p") + 1
+            if num_vars is not None:
+                error(lineno, col, "duplicate problem line")
+                continue
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                error(lineno, col, f"malformed problem line: {stripped!r}")
+                continue
+            try:
+                num_vars = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                error(lineno, col, f"non-numeric counts in problem line: {stripped!r}")
+                num_vars = None
+            if num_vars is not None and (num_vars < 0 or declared_clauses < 0):
+                error(lineno, col, "negative counts in problem line")
+                num_vars = None
+            continue
+        for match in re.finditer(r"\S+", line):
+            token, col = match.group(), match.start() + 1
+            if num_vars is None:
+                error(lineno, col, "clause data before problem line")
+                return ParseResult(None, diagnostics)
+            try:
+                lit = int(token)
+            except ValueError:
+                error(lineno, col, f"not an integer literal: {token!r}")
+                continue
+            if lit == 0:
+                finish_clause(lineno, col)
+                pending = []
+                pending_pos = None
+            else:
+                if abs(lit) > num_vars:
+                    error(lineno, col,
+                          f"literal {lit} out of range for {num_vars} variables")
+                    continue
+                if pending_pos is None:
+                    pending_pos = (lineno, col)
+                pending.append(lit)
+
+    last_line = text.count("\n") + 1
+    if num_vars is None:
+        error(last_line, 1, "missing problem line")
+        return ParseResult(None, diagnostics)
+    if pending:
+        error(pending_pos[0], pending_pos[1], "clause not terminated by 0")
+    parsed_count = len(clauses) + empty_clauses + tautologies
+    if parsed_count != declared_clauses:
+        warning(last_line, 1,
+                f"header declares {declared_clauses} clauses, found {parsed_count}")
+    if any(d.severity == "error" for d in diagnostics):
+        return ParseResult(None, diagnostics)
+    instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
+    return ParseResult(instance, diagnostics)
+
+
+_TOKENS = st.one_of(
+    st.integers(-6, 6).map(str),  # literals, some out of range, and 0
+    st.just("0"),
+    st.sampled_from(["x", "1.5", "--1", "+2", "1_0", "0x1", "-", "9" * 12]),
+)
+_BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\xa0"])
+
+
+@st.composite
+def _dimacs_lines(draw):
+    """One line of DIMACS-like text: clause data that may span lines or
+    lack its 0, bad tokens, comments, problem lines and `%` trailers, with
+    tabs and leading blanks."""
+    kind = draw(st.sampled_from(
+        ["data"] * 6 + ["wide", "comment", "problem", "bad problem", "trailer", "blank"]))
+    lead = draw(st.sampled_from(["", " ", "\t", "  \t"]))
+    if kind == "data":
+        tokens = draw(st.lists(_TOKENS, max_size=7))
+        line = ""
+        for token in tokens:
+            line += token + draw(_BLANKS)
+        return lead + line.rstrip(" ") if draw(st.booleans()) else lead + line
+    if kind == "wide":  # a clause over 4 or 5 distinct variables
+        variables = draw(st.permutations(range(1, 6)))[:draw(st.integers(4, 5))]
+        signs = draw(st.lists(st.sampled_from(["", "-"]), min_size=5, max_size=5))
+        return lead + " ".join(sign + str(v) for sign, v in zip(signs, variables)) + " 0"
+    if kind == "comment":
+        return lead + "c " + " ".join(draw(st.lists(_TOKENS, max_size=3)))
+    if kind == "problem":
+        return f"{lead}p cnf {draw(st.integers(0, 5))} {draw(st.integers(0, 6))}"
+    if kind == "bad problem":
+        return lead + draw(st.sampled_from(
+            ["p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf -1 2", "p  cnf\t4 1 0"]))
+    if kind == "trailer":
+        return lead + "%"
+    return lead
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_dimacs_lines(), max_size=10), st.booleans(), st.booleans())
+def test_parse_matches_regex_reference(lines, header_first, final_newline):
+    if header_first:
+        lines = ["p cnf 4 3", *lines]
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    got, want = parse_dimacs(text), _reference_parse(text)
+    assert got.diagnostics == want.diagnostics
+    assert got.instance == want.instance
 
 
 def test_diagnostics_point_into_source():

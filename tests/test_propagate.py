@@ -1,15 +1,17 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from satprop import checks
 from satprop.bitspace import Partition, bc, bc_uni, impose
-from satprop.clausal import ClausalState, Instance, build_clausal_partition
+from satprop.clausal import _CELLS, ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
     _TABLES,
     Extraction,
+    PropStats,
     TraceRecord,
     _Graph,
     _shape,
@@ -110,6 +112,8 @@ def test_cubes_with_seven_green_cells_are_inert():
 def test_graph_edges_carry_their_shape_table():
     state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
     graph = _Graph(tuple(state.triples()))
+    for s in range(len(graph.nodes)):
+        graph.build(s)
     assert len(graph.tgt) == len(build_adjacency(state).edges)
     for e, (s, t) in enumerate(zip(graph.src, graph.tgt)):
         src, tgt = graph.nodes[s], graph.nodes[t]
@@ -125,6 +129,183 @@ def test_bc_is_two_one_sided_combinations():
             for mb in range(256):
                 q = Partition(cb, mb)
                 assert bc(p, q) == (bc_uni(p, q), bc_uni(q, p))
+
+
+# --- eager reference engine -----------------------------------------------------
+#
+# The engine as it was before it counted the blocks of inert cubes instead of
+# building and scanning them: every edge built up front, and every queued
+# edge applied.  The lazy engine must return the same stats, trace, masks,
+# empty cube and extraction, on instances larger than the golden digests'.
+
+class _EagerGraph:
+    def __init__(self, nodes):
+        self.nodes = nodes
+        index = {}
+        for i, triple in enumerate(nodes):
+            for pos, var in enumerate(triple):
+                index.setdefault(var, []).append((i, 8 << pos))
+        self.src, self.tgt, self.table = [], [], []
+        self.first = [0]
+        for s, triple in enumerate(nodes):
+            shapes = {}
+            for pos, var in enumerate(triple):
+                for t, tgt_bit in index[var]:
+                    shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
+            del shapes[s]
+            for t in sorted(shapes):
+                self.src.append(s)
+                self.tgt.append(t)
+                self.table.append(_TABLES[shapes[t]])
+            self.first.append(len(self.tgt))
+
+
+def _eager_worklist(graph, masks, early_exit, rng, trace, items=None):
+    if items is None and early_exit and 0 in masks:
+        return PropStats(), masks.index(0)
+    nodes, src, tgt = graph.nodes, graph.src, graph.tgt
+    table, first = graph.table, graph.first
+    count = len(tgt)
+    if items is None:
+        items = range(count)
+        if rng is not None:
+            items = list(items)
+            rng.shuffle(items)
+        queued = bytearray(b"\x01") * count
+    else:
+        queued = bytearray(count)
+        for item in items:
+            queued[item] = 1
+    queue = deque(items)
+    queue.append(None)
+    passes = 1 if count else 0
+    applications = changed = removed_total = 0
+    changed_this_pass = False
+    empty = None
+    while queue:
+        item = queue.popleft()
+        if item is None:
+            if queue and changed_this_pass:
+                passes += 1
+                queue.append(None)
+                changed_this_pass = False
+            continue
+        queued[item] = 0
+        applications += 1
+        t = tgt[item]
+        before = masks[t]
+        after = before & table[item][masks[src[item]]]
+        if after == before:
+            continue
+        masks[t] = after
+        removed = (before ^ after).bit_count()
+        if trace is not None:
+            trace.append(TraceRecord((nodes[src[item]], nodes[t]), before, after, removed))
+        changed += 1
+        removed_total += removed
+        changed_this_pass = True
+        if early_exit and after == 0:
+            empty = t
+            break
+        requeue = []
+        for e in range(first[t], first[t + 1]):
+            if not queued[e]:
+                queued[e] = 1
+                requeue.append(e)
+        if rng is not None:
+            rng.shuffle(requeue)
+        queue.extend(requeue)
+    if not early_exit and 0 in masks:
+        empty = masks.index(0)
+    return PropStats(passes, applications, changed, removed_total), empty
+
+
+def _eager_extract(graph, masks, instance):
+    """`extract_assignment` on the eager engine, from closed fixpoint masks."""
+    occurrences = {}
+    for i, triple in enumerate(graph.nodes):
+        for pos, var in enumerate(triple):
+            occurrences.setdefault(var, []).append((i, pos))
+    chosen = {}
+    for var in sorted(occurrences):
+        for value in (False, True):
+            trial = _eager_impose_unit(graph, masks, occurrences[var], value)
+            if trial is not None:
+                chosen[var], masks = value, trial
+                break
+        else:
+            return None
+    assignment = {v: chosen.get(v, False) for v in range(1, instance.num_vars + 1)}
+    return Extraction(assignment, instance.evaluate(assignment))
+
+
+def _eager_impose_unit(graph, masks, occurrences, value):
+    first = graph.first
+    trial = masks[:]
+    edges = []
+    for i, pos in occurrences:
+        after = trial[i] & _CELLS[pos][value]
+        if not after:
+            return None
+        if after != trial[i]:
+            trial[i] = after
+            edges.extend(range(first[i], first[i + 1]))
+    _, empty = _eager_worklist(graph, trial, True, None, None, items=edges)
+    return trial if empty is None else None
+
+
+# sign patterns of the clauses `_with_extra_clauses` adds on a clause's
+# triple: flipping the first literal leaves 6 GREEN cells, which prune
+# through the other two variables; the three others with the first literal
+# kept force it, and prune through each variable
+SHARED_PAIR = [(-1, 1, 1)]
+FORCED = [(1, -1, 1), (1, 1, -1), (1, -1, -1)]
+
+
+def _with_extra_clauses(n, m, seed, extra, flips):
+    """A random instance plus, on the triples of its first `extra` clauses,
+    a copy of each clause per sign pattern in `flips`: those cubes start
+    with at most 6 GREEN cells, so their blocks are built and applied."""
+    raw = [list(clause.as_ints()) for clause in gen_random_3sat(n, m, seed).clauses]
+    raw += [[sign * lit for sign, lit in zip(signs, lits)]
+            for lits in raw[:extra] for signs in flips]
+    return Instance.from_raw(n, raw)
+
+
+def _embedded_core(n, m, seed):
+    """A random instance at n variables holding a 12-variable instance that
+    the engine refutes only after 17 passes, on variables spread over 1..n."""
+    raw = [list(clause.as_ints()) for clause in gen_random_3sat(n, m, seed).clauses]
+    stride = n // 13
+    for clause in gen_random_3sat(12, 60, seed=2).clauses:
+        raw.append([stride * lit for lit in clause.as_ints()])
+    return Instance.from_raw(n, raw)
+
+
+@pytest.mark.parametrize("state", [
+    # the first four share two variables pairwise, and (3, 4, 5) two with
+    # each of the two before it
+    ClausalState(dict.fromkeys(
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (3, 4, 5), (5, 6, 7)], 0xFF)),
+    build_clausal_partition(gen_random_3sat(40, 170, seed=1)).state,
+    build_clausal_partition(_with_extra_clauses(100, 300, 2, 40, SHARED_PAIR)).state,
+    build_clausal_partition(_with_extra_clauses(400, 1704, 3, 30, SHARED_PAIR)).state,
+    build_clausal_partition(_with_extra_clauses(400, 1200, 3, 10, FORCED)).state,
+    build_clausal_partition(_embedded_core(400, 1200, 4)).state,
+])
+def test_degrees_count_the_built_blocks(state):
+    graph = _Graph(tuple(state.triples()))
+    eager = _EagerGraph(graph.nodes)
+    assert graph.first == eager.first and graph.src == eager.src
+    assert not any(graph.built)
+    for s in range(len(graph.nodes)):
+        graph.build(s)
+        block = slice(graph.first[s], graph.first[s + 1])
+        assert graph.tgt[block] == eager.tgt[block]
+        assert graph.table[block] == eager.table[block]
+    assert len(graph.tgt) == len(eager.tgt)
+    assert build_adjacency(state).edges == tuple(
+        (eager.nodes[s], eager.nodes[t]) for s, t in zip(eager.src, eager.tgt))
 
 
 # --- fixpoint -----------------------------------------------------------------
@@ -297,3 +478,38 @@ def test_extract_matches_from_scratch_reference(n, m, seed):
     # does not depend on the order or mode that computed it
     assert extract_assignment(fixpoint(state, order="random", seed=5), inst) == want
     assert extract_assignment(bidirectional_fixpoint(state), inst) == want
+
+
+# --- lazy engine against the eager reference ---------------------------------
+
+_DIFFERENTIAL = [
+    pytest.param(gen_random_3sat(n, round(n * ratio), seed=1), id=f"n={n},ratio={ratio}")
+    for n in (100, 400, 2000) for ratio in (3.0, 4.26, 5.5)
+] + [
+    pytest.param(_with_extra_clauses(400, 1200, 5, 20, SHARED_PAIR), id="n=400,shared-pair"),
+    pytest.param(_with_extra_clauses(400, 1200, 1, 10, FORCED), id="n=400,forced"),
+    pytest.param(_with_extra_clauses(2000, 8520, 1, 5, FORCED), id="n=2000,forced"),
+    pytest.param(_embedded_core(400, 1200, 7), id="n=400,embedded-core"),
+]
+
+
+@pytest.mark.parametrize("instance", _DIFFERENTIAL)
+def test_lazy_engine_matches_eager_reference(instance):
+    state = build_clausal_partition(instance).state
+    graph = _EagerGraph(tuple(state.triples()))
+    for order, order_seed in (("fifo", None), ("random", 0), ("random", 7)):
+        for early_exit in (True, False):
+            masks = [state.cubes[triple] for triple in graph.nodes]
+            rng = None if order_seed is None else random.Random(order_seed)
+            trace = []
+            stats, empty = _eager_worklist(graph, masks, early_exit, rng, trace)
+            got = fixpoint(state, order=order, seed=order_seed,
+                           early_exit=early_exit, record_trace=True)
+            case = (order, order_seed, early_exit)
+            assert got.stats == stats, case
+            assert got.trace == trace, case
+            assert got.fixpoint.cubes == dict(zip(graph.nodes, masks)), case
+            assert got.empty_triple == (None if empty is None else graph.nodes[empty]), case
+            if order == "fifo" and early_exit and empty is None:
+                assert extract_assignment(got, instance) == _eager_extract(
+                    graph, masks, instance)
