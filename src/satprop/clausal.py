@@ -74,26 +74,43 @@ class Clause:
         return tuple(lit.as_int() for lit in self.literals)
 
 
+# Every clause that holds a literal shares one immutable Literal for it, built
+# (and checked) the first time a clause needs it.  The table is emptied when
+# it reaches _LITERALS_MAX entries, so it keeps few literals alive after the
+# instances that used them are gone.
+_LITERALS: dict[int, Literal] = {}
+_LITERALS_MAX = 1 << 16
+
+
+def _shared_literal(lit: int) -> Literal:
+    shared = _LITERALS.get(lit)
+    if shared is None:
+        if len(_LITERALS) >= _LITERALS_MAX:
+            _LITERALS.clear()
+        shared = _LITERALS[lit] = Literal.from_int(lit)
+    return shared
+
+
 def canonicalize(
     literals: Iterable[int | Literal], num_vars: int
 ) -> Clause | Degenerate:
     """Merge duplicate literals, sort by variable, detect tautologies and
     the empty clause.  Raises on variable ids outside 1..num_vars."""
-    polarity: dict[int, bool] = {}
+    polarity: dict[int, int] = {}  # variable -> its literal, as an int
     for raw in literals:
         if isinstance(raw, Literal):
-            var, negated = raw.variable, raw.negated
+            var, lit = raw.variable, raw.as_int()
         elif raw == 0:
             raise ValueError("literal 0 is reserved as clause terminator")
         else:
-            var, negated = abs(raw), raw < 0
+            var, lit = abs(raw), raw
         if var > num_vars:
             raise ValueError(f"variable u{var} exceeds declared count {num_vars}")
-        if polarity.setdefault(var, negated) != negated:
+        if polarity.setdefault(var, lit) != lit:
             return TAUTOLOGY
     if not polarity:
         return EMPTY
-    return Clause(tuple(Literal(v, polarity[v]) for v in sorted(polarity)))
+    return Clause(tuple([_shared_literal(polarity[v]) for v in sorted(polarity)]))
 
 
 @dataclass(frozen=True)

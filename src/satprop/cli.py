@@ -9,7 +9,7 @@ unwritable output or parse error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import random
 import sys
 import time
@@ -173,9 +173,19 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def cmd_solve(config: RunConfig) -> int:
-    instance, source, seeds = _load_instance(config)
-    build = build_clausal_partition(instance)
-    oracle_verdict = _run_oracle(instance, config.oracle_mode)
+    # seconds per stage, reported with --timings; a stage that is not run
+    # reads 0.0
+    timings = dict.fromkeys(("parse", "build", "oracle", "fixpoint", "extract"), 0.0)
+
+    def timed(stage: str, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        timings[stage] = round(time.perf_counter() - start, 6)
+        return result
+
+    instance, source, seeds = timed("parse", _load_instance, config)
+    build = timed("build", build_clausal_partition, instance)
+    oracle_verdict = timed("oracle", _run_oracle, instance, config.oracle_mode)
 
     empty_triple = assignment = verified = None
     cubes: list[tuple[Triple, int]] = []
@@ -183,7 +193,9 @@ def cmd_solve(config: RunConfig) -> int:
         engine_verdict = "trivially_unsat"
         stats = asdict(PropStats())
     else:
-        result = fixpoint(
+        result = timed(
+            "fixpoint",
+            fixpoint,
             build.state,
             order=config.order,
             seed=config.order_seed,
@@ -194,7 +206,7 @@ def cmd_solve(config: RunConfig) -> int:
             "unsat_by_empty_cube" if empty_triple is not None else "no_empty_cube"
         )
         if empty_triple is None:
-            extraction = extract_assignment(result, instance)
+            extraction = timed("extract", extract_assignment, result, instance)
             if extraction is not None:
                 assignment, verified = extraction.assignment, extraction.verified
         stats = asdict(result.stats)
@@ -227,6 +239,7 @@ def cmd_solve(config: RunConfig) -> int:
         order=config.order,
         seeds=seeds,
         unconstrained_vars=instance.unconstrained_vars(),
+        timings=timings if config.timings else None,
     )
     _write_out(write_report(report), config.out_path)
 
@@ -254,7 +267,7 @@ def _trace_document(result: Any) -> str:
             for t, mask in sorted(result.fixpoint.cubes.items())
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return write_report(doc)
 
 
 def cmd_trace(config: RunConfig) -> int:
@@ -409,7 +422,7 @@ def cmd_bench(config: RunConfig) -> int:
         "oracle": config.oracle_mode,
         "points": points,
     }
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out_path)
+    _write_out(write_report(doc), config.out_path)
     total_sound = sum(p["soundness_violations"] for p in points)
     return EXIT_OK if total_sound == 0 else EXIT_DISAGREE
 
@@ -417,8 +430,10 @@ def cmd_bench(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand accepts only the flags it reads."""
+    """Each subcommand accepts only the flags it reads.  Parsing leaves the
+    parser unchanged, so one parser serves every call in a process."""
     parser = argparse.ArgumentParser(
         prog="satprop",
         description="Partition-propagation 3SAT engine with a brute-force audit.",
@@ -442,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle", dest="oracle_mode", choices=["on", "off", "auto"],
                        default="auto")
     solve.add_argument("--trace", dest="trace_path", help="trace output path")
+    solve.add_argument("--timings", action="store_true",
+                       help="add per-stage seconds to the report")
     bench.add_argument("--timings", action="store_true",
                        help="include wall-clock fields in bench output")
     verify.add_argument("--quick", action="store_true", help="subsampled verify checks")

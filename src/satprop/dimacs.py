@@ -211,9 +211,11 @@ def build_report(
     order: str,
     seeds: dict[str, Any],
     unconstrained_vars: Sequence[int] = (),
+    timings: dict[str, float] | None = None,
 ) -> dict[str, Any]:
-    """Assemble the run-report document (see README for the schema)."""
-    return {
+    """Assemble the run-report document (see README for the schema).  The
+    `timings` block is added only when given."""
+    report = {
         "tool": "satprop",
         "version": __version__,
         "source": source,
@@ -242,8 +244,97 @@ def build_report(
         ],
         "stats": stats,
     }
+    if timings is not None:
+        report["timings"] = timings
+    return report
 
 
-def write_report(report: dict[str, Any]) -> str:
-    """Serialize a report deterministically (sorted keys, 2-space indent)."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+# json's text for null, false and true: a json.dumps call costs microseconds
+# and a report may hold thousands of these
+_CONSTANTS = {value: json.dumps(value) for value in (None, False, True)}
+# json's own string escaper, the one json.dumps calls for a str
+_string = json.encoder.encode_basestring_ascii
+
+
+def write_report(doc: Any) -> str:
+    """Serialize a document deterministically: the text of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
+
+    json indents in pure Python, so the containers are walked here instead.
+    Each cube entry and each trace record is written by one f-string, and
+    ints and constants as json writes them; every other value, and every
+    string and key, is written by json."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value: Any, nl: str) -> str:
+    """`value` as JSON on a line whose indent `nl` (a newline and spaces)
+    gives; nested lines are indented two more spaces per level."""
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if type(value) is int:
+        return str(value)  # as json writes an int, not a bool or subclass
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        items = (_entry(item, inner) or _json(item, inner) for item in value)
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = (f"{_key(key)}: {_json(item, inner)}"
+                 for key, item in sorted(value.items()))
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return json.dumps(value)
+
+
+def _key(key: Any) -> str:
+    if isinstance(key, str):
+        return _string(key)
+    # json writes an int, float, bool or None key as its JSON text, quoted,
+    # and raises TypeError for any other type: '{"<key>": 0}'
+    return json.dumps({key: 0})[1:-4]
+
+
+_CUBE_KEYS = {"mask", "triple"}
+_RECORD_KEYS = {"after", "before", "cells_removed", "edge"}
+
+
+def _ints(value: Any, k: int) -> bool:
+    """A list or tuple of k exact ints, which str() writes as json does
+    (json writes bools and int subclasses otherwise)."""
+    return (type(value) in (list, tuple) and len(value) == k
+            and all(type(x) is int for x in value))
+
+
+def _entry(item: Any, nl: str) -> str | None:
+    """A cube entry ``{"mask", "triple"}`` or a trace record ``{"after",
+    "before", "cells_removed", "edge"}`` at indent `nl`, in one f-string;
+    None for any item that does not fit these shapes exactly."""
+    if type(item) is not dict:
+        return None
+    keys = item.keys()
+    i, j = nl + "  ", nl + "    "
+    if keys == _CUBE_KEYS:
+        mask, triple = item["mask"], item["triple"]
+        if type(mask) is str and _ints(triple, 3):
+            a, b, c = triple
+            return (f'{{{i}"mask": {_string(mask)},{i}"triple": '
+                    f'[{j}{a},{j}{b},{j}{c}{i}]{nl}}}')
+    elif keys == _RECORD_KEYS:
+        after, before, removed, edge = (
+            item["after"], item["before"], item["cells_removed"], item["edge"])
+        if (type(after) is str and type(before) is str and type(removed) is int
+                and type(edge) in (list, tuple) and len(edge) == 2
+                and _ints(edge[0], 3) and _ints(edge[1], 3)):
+            (a, b, c), (d, e, f) = edge
+            k = j + "  "
+            return (f'{{{i}"after": {_string(after)},{i}"before": '
+                    f'{_string(before)},{i}"cells_removed": {removed},'
+                    f'{i}"edge": [{j}[{k}{a},{k}{b},{k}{c}{j}],'
+                    f'{j}[{k}{d},{k}{e},{k}{f}{j}]{i}]{nl}}}')
+    return None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satprop import clausal
 from satprop.clausal import (
     EMPTY,
     TAUTOLOGY,
@@ -45,6 +46,19 @@ def test_canonicalize_rejects_bad_ids():
         canonicalize([4], 3)
     with pytest.raises(ValueError):
         Literal(0, False)
+
+
+def test_canonicalize_shares_literals(monkeypatch):
+    monkeypatch.setattr(clausal, "_LITERALS", {})
+    monkeypatch.setattr(clausal, "_LITERALS_MAX", 4)
+    first, second = clause_of(1, -2, 3), clause_of(-2, 3, 4)
+    assert first.literals[1] is second.literals[0]
+    assert first.literals[2] is second.literals[1]
+    assert len(clausal._LITERALS) == 4
+    # a full table is emptied before it takes another literal
+    third = clause_of(5)
+    assert clausal._LITERALS == {5: third.literals[0]}
+    assert clause_of(-2, 3).literals[0] == Literal(2, True)
 
 
 # --- host triples ------------------------------------------------------------

@@ -1,10 +1,15 @@
+import importlib
+import importlib.util
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import satprop
 from satprop import __version__, propagate
 from satprop.bitspace import Partition
 from satprop.cli import (
@@ -17,7 +22,7 @@ from satprop.cli import (
     parse_gen_spec,
     parse_order,
 )
-from satprop.dimacs import gen_random_3sat
+from satprop.dimacs import gen_random_3sat, write_report
 
 UNSAT_CNF = "p cnf 3 8\n" + "".join(
     " ".join(str(v if s else -v) for v, s in zip((1, 2, 3), signs)) + " 0\n"
@@ -91,7 +96,7 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
     "verify --input x.cnf", "verify --gen n=3,m=1,seed=1", "verify --oracle on",
     "verify --order fifo", "verify --out x.json", "verify --trace t.json",
     "verify --timings", "solve --gen n=3,m=1,seed=1 --quick",
-    "solve --gen n=3,m=1,seed=1 --timings", "solve --gen n=3,m=1,seed=1 --mutate-bc",
+    "solve --gen n=3,m=1,seed=1 --mutate-bc",
     "trace --gen n=3,m=1,seed=1 --oracle on", "trace --gen n=3,m=1,seed=1 --quick",
     "trace --gen n=3,m=1,seed=1 --timings", "trace --gen n=3,m=1,seed=1 --trace t.json",
     "bench --gen n=3,m=1,seed=1 --input x.cnf", "bench --gen n=3,m=1,seed=1 --quick",
@@ -127,6 +132,39 @@ def test_single_instance_commands_reject_multi_instance_gen(capsys, subcommand, 
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error: ") and "single m and count=1" in err
+
+
+def test_one_process_runs_each_command_as_alone(capsys, monkeypatch):
+    # main reuses one argparse parser; each call must still behave as the
+    # same command run alone, in its own process
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    env = {**os.environ, "PYTHONPATH": str(Path(satprop.__file__).parents[1])}
+    commands = [
+        (["--bogus"], EXIT_PARSE),
+        (["--help"], EXIT_OK),
+        (["--version"], EXIT_OK),
+        (["solve", "--gen", "n=12,m=51,seed=1", "--oracle", "on"], None),
+        (["verify", "--quick", "--mutate-bc"], 1),
+    ]
+    for argv, want in commands:
+        code, out, err = run(capsys, *argv)
+        alone = subprocess.run([sys.executable, "-m", "satprop.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+        assert want is None or code == want
+
+
+def test_tracer_targets_resolve():
+    # perfbench's tracer wraps these names where the program looks them
+    # up; a rename would break its traced runs, which these tests do not run
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {module for module, *_ in tracer.TARGETS}
+    assert {"cli", "propagate"} <= modules
+    for module, attr, *_ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"satprop.{module}"), attr))
 
 
 # --- solve --------------------------------------------------------------------
@@ -229,6 +267,27 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["gen", "unsat", "trivial"])
+def test_solve_timings_block(capsys, tmp_path, source):
+    inputs = {"unsat": UNSAT_CNF, "trivial": "p cnf 3 1\n0\n"}
+    if source == "gen":
+        argv = ["solve", "--gen", "n=10,m=35,seed=3", "--oracle", "on"]
+    else:
+        path = tmp_path / f"{source}.cnf"
+        path.write_text(inputs[source])
+        argv = ["solve", "--input", str(path), "--oracle", "on"]
+    plain_code, plain, _ = run(capsys, *argv)
+    code, timed, _ = run(capsys, *argv, "--timings")
+    assert code == plain_code
+    report = json.loads(timed)
+    timings = report.pop("timings")
+    assert set(timings) == {"parse", "build", "oracle", "fixpoint", "extract"}
+    for seconds in timings.values():
+        assert isinstance(seconds, float) and seconds >= 0
+    assert "timings" not in json.loads(plain)
+    assert write_report(report) == plain
 
 
 # --- verify -------------------------------------------------------------------
@@ -431,3 +490,19 @@ def test_trace_replay_reproduces_fixpoint(capsys):
         triple = tuple(cube["triple"])
         if triple in final:
             assert final[triple] == cube["mask"]
+
+
+@pytest.mark.parametrize("order", ["fifo", "random:3"])
+def test_trace_documents_round_trip(capsys, tmp_path, order):
+    # n=20, m=160, seed 7000 is refuted after 328 change-making applications
+    gen = ["--gen", "n=20,m=160,seed=7000", "--order", order]
+    solve_path = tmp_path / "solve-trace.json"
+    solve_code, report, _ = run(capsys, "solve", *gen, "--oracle", "off",
+                                "--trace", str(solve_path))
+    trace_code, trace, _ = run(capsys, "trace", *gen)
+    assert solve_code == trace_code == EXIT_UNSAT
+    for text in (report, solve_path.read_text(), trace):
+        doc = json.loads(text)
+        assert write_report(doc) == text
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    assert len(json.loads(trace)["records"]) > 100

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -348,3 +349,65 @@ def test_write_report_is_deterministic():
     report = {"b": 1, "a": [1, 2], "c": {"y": None, "x": True}}
     assert write_report(report) == write_report(dict(reversed(report.items())))
     assert write_report(report).endswith("\n")
+
+
+def _reference_report(doc):
+    """The writer as it was: json's own indenting encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, newlines, controls, non-ASCII and astral characters
+_STRINGS = st.text(st.sampled_from('ax0 "\\\n\t\x00\x7f\u00e9\u2028\u20ac\U0001f600'))
+_INTS = st.integers(-(2**70), 2**70)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, _STRINGS, st.floats(),
+    # floats as bench writes its ratio
+    st.tuples(st.integers(0, 200), st.integers(1, 50)).map(
+        lambda mn: round(mn[0] / mn[1], 4)),
+)
+_TRIPLES = st.lists(st.integers(1, 2000), min_size=3, max_size=3)
+# entries that do not fit the writer's templates: other widths, bools,
+# tuples, extra keys, and masks that are not str
+_MISFIT_TRIPLES = st.one_of(
+    st.lists(st.one_of(_INTS, st.booleans()), min_size=1, max_size=4),
+    _TRIPLES.map(tuple),
+)
+_MASKS = st.one_of(st.integers(0, 255).map(mask_hex), _STRINGS)
+_CUBES = st.one_of(
+    st.fixed_dictionaries({"mask": _MASKS, "triple": _TRIPLES}),
+    st.fixed_dictionaries({"mask": _MASKS, "triple": _MISFIT_TRIPLES}),
+    st.fixed_dictionaries({"mask": _SCALARS, "triple": _TRIPLES}),
+    st.fixed_dictionaries({"mask": _MASKS, "triple": _TRIPLES},
+                          optional={"extra": _SCALARS, "Mask": _SCALARS}),
+)
+_RECORDS = st.fixed_dictionaries(
+    {"after": _MASKS, "before": _MASKS, "cells_removed": st.integers(0, 8),
+     "edge": st.lists(_TRIPLES, min_size=2, max_size=2)},
+    optional={"extra": _SCALARS},
+) | st.fixed_dictionaries(
+    {"after": st.one_of(_MASKS, _SCALARS), "before": _MASKS,
+     "cells_removed": st.one_of(st.booleans(), _INTS),
+     "edge": st.lists(st.one_of(_TRIPLES, _MISFIT_TRIPLES), min_size=1, max_size=3)},
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_CUBES) | st.lists(_RECORDS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_STRINGS, children, max_size=4),
+        # json writes int, float, bool and None keys as strings
+        st.dictionaries(_INTS, children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False) | st.booleans(), children, max_size=3),
+        st.builds(lambda value: {None: value}, children),
+        st.fixed_dictionaries({"source": _STRINGS, "cubes": st.lists(_CUBES),
+                               "records": st.lists(_RECORDS), "rest": children}),
+        st.lists(st.one_of(_CUBES, _RECORDS, children), max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_write_report_matches_json_reference(doc):
+    assert write_report(doc) == _reference_report(doc)
