@@ -8,4 +8,4 @@ operator, an independent brute-force oracle, and DIMACS/JSON tooling.
 __version__ = "0.1.0"
 
 from .bitspace import Color, Partition  # noqa: F401
-from .clausal import Clause, ClausalState, Instance, Literal  # noqa: F401
+from .clausal import Clause, ClausalState, Instance  # noqa: F401

@@ -86,7 +86,6 @@ def uni_bi_confluence(
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
     under each of `order_seeds`."""
-    # base is held to the end, so the later runs reuse its adjacency
     base = propagate.fixpoint(state, early_exit=False)
     want = (base.fixpoint, base.empty_triple)
     bi = propagate.bidirectional_fixpoint(state)

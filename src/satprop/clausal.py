@@ -1,12 +1,14 @@
 """3SAT instances and their clausal partition.
 
 An instance is a conjunction of disjunctive clauses of at most three
-literals.  The clausal partition maps canonical variable triples to 8-cell
-cubes; each clause marks RED the cells that falsify it (for a clause on
-three distinct variables that is exactly the complement assignment).
-Clauses with fewer than three distinct variables are hosted on a triple
-padded with the smallest absent variable ids, so every cube stays
-3-dimensional.
+literals.  A clause is a tuple of DIMACS literals, signed variable ids
+sorted by variable: `canonicalize` makes one from raw literals, and
+`Instance` checks that every clause it holds has that form.  The clausal
+partition maps canonical variable triples to 8-cell cubes; each clause
+marks RED the cells that falsify it (for a clause on three distinct
+variables that is exactly the complement assignment).  Clauses with fewer
+than three distinct variables are hosted on a triple padded with the
+smallest absent variable ids, so every cube stays 3-dimensional.
 """
 
 from __future__ import annotations
@@ -29,88 +31,25 @@ TAUTOLOGY = Degenerate.TAUTOLOGY
 EMPTY = Degenerate.EMPTY
 
 
-@dataclass(frozen=True)
-class Literal:
-    variable: int
-    negated: bool
-
-    def __post_init__(self) -> None:
-        if self.variable < 1:
-            raise ValueError(f"variable id must be >= 1, got {self.variable}")
-
-    def as_int(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as clause terminator")
-        return cls(abs(lit), lit < 0)
+# One to three nonzero DIMACS literals, sorted by variable, one per variable
+Clause = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Canonical disjunctive clause: literals sorted by variable, no
-    duplicates, not tautological."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.literals) <= 3:
-            raise ValueError(f"clause width {len(self.literals)} outside 1..3")
-        vars_ = [lit.variable for lit in self.literals]
-        if vars_ != sorted(set(vars_)):
-            raise ValueError("clause literals must be sorted and duplicate-free")
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(lit.variable for lit in self.literals)
-
-    def satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        return any(
-            assignment[lit.variable] != lit.negated for lit in self.literals
-        )
-
-    def as_ints(self) -> tuple[int, ...]:
-        return tuple(lit.as_int() for lit in self.literals)
-
-
-# Every clause that holds a literal shares one immutable Literal for it, built
-# (and checked) the first time a clause needs it.  The table is emptied when
-# it reaches _LITERALS_MAX entries, so it keeps few literals alive after the
-# instances that used them are gone.
-_LITERALS: dict[int, Literal] = {}
-_LITERALS_MAX = 1 << 16
-
-
-def _shared_literal(lit: int) -> Literal:
-    shared = _LITERALS.get(lit)
-    if shared is None:
-        if len(_LITERALS) >= _LITERALS_MAX:
-            _LITERALS.clear()
-        shared = _LITERALS[lit] = Literal.from_int(lit)
-    return shared
-
-
-def canonicalize(
-    literals: Iterable[int | Literal], num_vars: int
-) -> Clause | Degenerate:
+def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     """Merge duplicate literals, sort by variable, detect tautologies and
     the empty clause.  Raises on variable ids outside 1..num_vars."""
-    polarity: dict[int, int] = {}  # variable -> its literal, as an int
-    for raw in literals:
-        if isinstance(raw, Literal):
-            var, lit = raw.variable, raw.as_int()
-        elif raw == 0:
+    polarity: dict[int, int] = {}  # variable -> its literal
+    for lit in literals:
+        if lit == 0:
             raise ValueError("literal 0 is reserved as clause terminator")
-        else:
-            var, lit = abs(raw), raw
+        var = abs(lit)
         if var > num_vars:
             raise ValueError(f"variable u{var} exceeds declared count {num_vars}")
         if polarity.setdefault(var, lit) != lit:
             return TAUTOLOGY
     if not polarity:
         return EMPTY
-    return Clause(tuple([_shared_literal(polarity[v]) for v in sorted(polarity)]))
+    return tuple([polarity[v] for v in sorted(polarity)])
 
 
 @dataclass(frozen=True)
@@ -123,12 +62,21 @@ class Instance:
     tautologies_dropped: int = 0
 
     def __post_init__(self) -> None:
+        """Every clause is canonical: one to three nonzero literals over
+        strictly ascending variables, none past num_vars."""
         for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.variable > self.num_vars:
+            if not 1 <= len(clause) <= 3:
+                raise ValueError(f"clause width {len(clause)} outside 1..3")
+            var = 0  # each variable must exceed the one before it
+            for lit in clause:
+                if not var < abs(lit):
                     raise ValueError(
-                        f"variable u{lit.variable} exceeds num_vars {self.num_vars}"
+                        f"clause {clause}: literals must be nonzero, sorted by "
+                        f"variable and duplicate-free"
                     )
+                var = abs(lit)
+            if var > self.num_vars:
+                raise ValueError(f"variable u{var} exceeds num_vars {self.num_vars}")
 
     @classmethod
     def from_raw(
@@ -150,7 +98,7 @@ class Instance:
     def constrained_vars(self) -> tuple[int, ...]:
         seen: set[int] = set()
         for clause in self.clauses:
-            seen.update(clause.variables())
+            seen.update(map(abs, clause))
         return tuple(sorted(seen))
 
     def unconstrained_vars(self) -> tuple[int, ...]:
@@ -160,15 +108,18 @@ class Instance:
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         if self.has_empty_clause:
             return False
-        return all(clause.satisfied_by(assignment) for clause in self.clauses)
+        return all(
+            any(assignment[abs(lit)] == (lit > 0) for lit in clause)
+            for clause in self.clauses
+        )
 
 
 def host_triple(clause: Clause, num_vars: int) -> Triple:
     """The canonical triple hosting a clause: its own variables, padded with
     the smallest absent ids.  Padding past num_vars uses phantom ids."""
-    if len(clause.literals) == 3:
-        return clause.variables()  # type: ignore[return-value]
-    vars_ = set(clause.variables())
+    if len(clause) == 3:
+        return tuple(map(abs, clause))  # type: ignore[return-value]
+    vars_ = set(map(abs, clause))
     triple = sorted(vars_)
     candidate = 1
     while len(triple) < 3:
@@ -180,9 +131,9 @@ def host_triple(clause: Clause, num_vars: int) -> Triple:
 
 
 # _CELLS[pos][bit]: the cells of a triple whose coordinate at position pos
-# equals bit.  A literal is falsified exactly where its variable equals its
-# `negated` flag, so a clause's falsifying cells are the AND of
-# _CELLS[pos][negated] over its literals.
+# equals bit.  A literal is falsified exactly where its variable is 1 if the
+# literal is negative and 0 if it is positive, so a clause's falsifying cells
+# are the AND of _CELLS[pos][lit < 0] over its literals.
 _CELLS = tuple(
     tuple(sum(1 << cell for cell in range(8) if cell >> pos & 1 == bit)
           for bit in (0, 1))
@@ -193,14 +144,12 @@ _CELLS = tuple(
 def _forbidden_mask(clause: Clause, triple: Triple) -> int:
     """Mask of the host triple's cells whose assignments falsify the clause."""
     mask = 0xFF
-    for lit in clause.literals:
+    for lit in clause:
         try:
-            pos = triple.index(lit.variable)
+            pos = triple.index(abs(lit))
         except ValueError:
-            raise ValueError(
-                f"variable u{lit.variable} not in triple {triple}"
-            ) from None
-        mask &= _CELLS[pos][lit.negated]
+            raise ValueError(f"variable u{abs(lit)} not in triple {triple}") from None
+        mask &= _CELLS[pos][lit < 0]
     return mask
 
 

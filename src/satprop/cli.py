@@ -125,17 +125,17 @@ def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
         label = f"gen:n={spec.n},m={spec.m_points[0]},seed={spec.seed}"
         return inst, label, {"gen_seed": spec.seed}
     assert config.input_path is not None
-    if config.input_path == "-":
-        text = sys.stdin.read()
-        label = "<stdin>"
-    else:
-        try:
+    stdin = config.input_path == "-"
+    try:
+        if stdin:
+            text = sys.stdin.read()
+        else:
             with open(config.input_path) as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE) from None
-        label = config.input_path
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE) from None
+    label = "<stdin>" if stdin else config.input_path
     result = parse_dimacs(text)
     for diag in result.diagnostics:
         print(f"{label}:{diag}", file=sys.stderr)
@@ -192,6 +192,9 @@ def cmd_solve(config: RunConfig) -> int:
     if build.trivially_unsat:
         engine_verdict = "trivially_unsat"
         stats = asdict(PropStats())
+        if config.trace_path is not None:
+            print(f"{source}: trivially unsatisfiable, nothing to trace",
+                  file=sys.stderr)
     else:
         result = timed(
             "fixpoint",

@@ -171,7 +171,7 @@ def emit_dimacs(instance: Instance) -> str:
     count = len(instance.clauses) + (1 if instance.has_empty_clause else 0)
     lines = [f"p cnf {instance.num_vars} {count}"]
     for clause in instance.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.as_ints()) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     if instance.has_empty_clause:
         lines.append("0")
     return "\n".join(lines) + "\n"

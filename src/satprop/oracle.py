@@ -70,9 +70,9 @@ def _sat_mask(
     acc = full
     for clause in instance.clauses:
         clause_mask = 0
-        for lit in clause.literals:
-            col = columns[pos[lit.variable]]
-            clause_mask |= (full ^ col) if lit.negated else col
+        for lit in clause:
+            col = columns[pos[abs(lit)]]
+            clause_mask |= col if lit > 0 else full ^ col
         acc &= clause_mask
         if acc == 0:
             break
@@ -99,7 +99,7 @@ def brute_force_sat(instance: Instance) -> OracleVerdict:
             return OracleVerdict(False, None, 0)
         cell = (mask & -mask).bit_length() - 1
         return OracleVerdict(True, _cell_to_assignment(cell, vars_order), mask.bit_count())
-    witness = _dpll([list(c.as_ints()) for c in instance.clauses], n)
+    witness = _dpll([list(c) for c in instance.clauses], n)
     if witness is None:
         return OracleVerdict(False, None, None)
     return OracleVerdict(True, witness, None)

@@ -42,12 +42,11 @@ masks are therefore those of applying every edge.
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
 both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
 lookups on the masks from before the update; it builds every block.  It
-shares the graph and the shape tables with the engine, which are tested on
-their own, and no loop, so the two settling to the same state checks the
-worklist.  The adjacency depends only on the set of triples.  It is reused,
-with the blocks built so far, while that set is unchanged and a result
-computed on it is still held, so `extract_assignment` works on the graph
-its result was computed on, and no graph outlives the results that use it.
+shares the graph code and the shape tables with the engine, which are tested
+on their own, and no loop, so the two settling to the same state checks the
+worklist.  Each call builds its own graph and no graph is cached between
+calls; a result holds the graph it was computed on, and `extract_assignment`
+propagates on that one.
 
 Extraction propagates incrementally.  It starts from a closed fixpoint, in
 which no edge can fire, and a unit only removes cells, so after imposing a
@@ -60,11 +59,10 @@ rescanning every edge for every variable and value.
 from __future__ import annotations
 
 import random
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
 # look bc, bc_uni and impose up by name in this module, so all three stay
@@ -103,9 +101,8 @@ class PropagationResult:
     empty_triple: Triple | None
     stats: PropStats
     trace: list[TraceRecord] | None = None
-    # The adjacency the result was computed on; holding it keeps it
-    # available to later fixpoints over the same triples (see _graph_of).
-    _graph: _Graph | None = field(default=None, init=False, repr=False, compare=False)
+    # The adjacency the result was computed on, with the blocks built so far
+    _graph: _Graph = field(init=False, repr=False, compare=False)
 
 
 def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
@@ -215,26 +212,10 @@ class _Graph:
         return tuple((nodes[s], nodes[t]) for s, t in zip(self.src, self.tgt))
 
 
-# The last graph built, held weakly: it lives only as long as a result
-# computed on it.  A graph is a pure function of its triples, so reusing it
-# changes no result.
-_last_graph: Callable[[], _Graph | None] = lambda: None
-
-
-def _graph_of(state: ClausalState) -> _Graph:
-    global _last_graph
-    nodes = tuple(sorted(state.cubes))
-    graph = _last_graph()
-    if graph is None or graph.nodes != nodes:
-        graph = _Graph(nodes)
-        _last_graph = weakref.ref(graph)
-    return graph
-
-
 def build_adjacency(state: ClausalState) -> _Graph:
     """The adjacency of `state`: its `edges` are all ordered pairs of
     distinct triples sharing 1 or 2 variables, in (source, target) order."""
-    return _graph_of(state)
+    return _Graph(tuple(sorted(state.cubes)))
 
 
 def fixpoint(
@@ -265,7 +246,7 @@ def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
     from the masks before the update, until a sweep changes nothing.  The
     empty cube reported is the first all-RED cube in triple order.  `passes`
     counts sweeps and `edge_applications` pair updates."""
-    graph = _graph_of(state)
+    graph = _Graph(tuple(sorted(state.cubes)))
     graph.build_all()
     table = dict(zip(zip(graph.src, graph.tgt), graph.table))
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
@@ -298,7 +279,7 @@ def _propagate(
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
 ) -> PropagationResult:
-    graph = _graph_of(state)
+    graph = _Graph(tuple(sorted(state.cubes)))
     masks = [state.cubes[triple] for triple in graph.nodes]
     stats, empty = _worklist(graph, masks, early_exit, rng, trace)
     empty_triple = None if empty is None else graph.nodes[empty]
@@ -442,7 +423,7 @@ def extract_assignment(
     if result.empty_triple is not None:
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
-    graph = _graph_of(result.fixpoint)
+    graph = result._graph
     masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
     # var -> (cube, position of var in that cube's triple)
     occurrences: dict[int, list[tuple[int, int]]] = {}

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satprop import clausal
 from satprop.clausal import (
     EMPTY,
     TAUTOLOGY,
-    Clause,
     Instance,
-    Literal,
     assignment_restriction,
     build_clausal_partition,
     canonicalize,
@@ -23,7 +20,7 @@ from satprop.dimacs import gen_random_3sat
 
 def clause_of(*lits, num_vars=10):
     result = canonicalize(lits, num_vars)
-    assert isinstance(result, Clause)
+    assert isinstance(result, tuple)
     return result
 
 
@@ -31,7 +28,7 @@ def clause_of(*lits, num_vars=10):
 
 def test_canonicalize_merges_and_sorts():
     c = clause_of(2, -1, 2)
-    assert c.as_ints() == (-1, 2)
+    assert c == (-1, 2)
 
 
 def test_canonicalize_tautology_and_empty():
@@ -44,21 +41,6 @@ def test_canonicalize_rejects_bad_ids():
         canonicalize([0], 3)
     with pytest.raises(ValueError):
         canonicalize([4], 3)
-    with pytest.raises(ValueError):
-        Literal(0, False)
-
-
-def test_canonicalize_shares_literals(monkeypatch):
-    monkeypatch.setattr(clausal, "_LITERALS", {})
-    monkeypatch.setattr(clausal, "_LITERALS_MAX", 4)
-    first, second = clause_of(1, -2, 3), clause_of(-2, 3, 4)
-    assert first.literals[1] is second.literals[0]
-    assert first.literals[2] is second.literals[1]
-    assert len(clausal._LITERALS) == 4
-    # a full table is emptied before it takes another literal
-    third = clause_of(5)
-    assert clausal._LITERALS == {5: third.literals[0]}
-    assert clause_of(-2, 3).literals[0] == Literal(2, True)
 
 
 # --- host triples ------------------------------------------------------------
@@ -104,7 +86,8 @@ def test_forbidden_cells_match_direct_evaluation(data):
     for values in itertools.product([False, True], repeat=3):
         sigma = dict(zip(triple, values))
         cell = assignment_restriction(sigma, triple)
-        assert clause.satisfied_by(sigma) == (cell not in cells)
+        satisfied = any(sigma[abs(lit)] == (lit > 0) for lit in clause)
+        assert satisfied == (cell not in cells)
 
 
 # --- build_clausal_partition -------------------------------------------------
@@ -147,7 +130,9 @@ def test_build_green_iff_all_hosted_clauses_satisfied():
     for triple, mask in build.state.cubes.items():
         for cell in range(8):
             sigma = {v: bool(cell >> i & 1) for i, v in enumerate(triple)}
-            expected = all(c.satisfied_by(sigma) for c in by_triple[triple])
+            expected = all(
+                any(sigma[abs(lit)] == (lit > 0) for lit in c) for c in by_triple[triple]
+            )
             assert (mask >> cell & 1 == 1) == expected
 
 
@@ -185,20 +170,33 @@ def test_instance_rejects_overflow_variable():
         Instance.from_raw(2, [[1, 2, 3]])
 
 
+@pytest.mark.parametrize("clause", [
+    (),  # no literal
+    (1, 2, 3, -3),  # four literals
+    (2, 1),  # variables not ascending
+    (1, -1),  # one variable twice
+    (0, 1),  # literal 0
+    (1, 2, 4),  # variable past num_vars
+])
+def test_instance_rejects_non_canonical_clause(clause):
+    with pytest.raises(ValueError):
+        Instance(3, (clause,))
+
+
 # --- differential: mask construction against the per-cell references ----------
 
 def _forbidden_cells_by_cell(clause, triple):
     """The per-cell loop that built forbidden cells before the mask table."""
     positions = {}
-    for lit in clause.literals:
-        if lit.variable not in triple:
-            raise ValueError(f"variable u{lit.variable} not in triple {triple}")
-        positions[lit.variable] = triple.index(lit.variable)
+    for lit in clause:
+        if abs(lit) not in triple:
+            raise ValueError(f"variable u{abs(lit)} not in triple {triple}")
+        positions[abs(lit)] = triple.index(abs(lit))
     cells = set()
     for cell in range(8):
         falsified = all(
-            (cell >> positions[lit.variable] & 1 == 1) == lit.negated
-            for lit in clause.literals
+            (cell >> positions[abs(lit)] & 1 == 1) == (lit < 0)
+            for lit in clause
         )
         if falsified:
             cells.add(cell)
@@ -206,22 +204,25 @@ def _forbidden_cells_by_cell(clause, triple):
 
 
 def _canonicalize_by_literal(literals, num_vars):
-    """canonicalize as it was, reading every raw literal through a Literal."""
+    """canonicalize as it was, reading every raw literal as a variable and a
+    sign, and rebuilding the clause from them."""
     polarity = {}
-    for raw in literals:
-        lit = raw if isinstance(raw, Literal) else Literal.from_int(raw)
-        if lit.variable > num_vars:
+    for lit in literals:
+        if lit == 0:
+            raise ValueError("literal 0 is reserved as clause terminator")
+        variable, negated = abs(lit), lit < 0
+        if variable > num_vars:
             raise ValueError(
-                f"variable u{lit.variable} exceeds declared count {num_vars}"
+                f"variable u{variable} exceeds declared count {num_vars}"
             )
-        if lit.variable in polarity:
-            if polarity[lit.variable] != lit.negated:
+        if variable in polarity:
+            if polarity[variable] != negated:
                 return TAUTOLOGY
         else:
-            polarity[lit.variable] = lit.negated
+            polarity[variable] = negated
     if not polarity:
         return EMPTY
-    return Clause(tuple(Literal(v, polarity[v]) for v in sorted(polarity)))
+    return tuple(-v if polarity[v] else v for v in sorted(polarity))
 
 
 def _outcome(fn, *args):
@@ -269,14 +270,10 @@ def _assert_front_half_matches(instance, reference):
 @st.composite
 def raw_clauses(draw):
     """num_vars in 1..5 (below 3 the host triples pad past num_vars) and up
-    to six raw clauses of zero to five literals: duplicates, tautologies,
-    literal 0, ids past num_vars, and Literal objects mixed with ints."""
+    to eight raw clauses of zero to five literals: duplicates, tautologies,
+    literal 0 and ids past num_vars."""
     num_vars = draw(st.integers(1, 5))
-    literal = st.integers(-num_vars - 1, num_vars + 1).flatmap(
-        lambda lit: st.sampled_from(
-            [lit] if lit == 0 else [lit, Literal.from_int(lit)]
-        )
-    )
+    literal = st.integers(-num_vars - 1, num_vars + 1)
     return num_vars, draw(st.lists(st.lists(literal, max_size=5), max_size=8))
 
 

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -190,6 +191,16 @@ def test_solve_unreadable_input_exit_2(capsys, tmp_path):
         assert err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "trace"])
+def test_undecodable_stdin_exit_2(capsys, monkeypatch, subcommand):
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    code, out, err = run(capsys, subcommand, "--input", "-")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
+
+
 def test_solve_satlib_file_with_trailer(capsys):
     path = Path(__file__).parent / "data" / "satlib_trailer.cnf"
     code, out, err = run(capsys, "solve", "--input", str(path), "--oracle", "on")
@@ -236,6 +247,17 @@ def test_solve_trivially_unsat(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--input", str(path), "--oracle", "on")
     assert code == EXIT_UNSAT
     assert json.loads(out)["engine_verdict"] == "trivially_unsat"
+
+
+def test_solve_trace_notes_trivially_unsat(capsys, tmp_path):
+    path, trace_path = tmp_path / "empty.cnf", tmp_path / "trace.json"
+    path.write_text("p cnf 3 1\n0\n")
+    code, out, err = run(capsys, "solve", "--input", str(path), "--oracle", "off",
+                         "--trace", str(trace_path))
+    assert code == EXIT_UNSAT
+    assert json.loads(out)["engine_verdict"] == "trivially_unsat"
+    assert err.endswith(f"{path}: trivially unsatisfiable, nothing to trace\n")
+    assert not trace_path.exists()
 
 
 def test_solve_deterministic_output(capsys, tmp_path):
@@ -435,7 +457,7 @@ def test_bench_counts_informative_cubes(capsys):
         want = 0
         for i in range(point["count"]):
             inst = gen_random_3sat(6, point["m"], instance_seed(3, point_index, i))
-            hosts = [clause.variables() for clause in set(inst.clauses)]
+            hosts = [tuple(map(abs, clause)) for clause in set(inst.clauses)]
             want += sum(hosts.count(t) >= 2 for t in set(hosts))
         assert point["informative_cubes"] == want
     assert [p["informative_cubes"] > 0 for p in points] == [False, True, True]

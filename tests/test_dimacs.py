@@ -27,7 +27,7 @@ def test_parse_basic_instance():
     assert inst is not None
     assert inst.num_vars == 3
     assert len(inst.clauses) == 1
-    assert inst.clauses[0].as_ints() == (-1, 2, -3)
+    assert inst.clauses[0] == (-1, 2, -3)
     assert result.errors == []
 
 
@@ -51,7 +51,7 @@ def test_parse_comments_and_multiline_clauses():
     text = "c header comment\np cnf 4 2\n1 -2\n3 0 2 3\n-4 0\n"
     result = parse_dimacs(text)
     assert result.instance is not None
-    assert [c.as_ints() for c in result.instance.clauses] == [
+    assert list(result.instance.clauses) == [
         (1, -2, 3), (2, 3, -4)]
 
 
@@ -69,7 +69,7 @@ def test_parse_satlib_trailer():
     assert result.diagnostics == []
     assert result.instance is not None
     assert not result.instance.has_empty_clause
-    assert [c.as_ints() for c in result.instance.clauses] == [
+    assert list(result.instance.clauses) == [
         (1, -2, 3), (-1, 4, -5), (2, -3, -4), (-1, -2, 5)]
 
 
@@ -119,7 +119,7 @@ def test_parse_canonicalizes_each_clause_once(monkeypatch):
     monkeypatch.setattr(Instance, "__post_init__", counting_post_init)
     result = parse_dimacs("p cnf 4 3\n1 -1 2 0\n0\n1 2 3 0\n")
     inst = result.instance
-    assert [c.as_ints() for c in inst.clauses] == [(1, 2, 3)]
+    assert list(inst.clauses) == [(1, 2, 3)]
     assert inst.num_vars == 4
     assert inst.has_empty_clause
     assert inst.tautologies_dropped == 1
@@ -327,7 +327,7 @@ def test_generator_shape():
     assert len(inst.clauses) + inst.tautologies_dropped == 42
     assert inst.tautologies_dropped == 0
     for clause in inst.clauses:
-        vars_ = clause.variables()
+        vars_ = tuple(map(abs, clause))
         assert len(set(vars_)) == 3
         assert all(1 <= v <= 10 for v in vars_)
 

@@ -66,7 +66,7 @@ def test_dpll_agrees_with_truth_table_on_small_instances():
     for seed in range(20):
         inst = gen_random_3sat(8, 30, seed=seed)
         table = oracle.brute_force_sat(inst)
-        witness = oracle._dpll([list(c.as_ints()) for c in inst.clauses], 8)
+        witness = oracle._dpll([list(c) for c in inst.clauses], 8)
         assert (witness is not None) == table.satisfiable
         if witness is not None:
             assert inst.evaluate(witness)

@@ -266,7 +266,7 @@ def _with_extra_clauses(n, m, seed, extra, flips):
     """A random instance plus, on the triples of its first `extra` clauses,
     a copy of each clause per sign pattern in `flips`: those cubes start
     with at most 6 GREEN cells, so their blocks are built and applied."""
-    raw = [list(clause.as_ints()) for clause in gen_random_3sat(n, m, seed).clauses]
+    raw = [list(clause) for clause in gen_random_3sat(n, m, seed).clauses]
     raw += [[sign * lit for sign, lit in zip(signs, lits)]
             for lits in raw[:extra] for signs in flips]
     return Instance.from_raw(n, raw)
@@ -275,10 +275,10 @@ def _with_extra_clauses(n, m, seed, extra, flips):
 def _embedded_core(n, m, seed):
     """A random instance at n variables holding a 12-variable instance that
     the engine refutes only after 17 passes, on variables spread over 1..n."""
-    raw = [list(clause.as_ints()) for clause in gen_random_3sat(n, m, seed).clauses]
+    raw = [list(clause) for clause in gen_random_3sat(n, m, seed).clauses]
     stride = n // 13
     for clause in gen_random_3sat(12, 60, seed=2).clauses:
-        raw.append([stride * lit for lit in clause.as_ints()])
+        raw.append([stride * lit for lit in clause])
     return Instance.from_raw(n, raw)
 
 
