@@ -37,7 +37,9 @@ Clause = tuple[int, ...]
 
 def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     """Merge duplicate literals, sort by variable, detect tautologies and
-    the empty clause.  Raises on variable ids outside 1..num_vars."""
+    the empty clause.  Raises on variable ids outside 1..num_vars.  The
+    width is not checked here: a result of more than three literals is
+    rejected by `Instance`."""
     polarity: dict[int, int] = {}  # variable -> its literal
     for lit in literals:
         if lit == 0:
