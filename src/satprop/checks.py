@@ -85,14 +85,16 @@ def uni_bi_confluence(
 ) -> str | None:
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
-    under each of `order_seeds`."""
-    base = propagate.fixpoint(state, early_exit=False)
+    under each of `order_seeds`.  All of them run on one graph."""
+    graph = propagate.build_adjacency(state)
+    base = propagate.fixpoint(state, early_exit=False, _graph=graph)
     want = (base.fixpoint, base.empty_triple)
-    bi = propagate.bidirectional_fixpoint(state)
+    bi = propagate.bidirectional_fixpoint(state, _graph=graph)
     if (bi.fixpoint, bi.empty_triple) != want:
         return f"uni/bi fixpoint mismatch on {name}"
     for order_seed in order_seeds:
-        alt = propagate.fixpoint(state, order="random", seed=order_seed, early_exit=False)
+        alt = propagate.fixpoint(
+            state, order="random", seed=order_seed, early_exit=False, _graph=graph)
         if (alt.fixpoint, alt.empty_triple) != want:
             return f"confluence violated on {name}, order {order_seed}"
     return None

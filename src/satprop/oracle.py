@@ -1,14 +1,16 @@
-"""Independent brute-force ground truth.
+"""Independent ground truth.
 
-Everything here recomputes results by direct enumeration, deliberately
-avoiding the partition-combination code it is used to check: SAT decisions
-and model counts come from truth tables (or DPLL with unit propagation for
-larger decide-only instances), and the join-semantics reference for the
-two-sided combination scans the neighbor's cells for support directly.
-Only the Partition value type is shared.
+Everything here recomputes results directly, deliberately avoiding the
+partition-combination code it is used to check.  SAT decisions come from
+DPLL with unit propagation at every size; the projections of the solution
+set onto triples and the conjunction table come from truth tables, a mask
+over all assignments, since their cells are the answer; and the
+join-semantics reference for the two-sided combination scans the
+neighbor's cells for support directly.  Only the Partition value type is
+shared.
 
 Size guards are hard errors, not silent truncation: decide <= 30 vars,
-count/project <= 20, full truth-table partition <= 16.
+project <= 20, full truth-table partition <= 16.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .bitspace import Partition
 from .clausal import Instance, Triple
 
 DECIDE_LIMIT = 30
-COUNT_LIMIT = 20
+PROJECT_LIMIT = 20
 TRUTH_TABLE_LIMIT = 16
 
 
@@ -28,7 +30,6 @@ TRUTH_TABLE_LIMIT = 16
 class OracleVerdict:
     satisfiable: bool
     witness: dict[int, bool] | None
-    solution_count: int | None
 
 
 # Cells 0-7 of the column of positions 0, 1 and 2, as one byte.
@@ -79,59 +80,37 @@ def _sat_mask(
     return acc
 
 
-def _cell_to_assignment(cell: int, vars_order: Sequence[int]) -> dict[int, bool]:
-    return {v: bool(cell >> i & 1) for i, v in enumerate(vars_order)}
-
-
 def brute_force_sat(instance: Instance) -> OracleVerdict:
-    """Exact SAT decision; exact model count when num_vars <= 20."""
+    """Exact SAT decision by DPLL, with a full model when satisfiable."""
     n = instance.num_vars
     if n > DECIDE_LIMIT:
         raise ValueError(f"num_vars {n} exceeds oracle decide limit {DECIDE_LIMIT}")
     if instance.has_empty_clause:
-        return OracleVerdict(False, None, 0 if n <= COUNT_LIMIT else None)
-    if n == 0:
-        return OracleVerdict(True, {}, 1)
-    if n <= COUNT_LIMIT:
-        vars_order = tuple(range(1, n + 1))
-        mask = _sat_mask(instance, vars_order)
-        if mask == 0:
-            return OracleVerdict(False, None, 0)
-        cell = (mask & -mask).bit_length() - 1
-        return OracleVerdict(True, _cell_to_assignment(cell, vars_order), mask.bit_count())
+        return OracleVerdict(False, None)
     witness = _dpll([list(c) for c in instance.clauses], n)
-    if witness is None:
-        return OracleVerdict(False, None, None)
-    return OracleVerdict(True, witness, None)
+    return OracleVerdict(witness is not None, witness)
 
 
 def _dpll(clauses: list[list[int]], num_vars: int) -> dict[int, bool] | None:
-    """Plain DPLL with unit propagation; returns a full model or None."""
+    """DPLL with unit propagation, branching on the first literal of a
+    shortest clause; returns a model of all of 1..num_vars or None."""
     assignment: dict[int, bool] = {}
 
-    def solve(clauses: list[list[int]]) -> bool:
-        while True:
-            unit = None
-            for clause in clauses:
-                if not clause:
-                    return False
-                if len(clause) == 1:
-                    unit = clause[0]
-                    break
-            if unit is None:
-                break
-            assignment[abs(unit)] = unit > 0
-            clauses = _assign(clauses, unit)
-        if not clauses:
-            return True
-        var = abs(clauses[0][0])
-        for value in (True, False):
-            lit = var if value else -var
-            assignment[var] = value
-            if solve(_assign(clauses, lit)):
-                return True
-            del assignment[var]
-        return False
+    def solve(clauses: list[list[int]] | None) -> bool:
+        while clauses:
+            shortest = min(clauses, key=len)
+            lit = shortest[0]
+            if len(shortest) > 1:
+                var = abs(lit)
+                for choice in (lit, -lit):
+                    assignment[var] = choice > 0
+                    if solve(_assign(clauses, choice)):
+                        return True
+                del assignment[var]
+                return False
+            assignment[abs(lit)] = lit > 0
+            clauses = _assign(clauses, lit)
+        return clauses is not None
 
     if solve(clauses):
         for v in range(1, num_vars + 1):
@@ -140,15 +119,18 @@ def _dpll(clauses: list[list[int]], num_vars: int) -> dict[int, bool] | None:
     return None
 
 
-def _assign(clauses: list[list[int]], lit: int) -> list[list[int]]:
+def _assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
+    """The clauses left once `lit` is true, or None if one of them is
+    falsified."""
     out = []
     for clause in clauses:
         if lit in clause:
             continue
         if -lit in clause:
-            out.append([x for x in clause if x != -lit])
-        else:
-            out.append(clause)
+            clause = [x for x in clause if x != -lit]
+            if not clause:
+                return None
+        out.append(clause)
     return out
 
 
@@ -193,9 +175,9 @@ def projected_solution_sets(
     for triple in triples:
         var_set.update(triple)
     vars_order = tuple(sorted(var_set))
-    if len(vars_order) > COUNT_LIMIT:
+    if len(vars_order) > PROJECT_LIMIT:
         raise ValueError(
-            f"{len(vars_order)} variables exceeds projection limit {COUNT_LIMIT}"
+            f"{len(vars_order)} variables exceeds projection limit {PROJECT_LIMIT}"
         )
     columns = _columns(len(vars_order))
     mask = _sat_mask(instance, vars_order, columns)

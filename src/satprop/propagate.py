@@ -44,9 +44,11 @@ both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
 lookups on the masks from before the update; it builds every block.  It
 shares the graph code and the shape tables with the engine, which are tested
 on their own, and no loop, so the two settling to the same state checks the
-worklist.  Each call builds its own graph and no graph is cached between
-calls; a result holds the graph it was computed on, and `extract_assignment`
-propagates on that one.
+worklist.  Each call builds its own graph, unless handed one through the
+private `_graph` argument (`checks.uni_bi_confluence` runs all its fixpoints
+of one state on one graph), and no graph is cached between calls; a result
+holds the graph it was computed on, and `extract_assignment` propagates on
+that one.
 
 Extraction propagates incrementally.  It starts from a closed fixpoint, in
 which no edge can fire, and a unit only removes cells, so after imposing a
@@ -224,6 +226,8 @@ def fixpoint(
     seed: int | None = None,
     early_exit: bool = True,
     record_trace: bool = False,
+    *,
+    _graph: _Graph | None = None,
 ) -> PropagationResult:
     """Run the unidirectional operator to steady state.
 
@@ -231,22 +235,25 @@ def fixpoint(
     the initial worklist (and each re-enqueue batch) with the given seed.
     early_exit stops at the first all-RED cube; disable it to force full
     closure (the fixpoint masks can differ below an empty cube, the verdict
-    cannot).
+    cannot).  `_graph`, if given, is `build_adjacency(state)` from an
+    earlier call; which of its blocks are already built changes no result.
     """
     if order not in ("fifo", "random"):
         raise ValueError(f"unknown order {order!r}, expected 'fifo' or 'random'")
     rng = random.Random(seed) if order == "random" else None
     trace: list[TraceRecord] | None = [] if record_trace else None
-    return _propagate(state, early_exit, rng, trace)
+    return _propagate(state, early_exit, rng, trace, _graph)
 
 
-def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
+def bidirectional_fixpoint(
+    state: ClausalState, *, _graph: _Graph | None = None
+) -> PropagationResult:
     """The closed fixpoint of the two-sided combination, by Gauss-Seidel
     sweeps: each adjacent pair a < b, in order, is updated on both sides
     from the masks before the update, until a sweep changes nothing.  The
     empty cube reported is the first all-RED cube in triple order.  `passes`
     counts sweeps and `edge_applications` pair updates."""
-    graph = _Graph(tuple(sorted(state.cubes)))
+    graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     graph.build_all()
     table = dict(zip(zip(graph.src, graph.tgt), graph.table))
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
@@ -278,8 +285,10 @@ def _propagate(
     early_exit: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
+    graph: _Graph | None = None,
 ) -> PropagationResult:
-    graph = _Graph(tuple(sorted(state.cubes)))
+    if graph is None:
+        graph = _Graph(tuple(sorted(state.cubes)))
     masks = [state.cubes[triple] for triple in graph.nodes]
     stats, empty = _worklist(graph, masks, early_exit, rng, trace)
     empty_triple = None if empty is None else graph.nodes[empty]

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ from satprop import oracle
 from satprop.bitspace import Partition, assemble, project
 from satprop.clausal import Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
+from satprop.propagate import fixpoint
 
 
 def _column_by_formula(pos, n):
@@ -24,11 +29,34 @@ def test_columns_match_formula():
         assert oracle._column(pos, 20) == _column_by_formula(pos, 20)
 
 
+def _model_count(inst):
+    """The number of satisfying assignments, by enumerating all of them."""
+    return sum(
+        inst.evaluate(dict(enumerate(values, start=1)))
+        for values in itertools.product([False, True], repeat=inst.num_vars)
+    )
+
+
+def _table_count(inst):
+    """The number of satisfying assignments, from the conjunction table."""
+    table = oracle.conjunction_truth_table(inst)
+    return table.green_count() << (inst.num_vars - len(table.coords))
+
+
+def _assert_witness(inst, verdict):
+    """A SAT verdict's witness assigns every variable and satisfies `inst`."""
+    if verdict.satisfiable:
+        assert set(verdict.witness) == set(range(1, inst.num_vars + 1))
+        assert inst.evaluate(verdict.witness)
+    else:
+        assert verdict.witness is None
+
+
 def test_brute_force_single_clause():
     inst = Instance.from_raw(3, [[1, 2, 3]])
     verdict = oracle.brute_force_sat(inst)
     assert verdict.satisfiable
-    assert verdict.solution_count == 7
+    assert _table_count(inst) == _model_count(inst) == 7
     assert inst.evaluate(verdict.witness)
 
 
@@ -37,15 +65,18 @@ def test_brute_force_all_polarities_unsat():
         [v if s else -v for v, s in zip((1, 2, 3), signs)]
         for signs in itertools.product([False, True], repeat=3)
     ]
-    verdict = oracle.brute_force_sat(Instance.from_raw(3, raws))
+    inst = Instance.from_raw(3, raws)
+    verdict = oracle.brute_force_sat(inst)
     assert not verdict.satisfiable
-    assert verdict.solution_count == 0
+    assert _table_count(inst) == _model_count(inst) == 0
 
 
 def test_brute_force_no_clauses():
-    verdict = oracle.brute_force_sat(Instance.from_raw(3, []))
+    inst = Instance.from_raw(3, [])
+    verdict = oracle.brute_force_sat(inst)
     assert verdict.satisfiable
-    assert verdict.solution_count == 8
+    assert _table_count(inst) == _model_count(inst) == 8
+    _assert_witness(inst, verdict)
 
 
 def test_brute_force_guard():
@@ -54,22 +85,115 @@ def test_brute_force_guard():
 
 
 def test_brute_force_dpll_path_agrees_with_table():
-    # 22 variables forces the DPLL path; cross-check a shrunken twin
+    # past the projection limit the verdict is still a decision with a
+    # witness and no model count, and it agrees with the truth table
     inst = gen_random_3sat(22, 60, seed=11)
     verdict = oracle.brute_force_sat(inst)
-    assert verdict.solution_count is None
-    if verdict.satisfiable:
-        assert inst.evaluate(verdict.witness)
+    assert [f.name for f in dataclasses.fields(verdict)] == ["satisfiable", "witness"]
+    assert verdict.satisfiable == (oracle._sat_mask(inst, range(1, 23)) != 0)
+    _assert_witness(inst, verdict)
+
+
+def _decide_cases():
+    """Seeded random 3SAT at n in {3, 8, 12, 16, 20} and ratios 1-8, and
+    the shapes of the README sweep (n=12, m=12..72) and of the n=20 sweep
+    (n=20, m=60..110)."""
+    for n in (3, 8, 12, 16, 20):
+        for ratio in range(1, 9):
+            for seed in range(5 if n < 20 else 2):
+                yield gen_random_3sat(n, ratio * n, seed=seed)
+    for m in range(12, 73, 6):
+        for seed in range(100, 105):
+            yield gen_random_3sat(12, m, seed=seed)
+    for m in range(60, 111, 5):
+        for seed in range(100, 103):
+            yield gen_random_3sat(20, m, seed=seed)
 
 
 def test_dpll_agrees_with_truth_table_on_small_instances():
-    for seed in range(20):
-        inst = gen_random_3sat(8, 30, seed=seed)
-        table = oracle.brute_force_sat(inst)
-        witness = oracle._dpll([list(c) for c in inst.clauses], 8)
-        assert (witness is not None) == table.satisfiable
-        if witness is not None:
-            assert inst.evaluate(witness)
+    outcomes = set()
+    for inst in _decide_cases():
+        n = inst.num_vars
+        verdict = oracle.brute_force_sat(inst)
+        assert verdict.satisfiable == (oracle._sat_mask(inst, range(1, n + 1)) != 0)
+        _assert_witness(inst, verdict)
+        outcomes.add(verdict.satisfiable)
+    assert outcomes == {False, True}
+
+
+# --- 3-XORSAT: structured inputs the engine never prunes ----------------------
+
+def _xorsat(n, equations, seed):
+    """A random 3-XORSAT system in CNF: `equations` parities x ^ y ^ z = b on
+    distinct triples, each as the 4 clauses that forbid the assignments of
+    the wrong parity.  Returns the instance and the system as (triple, b)."""
+    rng = random.Random(seed)
+    triples = set()
+    while len(triples) < equations:
+        triples.add(tuple(sorted(rng.sample(range(1, n + 1), 3))))
+    system = [(triple, rng.randrange(2)) for triple in sorted(triples)]
+    clauses = []
+    for triple, b in system:
+        for values in itertools.product([0, 1], repeat=3):
+            if sum(values) % 2 != b:  # forbid it: each literal false there
+                clauses.append([-v if x else v for v, x in zip(triple, values)])
+    return Instance.from_raw(n, clauses), system
+
+
+def _gf2_solvable(system):
+    """Gaussian elimination over GF(2) on rows (variable bitmask, parity)."""
+    pivots = {}  # pivot bit -> row whose lowest set bit it is
+    for triple, b in system:
+        row = sum(1 << (v - 1) for v in triple)
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = (row, b)
+                break
+            prow, pb = pivots[low]
+            row, b = row ^ prow, b ^ pb
+        else:
+            if b:  # 0 = 1
+                return False
+    return True
+
+
+def test_dpll_decides_3xorsat_like_gaussian_elimination():
+    # 20 equations on 16 variables are mostly UNSAT; 10 equations give the
+    # SAT side, where the witness is checked
+    outcomes = set()
+    for equations in (20, 10):
+        for seed in range(30):
+            inst, system = _xorsat(16, equations, seed)
+            assert len(inst.clauses) == 4 * equations
+            verdict = oracle.brute_force_sat(inst)
+            assert verdict.satisfiable == _gf2_solvable(system)
+            _assert_witness(inst, verdict)
+            outcomes.add(verdict.satisfiable)
+            # every cube is a parity cube, inert, so propagation changes nothing
+            result = fixpoint(build_clausal_partition(inst).state, early_exit=False)
+            assert result.stats.applications_changed == 0
+            assert result.empty_triple is None
+    assert outcomes == {False, True}
+
+
+# --- independence ---------------------------------------------------------------
+
+def test_oracle_imports_only_value_types():
+    # the oracle must share no code with the engine it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("satprop")
+        ):
+            module = (node.module or "").removeprefix("satprop.")
+            imported.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("satprop") for a in node.names)
+    assert imported == {("bitspace", "Partition"), ("clausal", "Instance"),
+                        ("clausal", "Triple")}
+    assert not {module for module, _ in imported} & {"propagate", "checks"}
 
 
 # --- join_semantics_oracle -----------------------------------------------------
@@ -152,9 +276,8 @@ def test_truth_table_agrees_with_brute_force_count():
     for seed in range(10):
         inst = gen_random_3sat(9, 25, seed=seed)
         table = oracle.conjunction_truth_table(inst)
-        verdict = oracle.brute_force_sat(inst)
         free = inst.num_vars - len(table.coords)
-        assert table.green_count() * (1 << free) == verdict.solution_count
+        assert table.green_count() * (1 << free) == _model_count(inst)
 
 
 def test_truth_table_guard():

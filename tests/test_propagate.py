@@ -109,6 +109,19 @@ def test_cubes_with_seven_green_cells_are_inert():
     assert six_green_pruning == 36
 
 
+def test_inert_masks_are_the_independent_sets_of_the_cube():
+    # a mask prunes nothing along any shape exactly when no two of its RED
+    # cells differ in one variable, that is are adjacent on the 3-cube
+    inert = 0
+    for mask in range(256):
+        red = [cell for cell in range(8) if not mask >> cell & 1]
+        independent = all((a ^ b).bit_count() != 1
+                          for a, b in itertools.combinations(red, 2))
+        assert all(t[mask] == 0xFF for t in _TABLES.values()) == independent, mask
+        inert += independent
+    assert inert == 35
+
+
 def test_graph_edges_carry_their_shape_table():
     state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
     graph = _Graph(tuple(state.triples()))
@@ -357,6 +370,38 @@ def test_fixpoint_confluent_across_orders():
         inst = gen_random_3sat(9, 35, seed=100 + seed)
         build = build_clausal_partition(inst)
         assert checks.uni_bi_confluence(build.state, f"seed {100 + seed}", range(4)) is None
+
+
+def test_confluence_check_builds_one_graph(monkeypatch):
+    graphs = []
+    init = _Graph.__init__
+
+    def counting_init(self, nodes):
+        graphs.append(nodes)
+        init(self, nodes)
+
+    monkeypatch.setattr(_Graph, "__init__", counting_init)
+    for seed in range(3):
+        state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
+        graphs.clear()
+        assert checks.uni_bi_confluence(state, f"seed {300 + seed}", range(3)) is None
+        assert len(graphs) == 1
+
+
+def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
+    # the blocks an earlier run built change no stat, trace or mask
+    for seed in range(5):
+        state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
+        graph = build_adjacency(state)
+        bidirectional_fixpoint(state, _graph=graph)  # builds every block
+        for order, order_seed in (("fifo", None), ("random", 0), ("random", 5)):
+            for early_exit in (True, False):
+                shared = fixpoint(state, order, order_seed, early_exit, True, _graph=graph)
+                fresh = fixpoint(state, order, order_seed, early_exit, True)
+                assert shared._graph is graph
+                assert (shared.fixpoint, shared.empty_triple, shared.stats,
+                        shared.trace) == (fresh.fixpoint, fresh.empty_triple,
+                                          fresh.stats, fresh.trace)
 
 
 def test_fixpoint_rejects_unknown_order():
