@@ -3,9 +3,10 @@
 A Partition colors every point of a small Boolean cube GREEN (allowed) or
 RED (disallowed).  Two cellwise operators exist: WS keeps GREEN alive
 (disjunction) and BS keeps RED alive (conjunction).  On top of those sit
-the structural operations: cross products, projection onto a coordinate
-subset (GREEN-preserving fold), cylindrical lifting, imposition, and the
-two-sided / one-sided combination of overlapping cubes (bc / bc_uni).
+the structural operations: projection onto a coordinate subset
+(GREEN-preserving fold), cylindrical lifting, imposition, the two-sided /
+one-sided combination of overlapping cubes (bc / bc_uni), and the assembly
+of several partitions into one on the union of their coordinates.
 
 Cell indexing convention (used everywhere in this package): coordinates
 are kept sorted ascending; the coordinate at position i contributes bit
@@ -132,47 +133,6 @@ def _lift_mask(mask: int, sub: tuple[int, ...], coords: tuple[int, ...]) -> int:
         if mask >> idx & 1:
             out |= fiber
     return out
-
-
-def cellwise_ws(p: Partition, q: Partition) -> Partition:
-    """Apply WS cell by cell to two partitions on the same coordinates."""
-    _check_same_coords(p, q)
-    return Partition(p.coords, p.green_mask | q.green_mask)
-
-
-def cellwise_bs(p: Partition, q: Partition) -> Partition:
-    """Apply BS cell by cell to two partitions on the same coordinates."""
-    _check_same_coords(p, q)
-    return Partition(p.coords, p.green_mask & q.green_mask)
-
-
-def _check_same_coords(p: Partition, q: Partition) -> None:
-    if p.coords != q.coords:
-        raise ValueError(
-            f"coordinate mismatch: {list(p.coords)} vs {list(q.coords)}"
-        )
-
-
-def cross_ws(p: Partition, q: Partition) -> Partition:
-    """Cross-product extension over disjoint coordinates under WS."""
-    return _cross(p, q, use_ws=True)
-
-
-def cross_bs(p: Partition, q: Partition) -> Partition:
-    """Cross-product extension over disjoint coordinates under BS."""
-    return _cross(p, q, use_ws=False)
-
-
-def _cross(p: Partition, q: Partition, use_ws: bool) -> Partition:
-    overlap = set(p.coords) & set(q.coords)
-    if overlap:
-        raise ValueError(f"cross requires disjoint coordinates, shared: {sorted(overlap)}")
-    coords = tuple(sorted(p.coords + q.coords))
-    if len(coords) > MAX_DIM:
-        raise ValueError(f"cross result dimension {len(coords)} exceeds {MAX_DIM}")
-    pm = _lift_mask(p.green_mask, p.coords, coords)
-    qm = _lift_mask(q.green_mask, q.coords, coords)
-    return Partition(coords, pm | qm if use_ws else pm & qm)
 
 
 def project(p: Partition, target: Sequence[int]) -> Partition:

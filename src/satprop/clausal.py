@@ -155,13 +155,6 @@ def _forbidden_mask(clause: Clause, triple: Triple) -> int:
     return mask
 
 
-def forbidden_cells(clause: Clause, triple: Triple) -> set[int]:
-    """Cell indices of the host triple whose assignments falsify the clause:
-    one cell for a 3-variable clause, 2^(3-t) for a t-variable clause."""
-    mask = _forbidden_mask(clause, triple)
-    return {cell for cell in range(8) if mask >> cell & 1}
-
-
 @dataclass
 class ClausalState:
     """Mapping from canonical variable triples to the GREEN masks of their
@@ -197,13 +190,3 @@ def build_clausal_partition(instance: Instance) -> ClausalBuild:
     state = ClausalState(dict(sorted(cubes.items())))
     return ClausalBuild(state, instance.has_empty_clause)
 
-
-def assignment_restriction(
-    assignment: Mapping[int, bool], triple: Sequence[int]
-) -> int:
-    """Cell index of an assignment's restriction to a coordinate tuple."""
-    cell = 0
-    for i, var in enumerate(triple):
-        if assignment[var]:
-            cell |= 1 << i
-    return cell

@@ -19,23 +19,33 @@ Each shape has a 256-entry table, built from `bitspace.bc_uni` at import,
 that maps a source mask to the target cells it supports, so applying an
 edge is `masks[t] & table[masks[s]]`.
 
-Most cubes cannot prune.  A cube with at least 7 GREEN cells, an inert
-cube, has at most one RED cell, so every assignment of any one or two of its
-variables extends to a GREEN cell: each shape table maps its mask to 0xFF,
-and an edge out of it changes nothing.  In random 3SAT a cube has at most 6
-GREEN cells only when its triple hosts two distinct clauses.  So the graph
-is lazy.  Out-degrees come from the variable -> cubes index by inclusion-
-exclusion: the cubes sharing a variable with (a, b, c) number |C(a)| + |C(b)|
-+ |C(c)| - |C(ab)| - |C(ac)| - |C(bc)|, the cube itself being the only one
-that holds all three.  They fix every block's range of edge ids, and a
-block's targets and tables are built when one of its edges is applied from
-a cube that is not inert.  The worklist skips, as one step, a queued block
-whose source is inert when it comes up, and any edge out of an inert cube
-that is not built.  Each skipped edge is counted as an application, and
-that is all applying it would do: it would change no mask, so it would add
-no trace record and requeue nothing.  None of a block's edges targets its
-source, so the source stays inert through the block.  Stats, traces and
-masks are therefore those of applying every edge.
+Most cubes cannot prune.  An edge imposes the source's projection onto the
+one or two shared variables, and that projection is full unless two RED
+cells of the source differ in one variable.  A cube whose RED cells are
+pairwise at distance two or more on the 3-cube, an inert cube, has a mask
+that every shape table maps to 0xFF, so an edge out of it changes nothing.
+Every mask with at least 7 GREEN cells is inert, and in random 3SAT a cube
+has at most 6 only when its triple hosts two distinct clauses.  So the
+graph is lazy.  Out-degrees come from the variable -> cubes index by
+inclusion-exclusion: the cubes sharing a variable with (a, b, c) number
+|C(a)| + |C(b)| + |C(c)| - |C(ab)| - |C(ac)| - |C(bc)|, the cube itself
+being the only one that holds all three.  They fix every block's range of
+edge ids, and a block's targets and tables are built when it is applied
+from a cube that is not inert.
+
+The worklist's unit of work is a block.  In FIFO order every item is a
+block `~s`: it is counted as applied in full when it comes up, skipped if
+its source is inert, and otherwise applied in one loop over its edges.
+None of a block's edges targets its source, so the source cannot change
+while its block runs.  Each block is either queued as a whole or not at
+all, bar the one being applied, so a cube that changes is requeued by one
+check of its first edge and one appended item.  An empty cube that ends
+the run under early exit in the middle of a block takes the block's
+unapplied edges off the count again.  In random order the items are single
+edges, shuffled at the start and on each requeue, and an edge out of an
+inert cube is skipped the same way.  A skipped edge would change no mask,
+add no trace record and requeue nothing, so stats, traces and masks are
+those of applying every edge, one at a time, in queue order.
 
 `fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
@@ -145,9 +155,10 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
 
 _TABLES = _shape_tables()
 
-# _INERT[m] is 1 when mask m has at least 7 GREEN cells.  Every shape table
-# maps such a mask to 0xFF, so no edge out of an inert cube changes anything.
-_INERT = bytes(mask.bit_count() >= 7 for mask in range(256))
+# _INERT[m] is 1 when every shape table maps mask m to 0xFF, so that no edge
+# out of a cube with mask m changes anything: 35 masks, those whose RED cells
+# are pairwise at distance two or more on the 3-cube.
+_INERT = bytes(all(t[mask] == 0xFF for t in _TABLES.values()) for mask in range(256))
 
 
 class _Graph:
@@ -309,23 +320,27 @@ def _worklist(
     """The propagation loop.  Updates `masks` in place and returns the stats
     and the id of the empty cube it reports, if any.
 
-    Work items are edge ids, and `~s` for the whole block of cube s.  By
-    default every edge starts queued: block by block in id order, or as edge
-    ids shuffled by `rng`.  `sources` queues only the blocks of those cubes,
-    in the order given, and the caller guarantees that no mask is empty on
-    entry.  A None marker ends each pass.  When a cube changes, its
-    out-edges that are not already queued are appended, shuffled by `rng`.
+    Work items are `~s` for the whole block of cube s and, under `rng`, edge
+    ids.  By default every edge starts queued: block by block in id order,
+    or as edge ids shuffled by `rng`.  `sources` queues only the blocks of
+    those cubes, in the order given, and the caller guarantees that no mask
+    is empty on entry.  A None marker ends each pass.
 
-    A queued block whose source is inert when it comes up is counted as
-    applied and skipped, since its source cannot change while its edges are
-    applied (none of them targets it); any other block is queued edge by
-    edge in its place.  An edge of a block not yet built is skipped the same
-    way when its source is inert, and builds the block when it is not.
+    An item is counted as applied in full and dequeued when it comes up.  If
+    its source is inert it is skipped: none of its edges targets its source,
+    which therefore stays inert through them.  Otherwise its block is built
+    if need be and its edges applied in one loop.  When a cube changes, it
+    is requeued: without `rng` as one block item, and only if its block is
+    not queued already, since then every block is queued in full or not at
+    all, bar the one being applied; under `rng`, its out-edges that are not
+    queued are appended as edge items, shuffled.  An empty cube met under
+    `early_exit` ends the loop in the middle of an item, and the edges of
+    the item not yet applied are taken off the count again.
     """
     if sources is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
     nodes, src, tgt, table = graph.nodes, graph.src, graph.tgt, graph.table
-    first, build, inert = graph.first, graph.build, _INERT
+    first, built, build, inert = graph.first, graph.built, graph.build, _INERT
     count = len(tgt)
 
     items: list[int]
@@ -343,7 +358,7 @@ def _worklist(
             rng.shuffle(items)
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
-    popleft, extend, extendleft = queue.popleft, queue.extend, queue.extendleft
+    popleft, append, extend = queue.popleft, queue.append, queue.extend
     passes = 1 if count else 0
     applications = changed = removed_total = 0
     changed_this_pass = False
@@ -354,51 +369,55 @@ def _worklist(
         if item is None:
             if queue and changed_this_pass:
                 passes += 1
-                queue.append(None)
+                append(None)
                 changed_this_pass = False
             continue
         if item < 0:
             s = ~item
             lo, hi = first[s], first[s + 1]
-            if inert[masks[s]]:
-                applications += hi - lo
-                queued[lo:hi] = bytes(hi - lo)
-            else:
-                extendleft(range(hi - 1, lo - 1, -1))
-            continue
-        queued[item] = 0
-        applications += 1
-        s = src[item]
+            queued[lo:hi] = bytes(hi - lo)
+        else:
+            s, lo, hi = src[item], item, item + 1
+            queued[item] = 0
+        applications += hi - lo
         source = masks[s]
-        onto = table[item]
-        if onto is None:  # an unbuilt block
-            if inert[source]:
-                continue
-            build(s)
-            onto = table[item]
-        t = tgt[item]
-        before = masks[t]
-        after = before & onto[source]
-        if after == before:
+        if inert[source]:
             continue
-        masks[t] = after
-        removed = (before ^ after).bit_count()
-        if trace is not None:
-            trace.append(TraceRecord((nodes[s], nodes[t]), before, after, removed))
-        changed += 1
-        removed_total += removed
-        changed_this_pass = True
-        if early_exit and after == 0:
-            empty = t
+        if not built[s]:
+            build(s)
+        # a single edge is not sliced: slicing made random order 1.5x-3x slower
+        edges = zip(tgt[lo:hi], table[lo:hi]) if item < 0 else ((tgt[item], table[item]),)
+        for t, onto in edges:
+            before = masks[t]
+            after = before & onto[source]
+            if after == before:
+                continue
+            masks[t] = after
+            removed = (before ^ after).bit_count()
+            if trace is not None:
+                trace.append(TraceRecord((nodes[s], nodes[t]), before, after, removed))
+            changed += 1
+            removed_total += removed
+            changed_this_pass = True
+            if early_exit and after == 0:
+                empty = t
+                applications -= hi - 1 - tgt.index(t, lo, hi)
+                break
+            a, b = first[t], first[t + 1]
+            if rng is None:
+                if not queued[a]:
+                    queued[a:b] = b"\x01" * (b - a)
+                    append(~t)
+            else:
+                requeue = []
+                for e in range(a, b):
+                    if not queued[e]:
+                        queued[e] = 1
+                        requeue.append(e)
+                rng.shuffle(requeue)
+                extend(requeue)
+        if empty is not None:
             break
-        requeue = []
-        for e in range(first[t], first[t + 1]):
-            if not queued[e]:
-                queued[e] = 1
-                requeue.append(e)
-        if rng is not None:
-            rng.shuffle(requeue)
-        extend(requeue)
     # Under early_exit a cube emptied in the loop ended it, and none was
     # empty on entry (checked above, or guaranteed by the caller of
     # `sources`), so only a full closure needs this scan.

@@ -11,10 +11,6 @@ from satprop.bitspace import (
     bc,
     bc_uni,
     bs,
-    cellwise_bs,
-    cellwise_ws,
-    cross_bs,
-    cross_ws,
     impose,
     lift,
     project,
@@ -75,44 +71,34 @@ def test_render():
     assert Partition((2,), 0b01).render() == "u2:GR"
 
 
-# --- cellwise ----------------------------------------------------------------
+# --- cellwise and cross products, through assemble ---------------------------
 
 def test_cellwise_masks():
+    # on one coordinate set, assemble is the cellwise operator
     p = Partition((1, 2, 3), 0xFE)
     q = Partition((1, 2, 3), 0x7F)
-    assert cellwise_bs(p, q).green_mask == 0x7E
+    assert assemble([p, q], "BS").green_mask == 0x7E
     a = Partition((1,), 0b01)
     b = Partition((1,), 0b10)
-    assert cellwise_ws(a, b).green_mask == 0b11
-    assert cellwise_bs(p, Partition.all_green((1, 2, 3))) == p
+    assert assemble([a, b], "WS").green_mask == 0b11
+    assert assemble([p, Partition.all_green((1, 2, 3))], "BS") == p
 
-
-def test_cellwise_coordinate_mismatch():
-    with pytest.raises(ValueError, match=r"\[1, 2\].*\[1, 3\]"):
-        cellwise_bs(Partition((1, 2), 0), Partition((1, 3), 0))
-
-
-# --- cross -------------------------------------------------------------------
 
 def test_cross_images():
+    # on disjoint coordinate sets, assemble is the cross product
     p = Partition((1,), 0b01)
     q = Partition((2,), 0b01)
-    assert cross_bs(p, q).green_mask == 0b0001
-    assert cross_ws(p, q).green_mask == 0b0111
-    r = cross_bs(Partition.all_green((1,)), Partition.all_green((2, 3)))
+    assert assemble([p, q], "BS").green_mask == 0b0001
+    assert assemble([p, q], "WS").green_mask == 0b0111
+    r = assemble([Partition.all_green((1,)), Partition.all_green((2, 3))], "BS")
     assert r == Partition.all_green((1, 2, 3))
-
-
-def test_cross_errors():
-    with pytest.raises(ValueError, match="disjoint"):
-        cross_bs(Partition((1, 2), 0), Partition((2, 3), 0))
 
 
 @given(st.integers(0, 3), st.integers(0, 15))
 def test_cross_green_count_is_product(pm, qm):
     p = Partition((1,), pm)
     q = Partition((2, 3), qm)
-    out = cross_bs(p, q)
+    out = assemble([p, q], "BS")
     assert out.num_cells == p.num_cells * q.num_cells
     assert out.green_count() == p.green_count() * q.green_count()
 
@@ -278,7 +264,8 @@ def test_assemble_single_part_identity():
 def test_assemble_disjoint_equals_cross():
     p = Partition((1,), 0b01)
     q = Partition((2, 3), 0xA)
-    assert assemble([p, q], "BS") == cross_bs(p, q)
+    # GREEN where u1 is F (p) and u2 is T (q's cells 1 and 3): cells 2 and 6
+    assert assemble([p, q], "BS") == Partition((1, 2, 3), 0x44)
 
 
 def test_assemble_two_cubes_matches_brute_force():

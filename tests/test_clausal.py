@@ -9,10 +9,9 @@ from satprop.clausal import (
     EMPTY,
     TAUTOLOGY,
     Instance,
-    assignment_restriction,
+    _forbidden_mask,
     build_clausal_partition,
     canonicalize,
-    forbidden_cells,
     host_triple,
 )
 from satprop.dimacs import gen_random_3sat
@@ -55,7 +54,13 @@ def test_host_triple_padding():
     assert host_triple(clause_of(1, num_vars=1), 1) == (1, 2, 3)
 
 
-# --- forbidden_cells ---------------------------------------------------------
+# --- forbidden cells ---------------------------------------------------------
+
+def forbidden_cells(clause, triple):
+    """The cells of `_forbidden_mask`, as a set of cell indices."""
+    mask = _forbidden_mask(clause, triple)
+    return {cell for cell in range(8) if mask >> cell & 1}
+
 
 def test_forbidden_cells_three_vars():
     # (~u1 v u2 v ~u3): binary form (F,T,F), complement (T,F,T) = cell 5
@@ -83,9 +88,8 @@ def test_forbidden_cells_match_direct_evaluation(data):
     clause = clause_of(*lits, num_vars=8)
     triple = host_triple(clause, 8)
     cells = forbidden_cells(clause, triple)
-    for values in itertools.product([False, True], repeat=3):
-        sigma = dict(zip(triple, values))
-        cell = assignment_restriction(sigma, triple)
+    for cell in range(8):
+        sigma = {var: bool(cell >> i & 1) for i, var in enumerate(triple)}
         satisfied = any(sigma[abs(lit)] == (lit > 0) for lit in clause)
         assert satisfied == (cell not in cells)
 
@@ -141,14 +145,6 @@ def test_triple_union_covers_constrained_vars():
     build = build_clausal_partition(inst)
     covered = {v for t in build.state.cubes for v in t}
     assert set(inst.constrained_vars()) <= covered
-
-
-# --- assignment_restriction ---------------------------------------------------
-
-def test_assignment_restriction():
-    assert assignment_restriction({1: True, 2: False, 3: True}, (1, 2, 3)) == 5
-    assert assignment_restriction({1: False, 2: False, 3: False}, (1, 2, 3)) == 0
-    assert assignment_restriction({2: True, 3: True, 4: False}, (2, 3, 4)) == 3
 
 
 # --- Instance ----------------------------------------------------------------

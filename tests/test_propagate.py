@@ -9,6 +9,7 @@ from satprop.bitspace import Partition, bc, bc_uni, impose
 from satprop.clausal import _CELLS, ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
+    _INERT,
     _TABLES,
     Extraction,
     PropStats,
@@ -111,13 +112,15 @@ def test_cubes_with_seven_green_cells_are_inert():
 
 def test_inert_masks_are_the_independent_sets_of_the_cube():
     # a mask prunes nothing along any shape exactly when no two of its RED
-    # cells differ in one variable, that is are adjacent on the 3-cube
+    # cells differ in one variable, that is are adjacent on the 3-cube; the
+    # engine skips the edges of exactly these masks
     inert = 0
     for mask in range(256):
         red = [cell for cell in range(8) if not mask >> cell & 1]
         independent = all((a ^ b).bit_count() != 1
                           for a, b in itertools.combinations(red, 2))
         assert all(t[mask] == 0xFF for t in _TABLES.values()) == independent, mask
+        assert _INERT[mask] == independent, mask
         inert += independent
     assert inert == 35
 
@@ -535,6 +538,12 @@ _DIFFERENTIAL = [
     pytest.param(_with_extra_clauses(400, 1200, 1, 10, FORCED), id="n=400,forced"),
     pytest.param(_with_extra_clauses(2000, 8520, 1, 5, FORCED), id="n=2000,forced"),
     pytest.param(_embedded_core(400, 1200, 7), id="n=400,embedded-core"),
+] + [
+    # small dense instances, where FIFO early exit often meets the empty cube
+    # in the middle of a block: 8 of these 24 at seeds 0-3
+    pytest.param(gen_random_3sat(n, round(n * ratio), seed=seed),
+                 id=f"n={n},ratio={ratio},seed={seed}")
+    for n in (6, 9, 12) for ratio in (4.26, 5.5) for seed in range(4)
 ]
 
 
