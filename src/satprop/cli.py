@@ -72,7 +72,12 @@ def parse_gen_spec(spec: str) -> GenSpec:
         if "=" not in part:
             raise ValueError(f"bad --gen field {part!r}")
         key, value = part.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("n", "m", "seed", "count"):
+            raise ValueError(f"unknown --gen field {key!r}")
+        if key in fields:
+            raise ValueError(f"repeated --gen field {key!r}")
+        fields[key] = value.strip()
     missing = {"n", "m", "seed"} - set(fields)
     if missing:
         raise ValueError(f"--gen missing fields: {sorted(missing)}")
@@ -144,18 +149,14 @@ def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
     return result.instance, label, {}
 
 
-def _run_oracle(instance: Instance, mode: str) -> oracle.OracleVerdict | None:
-    if mode == "off":
-        return None
-    if instance.num_vars > oracle.DECIDE_LIMIT:
-        if mode == "on":
-            print(
-                f"oracle skipped: {instance.num_vars} variables exceeds "
-                f"decide limit {oracle.DECIDE_LIMIT}",
-                file=sys.stderr,
-            )
-        return None
-    return oracle.brute_force_sat(instance)
+def _oracle_decides(num_vars: int, mode: str) -> bool:
+    """Whether `mode` has the oracle decide instances of `num_vars` variables.
+    Under "on" a refusal past the decide limit is noted on stderr, so a run
+    asks once."""
+    if mode == "on" and num_vars > oracle.DECIDE_LIMIT:
+        print(f"oracle skipped: {num_vars} variables exceeds decide limit "
+              f"{oracle.DECIDE_LIMIT}", file=sys.stderr)
+    return mode != "off" and num_vars <= oracle.DECIDE_LIMIT
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -185,7 +186,8 @@ def cmd_solve(config: RunConfig) -> int:
 
     instance, source, seeds = timed("parse", _load_instance, config)
     build = timed("build", build_clausal_partition, instance)
-    oracle_verdict = timed("oracle", _run_oracle, instance, config.oracle_mode)
+    decides = _oracle_decides(instance.num_vars, config.oracle_mode)
+    oracle_verdict = timed("oracle", oracle.brute_force_sat, instance) if decides else None
 
     empty_triple = assignment = verified = None
     cubes: list[tuple[Triple, int]] = []
@@ -357,6 +359,8 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_bench(config: RunConfig) -> int:
     spec = config.gen
+    # every instance of a run has spec.n variables
+    decides = _oracle_decides(spec.n, config.oracle_mode)
     points = []
     for point_index, m in enumerate(spec.m_points):
         agg = {
@@ -392,7 +396,7 @@ def cmd_bench(config: RunConfig) -> int:
                 agg["engine_unsat"] += 1
             agg["total_passes"] += result.stats.passes
             agg["total_cells_removed"] += result.stats.cells_removed
-            verdict = _run_oracle(inst, config.oracle_mode)
+            verdict = oracle.brute_force_sat(inst) if decides else None
             if verdict is None:
                 agg["oracle_skipped"] += 1
                 continue

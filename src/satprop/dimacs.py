@@ -185,11 +185,13 @@ def gen_random_3sat(n: int, m: int, seed: int) -> Instance:
     if n < 3:
         raise ValueError(f"need at least 3 variables, got {n}")
     rng = random.Random(seed)
-    raw = []
-    for _ in range(m):
-        vars_ = sorted(rng.sample(range(1, n + 1), 3))
-        raw.append([v if rng.random() < 0.5 else -v for v in vars_])
-    return Instance.from_raw(n, raw)
+    sample, coin, population = rng.sample, rng.random, range(1, n + 1)
+    clauses = []
+    for _ in range(m):  # distinct sorted variables: canonical as built
+        a, b, c = sorted(sample(population, 3))
+        clauses.append((a if coin() < 0.5 else -a, b if coin() < 0.5 else -b,
+                        c if coin() < 0.5 else -c))
+    return Instance(n, tuple(clauses))
 
 
 def mask_hex(mask: int) -> str:

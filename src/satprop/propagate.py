@@ -3,21 +3,23 @@
 Cubes sharing one or two variables are adjacent; along each directed edge
 the source cube's projection onto the shared variables is imposed on the
 target (the unidirectional combination, `bitspace.bc_uni`).  A FIFO
-worklist re-enqueues the outgoing edges of any cube that changed, and the
-system runs until no edge application changes anything.  Cubes only ever
-lose GREEN cells, so the number of change-making applications is bounded by
-8 x cube count and the fixpoint is independent of scheduling order.
+worklist re-enqueues any cube that changed, standing for its outgoing
+edges, and the system runs until no edge application changes anything.
+Cubes only ever lose GREEN cells, so the number of change-making
+applications is bounded by 8 x cube count and the fixpoint is independent
+of scheduling order.
 
 The engine works on integer masks.  Cubes are numbered in sorted-triple
 order and their GREEN masks kept in a list indexed by that number.
-Adjacency is built from a variable -> cubes index, and stored as flat
-arrays: edge e runs from `src[e]` to `tgt[e]`, and each cube's out-edges
-are one contiguous range of edge ids, in target order.  An ordered pair of
-adjacent triples has one of 18 shapes, given by the positions the shared
-variables hold in each triple (9 with one shared variable, 9 with two).
-Each shape has a 256-entry table, built from `bitspace.bc_uni` at import,
-that maps a source mask to the target cells it supports, so applying an
-edge is `masks[t] & table[masks[s]]`.
+Adjacency is built from a variable -> cubes index and stored per cube: a
+cube's out-edges, its block, are a list of (target, shape table) pairs in
+target order, and they hold one contiguous range of edge ids, so there is
+no array with an entry per edge.  An ordered pair of adjacent triples has
+one of 18 shapes, given by the positions the shared variables hold in each
+triple (9 with one shared variable, 9 with two).  Each shape has a
+256-entry table, built from `bitspace.bc_uni` at import, that maps a source
+mask to the target cells it supports, so applying an edge is
+`masks[t] & table[masks[s]]`.
 
 Most cubes cannot prune.  An edge imposes the source's projection onto the
 one or two shared variables, and that projection is full unless two RED
@@ -34,18 +36,20 @@ edge ids, and a block's targets and tables are built when it is applied
 from a cube that is not inert.
 
 The worklist's unit of work is a block.  In FIFO order every item is a
-block `~s`: it is counted as applied in full when it comes up, skipped if
-its source is inert, and otherwise applied in one loop over its edges.
-None of a block's edges targets its source, so the source cannot change
-while its block runs.  Each block is either queued as a whole or not at
-all, bar the one being applied, so a cube that changes is requeued by one
-check of its first edge and one appended item.  An empty cube that ends
-the run under early exit in the middle of a block takes the block's
-unapplied edges off the count again.  In random order the items are single
-edges, shuffled at the start and on each requeue, and an edge out of an
-inert cube is skipped the same way.  A skipped edge would change no mask,
-add no trace record and requeue nothing, so stats, traces and masks are
-those of applying every edge, one at a time, in queue order.
+cube, standing for its block: it is counted as applied in full when it
+comes up, skipped if its source is inert, and otherwise applied in one loop
+over its edges.  None of a block's edges targets its source, so the source
+cannot change while its block runs.  Each block is either queued as a whole
+or not at all, bar the one being applied, so one flag per cube is exact,
+and a cube that changes is requeued by one check of its flag and one
+appended item; a FIFO run allocates nothing per edge.  An empty cube that
+ends the run under early exit in the middle of a block takes the block's
+edges after it off the count again.  In random order the items are single
+edge ids with one flag per edge, shuffled at the start and on each requeue;
+an id's source is found by bisecting the block offsets, and an edge out of
+an inert cube is skipped the same way.  A skipped edge would change no
+mask, add no trace record and requeue nothing, so stats, traces and masks
+are those of applying every edge, one at a time, in queue order.
 
 `fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
@@ -62,7 +66,7 @@ that one.
 
 Extraction propagates incrementally.  It starts from a closed fixpoint, in
 which no edge can fire, and a unit only removes cells, so after imposing a
-unit it queues just the out-edges of the cubes the unit changed, on a copy
+unit it queues just the blocks of the cubes the unit changed, on a copy
 of the masks that is kept if no cube empties and dropped if one does.  This
 reaches the same fixpoint and verdict as propagating from scratch, without
 rescanning every edge for every variable and value.
@@ -71,9 +75,10 @@ rescanning every edge for every variable and value.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, combinations
 from typing import Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
@@ -83,6 +88,8 @@ from .bitspace import Partition, bc, bc_uni, impose  # noqa: F401
 from .clausal import _CELLS, ClausalState, Instance, Triple
 
 Edge = tuple[Triple, Triple]
+# A cube's out-edges: (target cube, shape table) pairs, in target order
+Block = list[tuple[int, tuple[int, ...]]]
 
 
 @dataclass
@@ -162,15 +169,15 @@ _INERT = bytes(all(t[mask] == 0xFF for t in _TABLES.values()) for mask in range(
 
 
 class _Graph:
-    """Adjacency of a set of triples as flat arrays.  Cube i is `nodes[i]`;
-    edge e carries `table[e]` from cube `src[e]` to cube `tgt[e]`; the
-    out-edges of cube i, its block, are ids `first[i]` to `first[i + 1] - 1`,
-    in target order.  Edge ids therefore follow (source triple, target
-    triple) order.
+    """Adjacency of a set of triples, one block per cube.  Cube i is
+    `nodes[i]`; its out-edges, its block, are `blocks[i]`, a list of
+    (target cube, shape table) pairs in target order, or None until `build`
+    fills it in.  Edge ids number the blocks one after the other: those of
+    cube i run from `first[i]` to `first[i + 1] - 1`, so they follow
+    (source triple, target triple) order.
 
-    `first` and `src` come from the out-degrees, counted without building
-    any edge; `tgt` and `table` hold a block only once `build` has filled it
-    (`built[i]`), and `edges` builds every block."""
+    `first` comes from the out-degrees, counted without building any edge,
+    and `edges` builds every block."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
@@ -187,34 +194,26 @@ class _Graph:
         self._index = index
         # The cubes sharing a variable with (a, b, c), by inclusion-exclusion;
         # only the cube itself holds all three, and it is not its own target.
-        degrees = [
+        self.first = [0, *accumulate(
             len(index[a]) + len(index[b]) + len(index[c])
             - pairs[a, b] - pairs[a, c] - pairs[b, c]
             for a, b, c in nodes
-        ]
-        self.first = [0, *accumulate(degrees)]
-        count = self.first[-1]
-        self.src = list(chain.from_iterable(map(repeat, range(len(nodes)), degrees)))
-        self.tgt = [0] * count
-        self.table: list[tuple[int, ...] | None] = [None] * count
-        self.built = bytearray(len(nodes))
+        )]
+        self.blocks: list[Block | None] = [None] * len(nodes)
 
-    def build(self, s: int) -> None:
-        """Fill in the targets and shape tables of cube s's block."""
+    def build(self, s: int) -> Block:
+        """Fill in and return cube s's block."""
         shapes: dict[int, int] = {}
         for pos, var in enumerate(self.nodes[s]):
             for t, tgt_bit in self._index[var]:
                 shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
         del shapes[s]
-        targets = sorted(shapes)
-        block = slice(self.first[s], self.first[s + 1])
-        self.tgt[block] = targets
-        self.table[block] = [_TABLES[shapes[t]] for t in targets]
-        self.built[s] = 1
+        block = self.blocks[s] = [(t, _TABLES[shapes[t]]) for t in sorted(shapes)]
+        return block
 
     def build_all(self) -> None:
-        for s, built in enumerate(self.built):
-            if not built:
+        for s, block in enumerate(self.blocks):
+            if block is None:
                 self.build(s)
 
     @property
@@ -222,7 +221,8 @@ class _Graph:
         """The edges as (source triple, target triple) pairs, in id order."""
         self.build_all()
         nodes = self.nodes
-        return tuple((nodes[s], nodes[t]) for s, t in zip(self.src, self.tgt))
+        return tuple((nodes[s], nodes[t])
+                     for s, block in enumerate(self.blocks) for t, _ in block)
 
 
 def build_adjacency(state: ClausalState) -> _Graph:
@@ -253,7 +253,14 @@ def fixpoint(
         raise ValueError(f"unknown order {order!r}, expected 'fifo' or 'random'")
     rng = random.Random(seed) if order == "random" else None
     trace: list[TraceRecord] | None = [] if record_trace else None
-    return _propagate(state, early_exit, rng, trace, _graph)
+    graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
+    masks = [state.cubes[triple] for triple in graph.nodes]
+    stats, empty = _worklist(graph, masks, early_exit, rng, trace)
+    empty_triple = None if empty is None else graph.nodes[empty]
+    cubes = dict(zip(graph.nodes, masks))
+    result = PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
+    result._graph = graph
+    return result
 
 
 def bidirectional_fixpoint(
@@ -266,7 +273,7 @@ def bidirectional_fixpoint(
     counts sweeps and `edge_applications` pair updates."""
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     graph.build_all()
-    table = dict(zip(zip(graph.src, graph.tgt), graph.table))
+    table = {(s, t): onto for s, block in enumerate(graph.blocks) for t, onto in block}
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
     masks = [state.cubes[triple] for triple in graph.nodes]
     stats = PropStats()
@@ -291,24 +298,6 @@ def bidirectional_fixpoint(
     return result
 
 
-def _propagate(
-    state: ClausalState,
-    early_exit: bool,
-    rng: random.Random | None,
-    trace: list[TraceRecord] | None,
-    graph: _Graph | None = None,
-) -> PropagationResult:
-    if graph is None:
-        graph = _Graph(tuple(sorted(state.cubes)))
-    masks = [state.cubes[triple] for triple in graph.nodes]
-    stats, empty = _worklist(graph, masks, early_exit, rng, trace)
-    empty_triple = None if empty is None else graph.nodes[empty]
-    cubes = dict(zip(graph.nodes, masks))
-    result = PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
-    result._graph = graph
-    return result
-
-
 def _worklist(
     graph: _Graph,
     masks: list[int],
@@ -320,42 +309,44 @@ def _worklist(
     """The propagation loop.  Updates `masks` in place and returns the stats
     and the id of the empty cube it reports, if any.
 
-    Work items are `~s` for the whole block of cube s and, under `rng`, edge
-    ids.  By default every edge starts queued: block by block in id order,
-    or as edge ids shuffled by `rng`.  `sources` queues only the blocks of
-    those cubes, in the order given, and the caller guarantees that no mask
-    is empty on entry.  A None marker ends each pass.
+    Without `rng` a work item is a cube s, standing for its whole block, and
+    every cube starts queued, in id order; `sources`, which is read only
+    without `rng`, queues only those cubes, in the order given, and the
+    caller guarantees that no mask is empty on entry.  Under `rng` an item
+    is an edge id, every edge starts queued and the ids are shuffled; the
+    id's source is the cube whose range in `first` holds it.  A None marker
+    ends each pass.
 
     An item is counted as applied in full and dequeued when it comes up.  If
     its source is inert it is skipped: none of its edges targets its source,
     which therefore stays inert through them.  Otherwise its block is built
     if need be and its edges applied in one loop.  When a cube changes, it
-    is requeued: without `rng` as one block item, and only if its block is
-    not queued already, since then every block is queued in full or not at
-    all, bar the one being applied; under `rng`, its out-edges that are not
-    queued are appended as edge items, shuffled.  An empty cube met under
-    `early_exit` ends the loop in the middle of an item, and the edges of
-    the item not yet applied are taken off the count again.
+    is requeued: without `rng` as one item, unless it is queued already,
+    which one flag per cube tells, since then every block is queued in full
+    or not at all, bar the one being applied; under `rng`, its out-edges
+    that are not queued are appended as edge items, shuffled.  An empty cube
+    met under `early_exit` ends the loop in the middle of an item, and the
+    edges of the item not yet applied are taken off the count again.
     """
     if sources is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
-    nodes, src, tgt, table = graph.nodes, graph.src, graph.tgt, graph.table
-    first, built, build, inert = graph.first, graph.built, graph.build, _INERT
-    count = len(tgt)
+    nodes, first, blocks, build, inert = (
+        graph.nodes, graph.first, graph.blocks, graph.build, _INERT)
+    count = first[-1]
 
-    items: list[int]
-    if sources is not None:
-        items = [~s for s in sources]
-        queued = bytearray(count)
-        for s in sources:
-            queued[first[s]:first[s + 1]] = b"\x01" * (first[s + 1] - first[s])
-    else:
+    items: Sequence[int]
+    if rng is not None:  # items are edge ids
+        items = list(range(count))
+        rng.shuffle(items)
         queued = bytearray(b"\x01") * count
-        if rng is None:
-            items = [~s for s in range(len(nodes))]
-        else:
-            items = list(range(count))
-            rng.shuffle(items)
+    elif sources is None:  # items are cubes
+        items = range(len(nodes))
+        queued = bytearray(b"\x01") * len(nodes)
+    else:
+        items = sources
+        queued = bytearray(len(nodes))
+        for s in sources:
+            queued[s] = 1
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
     popleft, append, extend = queue.popleft, queue.append, queue.extend
@@ -372,21 +363,20 @@ def _worklist(
                 append(None)
                 changed_this_pass = False
             continue
-        if item < 0:
-            s = ~item
-            lo, hi = first[s], first[s + 1]
-            queued[lo:hi] = bytes(hi - lo)
+        queued[item] = 0
+        if rng is None:
+            s = item
+            applications += first[s + 1] - first[s]
         else:
-            s, lo, hi = src[item], item, item + 1
-            queued[item] = 0
-        applications += hi - lo
+            s = bisect_right(first, item) - 1
+            applications += 1
         source = masks[s]
         if inert[source]:
             continue
-        if not built[s]:
-            build(s)
-        # a single edge is not sliced: slicing made random order 1.5x-3x slower
-        edges = zip(tgt[lo:hi], table[lo:hi]) if item < 0 else ((tgt[item], table[item]),)
+        block = blocks[s]
+        if block is None:
+            block = build(s)
+        edges = block if rng is None else (block[item - first[s]],)
         for t, onto in edges:
             before = masks[t]
             after = before & onto[source]
@@ -401,16 +391,15 @@ def _worklist(
             changed_this_pass = True
             if early_exit and after == 0:
                 empty = t
-                applications -= hi - 1 - tgt.index(t, lo, hi)
+                applications -= len(edges) - 1 - edges.index((t, onto))
                 break
-            a, b = first[t], first[t + 1]
             if rng is None:
-                if not queued[a]:
-                    queued[a:b] = b"\x01" * (b - a)
-                    append(~t)
+                if not queued[t]:
+                    queued[t] = 1
+                    append(t)
             else:
                 requeue = []
-                for e in range(a, b):
+                for e in range(first[t], first[t + 1]):
                     if not queued[e]:
                         queued[e] = 1
                         requeue.append(e)

@@ -312,9 +312,12 @@ def test_forbidden_cells_match_reference_on_any_host(data):
     )
 
 
-@pytest.mark.parametrize("n", [12, 100, 400])
-def test_random_instances_match_references(n):
-    m = 3 * n
+@pytest.mark.parametrize("n, m", [
+    *(pytest.param(n, 3 * n, id=str(n)) for n in (12, 100, 400)),
+    pytest.param(3, 9, id="n=3"),  # every clause on (1, 2, 3)
+    pytest.param(12, 0, id="m=0"),
+])
+def test_random_instances_match_references(n, m):
     rng = random.Random(n)  # the draw gen_random_3sat documents
     raws = []
     for _ in range(m):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import satprop
-from satprop import __version__, propagate
+from satprop import __version__, oracle, propagate
 from satprop.bitspace import Partition
 from satprop.cli import (
     EXIT_DISAGREE,
@@ -58,10 +58,25 @@ def test_parse_gen_spec_forms():
     ("n=12,m=-6..12..6,seed=1", "m >= 0"),
     ("n=12,m=30,seed=1,count=0", "count >= 1"),
     ("n=12,m=30,seed=1,count=-1", "count >= 1"),
+    ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
+    ("n=12,m=30,seed=1,cont=50", "unknown --gen field 'cont'"),
+    ("n=3,m=1,seed=1,n=4", "repeated --gen field 'n'"),
 ])
 def test_parse_gen_spec_rejects_out_of_range(spec, message):
     with pytest.raises(ValueError, match=message):
         parse_gen_spec(spec)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gen", "n=3,m=1,seed=1,foo=2"], "unknown --gen field 'foo'"),
+    (["bench", "--gen", "n=12,m=30,seed=1,cont=50"], "unknown --gen field 'cont'"),
+    (["trace", "--gen", "n=3,m=1,seed=1,n=4"], "repeated --gen field 'n'"),
+])
+def test_unknown_or_repeated_gen_field_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,6 +248,15 @@ def test_solve_oracle_off_reports_null(capsys, tmp_path):
     assert report["oracle_agrees"] is None
 
 
+def test_solve_notes_a_skipped_oracle(capsys):
+    n = oracle.DECIDE_LIMIT + 1
+    code, out, err = run(capsys, "solve", "--gen", f"n={n},m=40,seed=1", "--oracle", "on")
+    assert code in (EXIT_OK, EXIT_UNSAT)
+    assert json.loads(out)["oracle_verdict"] is None
+    assert err == (f"oracle skipped: {n} variables exceeds decide limit "
+                   f"{oracle.DECIDE_LIMIT}\n")
+
+
 def test_solve_parse_error_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 4 1\n1 2 3 4 0\n")
@@ -329,7 +353,6 @@ def test_verify_mutated_bc_fails(capsys):
 
 _fixpoint = propagate.fixpoint
 _bidirectional = propagate.bidirectional_fixpoint
-_propagate = propagate._propagate
 _worklist = propagate._worklist
 
 
@@ -346,8 +369,8 @@ def _random_orders_drop_a_cell(state, order="fifo", **kwargs):
     return _drop_lowest_green(result) if order == "random" else result
 
 
-def _keeps_input_state(state, *args):
-    result = _propagate(state, *args)
+def _keeps_input_state(state, *args, **kwargs):
+    result = _fixpoint(state, *args, **kwargs)
     result.fixpoint = state
     return result
 
@@ -386,7 +409,7 @@ def _claim_empty_cube(result):
     ({"fixpoint": lambda *a, **k: _claim_empty_cube(_fixpoint(*a, **k)),
       "bidirectional_fixpoint": lambda *a, **k: _claim_empty_cube(_bidirectional(*a, **k))},
      "soundness-vs-projections: false UNSAT on seed 9000"),
-    ({"_propagate": _keeps_input_state},
+    ({"fixpoint": _keeps_input_state},
      "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4003"),
     ({"_worklist": _reports_last_empty_cube},
      "uni-bi-confluence: uni/bi fixpoint mismatch on seed 4032"),
@@ -418,6 +441,20 @@ def test_bench_deterministic_and_sound(capsys):
         total = point["agree"] + point["completeness_misses"]
         assert total == point["count"]
     assert code1 == EXIT_OK
+
+
+def test_bench_notes_a_skipped_oracle_once(capsys):
+    n = oracle.DECIDE_LIMIT + 1
+    code, out, err = run(capsys, "bench", "--gen", f"n={n},m=40..80..40,seed=1,count=3",
+                         "--oracle", "on")
+    assert code == EXIT_OK
+    assert [p["oracle_skipped"] for p in json.loads(out)["points"]] == [3, 3]
+    assert err == (f"oracle skipped: {n} variables exceeds decide limit "
+                   f"{oracle.DECIDE_LIMIT}\n")
+    # auto skips without a note
+    code, out, err = run(capsys, "bench", "--gen", f"n={n},m=40,seed=1,count=3")
+    assert [p["oracle_skipped"] for p in json.loads(out)["points"]] == [3]
+    assert err == ""
 
 
 def test_bench_counterexamples_reproduce_exit_20(capsys, tmp_path):

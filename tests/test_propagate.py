@@ -130,11 +130,11 @@ def test_graph_edges_carry_their_shape_table():
     graph = _Graph(tuple(state.triples()))
     for s in range(len(graph.nodes)):
         graph.build(s)
-    assert len(graph.tgt) == len(build_adjacency(state).edges)
-    for e, (s, t) in enumerate(zip(graph.src, graph.tgt)):
-        src, tgt = graph.nodes[s], graph.nodes[t]
-        assert graph.first[s] <= e < graph.first[s + 1]
-        assert graph.table[e] is _TABLES[_shape(src, tgt)]
+    assert sum(map(len, graph.blocks)) == len(build_adjacency(state).edges)
+    for s, block in enumerate(graph.blocks):
+        assert len(block) == graph.first[s + 1] - graph.first[s]
+        for t, table in block:
+            assert table is _TABLES[_shape(graph.nodes[s], graph.nodes[t])]
 
 
 def test_bc_is_two_one_sided_combinations():
@@ -298,6 +298,17 @@ def _embedded_core(n, m, seed):
     return Instance.from_raw(n, raw)
 
 
+def _with_isolated_clause(n, m, seed):
+    """A random instance with its variables from 7 up renumbered from 10 up,
+    plus two clauses on (7, 8, 9): that cube shares no variable with any
+    other, so its block is empty, it sits between cubes with out-edges, and
+    it is not inert, so the engine looks its block up."""
+    def shift(lit):
+        return lit + 3 if lit >= 7 else lit - 3 if lit <= -7 else lit
+    raw = [list(map(shift, clause)) for clause in gen_random_3sat(n, m, seed).clauses]
+    return Instance.from_raw(n + 3, raw + [[7, 8, 9], [-7, 8, 9]])
+
+
 @pytest.mark.parametrize("state", [
     # the first four share two variables pairwise, and (3, 4, 5) two with
     # each of the two before it
@@ -312,14 +323,14 @@ def _embedded_core(n, m, seed):
 def test_degrees_count_the_built_blocks(state):
     graph = _Graph(tuple(state.triples()))
     eager = _EagerGraph(graph.nodes)
-    assert graph.first == eager.first and graph.src == eager.src
-    assert not any(graph.built)
+    assert graph.first == eager.first
+    assert graph.blocks == [None] * len(graph.nodes)
     for s in range(len(graph.nodes)):
-        graph.build(s)
-        block = slice(graph.first[s], graph.first[s + 1])
-        assert graph.tgt[block] == eager.tgt[block]
-        assert graph.table[block] == eager.table[block]
-    assert len(graph.tgt) == len(eager.tgt)
+        block = graph.build(s)
+        assert graph.blocks[s] is block
+        lo, hi = eager.first[s], eager.first[s + 1]
+        assert block == list(zip(eager.tgt[lo:hi], eager.table[lo:hi]))
+    assert sum(map(len, graph.blocks)) == len(eager.tgt)
     assert build_adjacency(state).edges == tuple(
         (eager.nodes[s], eager.nodes[t]) for s, t in zip(eager.src, eager.tgt))
 
@@ -538,6 +549,10 @@ _DIFFERENTIAL = [
     pytest.param(_with_extra_clauses(400, 1200, 1, 10, FORCED), id="n=400,forced"),
     pytest.param(_with_extra_clauses(2000, 8520, 1, 5, FORCED), id="n=2000,forced"),
     pytest.param(_embedded_core(400, 1200, 7), id="n=400,embedded-core"),
+    # a degree-0 cube: random order maps edge ids to sources across it, and
+    # extraction queues it; the second ends under early exit
+    pytest.param(_with_isolated_clause(12, 51, 1), id="n=12,isolated-clause"),
+    pytest.param(_with_isolated_clause(12, 66, 1), id="n=12,isolated-clause,unsat"),
 ] + [
     # small dense instances, where FIFO early exit often meets the empty cube
     # in the middle of a block: 8 of these 24 at seeds 0-3
