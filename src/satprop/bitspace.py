@@ -61,18 +61,6 @@ class Partition:
         if not 0 <= self.green_mask < (1 << (1 << k)):
             raise ValueError(f"mask 0x{self.green_mask:X} too wide for {k} coordinates")
 
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    @property
-    def num_cells(self) -> int:
-        return 1 << self.k
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_cells) - 1
-
     def green_cells(self) -> Iterator[int]:
         mask = self.green_mask
         while mask:
@@ -80,27 +68,10 @@ class Partition:
             yield low.bit_length() - 1
             mask ^= low
 
-    def green_count(self) -> int:
-        return self.green_mask.bit_count()
-
-    def is_all_red(self) -> bool:
-        return self.green_mask == 0
-
-    def render(self) -> str:
-        """Debug form, e.g. ``u1,u2,u3:RGGGGGGG`` (cells in index order)."""
-        cells = "".join(
-            "G" if self.green_mask >> i & 1 else "R" for i in range(self.num_cells)
-        )
-        return ",".join(f"u{c}" for c in self.coords) + ":" + cells
-
     @classmethod
     def all_green(cls, coords: Sequence[int]) -> "Partition":
         coords = tuple(coords)
         return cls(coords, (1 << (1 << len(coords))) - 1)
-
-    @classmethod
-    def all_red(cls, coords: Sequence[int]) -> "Partition":
-        return cls(tuple(coords), 0)
 
 
 @lru_cache(maxsize=None)
@@ -170,10 +141,6 @@ def impose(p: Partition, q: Partition) -> Partition:
     return Partition(p.coords, p.green_mask & lifted)
 
 
-def shared_coords(p: Partition, q: Partition) -> tuple[int, ...]:
-    return tuple(sorted(set(p.coords) & set(q.coords)))
-
-
 def bc(p: Partition, q: Partition) -> tuple[Partition, Partition]:
     """Two-sided combination of overlapping cubes: project both onto the
     shared coordinates, meet the projections, impose the meet back on each
@@ -197,7 +164,7 @@ def bc_uni(p: Partition, q: Partition) -> Partition:
 
 
 def _check_overlap(p: Partition, q: Partition) -> tuple[int, ...]:
-    shared = shared_coords(p, q)
+    shared = tuple(sorted(set(p.coords) & set(q.coords)))
     if not shared:
         raise ValueError(
             f"disjoint coordinates: {list(p.coords)} vs {list(q.coords)}"

@@ -94,7 +94,7 @@ def uni_bi_confluence(
         return f"uni/bi fixpoint mismatch on {name}"
     for order_seed in order_seeds:
         alt = propagate.fixpoint(
-            state, order="random", seed=order_seed, early_exit=False, _graph=graph)
+            state, order_seed=order_seed, early_exit=False, _graph=graph)
         if (alt.fixpoint, alt.empty_triple) != want:
             return f"confluence violated on {name}, order {order_seed}"
     return None

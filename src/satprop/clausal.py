@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Triple = tuple[int, int, int]
 
@@ -79,23 +79,6 @@ class Instance:
                 var = abs(lit)
             if var > self.num_vars:
                 raise ValueError(f"variable u{var} exceeds num_vars {self.num_vars}")
-
-    @classmethod
-    def from_raw(
-        cls, num_vars: int, raw_clauses: Iterable[Sequence[int]]
-    ) -> "Instance":
-        clauses = []
-        tautologies = 0
-        has_empty = False
-        for raw in raw_clauses:
-            result = canonicalize(raw, num_vars)
-            if result is TAUTOLOGY:
-                tautologies += 1
-            elif result is EMPTY:
-                has_empty = True
-            else:
-                clauses.append(result)
-        return cls(num_vars, tuple(clauses), has_empty, tautologies)
 
     def constrained_vars(self) -> tuple[int, ...]:
         seen: set[int] = set()
@@ -166,9 +149,6 @@ class ClausalState:
 
     def triples(self) -> list[Triple]:
         return sorted(self.cubes)
-
-    def total_green(self) -> int:
-        return sum(mask.bit_count() for mask in self.cubes.values())
 
 
 @dataclass

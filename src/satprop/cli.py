@@ -81,37 +81,51 @@ def parse_gen_spec(spec: str) -> GenSpec:
     missing = {"n", "m", "seed"} - set(fields)
     if missing:
         raise ValueError(f"--gen missing fields: {sorted(missing)}")
-    n = int(fields["n"])
+    n = _gen_int(fields, "n")
     m_spec = fields["m"]
     if ".." in m_spec:
-        pieces = m_spec.split("..")
-        if len(pieces) == 2:
-            lo, hi = int(pieces[0]), int(pieces[1])
+        try:
+            bounds = [int(piece) for piece in m_spec.split("..")]
+        except ValueError:
+            raise ValueError(f"bad m range {m_spec!r}") from None
+        if len(bounds) == 2:
+            lo, hi = bounds
             step = max(1, n // 2)
-        elif len(pieces) == 3:
-            lo, hi, step = int(pieces[0]), int(pieces[1]), int(pieces[2])
+        elif len(bounds) == 3:
+            lo, hi, step = bounds
         else:
             raise ValueError(f"bad m range {m_spec!r}")
         if step < 1 or hi < lo:
             raise ValueError(f"bad m range {m_spec!r}")
         m_points = list(range(lo, hi + 1, step))
     else:
-        m_points = [int(m_spec)]
-    count = int(fields.get("count", 1))
+        m_points = [_gen_int(fields, "m")]
+    count = _gen_int(fields, "count") if "count" in fields else 1
     if n < 3:
         raise ValueError(f"--gen needs n >= 3, got {n}")
     if min(m_points) < 0:
         raise ValueError(f"--gen needs m >= 0, got {m_spec}")
     if count < 1:
         raise ValueError(f"--gen needs count >= 1, got {count}")
-    return GenSpec(n, m_points, int(fields["seed"]), count)
+    return GenSpec(n, m_points, _gen_int(fields, "seed"), count)
+
+
+def _gen_int(fields: dict[str, str], key: str) -> int:
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(
+            f"--gen field {key!r} needs an integer, got {fields[key]!r}") from None
 
 
 def parse_order(spec: str) -> tuple[str, int | None]:
     if spec == "fifo":
         return "fifo", None
     if spec.startswith("random:"):
-        return "random", int(spec.split(":", 1)[1])
+        try:
+            return "random", int(spec.removeprefix("random:"))
+        except ValueError:
+            pass
     raise ValueError(f"bad --order {spec!r}, expected fifo or random:<seed>")
 
 
@@ -198,14 +212,8 @@ def cmd_solve(config: RunConfig) -> int:
             print(f"{source}: trivially unsatisfiable, nothing to trace",
                   file=sys.stderr)
     else:
-        result = timed(
-            "fixpoint",
-            fixpoint,
-            build.state,
-            order=config.order,
-            seed=config.order_seed,
-            record_trace=config.trace_path is not None,
-        )
+        result = timed("fixpoint", fixpoint, build.state, order_seed=config.order_seed,
+                       record_trace=config.trace_path is not None)
         empty_triple = result.empty_triple
         engine_verdict = (
             "unsat_by_empty_cube" if empty_triple is not None else "no_empty_cube"
@@ -281,9 +289,7 @@ def cmd_trace(config: RunConfig) -> int:
     if build.trivially_unsat:
         print(f"{source}: trivially unsatisfiable, nothing to trace", file=sys.stderr)
         return EXIT_UNSAT
-    result = fixpoint(
-        build.state, order=config.order, seed=config.order_seed, record_trace=True
-    )
+    result = fixpoint(build.state, order_seed=config.order_seed, record_trace=True)
     _write_out(_trace_document(result), config.out_path)
     return EXIT_UNSAT if result.empty_triple is not None else EXIT_OK
 
@@ -389,7 +395,7 @@ def cmd_bench(config: RunConfig) -> int:
             agg["informative_cubes"] += sum(
                 mask.bit_count() <= 6 for mask in build.state.cubes.values())
             start = time.perf_counter()
-            result = fixpoint(build.state, order=config.order, seed=config.order_seed)
+            result = fixpoint(build.state, order_seed=config.order_seed)
             elapsed += time.perf_counter() - start
             engine_unsat = result.empty_triple is not None
             if engine_unsat:

@@ -35,21 +35,24 @@ being the only one that holds all three.  They fix every block's range of
 edge ids, and a block's targets and tables are built when it is applied
 from a cube that is not inert.
 
-The worklist's unit of work is a block.  In FIFO order every item is a
-cube, standing for its block: it is counted as applied in full when it
-comes up, skipped if its source is inert, and otherwise applied in one loop
-over its edges.  None of a block's edges targets its source, so the source
-cannot change while its block runs.  Each block is either queued as a whole
-or not at all, bar the one being applied, so one flag per cube is exact,
-and a cube that changes is requeued by one check of its flag and one
-appended item; a FIFO run allocates nothing per edge.  An empty cube that
-ends the run under early exit in the middle of a block takes the block's
-edges after it off the count again.  In random order the items are single
-edge ids with one flag per edge, shuffled at the start and on each requeue;
-an id's source is found by bisecting the block offsets, and an edge out of
-an inert cube is skipped the same way.  A skipped edge would change no
-mask, add no trace record and requeue nothing, so stats, traces and masks
-are those of applying every edge, one at a time, in queue order.
+The worklist's unit of work is a block, and a run starts from the blocks of
+the cubes its caller gives: every cube for `fixpoint`, the cubes a unit
+changed for extraction.  One parameter picks the schedule: no seed is FIFO
+order, a seed is random order.  In FIFO order every item is a cube,
+standing for its block: it is counted as applied in full when it comes up,
+skipped if its source is inert, and otherwise applied in one loop over its
+edges.  None of a block's edges targets its source, so the source cannot
+change while its block runs.  Each block is either queued as a whole or not
+at all, bar the one being applied, so one flag per cube is exact, and a
+cube that changes is requeued by one check of its flag and one appended
+item; a FIFO run allocates nothing per edge.  An empty cube that ends the
+run under early exit in the middle of a block takes the block's edges after
+it off the count again.  In random order the items are single edge ids with
+one flag per edge, shuffled at the start and on each requeue; an id's
+source is found by bisecting the block offsets, and an edge out of an inert
+cube is skipped the same way.  A skipped edge would change no mask, add no
+trace record and requeue nothing, so stats, traces and masks are those of
+applying every edge, one at a time, in queue order.
 
 `fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
@@ -66,10 +69,11 @@ that one.
 
 Extraction propagates incrementally.  It starts from a closed fixpoint, in
 which no edge can fire, and a unit only removes cells, so after imposing a
-unit it queues just the blocks of the cubes the unit changed, on a copy
-of the masks that is kept if no cube empties and dropped if one does.  This
-reaches the same fixpoint and verdict as propagating from scratch, without
-rescanning every edge for every variable and value.
+unit on the cubes the graph's variable index lists for it, it queues just
+the blocks of the cubes the unit changed, on a copy of the masks that is
+kept if no cube empties and dropped if one does.  This reaches the same
+fixpoint and verdict as propagating from scratch, without rescanning every
+edge for every variable and value.
 """
 
 from __future__ import annotations
@@ -119,9 +123,9 @@ class PropagationResult:
     fixpoint: ClausalState
     empty_triple: Triple | None
     stats: PropStats
-    trace: list[TraceRecord] | None = None
+    trace: list[TraceRecord] | None
     # The adjacency the result was computed on, with the blocks built so far
-    _graph: _Graph = field(init=False, repr=False, compare=False)
+    _graph: _Graph = field(repr=False, compare=False)
 
 
 def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
@@ -177,17 +181,18 @@ class _Graph:
     (source triple, target triple) order.
 
     `first` comes from the out-degrees, counted without building any edge,
-    and `edges` builds every block."""
+    and `edges` builds every block.  `_index` maps each variable to its
+    (cube, position) pairs in cube order, which extraction reads too."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
-        # var -> (cube, bit 3 + position of var in that cube's triple)
+        # var -> (cube, position of var in that cube's triple), in cube order
         index: dict[int, list[tuple[int, int]]] = {}
         # (u, v) -> the number of cubes holding both u < v
         pairs: dict[tuple[int, int], int] = {}
         for i, triple in enumerate(nodes):
             for pos, var in enumerate(triple):
-                index.setdefault(var, []).append((i, 8 << pos))
+                index.setdefault(var, []).append((i, pos))
             a, b, c = triple
             for pair in ((a, b), (a, c), (b, c)):
                 pairs[pair] = pairs.get(pair, 0) + 1
@@ -205,8 +210,9 @@ class _Graph:
         """Fill in and return cube s's block."""
         shapes: dict[int, int] = {}
         for pos, var in enumerate(self.nodes[s]):
-            for t, tgt_bit in self._index[var]:
-                shapes[t] = shapes.get(t, 0) | 1 << pos | tgt_bit
+            src_bit = 1 << pos
+            for t, tgt_pos in self._index[var]:
+                shapes[t] = shapes.get(t, 0) | src_bit | 8 << tgt_pos
         del shapes[s]
         block = self.blocks[s] = [(t, _TABLES[shapes[t]]) for t in sorted(shapes)]
         return block
@@ -233,8 +239,7 @@ def build_adjacency(state: ClausalState) -> _Graph:
 
 def fixpoint(
     state: ClausalState,
-    order: str = "fifo",
-    seed: int | None = None,
+    order_seed: int | None = None,
     early_exit: bool = True,
     record_trace: bool = False,
     *,
@@ -242,25 +247,23 @@ def fixpoint(
 ) -> PropagationResult:
     """Run the unidirectional operator to steady state.
 
-    order: "fifo" processes edges in lexicographic order; "random" shuffles
-    the initial worklist (and each re-enqueue batch) with the given seed.
-    early_exit stops at the first all-RED cube; disable it to force full
-    closure (the fixpoint masks can differ below an empty cube, the verdict
-    cannot).  `_graph`, if given, is `build_adjacency(state)` from an
-    earlier call; which of its blocks are already built changes no result.
+    order_seed: None applies the blocks in FIFO order, starting from every
+    cube in triple order; an int shuffles the initial worklist of edges (and
+    each re-enqueue batch) with a generator seeded by it.  early_exit stops
+    at the first all-RED cube, one empty on entry included; disable it to
+    force full closure (the fixpoint masks can differ below an empty cube,
+    the verdict cannot).  `_graph`, if given, is `build_adjacency(state)`
+    from an earlier call; which of its blocks are already built changes no
+    result.
     """
-    if order not in ("fifo", "random"):
-        raise ValueError(f"unknown order {order!r}, expected 'fifo' or 'random'")
-    rng = random.Random(seed) if order == "random" else None
     trace: list[TraceRecord] | None = [] if record_trace else None
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
-    stats, empty = _worklist(graph, masks, early_exit, rng, trace)
-    empty_triple = None if empty is None else graph.nodes[empty]
-    cubes = dict(zip(graph.nodes, masks))
-    result = PropagationResult(ClausalState(cubes), empty_triple, stats, trace)
-    result._graph = graph
-    return result
+    if early_exit and 0 in masks:
+        return _result(graph, masks, masks.index(0), PropStats(), trace)
+    rng = None if order_seed is None else random.Random(order_seed)
+    stats, empty = _worklist(graph, masks, range(len(masks)), early_exit, rng, trace)
+    return _result(graph, masks, empty, stats, trace)
 
 
 def bidirectional_fixpoint(
@@ -291,31 +294,42 @@ def bidirectional_fixpoint(
                 changed = True
                 stats.applications_changed += 1
                 stats.cells_removed += removed
-    cubes = dict(zip(graph.nodes, masks))
-    empty = next((triple for triple, mask in cubes.items() if not mask), None)
-    result = PropagationResult(ClausalState(cubes), empty, stats)
-    result._graph = graph
-    return result
+    return _result(graph, masks, masks.index(0) if 0 in masks else None, stats)
+
+
+def _result(
+    graph: _Graph,
+    masks: list[int],
+    empty: int | None,
+    stats: PropStats,
+    trace: list[TraceRecord] | None = None,
+) -> PropagationResult:
+    """The result of a run on `graph` that left `masks`, reporting cube
+    `empty` as all-RED unless it is None."""
+    nodes = graph.nodes
+    return PropagationResult(ClausalState(dict(zip(nodes, masks))),
+                             None if empty is None else nodes[empty],
+                             stats, trace, graph)
 
 
 def _worklist(
     graph: _Graph,
     masks: list[int],
+    items: Sequence[int],
     early_exit: bool,
     rng: random.Random | None,
     trace: list[TraceRecord] | None,
-    sources: Sequence[int] | None = None,
 ) -> tuple[PropStats, int | None]:
-    """The propagation loop.  Updates `masks` in place and returns the stats
-    and the id of the empty cube it reports, if any.
+    """The propagation loop from the blocks of the cubes `items`.  Updates
+    `masks` in place and returns the stats and the id of the empty cube it
+    reports, if any.  Under `early_exit` the caller guarantees that no mask
+    is empty on entry.
 
     Without `rng` a work item is a cube s, standing for its whole block, and
-    every cube starts queued, in id order; `sources`, which is read only
-    without `rng`, queues only those cubes, in the order given, and the
-    caller guarantees that no mask is empty on entry.  Under `rng` an item
-    is an edge id, every edge starts queued and the ids are shuffled; the
-    id's source is the cube whose range in `first` holds it.  A None marker
-    ends each pass.
+    the cubes `items` start queued, in the order given.  Under `rng` an item
+    is an edge id, the edges of those cubes' blocks start queued and the ids
+    are shuffled; the id's source is the cube whose range in `first` holds
+    it.  A None marker ends each pass.
 
     An item is counted as applied in full and dequeued when it comes up.  If
     its source is inert it is skipped: none of its edges targets its source,
@@ -328,25 +342,16 @@ def _worklist(
     met under `early_exit` ends the loop in the middle of an item, and the
     edges of the item not yet applied are taken off the count again.
     """
-    if sources is None and early_exit and 0 in masks:
-        return PropStats(), masks.index(0)
     nodes, first, blocks, build, inert = (
         graph.nodes, graph.first, graph.blocks, graph.build, _INERT)
     count = first[-1]
 
-    items: Sequence[int]
-    if rng is not None:  # items are edge ids
-        items = list(range(count))
+    if rng is not None:  # items become the edge ids of their blocks
+        items = [e for s in items for e in range(first[s], first[s + 1])]
         rng.shuffle(items)
-        queued = bytearray(b"\x01") * count
-    elif sources is None:  # items are cubes
-        items = range(len(nodes))
-        queued = bytearray(b"\x01") * len(nodes)
-    else:
-        items = sources
-        queued = bytearray(len(nodes))
-        for s in sources:
-            queued[s] = 1
+    queued = bytearray(len(nodes) if rng is None else count)
+    for item in items:
+        queued[item] = 1
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
     popleft, append, extend = queue.popleft, queue.append, queue.extend
@@ -407,9 +412,9 @@ def _worklist(
                 extend(requeue)
         if empty is not None:
             break
-    # Under early_exit a cube emptied in the loop ended it, and none was
-    # empty on entry (checked above, or guaranteed by the caller of
-    # `sources`), so only a full closure needs this scan.
+    # Under early_exit a cube emptied in the loop ended it, and the caller
+    # guarantees none was empty on entry, so only a full closure needs this
+    # scan.
     if not early_exit and 0 in masks:
         empty = masks.index(0)
 
@@ -422,9 +427,10 @@ def extract_assignment(
     """Greedy assignment extraction with one-level value backtracking.
 
     Walks the variables of the cubes in ascending order and tries F, then
-    T: the value's cells are kept in every cube containing the variable, and
-    propagation resumes from the cubes that lost cells.  The first value
-    that empties no cube is committed; if both do, extraction gives up.
+    T: the value's cells are kept in every cube the graph's variable index
+    lists for it, and propagation resumes from the cubes that lost cells.
+    The first value that empties no cube is committed; if both do,
+    extraction gives up.
     Variables of the instance that no cube holds are set F, and any
     assignment returned is verified by direct clause evaluation.  Not a
     complete solver by design: returning None on a satisfiable instance is
@@ -442,16 +448,11 @@ def extract_assignment(
 
     graph = result._graph
     masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
-    # var -> (cube, position of var in that cube's triple)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for i, triple in enumerate(graph.nodes):
-        for pos, var in enumerate(triple):
-            occurrences.setdefault(var, []).append((i, pos))
     chosen: dict[int, bool] = {}
 
-    for var in sorted(occurrences):
+    for var in sorted(graph._index):
         for value in (False, True):
-            trial = _impose_unit(graph, masks, occurrences[var], value)
+            trial = _impose_unit(graph, masks, graph._index[var], value)
             if trial is not None:
                 chosen[var], masks = value, trial
                 break
@@ -485,5 +486,5 @@ def _impose_unit(
         if after != trial[i]:
             trial[i] = after
             changed.append(i)
-    _, empty = _worklist(graph, trial, True, None, None, sources=changed)
+    _, empty = _worklist(graph, trial, changed, True, None, None)
     return trial if empty is None else None

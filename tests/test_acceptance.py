@@ -122,7 +122,7 @@ def test_criterion_7_termination_bound():
         inst = gen_random_3sat(n, m, seed=70_000 + i)
         build = build_clausal_partition(inst)
         for kwargs in [{}, {"early_exit": False},
-                       {"order": "random", "seed": i}]:
+                       {"order_seed": i}]:
             result = fixpoint(build.state, **kwargs)
             if result.stats.applications_changed > 8 * len(build.state.cubes):
                 violations += 1

@@ -14,7 +14,7 @@ from satprop.clausal import (
     canonicalize,
     host_triple,
 )
-from satprop.dimacs import gen_random_3sat
+from satprop.dimacs import gen_random_3sat, parse_dimacs
 
 
 def clause_of(*lits, num_vars=10):
@@ -97,36 +97,36 @@ def test_forbidden_cells_match_direct_evaluation(data):
 # --- build_clausal_partition -------------------------------------------------
 
 def test_build_single_clause():
-    inst = Instance.from_raw(3, [[-1, 2, -3]])
+    inst = Instance(3, ((-1, 2, -3),))
     build = build_clausal_partition(inst)
     assert not build.trivially_unsat
     assert build.state.cubes[(1, 2, 3)] == 0xDF
 
 
 def test_build_accumulates_on_shared_triple():
-    inst = Instance.from_raw(3, [[1, 2, 3], [-1, 2, -3]])
+    inst = Instance(3, ((1, 2, 3), (-1, 2, -3)))
     build = build_clausal_partition(inst)
     assert build.state.cubes[(1, 2, 3)] == 0xDE
 
 
 def test_build_all_polarities_gives_all_red():
-    raws = [
-        [v if s else -v for v, s in zip((1, 2, 3), signs)]
+    clauses = tuple(
+        tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
         for signs in itertools.product([False, True], repeat=3)
-    ]
-    inst = Instance.from_raw(3, raws)
+    )
+    inst = Instance(3, clauses)
     build = build_clausal_partition(inst)
     assert build.state.cubes[(1, 2, 3)] == 0x00
 
 
 def test_build_flags_trivially_unsat():
-    inst = Instance.from_raw(3, [[1, 2, 3], []])
+    inst = parse_dimacs("p cnf 3 2\n1 2 3 0\n0\n").instance
     build = build_clausal_partition(inst)
     assert build.trivially_unsat
 
 
 def test_build_green_iff_all_hosted_clauses_satisfied():
-    inst = Instance.from_raw(4, [[1, -2, 3], [-1, -2, 3], [2, 3, 4]])
+    inst = Instance(4, ((1, -2, 3), (-1, -2, 3), (2, 3, 4)))
     build = build_clausal_partition(inst)
     by_triple = {}
     for clause in inst.clauses:
@@ -141,7 +141,7 @@ def test_build_green_iff_all_hosted_clauses_satisfied():
 
 
 def test_triple_union_covers_constrained_vars():
-    inst = Instance.from_raw(6, [[1, 2, 3], [-4, 5, 6], [2, -5]])
+    inst = Instance(6, ((1, 2, 3), (-4, 5, 6), (2, -5)))
     build = build_clausal_partition(inst)
     covered = {v for t in build.state.cubes for v in t}
     assert set(inst.constrained_vars()) <= covered
@@ -150,20 +150,20 @@ def test_triple_union_covers_constrained_vars():
 # --- Instance ----------------------------------------------------------------
 
 def test_instance_var_accounting():
-    inst = Instance.from_raw(5, [[1, 2, 3]])
+    inst = Instance(5, ((1, 2, 3),))
     assert inst.constrained_vars() == (1, 2, 3)
     assert inst.unconstrained_vars() == (4, 5)
 
 
 def test_instance_tautology_counter():
-    inst = Instance.from_raw(3, [[1, -1], [1, 2, 3]])
+    inst = parse_dimacs("p cnf 3 2\n1 -1 0\n1 2 3 0\n").instance
     assert inst.tautologies_dropped == 1
     assert len(inst.clauses) == 1
 
 
 def test_instance_rejects_overflow_variable():
     with pytest.raises(ValueError):
-        Instance.from_raw(2, [[1, 2, 3]])
+        Instance(2, ((1, 2, 3),))
 
 
 @pytest.mark.parametrize("clause", [
@@ -289,15 +289,15 @@ def test_canonicalize_and_build_match_references(drawn):
     for raw in raws:
         result = _outcome(canonicalize, raw, num_vars)
         assert result == _outcome(_canonicalize_by_literal, raw, num_vars)
-        # keep the degenerate outcomes and the clauses Instance accepts:
-        # no ValueError and, since canonicalize leaves width to Instance,
-        # at most three literals
-        if result in (TAUTOLOGY, EMPTY) or (
-            result[0] is not ValueError and len(result) <= 3
-        ):
+        # keep the clauses the parser takes: no literal 0 (it ends a DIMACS
+        # clause), none past num_vars, at most three distinct variables
+        in_range = all(0 < abs(lit) <= num_vars for lit in raw)
+        if in_range and len(set(map(abs, raw))) <= 3:
             accepted.append(raw)
+    text = f"p cnf {num_vars} {len(accepted)}\n" + "".join(
+        " ".join(map(str, [*raw, 0])) + "\n" for raw in accepted)
     _assert_front_half_matches(
-        Instance.from_raw(num_vars, accepted), _reference_instance(num_vars, accepted)
+        parse_dimacs(text).instance, _reference_instance(num_vars, accepted)
     )
 
 

@@ -61,6 +61,12 @@ def test_parse_gen_spec_forms():
     ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
     ("n=12,m=30,seed=1,cont=50", "unknown --gen field 'cont'"),
     ("n=3,m=1,seed=1,n=4", "repeated --gen field 'n'"),
+    ("n=x,m=1,seed=1", "^--gen field 'n' needs an integer, got 'x'$"),
+    ("n=12,m=y,seed=1", "^--gen field 'm' needs an integer, got 'y'$"),
+    ("n=12,m=3,seed=z", "^--gen field 'seed' needs an integer, got 'z'$"),
+    ("n=12,m=3,seed=1,count=1.5", "^--gen field 'count' needs an integer, got '1.5'$"),
+    ("n=12,m=3..,seed=1", "^bad m range '3..'$"),
+    ("n=12,m=3..x..1,seed=1", "^bad m range '3..x..1'$"),
 ])
 def test_parse_gen_spec_rejects_out_of_range(spec, message):
     with pytest.raises(ValueError, match=message):
@@ -73,6 +79,21 @@ def test_parse_gen_spec_rejects_out_of_range(spec, message):
     (["trace", "--gen", "n=3,m=1,seed=1,n=4"], "repeated --gen field 'n'"),
 ])
 def test_unknown_or_repeated_gen_field_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gen", "n=x,m=1,seed=1"], "--gen field 'n' needs an integer, got 'x'"),
+    (["bench", "--gen", "n=12,m=3..,seed=1"], "bad m range '3..'"),
+    (["bench", "--gen", "n=12,m=3,seed=1,count=1.5"],
+     "--gen field 'count' needs an integer, got '1.5'"),
+    (["trace", "--gen", "n=3,m=1,seed=1", "--order", "random:"],
+     "bad --order 'random:', expected fifo or random:<seed>"),
+])
+def test_non_integer_value_names_its_field(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE
     assert out == ""
@@ -95,8 +116,10 @@ def test_out_of_range_gen_exits_2(capsys, argv):
 def test_parse_order_forms():
     assert parse_order("fifo") == ("fifo", None)
     assert parse_order("random:9") == ("random", 9)
-    with pytest.raises(ValueError):
-        parse_order("lifo")
+    for spec in ("lifo", "random:", "random:x", "random:1.5"):
+        with pytest.raises(ValueError, match=(
+                f"^bad --order '{spec}', expected fifo or random:<seed>$")):
+            parse_order(spec)
 
 
 def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
@@ -364,9 +387,9 @@ def _drop_lowest_green(result):
     return result
 
 
-def _random_orders_drop_a_cell(state, order="fifo", **kwargs):
-    result = _fixpoint(state, order=order, **kwargs)
-    return _drop_lowest_green(result) if order == "random" else result
+def _random_orders_drop_a_cell(state, order_seed=None, **kwargs):
+    result = _fixpoint(state, order_seed, **kwargs)
+    return result if order_seed is None else _drop_lowest_green(result)
 
 
 def _keeps_input_state(state, *args, **kwargs):
@@ -375,10 +398,10 @@ def _keeps_input_state(state, *args, **kwargs):
     return result
 
 
-def _reports_last_empty_cube(graph, masks, early_exit, *args, **kwargs):
+def _reports_last_empty_cube(graph, masks, items, early_exit, *args):
     """`_worklist` reporting the last all-RED cube of a closed run, not the
     first."""
-    stats, empty = _worklist(graph, masks, early_exit, *args, **kwargs)
+    stats, empty = _worklist(graph, masks, items, early_exit, *args)
     if not early_exit and 0 in masks:
         empty = len(masks) - 1 - masks[::-1].index(0)
     return stats, empty

@@ -40,7 +40,7 @@ def _model_count(inst):
 def _table_count(inst):
     """The number of satisfying assignments, from the conjunction table."""
     table = oracle.conjunction_truth_table(inst)
-    return table.green_count() << (inst.num_vars - len(table.coords))
+    return table.green_mask.bit_count() << (inst.num_vars - len(table.coords))
 
 
 def _assert_witness(inst, verdict):
@@ -53,7 +53,7 @@ def _assert_witness(inst, verdict):
 
 
 def test_brute_force_single_clause():
-    inst = Instance.from_raw(3, [[1, 2, 3]])
+    inst = Instance(3, ((1, 2, 3),))
     verdict = oracle.brute_force_sat(inst)
     assert verdict.satisfiable
     assert _table_count(inst) == _model_count(inst) == 7
@@ -61,18 +61,18 @@ def test_brute_force_single_clause():
 
 
 def test_brute_force_all_polarities_unsat():
-    raws = [
-        [v if s else -v for v, s in zip((1, 2, 3), signs)]
+    clauses = tuple(
+        tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
         for signs in itertools.product([False, True], repeat=3)
-    ]
-    inst = Instance.from_raw(3, raws)
+    )
+    inst = Instance(3, clauses)
     verdict = oracle.brute_force_sat(inst)
     assert not verdict.satisfiable
     assert _table_count(inst) == _model_count(inst) == 0
 
 
 def test_brute_force_no_clauses():
-    inst = Instance.from_raw(3, [])
+    inst = Instance(3, ())
     verdict = oracle.brute_force_sat(inst)
     assert verdict.satisfiable
     assert _table_count(inst) == _model_count(inst) == 8
@@ -81,7 +81,7 @@ def test_brute_force_no_clauses():
 
 def test_brute_force_guard():
     with pytest.raises(ValueError, match="decide limit"):
-        oracle.brute_force_sat(Instance.from_raw(31, []))
+        oracle.brute_force_sat(Instance(31, ()))
 
 
 def test_brute_force_dpll_path_agrees_with_table():
@@ -136,8 +136,8 @@ def _xorsat(n, equations, seed):
     for triple, b in system:
         for values in itertools.product([0, 1], repeat=3):
             if sum(values) % 2 != b:  # forbid it: each literal false there
-                clauses.append([-v if x else v for v, x in zip(triple, values)])
-    return Instance.from_raw(n, clauses), system
+                clauses.append(tuple(-v if x else v for v, x in zip(triple, values)))
+    return Instance(n, tuple(clauses)), system
 
 
 def _gf2_solvable(system):
@@ -207,9 +207,9 @@ def test_join_oracle_all_green_unchanged():
 
 def test_join_oracle_no_support_anywhere():
     p = Partition.all_green((1, 2, 3))
-    q = Partition.all_red((2, 3, 4))
+    q = Partition((2, 3, 4), 0)
     out_p, _ = oracle.join_semantics_oracle(p, q)
-    assert out_p.is_all_red()
+    assert out_p.green_mask == 0
 
 
 def test_join_oracle_disjoint_error():
@@ -230,17 +230,17 @@ def test_join_oracle_contracting_idempotent():
 # --- projected_solution_sets ---------------------------------------------------
 
 def test_projections_empty_for_unsat():
-    raws = [
-        [v if s else -v for v, s in zip((1, 2, 3), signs)]
+    clauses = tuple(
+        tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
         for signs in itertools.product([False, True], repeat=3)
-    ]
-    inst = Instance.from_raw(3, raws)
+    )
+    inst = Instance(3, clauses)
     out = oracle.projected_solution_sets(inst, [(1, 2, 3)])
     assert out[(1, 2, 3)] == set()
 
 
 def test_projections_single_clause():
-    inst = Instance.from_raw(3, [[-1, 2, -3]])
+    inst = Instance(3, ((-1, 2, -3),))
     out = oracle.projected_solution_sets(inst, [(1, 2, 3)])
     assert out[(1, 2, 3)] == set(range(8)) - {5}
 
@@ -255,17 +255,17 @@ def test_projections_guard():
 # --- conjunction_truth_table ---------------------------------------------------
 
 def test_truth_table_no_clauses():
-    table = oracle.conjunction_truth_table(Instance.from_raw(2, []))
+    table = oracle.conjunction_truth_table(Instance(2, ()))
     assert table == Partition.all_green((1, 2))
 
 
 def test_truth_table_single_clause():
-    table = oracle.conjunction_truth_table(Instance.from_raw(3, [[-1, 2, -3]]))
+    table = oracle.conjunction_truth_table(Instance(3, ((-1, 2, -3),)))
     assert table.green_mask == 0xDF
 
 
 def test_truth_table_matches_assemble_on_two_cube_configuration():
-    inst = Instance.from_raw(4, [[1, 2, 3], [-2, -3, -4]])
+    inst = Instance(4, ((1, 2, 3), (-2, -3, -4)))
     build = build_clausal_partition(inst)
     assembled = assemble(
         (Partition(t, mask) for t, mask in build.state.cubes.items()), "BS")
@@ -277,7 +277,7 @@ def test_truth_table_agrees_with_brute_force_count():
         inst = gen_random_3sat(9, 25, seed=seed)
         table = oracle.conjunction_truth_table(inst)
         free = inst.num_vars - len(table.coords)
-        assert table.green_count() * (1 << free) == _model_count(inst)
+        assert table.green_mask.bit_count() * (1 << free) == _model_count(inst)
 
 
 def test_truth_table_guard():
@@ -290,7 +290,7 @@ def test_truth_table_guard():
 def test_assemble_with_padding_matches_projected_table():
     # a 2-variable clause hosts on a padded triple; projecting the assembled
     # partition back onto the constrained variables recovers the table
-    inst = Instance.from_raw(3, [[1, -2]])
+    inst = Instance(3, ((1, -2),))
     build = build_clausal_partition(inst)
     assembled = assemble(
         (Partition(t, mask) for t, mask in build.state.cubes.items()), "BS")

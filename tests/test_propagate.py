@@ -23,10 +23,10 @@ from satprop.propagate import (
 )
 
 
-ALL_POLARITIES = [
-    [v if s else -v for v, s in zip((1, 2, 3), signs)]
+ALL_POLARITIES = tuple(
+    tuple(v if s else -v for v, s in zip((1, 2, 3), signs))
     for signs in itertools.product([False, True], repeat=3)
-]
+)
 
 
 # --- adjacency ----------------------------------------------------------------
@@ -282,20 +282,19 @@ def _with_extra_clauses(n, m, seed, extra, flips):
     """A random instance plus, on the triples of its first `extra` clauses,
     a copy of each clause per sign pattern in `flips`: those cubes start
     with at most 6 GREEN cells, so their blocks are built and applied."""
-    raw = [list(clause) for clause in gen_random_3sat(n, m, seed).clauses]
-    raw += [[sign * lit for sign, lit in zip(signs, lits)]
-            for lits in raw[:extra] for signs in flips]
-    return Instance.from_raw(n, raw)
+    clauses = gen_random_3sat(n, m, seed).clauses
+    return Instance(n, clauses + tuple(
+        tuple(sign * lit for sign, lit in zip(signs, lits))
+        for lits in clauses[:extra] for signs in flips))
 
 
 def _embedded_core(n, m, seed):
     """A random instance at n variables holding a 12-variable instance that
     the engine refutes only after 17 passes, on variables spread over 1..n."""
-    raw = [list(clause) for clause in gen_random_3sat(n, m, seed).clauses]
     stride = n // 13
-    for clause in gen_random_3sat(12, 60, seed=2).clauses:
-        raw.append([stride * lit for lit in clause])
-    return Instance.from_raw(n, raw)
+    return Instance(n, gen_random_3sat(n, m, seed).clauses + tuple(
+        tuple(stride * lit for lit in clause)
+        for clause in gen_random_3sat(12, 60, seed=2).clauses))
 
 
 def _with_isolated_clause(n, m, seed):
@@ -305,8 +304,9 @@ def _with_isolated_clause(n, m, seed):
     it is not inert, so the engine looks its block up."""
     def shift(lit):
         return lit + 3 if lit >= 7 else lit - 3 if lit <= -7 else lit
-    raw = [list(map(shift, clause)) for clause in gen_random_3sat(n, m, seed).clauses]
-    return Instance.from_raw(n + 3, raw + [[7, 8, 9], [-7, 8, 9]])
+    clauses = gen_random_3sat(n, m, seed).clauses
+    return Instance(n + 3, tuple(tuple(map(shift, clause)) for clause in clauses)
+                    + ((7, 8, 9), (-7, 8, 9)))
 
 
 @pytest.mark.parametrize("state", [
@@ -338,7 +338,7 @@ def test_degrees_count_the_built_blocks(state):
 # --- fixpoint -----------------------------------------------------------------
 
 def test_fixpoint_single_cube_no_edges():
-    build = build_clausal_partition(Instance.from_raw(3, [[1, 2, 3]]))
+    build = build_clausal_partition(Instance(3, ((1, 2, 3),)))
     result = fixpoint(build.state)
     assert result.empty_triple is None
     assert result.stats.edge_applications == 0
@@ -347,7 +347,7 @@ def test_fixpoint_single_cube_no_edges():
 
 
 def test_fixpoint_empty_cube_absorbs_neighbor():
-    inst = Instance.from_raw(4, ALL_POLARITIES + [[2, 3, 4]])
+    inst = Instance(4, (*ALL_POLARITIES, (2, 3, 4)))
     build = build_clausal_partition(inst)
     result = fixpoint(build.state)
     assert result.empty_triple == (1, 2, 3)
@@ -358,8 +358,7 @@ def test_fixpoint_empty_cube_absorbs_neighbor():
 def test_fixpoint_matches_oracle_projections_on_forced_chain():
     # forced units threaded through shared variables: the one solution sets
     # every variable True, so each cube's projection of it is cell 7 alone
-    inst = Instance.from_raw(
-        6, [[1], [-1, 2], [-2, 3], [-3, 4], [-4, 5], [-5, 6]])
+    inst = Instance(6, ((1,), (-1, 2), (-2, 3), (-3, 4), (-4, 5), (-5, 6)))
     build = build_clausal_partition(inst)
     result = fixpoint(build.state, early_exit=False)
     assert checks.sound(inst, result, "forced chain") is None
@@ -375,8 +374,9 @@ def test_fixpoint_monotone_and_bounded():
             initial = build.state.cubes[triple]
             assert mask & initial == mask
         assert result.stats.applications_changed <= 8 * len(build.state.cubes)
-        assert result.stats.cells_removed == (
-            build.state.total_green() - result.fixpoint.total_green())
+        assert result.stats.cells_removed == sum(
+            build.state.cubes[triple].bit_count() - mask.bit_count()
+            for triple, mask in result.fixpoint.cubes.items())
 
 
 def test_fixpoint_confluent_across_orders():
@@ -408,20 +408,29 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
         state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
         graph = build_adjacency(state)
         bidirectional_fixpoint(state, _graph=graph)  # builds every block
-        for order, order_seed in (("fifo", None), ("random", 0), ("random", 5)):
+        for order_seed in (None, 0, 5):
             for early_exit in (True, False):
-                shared = fixpoint(state, order, order_seed, early_exit, True, _graph=graph)
-                fresh = fixpoint(state, order, order_seed, early_exit, True)
+                shared = fixpoint(state, order_seed, early_exit, True, _graph=graph)
+                fresh = fixpoint(state, order_seed, early_exit, True)
                 assert shared._graph is graph
                 assert (shared.fixpoint, shared.empty_triple, shared.stats,
                         shared.trace) == (fresh.fixpoint, fresh.empty_triple,
                                           fresh.stats, fresh.trace)
 
 
-def test_fixpoint_rejects_unknown_order():
-    build = build_clausal_partition(Instance.from_raw(3, [[1, 2, 3]]))
-    with pytest.raises(ValueError):
-        fixpoint(build.state, order="lifo")
+@pytest.mark.parametrize("order_seed", [None, 0])
+def test_fixpoint_reports_a_cube_empty_on_entry(order_seed):
+    state = build_clausal_partition(Instance(4, (*ALL_POLARITIES, (2, 3, 4)))).state
+    assert state.cubes[(1, 2, 3)] == 0
+    result = fixpoint(state, order_seed, record_trace=True)
+    assert result.empty_triple == (1, 2, 3)
+    assert result.stats == PropStats(0, 0, 0, 0)
+    assert result.trace == []
+    assert result.fixpoint == state
+    closed = fixpoint(state, order_seed, early_exit=False)
+    assert closed.empty_triple == (1, 2, 3)
+    assert closed.fixpoint.cubes == {(1, 2, 3): 0, (2, 3, 4): 0}
+    assert closed.stats.edge_applications > 0
 
 
 # --- bidirectional ------------------------------------------------------------
@@ -434,13 +443,13 @@ def test_bidirectional_equals_unidirectional():
 
 
 def test_bidirectional_no_edges_is_noop():
-    build = build_clausal_partition(Instance.from_raw(3, [[1, 2, 3]]))
+    build = build_clausal_partition(Instance(3, ((1, 2, 3),)))
     result = bidirectional_fixpoint(build.state)
     assert result.fixpoint.cubes == build.state.cubes
 
 
 def test_bidirectional_finds_empty_cube():
-    inst = Instance.from_raw(4, ALL_POLARITIES + [[2, 3, 4]])
+    inst = Instance(4, (*ALL_POLARITIES, (2, 3, 4)))
     result = bidirectional_fixpoint(build_clausal_partition(inst).state)
     assert result.empty_triple is not None
 
@@ -458,7 +467,7 @@ def test_satisfying_assignments_stay_green():
 # --- extraction ---------------------------------------------------------------
 
 def test_extract_greedy_single_clause():
-    inst = Instance.from_raw(3, [[1, 2, 3]])
+    inst = Instance(3, ((1, 2, 3),))
     result = fixpoint(build_clausal_partition(inst).state)
     extraction = extract_assignment(result, inst)
     assert extraction is not None
@@ -467,7 +476,7 @@ def test_extract_greedy_single_clause():
 
 
 def test_extract_forced_unit():
-    inst = Instance.from_raw(3, [[-1], [1, 2, 3]])
+    inst = Instance(3, ((-1,), (1, 2, 3)))
     result = fixpoint(build_clausal_partition(inst).state)
     extraction = extract_assignment(result, inst)
     assert extraction is not None
@@ -476,14 +485,14 @@ def test_extract_forced_unit():
 
 
 def test_extract_requires_nonempty_verdict():
-    inst = Instance.from_raw(3, ALL_POLARITIES)
+    inst = Instance(3, ALL_POLARITIES)
     result = fixpoint(build_clausal_partition(inst).state)
     with pytest.raises(ValueError):
         extract_assignment(result, inst)
 
 
 def test_extract_assigns_unconstrained_false():
-    inst = Instance.from_raw(5, [[1, 2, 3]])
+    inst = Instance(5, ((1, 2, 3),))
     result = fixpoint(build_clausal_partition(inst).state)
     extraction = extract_assignment(result, inst)
     assert extraction.assignment[4] is False
@@ -535,7 +544,7 @@ def test_extract_matches_from_scratch_reference(n, m, seed):
     assert extract_assignment(result, inst) == want
     # any closed fixpoint of the state is the same one, so the assignment
     # does not depend on the order or mode that computed it
-    assert extract_assignment(fixpoint(state, order="random", seed=5), inst) == want
+    assert extract_assignment(fixpoint(state, order_seed=5), inst) == want
     assert extract_assignment(bidirectional_fixpoint(state), inst) == want
 
 
@@ -566,19 +575,18 @@ _DIFFERENTIAL = [
 def test_lazy_engine_matches_eager_reference(instance):
     state = build_clausal_partition(instance).state
     graph = _EagerGraph(tuple(state.triples()))
-    for order, order_seed in (("fifo", None), ("random", 0), ("random", 7)):
+    for order_seed in (None, 0, 7):
         for early_exit in (True, False):
             masks = [state.cubes[triple] for triple in graph.nodes]
             rng = None if order_seed is None else random.Random(order_seed)
             trace = []
             stats, empty = _eager_worklist(graph, masks, early_exit, rng, trace)
-            got = fixpoint(state, order=order, seed=order_seed,
-                           early_exit=early_exit, record_trace=True)
-            case = (order, order_seed, early_exit)
+            got = fixpoint(state, order_seed, early_exit, record_trace=True)
+            case = (order_seed, early_exit)
             assert got.stats == stats, case
             assert got.trace == trace, case
             assert got.fixpoint.cubes == dict(zip(graph.nodes, masks)), case
             assert got.empty_triple == (None if empty is None else graph.nodes[empty]), case
-            if order == "fifo" and early_exit and empty is None:
+            if order_seed is None and early_exit and empty is None:
                 assert extract_assignment(got, instance) == _eager_extract(
                     graph, masks, instance)
