@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_DIM = 16
 
@@ -45,33 +45,39 @@ def bs(a: Color, b: Color) -> Color:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered coordinate tuple plus a GREEN-cell bitmask over 2^k cells."""
+    """An ordered coordinate tuple plus a GREEN-cell bitmask over 2^k cells.
+
+    `coords` is validated once per distinct tuple, by the cached
+    `_mask_bound` (so it must be hashable); `green_mask` on every
+    construction."""
 
     coords: tuple[int, ...]
     green_mask: int
 
     def __post_init__(self) -> None:
-        k = len(self.coords)
-        if not 1 <= k <= MAX_DIM:
-            raise ValueError(f"dimension {k} outside 1..{MAX_DIM}")
-        if any(c < 1 for c in self.coords):
-            raise ValueError(f"coordinates must be positive: {self.coords}")
-        if list(self.coords) != sorted(set(self.coords)):
-            raise ValueError(f"coordinates must be strictly ascending: {self.coords}")
-        if not 0 <= self.green_mask < (1 << (1 << k)):
-            raise ValueError(f"mask 0x{self.green_mask:X} too wide for {k} coordinates")
-
-    def green_cells(self) -> Iterator[int]:
-        mask = self.green_mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        if not 0 <= self.green_mask < _mask_bound(self.coords):
+            raise ValueError(
+                f"mask 0x{self.green_mask:X} too wide for {len(self.coords)} coordinates")
 
     @classmethod
     def all_green(cls, coords: Sequence[int]) -> "Partition":
         coords = tuple(coords)
         return cls(coords, (1 << (1 << len(coords))) - 1)
+
+
+@lru_cache(maxsize=None)
+def _mask_bound(coords: tuple[int, ...]) -> int:
+    """1 << 2^k for a valid coordinate tuple of length k; raises ValueError
+    for an invalid one.  lru_cache caches no exception, so an invalid tuple
+    raises on every call."""
+    k = len(coords)
+    if not 1 <= k <= MAX_DIM:
+        raise ValueError(f"dimension {k} outside 1..{MAX_DIM}")
+    if any(c < 1 for c in coords):
+        raise ValueError(f"coordinates must be positive: {coords}")
+    if list(coords) != sorted(set(coords)):
+        raise ValueError(f"coordinates must be strictly ascending: {coords}")
+    return 1 << (1 << k)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +151,7 @@ def bc(p: Partition, q: Partition) -> tuple[Partition, Partition]:
     """Two-sided combination of overlapping cubes: project both onto the
     shared coordinates, meet the projections, impose the meet back on each
     operand.  Both outputs are GREEN-subsets of their inputs."""
-    shared = _check_overlap(p, q)
+    shared = _shared_coords(p.coords, q.coords)
     pp = _project_mask(p.green_mask, p.coords, shared)
     qp = _project_mask(q.green_mask, q.coords, shared)
     meet = pp & qp
@@ -158,18 +164,24 @@ def bc(p: Partition, q: Partition) -> tuple[Partition, Partition]:
 def bc_uni(p: Partition, q: Partition) -> Partition:
     """One-sided combination: q's projection onto the shared coordinates
     imposed on p.  q is not modified."""
-    shared = _check_overlap(p, q)
+    shared = _shared_coords(p.coords, q.coords)
     qp = _project_mask(q.green_mask, q.coords, shared)
     return Partition(p.coords, p.green_mask & _lift_mask(qp, shared, p.coords))
 
 
-def _check_overlap(p: Partition, q: Partition) -> tuple[int, ...]:
-    shared = tuple(sorted(set(p.coords) & set(q.coords)))
+@lru_cache(maxsize=None)
+def _shared_coords(
+    p_coords: tuple[int, ...], q_coords: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The coordinates two operands of bc / bc_uni share.  Disjoint or equal
+    coordinate tuples raise ValueError, on every call: lru_cache caches no
+    exception."""
+    shared = tuple(sorted(set(p_coords) & set(q_coords)))
     if not shared:
         raise ValueError(
-            f"disjoint coordinates: {list(p.coords)} vs {list(q.coords)}"
+            f"disjoint coordinates: {list(p_coords)} vs {list(q_coords)}"
         )
-    if p.coords == q.coords:
+    if p_coords == q_coords:
         raise ValueError("operands must differ in at least one coordinate")
     return shared
 

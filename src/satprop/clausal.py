@@ -37,10 +37,12 @@ Clause = tuple[int, ...]
 
 def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     """Merge duplicate literals, sort by variable, detect tautologies and
-    the empty clause.  Raises on variable ids outside 1..num_vars.  The
-    width is not checked here: a result of more than three literals is
-    rejected by `Instance`."""
-    polarity: dict[int, int] = {}  # variable -> its literal
+    the empty clause.  Raises on literal 0 and on variable ids outside
+    1..num_vars, anywhere in the clause, tautology or not.  The width is not
+    checked here: a result of more than three literals is rejected by
+    `Instance`."""
+    polarity: dict[int, int] = {}  # variable -> its first literal
+    tautology = False
     for lit in literals:
         if lit == 0:
             raise ValueError("literal 0 is reserved as clause terminator")
@@ -48,7 +50,9 @@ def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
         if var > num_vars:
             raise ValueError(f"variable u{var} exceeds declared count {num_vars}")
         if polarity.setdefault(var, lit) != lit:
-            return TAUTOLOGY
+            tautology = True
+    if tautology:
+        return TAUTOLOGY
     if not polarity:
         return EMPTY
     return tuple([polarity[v] for v in sorted(polarity)])

@@ -32,6 +32,7 @@ from .dimacs import (
 from .propagate import (  # noqa: F401
     PropStats,
     bidirectional_fixpoint,
+    count_prunable,
     extract_assignment,
     fixpoint,
 )
@@ -385,6 +386,7 @@ def cmd_bench(config: RunConfig) -> int:
             # cubes with at most 6 GREEN cells at the start: a superset of those
             # that can prune, since 26 such masks are inert too
             "informative_cubes": 0,
+            "prunable_cubes": 0,  # cubes that are not inert at the start
             "counterexamples": [],
         }
         elapsed = 0.0
@@ -392,8 +394,9 @@ def cmd_bench(config: RunConfig) -> int:
             seed = instance_seed(spec.seed, point_index, i)
             inst = gen_random_3sat(spec.n, m, seed)
             build = build_clausal_partition(inst)
-            agg["informative_cubes"] += sum(
-                mask.bit_count() <= 6 for mask in build.state.cubes.values())
+            masks = build.state.cubes.values()
+            agg["informative_cubes"] += sum(mask.bit_count() <= 6 for mask in masks)
+            agg["prunable_cubes"] += count_prunable(masks)
             start = time.perf_counter()
             result = fixpoint(build.state, order_seed=config.order_seed)
             elapsed += time.perf_counter() - start

@@ -6,8 +6,9 @@ DPLL with unit propagation at every size; the projections of the solution
 set onto triples and the conjunction table come from truth tables, a mask
 over all assignments, since their cells are the answer; and the
 join-semantics reference for the two-sided combination scans the
-neighbor's cells for support directly.  Only the Partition value type is
-shared.
+neighbor's cells for support directly, reading each cell's restriction to
+the shared coordinates from a table cached per coordinate layout.  Only the
+Partition value type is shared.
 
 Size guards are hard errors, not silent truncation: decide <= 30 vars,
 project <= 20, full truth-table partition <= 16.
@@ -16,6 +17,7 @@ project <= 20, full truth-table partition <= 16.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .bitspace import Partition
@@ -139,7 +141,8 @@ def join_semantics_oracle(
 ) -> tuple[Partition, Partition]:
     """Reference semantics for the two-sided combination: a cell survives
     iff it was GREEN and some GREEN cell of the other partition agrees with
-    it on the shared coordinates.  Computed by direct cell enumeration."""
+    it on the shared coordinates.  Computed by direct cell enumeration, over
+    a cached table of each cell's restriction to the shared coordinates."""
     shared = tuple(sorted(set(p.coords) & set(q.coords)))
     if not shared:
         raise ValueError(
@@ -151,15 +154,27 @@ def join_semantics_oracle(
     )
 
 
-def _supported_mask(a: Partition, b: Partition, shared: Sequence[int]) -> int:
-    b_pos = [b.coords.index(v) for v in shared]
-    support = set()
-    for cell in b.green_cells():
-        support.add(tuple(cell >> pos & 1 for pos in b_pos))
-    a_pos = [a.coords.index(v) for v in shared]
+@lru_cache(maxsize=None)
+def _restrictions(coords: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry `cell` is the restriction of that cell of `coords` to `shared`,
+    as a cell index over `shared`."""
+    positions = [coords.index(v) for v in shared]
+    return tuple(
+        sum((cell >> pos & 1) << j for j, pos in enumerate(positions))
+        for cell in range(1 << len(coords))
+    )
+
+
+def _supported_mask(a: Partition, b: Partition, shared: tuple[int, ...]) -> int:
+    """The GREEN cells of `a` whose restriction to `shared` is that of some
+    GREEN cell of `b`."""
+    b_mask = b.green_mask
+    support = {r for cell, r in enumerate(_restrictions(b.coords, shared))
+               if b_mask >> cell & 1}
+    a_mask = a.green_mask
     out = 0
-    for cell in a.green_cells():
-        if tuple(cell >> pos & 1 for pos in a_pos) in support:
+    for cell, r in enumerate(_restrictions(a.coords, shared)):
+        if a_mask >> cell & 1 and r in support:
             out |= 1 << cell
     return out
 

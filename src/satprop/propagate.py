@@ -83,7 +83,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
 # look bc, bc_uni and impose up by name in this module, so all three stay
@@ -170,6 +170,12 @@ _TABLES = _shape_tables()
 # out of a cube with mask m changes anything: 35 masks, those whose RED cells
 # are pairwise at distance two or more on the 3-cube.
 _INERT = bytes(all(t[mask] == 0xFF for t in _TABLES.values()) for mask in range(256))
+
+
+def count_prunable(masks: Iterable[int]) -> int:
+    """How many of the cube masks `masks` can prune some neighbour, that is,
+    are not inert."""
+    return sum(not _INERT[mask] for mask in masks)
 
 
 class _Graph:

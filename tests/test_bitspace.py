@@ -46,16 +46,25 @@ def test_identities_and_absorption():
 # --- Partition basics -------------------------------------------------------
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((2, 1), 0)
-    with pytest.raises(ValueError):
-        Partition((1, 1), 0)
-    with pytest.raises(ValueError):
-        Partition((0,), 0)
-    with pytest.raises(ValueError):
-        Partition((1,), 0b100)
-    with pytest.raises(ValueError):
-        Partition((), 0)
+    cases = [
+        ((2, 1), 0, "strictly ascending"),
+        ((1, 1), 0, "strictly ascending"),
+        ((0,), 0, "must be positive"),
+        ((3, 0), 0, "must be positive"),  # positivity is checked before order
+        ((1,), 0b100, "too wide"),
+        ((1,), -1, "too wide"),
+        ((), 0, "dimension 0 outside"),
+        (tuple(range(1, 18)), 0, "dimension 17 outside"),
+    ]
+    for coords, mask, match in cases:
+        for _ in range(2):  # the cached coordinate check never caches a failure
+            with pytest.raises(ValueError, match=match):
+                Partition(coords, mask)
+    # a valid coordinate tuple, cached by a first construction, still checks
+    # each mask
+    assert Partition((1, 2), 0xF).green_mask == 0xF
+    with pytest.raises(ValueError, match="too wide"):
+        Partition((1, 2), 0x10)
 
 
 def test_one_dimensional_space_has_four_partitions():
@@ -202,10 +211,12 @@ def test_bc_mutually_supported():
 
 
 def test_bc_errors():
-    with pytest.raises(ValueError, match="disjoint"):
-        bc(Partition((1, 2, 3), 0), Partition((4, 5, 6), 0))
-    with pytest.raises(ValueError, match="differ"):
-        bc(Partition((1, 2, 3), 0), Partition((1, 2, 3), 0xFF))
+    for fn in (bc, bc_uni):
+        for _ in range(2):  # the cached shared coordinates never cache a failure
+            with pytest.raises(ValueError, match=r"disjoint.*\[1, 2, 3\] vs \[4, 5, 6\]"):
+                fn(Partition((1, 2, 3), 0), Partition((4, 5, 6), 0))
+            with pytest.raises(ValueError, match="differ"):
+                fn(Partition((1, 2, 3), 0), Partition((1, 2, 3), 0xFF))
 
 
 def test_bc_uni_examples():

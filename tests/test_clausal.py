@@ -36,10 +36,17 @@ def test_canonicalize_tautology_and_empty():
 
 
 def test_canonicalize_rejects_bad_ids():
-    with pytest.raises(ValueError):
-        canonicalize([0], 3)
-    with pytest.raises(ValueError):
-        canonicalize([4], 3)
+    cases = [
+        ([0], "literal 0"),
+        ([4], "exceeds declared count"),
+        # a bad literal after a variable shows both signs is still read
+        ([1, -1, 7], "exceeds declared count"),
+        ([1, -1, 0], "literal 0"),
+    ]
+    for literals, match in cases:
+        for fn in (canonicalize, _canonicalize_by_literal):
+            with pytest.raises(ValueError, match=match):
+                fn(literals, 3)
 
 
 # --- host triples ------------------------------------------------------------
@@ -200,9 +207,11 @@ def _forbidden_cells_by_cell(clause, triple):
 
 
 def _canonicalize_by_literal(literals, num_vars):
-    """canonicalize as it was, reading every raw literal as a variable and a
-    sign, and rebuilding the clause from them."""
+    """canonicalize read literal by literal: every raw literal is checked
+    and split into a variable and a sign before a tautology is reported,
+    and the clause is rebuilt from them."""
     polarity = {}
+    tautology = False
     for lit in literals:
         if lit == 0:
             raise ValueError("literal 0 is reserved as clause terminator")
@@ -212,10 +221,11 @@ def _canonicalize_by_literal(literals, num_vars):
                 f"variable u{variable} exceeds declared count {num_vars}"
             )
         if variable in polarity:
-            if polarity[variable] != negated:
-                return TAUTOLOGY
+            tautology |= polarity[variable] != negated
         else:
             polarity[variable] = negated
+    if tautology:
+        return TAUTOLOGY
     if not polarity:
         return EMPTY
     return tuple(-v if polarity[v] else v for v in sorted(polarity))

@@ -5,8 +5,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from satprop import oracle
+from satprop import checks, oracle
 from satprop.bitspace import Partition, assemble, project
 from satprop.clausal import Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
@@ -215,6 +217,63 @@ def test_join_oracle_no_support_anywhere():
 def test_join_oracle_disjoint_error():
     with pytest.raises(ValueError):
         oracle.join_semantics_oracle(Partition((1,), 1), Partition((2,), 1))
+
+
+def _green_cells(p):
+    return [cell for cell in range(1 << len(p.coords)) if p.green_mask >> cell & 1]
+
+
+def _supported_mask_by_tuples(a, b, shared):
+    """The GREEN cells of `a` supported by `b`, with each cell's restriction
+    to `shared` built as a tuple of bits."""
+    b_pos = [b.coords.index(v) for v in shared]
+    support = set()
+    for cell in _green_cells(b):
+        support.add(tuple(cell >> pos & 1 for pos in b_pos))
+    a_pos = [a.coords.index(v) for v in shared]
+    out = 0
+    for cell in _green_cells(a):
+        if tuple(cell >> pos & 1 for pos in a_pos) in support:
+            out |= 1 << cell
+    return out
+
+
+def _assert_join_matches_tuples(p, q):
+    shared = tuple(sorted(set(p.coords) & set(q.coords)))
+    out_p, out_q = oracle.join_semantics_oracle(p, q)
+    assert (out_p.coords, out_q.coords) == (p.coords, q.coords)
+    assert out_p.green_mask == _supported_mask_by_tuples(p, q, shared)
+    assert out_q.green_mask == _supported_mask_by_tuples(q, p, shared)
+
+
+@pytest.mark.parametrize("layout", sorted(checks.LAYOUTS))
+def test_join_oracle_matches_tuple_reference_on_every_layout_pair(layout):
+    coords_a, coords_b = checks.LAYOUTS[layout]
+    for mask_a in range(256):
+        p = Partition(coords_a, mask_a)
+        for mask_b in range(256):
+            _assert_join_matches_tuples(p, Partition(coords_b, mask_b))
+
+
+@st.composite
+def overlapping_partitions(draw, universe=8):
+    """Two partitions of 1-4 coordinates that share exactly 1-3 of them."""
+    shared = draw(st.sets(st.integers(1, universe), min_size=1, max_size=3))
+    free = sorted(set(range(1, universe + 1)) - shared)
+    extra_a = draw(st.sets(st.sampled_from(free), max_size=4 - len(shared)))
+    free = [v for v in free if v not in extra_a]
+    extra_b = draw(st.sets(st.sampled_from(free), max_size=4 - len(shared)))
+    parts = []
+    for extra in (extra_a, extra_b):
+        coords = tuple(sorted(shared | extra))
+        mask = draw(st.integers(0, (1 << (1 << len(coords))) - 1))
+        parts.append(Partition(coords, mask))
+    return tuple(parts)
+
+
+@given(overlapping_partitions())
+def test_join_oracle_matches_tuple_reference_on_any_shape(pair):
+    _assert_join_matches_tuples(*pair)
 
 
 def test_join_oracle_contracting_idempotent():

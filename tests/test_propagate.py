@@ -18,6 +18,7 @@ from satprop.propagate import (
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
+    count_prunable,
     extract_assignment,
     fixpoint,
 )
@@ -123,6 +124,17 @@ def test_inert_masks_are_the_independent_sets_of_the_cube():
         assert _INERT[mask] == independent, mask
         inert += independent
     assert inert == 35
+
+
+def test_count_prunable_on_a_hand_built_instance():
+    inst = Instance(6, (
+        (1, 2, 3), (-1, 2, 3),    # RED cells 0 and 1, one variable apart
+        (4, 5, 6), (-4, -5, 6),   # RED cells 0 and 3, two apart: inert
+        (1, 4, 5),                # 7 GREEN cells: inert
+    ))
+    masks = build_clausal_partition(inst).state.cubes.values()
+    assert sum(mask.bit_count() <= 6 for mask in masks) == 2
+    assert count_prunable(masks) == 1
 
 
 def test_graph_edges_carry_their_shape_table():
