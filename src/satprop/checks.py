@@ -52,13 +52,14 @@ def algebra_laws() -> str | None:
 
 
 def bc_matches_join(
-    layout: str, mask_a: int, mask_b: int, bc_fn: Callable = bitspace.bc
+    layout: str, mask_a: int, mask_b: int, bc_fn: Callable | None = None
 ) -> str | None:
-    """`bc_fn` on one mask pair of a `LAYOUTS` entry equals
-    `oracle.join_semantics_oracle`."""
+    """`bc_fn`, by default `bitspace.bc`, on one mask pair of a `LAYOUTS`
+    entry equals `oracle.join_semantics_oracle`."""
     coords_a, coords_b = LAYOUTS[layout]
     p, q = Partition(coords_a, mask_a), Partition(coords_b, mask_b)
-    (got_p, got_q), (want_p, want_q) = bc_fn(p, q), oracle.join_semantics_oracle(p, q)
+    got_p, got_q = (bc_fn or bitspace.bc)(p, q)
+    want_p, want_q = oracle.join_semantics_oracle(p, q)
     if got_p.green_mask != want_p.green_mask or got_q.green_mask != want_q.green_mask:
         return f"bc mismatch on {layout} masks ({mask_hex(mask_a)}, {mask_hex(mask_b)})"
     return None

@@ -14,16 +14,16 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, bitspace, checks, oracle
 from .bitspace import Partition, bc
 from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
     build_report,
+    build_trace,
     emit_dimacs,
     gen_random_3sat,
-    mask_hex,
     parse_dimacs,
     write_report,
 )
@@ -49,21 +49,6 @@ class GenSpec:
     m_points: list[int]
     seed: int
     count: int = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    gen: GenSpec | None = None
-    oracle_mode: str = "auto"  # on | off | auto
-    order: str = "fifo"
-    order_seed: int | None = None
-    out_path: str | None = None
-    trace_path: str | None = None
-    quick: bool = False
-    timings: bool = False
-    mutate_bc: bool = False
 
 
 def parse_gen_spec(spec: str) -> GenSpec:
@@ -135,15 +120,14 @@ def instance_seed(base: int, point_index: int, i: int) -> int:
     return base * 1_000_003 + point_index * 1_009 + i
 
 
-def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
-    """Returns (instance, source label, seeds).  Raises SystemExit(2) on an
+def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:
+    """Returns (instance, source label).  Raises SystemExit(2) on an
     unreadable input or a parse failure after printing diagnostics to
     stderr."""
     if config.gen is not None:
         spec = config.gen
         inst = gen_random_3sat(spec.n, spec.m_points[0], spec.seed)
-        label = f"gen:n={spec.n},m={spec.m_points[0]},seed={spec.seed}"
-        return inst, label, {"gen_seed": spec.seed}
+        return inst, f"gen:n={spec.n},m={spec.m_points[0]},seed={spec.seed}"
     assert config.input_path is not None
     stdin = config.input_path == "-"
     try:
@@ -161,7 +145,7 @@ def _load_instance(config: RunConfig) -> tuple[Instance, str, dict[str, Any]]:
         print(f"{label}:{diag}", file=sys.stderr)
     if result.instance is None:
         raise SystemExit(EXIT_PARSE)
-    return result.instance, label, {}
+    return result.instance, label
 
 
 def _oracle_decides(num_vars: int, mode: str) -> bool:
@@ -188,7 +172,7 @@ def _write_out(text: str, path: str | None) -> None:
         raise SystemExit(EXIT_PARSE) from None
 
 
-def cmd_solve(config: RunConfig) -> int:
+def cmd_solve(config: argparse.Namespace) -> int:
     # seconds per stage, reported with --timings; a stage that is not run
     # reads 0.0
     timings = dict.fromkeys(("parse", "build", "oracle", "fixpoint", "extract"), 0.0)
@@ -199,13 +183,13 @@ def cmd_solve(config: RunConfig) -> int:
         timings[stage] = round(time.perf_counter() - start, 6)
         return result
 
-    instance, source, seeds = timed("parse", _load_instance, config)
+    instance, source = timed("parse", _load_instance, config)
     build = timed("build", build_clausal_partition, instance)
     decides = _oracle_decides(instance.num_vars, config.oracle_mode)
     oracle_verdict = timed("oracle", oracle.brute_force_sat, instance) if decides else None
 
     empty_triple = assignment = verified = None
-    cubes: list[tuple[Triple, int]] = []
+    cubes: Iterable[tuple[Triple, int]] = ()
     if build.trivially_unsat:
         engine_verdict = "trivially_unsat"
         stats = asdict(PropStats())
@@ -224,16 +208,16 @@ def cmd_solve(config: RunConfig) -> int:
             if extraction is not None:
                 assignment, verified = extraction.assignment, extraction.verified
         stats = asdict(result.stats)
-        cubes = sorted(result.fixpoint.cubes.items())
+        cubes = result.fixpoint.cubes.items()
         if config.trace_path is not None:
-            _write_out(_trace_document(result), config.trace_path)
+            _write_out(write_report(build_trace(result.trace, cubes)), config.trace_path)
     engine_unsat = build.trivially_unsat or empty_triple is not None
     agrees = (
         None if oracle_verdict is None else engine_unsat != oracle_verdict.satisfiable
     )
 
-    seeds = dict(seeds)
-    if config.order == "random":
+    seeds: dict[str, int] = {} if config.gen is None else {"gen_seed": config.gen.seed}
+    if config.order_seed is not None:
         seeds["order_seed"] = config.order_seed
     report = build_report(
         instance=instance,
@@ -252,7 +236,6 @@ def cmd_solve(config: RunConfig) -> int:
         assignment_verified=verified,
         order=config.order,
         seeds=seeds,
-        unconstrained_vars=instance.unconstrained_vars(),
         timings=timings if config.timings else None,
     )
     _write_out(write_report(report), config.out_path)
@@ -262,36 +245,15 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_UNSAT if engine_unsat else EXIT_OK
 
 
-def _trace_document(result: Any) -> str:
-    records = [
-        {
-            "edge": [list(rec.edge[0]), list(rec.edge[1])],
-            "before": mask_hex(rec.before),
-            "after": mask_hex(rec.after),
-            "cells_removed": rec.cells_removed,
-        }
-        for rec in (result.trace or [])
-    ]
-    doc = {
-        "tool": "satprop",
-        "version": __version__,
-        "records": records,
-        "final_cubes": [
-            {"triple": list(t), "mask": mask_hex(mask)}
-            for t, mask in sorted(result.fixpoint.cubes.items())
-        ],
-    }
-    return write_report(doc)
-
-
-def cmd_trace(config: RunConfig) -> int:
-    instance, source, _ = _load_instance(config)
+def cmd_trace(config: argparse.Namespace) -> int:
+    instance, source = _load_instance(config)
     build = build_clausal_partition(instance)
     if build.trivially_unsat:
         print(f"{source}: trivially unsatisfiable, nothing to trace", file=sys.stderr)
         return EXIT_UNSAT
     result = fixpoint(build.state, order_seed=config.order_seed, record_trace=True)
-    _write_out(_trace_document(result), config.out_path)
+    _write_out(write_report(build_trace(result.trace, result.fixpoint.cubes.items())),
+               config.out_path)
     return EXIT_UNSAT if result.empty_triple is not None else EXIT_OK
 
 
@@ -340,7 +302,7 @@ def _soundness_family(quick: bool) -> Iterator[str | None]:
         yield checks.sound(inst, result, f"seed {9000 + i}")
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     bc_fn = bc
     if config.mutate_bc:
         def bc_fn(p, q):  # deliberately wrong: skips the meet step on p's side
@@ -364,7 +326,7 @@ def cmd_verify(config: RunConfig) -> int:
 # bench: the empirical claim audit
 
 
-def cmd_bench(config: RunConfig) -> int:
+def cmd_bench(config: argparse.Namespace) -> int:
     spec = config.gen
     # every instance of a run has spec.n variables
     decides = _oracle_decides(spec.n, config.oracle_mode)
@@ -383,9 +345,6 @@ def cmd_bench(config: RunConfig) -> int:
             "completeness_misses": 0,
             "total_passes": 0,
             "total_cells_removed": 0,
-            # cubes with at most 6 GREEN cells at the start: a superset of those
-            # that can prune, since 26 such masks are inert too
-            "informative_cubes": 0,
             "prunable_cubes": 0,  # cubes that are not inert at the start
             "counterexamples": [],
         }
@@ -394,9 +353,7 @@ def cmd_bench(config: RunConfig) -> int:
             seed = instance_seed(spec.seed, point_index, i)
             inst = gen_random_3sat(spec.n, m, seed)
             build = build_clausal_partition(inst)
-            masks = build.state.cubes.values()
-            agg["informative_cubes"] += sum(mask.bit_count() <= 6 for mask in masks)
-            agg["prunable_cubes"] += count_prunable(masks)
+            agg["prunable_cubes"] += count_prunable(build.state.cubes.values())
             start = time.perf_counter()
             result = fixpoint(build.state, order_seed=config.order_seed)
             elapsed += time.perf_counter() - start
@@ -483,24 +440,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    flags = dict(vars(args))  # RunConfig fields, unset ones keep their defaults
-    gen_spec = flags.pop("gen", None)
-    if flags.get("input_path") and gen_spec:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """`args`, checked, with `gen` parsed into a `GenSpec` (None if unset)
+    and `order` split into `order` and `order_seed`.  A subcommand's
+    namespace holds the flags it accepts, so `input_path` marks the
+    single-instance commands and `gen` without it marks bench."""
+    if getattr(args, "input_path", None) and getattr(args, "gen", None):
         raise ValueError("--input and --gen are mutually exclusive")
-    gen = parse_gen_spec(gen_spec) if gen_spec else None
-    if args.subcommand in ("solve", "trace"):
-        if not (flags["input_path"] or gen):
+    if hasattr(args, "gen"):
+        args.gen = parse_gen_spec(args.gen) if args.gen else None
+    if hasattr(args, "input_path"):
+        if not (args.input_path or args.gen):
             raise ValueError(f"{args.subcommand} requires --input or --gen")
-        if gen is not None and (len(gen.m_points) != 1 or gen.count != 1):
+        if args.gen is not None and (len(args.gen.m_points) != 1 or args.gen.count != 1):
             raise ValueError(
                 f"{args.subcommand} takes one instance: --gen needs a single m "
                 f"and count=1 (use bench for sweeps)"
             )
-    if args.subcommand == "bench" and gen is None:
-        raise ValueError("bench requires --gen")
-    order, order_seed = parse_order(flags.pop("order", "fifo"))
-    return RunConfig(**flags, gen=gen, order=order, order_seed=order_seed)
+    elif hasattr(args, "gen") and args.gen is None:
+        raise ValueError(f"{args.subcommand} requires --gen")
+    if hasattr(args, "order"):
+        args.order, args.order_seed = parse_order(args.order)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -515,7 +476,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         command = {"solve": cmd_solve, "verify": cmd_verify,
-                   "bench": cmd_bench, "trace": cmd_trace}[config.subcommand]
+                   "bench": cmd_bench, "trace": cmd_trace}[args.subcommand]
         return command(config)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE

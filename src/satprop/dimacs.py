@@ -198,6 +198,16 @@ def mask_hex(mask: int) -> str:
     return f"0x{mask:02X}"
 
 
+# The key sets of a cube entry and a trace record, the two shapes that
+# `write_report` writes with one f-string each (see `_entry`)
+_CUBE_KEYS = {"mask", "triple"}
+_RECORD_KEYS = {"after", "before", "cells_removed", "edge"}
+
+
+def _cube_entries(cubes: Iterable[tuple[Sequence[int], int]]) -> list[dict[str, Any]]:
+    return [{"triple": list(triple), "mask": mask_hex(mask)} for triple, mask in cubes]
+
+
 def build_report(
     *,
     instance: Instance,
@@ -212,7 +222,6 @@ def build_report(
     assignment_verified: bool | None,
     order: str,
     seeds: dict[str, Any],
-    unconstrained_vars: Sequence[int] = (),
     timings: dict[str, float] | None = None,
 ) -> dict[str, Any]:
     """Assemble the run-report document (see README for the schema).  The
@@ -226,7 +235,7 @@ def build_report(
             "num_clauses": len(instance.clauses),
             "tautologies_dropped": instance.tautologies_dropped,
             "has_empty_clause": instance.has_empty_clause,
-            "unconstrained_vars": list(unconstrained_vars),
+            "unconstrained_vars": list(instance.unconstrained_vars()),
         },
         "order": order,
         "seeds": seeds,
@@ -240,15 +249,33 @@ def build_report(
             else None
         ),
         "assignment_verified": assignment_verified,
-        "cubes": [
-            {"triple": list(triple), "mask": mask_hex(mask)}
-            for triple, mask in cubes
-        ],
+        "cubes": _cube_entries(cubes),
         "stats": stats,
     }
     if timings is not None:
         report["timings"] = timings
     return report
+
+
+def build_trace(
+    records: Iterable[Any], cubes: Iterable[tuple[Sequence[int], int]]
+) -> dict[str, Any]:
+    """Assemble the trace document: one record per change-making edge
+    application, from `propagate.TraceRecord`s, and the final cubes."""
+    return {
+        "tool": "satprop",
+        "version": __version__,
+        "records": [
+            {
+                "edge": [list(rec.edge[0]), list(rec.edge[1])],
+                "before": mask_hex(rec.before),
+                "after": mask_hex(rec.after),
+                "cells_removed": rec.cells_removed,
+            }
+            for rec in records
+        ],
+        "final_cubes": _cube_entries(cubes),
+    }
 
 
 # json's text for null, false and true: a json.dumps call costs microseconds
@@ -300,10 +327,6 @@ def _key(key: Any) -> str:
     # json writes an int, float, bool or None key as its JSON text, quoted,
     # and raises TypeError for any other type: '{"<key>": 0}'
     return json.dumps({key: 0})[1:-4]
-
-
-_CUBE_KEYS = {"mask", "triple"}
-_RECORD_KEYS = {"after", "before", "cells_removed", "edge"}
 
 
 def _ints(value: Any, k: int) -> bool:

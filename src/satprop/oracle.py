@@ -142,12 +142,16 @@ def join_semantics_oracle(
     """Reference semantics for the two-sided combination: a cell survives
     iff it was GREEN and some GREEN cell of the other partition agrees with
     it on the shared coordinates.  Computed by direct cell enumeration, over
-    a cached table of each cell's restriction to the shared coordinates."""
+    a cached table of each cell's restriction to the shared coordinates.
+    Like `bitspace.bc`, it raises ValueError on operands with disjoint or
+    equal coordinate tuples."""
     shared = tuple(sorted(set(p.coords) & set(q.coords)))
     if not shared:
         raise ValueError(
             f"disjoint coordinates: {list(p.coords)} vs {list(q.coords)}"
         )
+    if p.coords == q.coords:
+        raise ValueError("operands must differ in at least one coordinate")
     return (
         Partition(p.coords, _supported_mask(p, q, shared)),
         Partition(q.coords, _supported_mask(q, p, shared)),

@@ -2,78 +2,41 @@
 
 Cubes sharing one or two variables are adjacent; along each directed edge
 the source cube's projection onto the shared variables is imposed on the
-target (the unidirectional combination, `bitspace.bc_uni`).  A FIFO
-worklist re-enqueues any cube that changed, standing for its outgoing
-edges, and the system runs until no edge application changes anything.
-Cubes only ever lose GREEN cells, so the number of change-making
-applications is bounded by 8 x cube count and the fixpoint is independent
-of scheduling order.
+target (the unidirectional combination, `bitspace.bc_uni`).  A worklist
+requeues the out-edges of any cube that changed, and the system runs until
+no edge application changes anything.  Cubes only ever lose GREEN cells,
+so the number of change-making applications is bounded by 8 x cube count
+and the fixpoint is independent of scheduling order.
 
-The engine works on integer masks.  Cubes are numbered in sorted-triple
-order and their GREEN masks kept in a list indexed by that number.
-Adjacency is built from a variable -> cubes index and stored per cube: a
-cube's out-edges, its block, are a list of (target, shape table) pairs in
-target order, and they hold one contiguous range of edge ids, so there is
-no array with an entry per edge.  An ordered pair of adjacent triples has
-one of 18 shapes, given by the positions the shared variables hold in each
-triple (9 with one shared variable, 9 with two).  Each shape has a
-256-entry table, built from `bitspace.bc_uni` at import, that maps a source
-mask to the target cells it supports, so applying an edge is
-`masks[t] & table[masks[s]]`.
+The engine works on integer masks, one per cube, with cubes numbered in
+sorted-triple order.  An ordered pair of adjacent triples has one of 18
+shapes, given by the positions the shared variables hold in each triple (9
+with one shared variable, 9 with two).  Each shape has a 256-entry table,
+built from `bitspace.bc_uni` at import, that maps a source mask to the
+target cells it supports, so applying an edge is `masks[t] &
+table[masks[s]]`.
 
-Most cubes cannot prune.  An edge imposes the source's projection onto the
-one or two shared variables, and that projection is full unless two RED
-cells of the source differ in one variable.  A cube whose RED cells are
-pairwise at distance two or more on the 3-cube, an inert cube, has a mask
-that every shape table maps to 0xFF, so an edge out of it changes nothing.
-Every mask with at least 7 GREEN cells is inert, and in random 3SAT a cube
-has at most 6 only when its triple hosts two distinct clauses.  So the
-graph is lazy.  Out-degrees come from the variable -> cubes index by
-inclusion-exclusion: the cubes sharing a variable with (a, b, c) number
-|C(a)| + |C(b)| + |C(c)| - |C(ab)| - |C(ac)| - |C(bc)|, the cube itself
-being the only one that holds all three.  They fix every block's range of
-edge ids, and a block's targets and tables are built when it is applied
-from a cube that is not inert.
-
-The worklist's unit of work is a block, and a run starts from the blocks of
-the cubes its caller gives: every cube for `fixpoint`, the cubes a unit
-changed for extraction.  One parameter picks the schedule: no seed is FIFO
-order, a seed is random order.  In FIFO order every item is a cube,
-standing for its block: it is counted as applied in full when it comes up,
-skipped if its source is inert, and otherwise applied in one loop over its
-edges.  None of a block's edges targets its source, so the source cannot
-change while its block runs.  Each block is either queued as a whole or not
-at all, bar the one being applied, so one flag per cube is exact, and a
-cube that changes is requeued by one check of its flag and one appended
-item; a FIFO run allocates nothing per edge.  An empty cube that ends the
-run under early exit in the middle of a block takes the block's edges after
-it off the count again.  In random order the items are single edge ids with
-one flag per edge, shuffled at the start and on each requeue; an id's
-source is found by bisecting the block offsets, and an edge out of an inert
-cube is skipped the same way.  A skipped edge would change no mask, add no
-trace record and requeue nothing, so stats, traces and masks are those of
+A cube whose RED cells are pairwise at distance two or more on the 3-cube
+is inert: every shape table maps its mask to 0xFF, so no edge out of it
+changes anything.  Every mask with at least 7 GREEN cells is inert, and in
+random 3SAT a cube has at most 6 only when its triple hosts two distinct
+clauses.  So a cube's out-edges are built only when they are applied from
+a mask that is not inert, and the edges out of an inert cube are counted
+as applied and skipped.  A skipped edge would change no mask, add no trace
+record and requeue nothing, so stats, traces and masks are those of
 applying every edge, one at a time, in queue order.
 
-`fixpoint` runs one worklist loop over the directed edges.
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
 both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
-lookups on the masks from before the update; it builds every block.  It
-shares the graph code and the shape tables with the engine, which are tested
-on their own, and no loop, so the two settling to the same state checks the
-worklist.  Each call builds its own graph, unless handed one through the
-private `_graph` argument (`checks.uni_bi_confluence` runs all its fixpoints
-of one state on one graph), and no graph is cached between calls; a result
-holds the graph it was computed on, and `extract_assignment` propagates on
-that one.
+lookups on the masks from before the update.  It shares the graph code and
+the shape tables with the engine, which are tested on their own, and no
+loop, so the two settling to the same state checks the worklist.  It
+counts nothing.
 
-Extraction propagates incrementally.  It starts from a closed fixpoint, in
-which no edge can fire, and a unit only removes cells, so after imposing a
-unit on the cubes the graph's variable index lists for it, it queues just
-the blocks of the cubes the unit changed, on a copy of the masks that is
-kept if no cube empties and dropped if one does.  This reaches the same
-fixpoint and verdict as propagating from scratch, without rescanning every
-edge for every variable and value.
+No graph is cached between calls: each run builds its own unless handed
+one through the private `_graph` argument, and a result holds the graph it
+was computed on, on which `extract_assignment` resumes propagation.
 """
 
 from __future__ import annotations
@@ -278,29 +241,23 @@ def bidirectional_fixpoint(
     """The closed fixpoint of the two-sided combination, by Gauss-Seidel
     sweeps: each adjacent pair a < b, in order, is updated on both sides
     from the masks before the update, until a sweep changes nothing.  The
-    empty cube reported is the first all-RED cube in triple order.  `passes`
-    counts sweeps and `edge_applications` pair updates."""
+    empty cube reported is the first all-RED cube in triple order.  The sweep
+    counts nothing: its stats are all zero."""
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     graph.build_all()
     table = {(s, t): onto for s, block in enumerate(graph.blocks) for t, onto in block}
     pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
     masks = [state.cubes[triple] for triple in graph.nodes]
-    stats = PropStats()
     changed = True
     while changed:
         changed = False
-        stats.passes += 1
-        stats.edge_applications += len(pairs)
         for a, b, onto_a, onto_b in pairs:
             before_a, before_b = masks[a], masks[b]
             masks[a] = before_a & onto_a[before_b]
             masks[b] = before_b & onto_b[before_a]
-            removed = (before_a ^ masks[a]).bit_count() + (before_b ^ masks[b]).bit_count()
-            if removed:
+            if masks[a] != before_a or masks[b] != before_b:
                 changed = True
-                stats.applications_changed += 1
-                stats.cells_removed += removed
-    return _result(graph, masks, masks.index(0) if 0 in masks else None, stats)
+    return _result(graph, masks, masks.index(0) if 0 in masks else None, PropStats())
 
 
 def _result(

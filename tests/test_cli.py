@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import satprop
-from satprop import __version__, oracle, propagate
+from satprop import __version__, bitspace, checks, cli, oracle, propagate
 from satprop.bitspace import Partition
 from satprop.clausal import build_clausal_partition
 from satprop.cli import (
@@ -24,7 +24,7 @@ from satprop.cli import (
     parse_gen_spec,
     parse_order,
 )
-from satprop.dimacs import gen_random_3sat, write_report
+from satprop.dimacs import gen_random_3sat, parse_dimacs, write_report
 
 UNSAT_CNF = "p cnf 3 8\n" + "".join(
     " ".join(str(v if s else -v) for v, s in zip((1, 2, 3), signs)) + " 0\n"
@@ -426,6 +426,13 @@ def _claim_empty_cube(result):
     return result
 
 
+def test_bc_check_sees_a_bc_installed_after_import(monkeypatch):
+    # the --mutate-bc fault, installed where the check looks bc up
+    monkeypatch.setattr(bitspace, "bc", lambda p, q: (bitspace.bc_uni(p, q), q))
+    assert checks.bc_matches_join("overlap2", 0xF2, 0x17) == (
+        "bc mismatch on overlap2 masks (0xF2, 0x17)")
+
+
 @pytest.mark.parametrize("fakes, failure", [
     ({"ws": lambda a, b: a},
      "algebra-axioms: commutativity violated at (Color.RED, Color.GREEN)"),
@@ -506,6 +513,24 @@ def test_bench_counterexamples_reproduce_exit_20(capsys, tmp_path):
             assert rc == EXIT_DISAGREE
 
 
+def test_bench_tallies_false_unsat(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fixpoint",
+                        lambda *a, **k: _claim_empty_cube(_fixpoint(*a, **k)))
+    code, out, _ = run(capsys, "bench", "--gen", "n=8,m=16..40..12,seed=2,count=5",
+                       "--oracle", "on")
+    assert code == EXIT_DISAGREE
+    points = json.loads(out)["points"]
+    for point in points:
+        assert point["engine_unsat"] == point["count"]
+        assert point["soundness_violations"] == point["oracle_sat"]
+        ces = point["counterexamples"]
+        assert [ce["kind"] for ce in ces] == ["false_unsat"] * point["oracle_sat"]
+        for ce in ces:
+            want = gen_random_3sat(8, point["m"], ce["seed"])
+            assert parse_dimacs(ce["dimacs"]).instance == want
+    assert sum(p["soundness_violations"] for p in points) > 0
+
+
 def test_bench_timings_add_wall_time_only(capsys):
     argv = ["bench", "--gen", "n=8,m=16..24..8,seed=2,count=3", "--oracle", "off"]
     _, plain, _ = run(capsys, *argv)
@@ -526,23 +551,23 @@ def _can_prune(mask):
     return any((a ^ b).bit_count() == 1 for a in red for b in red)
 
 
-def test_bench_counts_informative_cubes(capsys):
-    # a cube has at most 6 GREEN cells when its triple hosts two distinct
-    # clauses; n=6 has only 20 triples, so most instances have some
+def test_bench_counts_prunable_cubes(capsys):
+    # a cube can prune only if it has at most 6 GREEN cells, that is, if its
+    # triple hosts two distinct clauses; n=6 has only 20 triples, so most
+    # instances have some
     _, out, _ = run(capsys, "bench", "--gen", "n=6,m=2..16..7,seed=3,count=4",
                     "--oracle", "off")
     points = json.loads(out)["points"]
     for point_index, point in enumerate(points):
-        want = prunable = 0
+        shared_hosts = prunable = 0
         for i in range(point["count"]):
             inst = gen_random_3sat(6, point["m"], instance_seed(3, point_index, i))
             hosts = [tuple(map(abs, clause)) for clause in set(inst.clauses)]
-            want += sum(hosts.count(t) >= 2 for t in set(hosts))
+            shared_hosts += sum(hosts.count(t) >= 2 for t in set(hosts))
             cubes = build_clausal_partition(inst).state.cubes
             prunable += sum(_can_prune(mask) for mask in cubes.values())
-        assert point["informative_cubes"] == want
-        assert point["prunable_cubes"] == prunable <= want
-    assert [p["informative_cubes"] > 0 for p in points] == [False, True, True]
+        assert point["prunable_cubes"] == prunable <= shared_hosts
+        assert "informative_cubes" not in point
     assert [p["prunable_cubes"] > 0 for p in points] == [False, True, True]
 
 
@@ -558,6 +583,18 @@ def test_trace_no_edges_empty_records(capsys):
     code, out, _ = run(capsys, "trace", "--gen", "n=3,m=1,seed=1")
     assert code == EXIT_OK
     assert json.loads(out)["records"] == []
+
+
+def test_trace_file_with_empty_clause(capsys, tmp_path):
+    path, out_path = tmp_path / "empty.cnf", tmp_path / "trace.json"
+    path.write_text("p cnf 3 2\n1 2 3 0\n0\n")
+    code, out, err = run(capsys, "trace", "--input", str(path), "--out", str(out_path))
+    assert code == EXIT_UNSAT
+    assert out == ""
+    assert err == (
+        f"{path}:3:1: warning: empty clause: instance is trivially unsatisfiable\n"
+        f"{path}: trivially unsatisfiable, nothing to trace\n")
+    assert not out_path.exists()
 
 
 def test_trace_two_cube_transition(capsys, tmp_path):

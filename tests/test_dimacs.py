@@ -7,16 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satprop import clausal, dimacs
-from satprop.clausal import EMPTY, TAUTOLOGY, Instance, canonicalize
+from satprop.clausal import (
+    EMPTY,
+    TAUTOLOGY,
+    Instance,
+    build_clausal_partition,
+    canonicalize,
+)
 from satprop.dimacs import (
     ParseDiagnostic,
     ParseResult,
+    build_report,
+    build_trace,
     emit_dimacs,
     gen_random_3sat,
     mask_hex,
     parse_dimacs,
     write_report,
 )
+from satprop.propagate import fixpoint
 
 
 # --- parsing ------------------------------------------------------------------
@@ -302,6 +311,13 @@ def test_emit_canonical_clause():
     assert emit_dimacs(result.instance) == "p cnf 3 1\n-1 2 -3 0\n"
 
 
+def test_emit_empty_clause_round_trip():
+    inst = Instance(4, ((1, 2, 3), (-1, 4)), has_empty_clause=True)
+    text = emit_dimacs(inst)
+    assert text == "p cnf 4 3\n1 2 3 0\n-1 4 0\n0\n"
+    assert parse_dimacs(text).instance == inst
+
+
 def test_round_trip_identity():
     inst = gen_random_3sat(10, 30, seed=5)
     assert parse_dimacs(emit_dimacs(inst)).instance == inst
@@ -349,6 +365,24 @@ def test_write_report_is_deterministic():
     report = {"b": 1, "a": [1, 2], "c": {"y": None, "x": True}}
     assert write_report(report) == write_report(dict(reversed(report.items())))
     assert write_report(report).endswith("\n")
+
+
+def test_report_and_trace_entries_take_the_fstring_path():
+    # an entry whose keys `_entry` does not expect is still written right,
+    # by the generic walker, at about half the speed; this pins the shapes
+    # the builders make to the ones the writer matches
+    inst = gen_random_3sat(20, 160, seed=7000)
+    result = fixpoint(build_clausal_partition(inst).state, record_trace=True)
+    cubes = result.fixpoint.cubes.items()
+    report = build_report(
+        instance=inst, source="gen", engine_verdict="unsat_by_empty_cube",
+        empty_triple=result.empty_triple, cubes=cubes, stats={},
+        oracle_verdict=None, oracle_agrees=None, assignment=None,
+        assignment_verified=None, order="fifo", seeds={})
+    trace = build_trace(result.trace, cubes)
+    entries = [*report["cubes"], *trace["final_cubes"], *trace["records"]]
+    assert len(trace["records"]) > 100 and len(report["cubes"]) > 100
+    assert all(dimacs._entry(entry, "\n    ") is not None for entry in entries)
 
 
 def _reference_report(doc):

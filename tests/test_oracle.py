@@ -5,10 +5,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from satprop import checks, oracle
+from satprop import bitspace, checks, oracle
 from satprop.bitspace import Partition, assemble, project
 from satprop.clausal import Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
@@ -219,6 +219,14 @@ def test_join_oracle_disjoint_error():
         oracle.join_semantics_oracle(Partition((1,), 1), Partition((2,), 1))
 
 
+def test_join_oracle_rejects_equal_coordinates_as_bc_does():
+    p, q = Partition((1, 2, 3), 0xF0), Partition((1, 2, 3), 0x3C)
+    for combine in (oracle.join_semantics_oracle, bitspace.bc, bitspace.bc_uni):
+        with pytest.raises(ValueError,
+                           match="^operands must differ in at least one coordinate$"):
+            combine(p, q)
+
+
 def _green_cells(p):
     return [cell for cell in range(1 << len(p.coords)) if p.green_mask >> cell & 1]
 
@@ -257,7 +265,8 @@ def test_join_oracle_matches_tuple_reference_on_every_layout_pair(layout):
 
 @st.composite
 def overlapping_partitions(draw, universe=8):
-    """Two partitions of 1-4 coordinates that share exactly 1-3 of them."""
+    """Two partitions of 1-4 coordinates that share exactly 1-3 of them and
+    differ in at least one."""
     shared = draw(st.sets(st.integers(1, universe), min_size=1, max_size=3))
     free = sorted(set(range(1, universe + 1)) - shared)
     extra_a = draw(st.sets(st.sampled_from(free), max_size=4 - len(shared)))
@@ -268,6 +277,7 @@ def overlapping_partitions(draw, universe=8):
         coords = tuple(sorted(shared | extra))
         mask = draw(st.integers(0, (1 << (1 << len(coords))) - 1))
         parts.append(Partition(coords, mask))
+    assume(parts[0].coords != parts[1].coords)
     return tuple(parts)
 
 
@@ -337,6 +347,16 @@ def test_truth_table_agrees_with_brute_force_count():
         table = oracle.conjunction_truth_table(inst)
         free = inst.num_vars - len(table.coords)
         assert table.green_mask.bit_count() * (1 << free) == _model_count(inst)
+
+
+def test_empty_clause_instance_has_no_model():
+    inst = Instance(4, ((1, 2, 3), (-1, 4)), has_empty_clause=True)
+    assignments = itertools.product([False, True], repeat=4)
+    assert not any(inst.evaluate(dict(zip(range(1, 5), values))) for values in assignments)
+    table = oracle.conjunction_truth_table(inst)
+    assert (table.coords, table.green_mask) == ((1, 2, 3, 4), 0)
+    triples = [(1, 2, 3), (1, 2, 4)]
+    assert oracle.projected_solution_sets(inst, triples) == {t: set() for t in triples}
 
 
 def test_truth_table_guard():
