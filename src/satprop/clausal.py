@@ -160,17 +160,16 @@ class ClausalBuild:
     """Result of building the clausal partition from an instance."""
 
     state: ClausalState
-    trivially_unsat: bool
 
 
 def build_clausal_partition(instance: Instance) -> ClausalBuild:
     """Group clauses by host triple; each cube starts all-GREEN and loses
-    the forbidden cells of every clause it hosts.  An empty clause makes
-    the instance trivially unsatisfiable (flagged, not raised)."""
+    the forbidden cells of every clause it hosts.  An empty clause hosts no
+    cube; the instance flags it (`Instance.has_empty_clause`)."""
     cubes: dict[Triple, int] = {}
     for clause in instance.clauses:
         triple = host_triple(clause, instance.num_vars)
         cubes[triple] = cubes.get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
     state = ClausalState(dict(sorted(cubes.items())))
-    return ClausalBuild(state, instance.has_empty_clause)
+    return ClausalBuild(state)
 

@@ -190,15 +190,11 @@ def cmd_solve(config: argparse.Namespace) -> int:
 
     empty_triple = assignment = verified = None
     cubes: Iterable[tuple[Triple, int]] = ()
-    if build.trivially_unsat:
+    if instance.has_empty_clause:
         engine_verdict = "trivially_unsat"
         stats = asdict(PropStats())
-        if config.trace_path is not None:
-            print(f"{source}: trivially unsatisfiable, nothing to trace",
-                  file=sys.stderr)
     else:
-        result = timed("fixpoint", fixpoint, build.state, order_seed=config.order_seed,
-                       record_trace=config.trace_path is not None)
+        result = timed("fixpoint", fixpoint, build.state, order_seed=config.order_seed)
         empty_triple = result.empty_triple
         engine_verdict = (
             "unsat_by_empty_cube" if empty_triple is not None else "no_empty_cube"
@@ -209,9 +205,7 @@ def cmd_solve(config: argparse.Namespace) -> int:
                 assignment, verified = extraction.assignment, extraction.verified
         stats = asdict(result.stats)
         cubes = result.fixpoint.cubes.items()
-        if config.trace_path is not None:
-            _write_out(write_report(build_trace(result.trace, cubes)), config.trace_path)
-    engine_unsat = build.trivially_unsat or empty_triple is not None
+    engine_unsat = instance.has_empty_clause or empty_triple is not None
     agrees = (
         None if oracle_verdict is None else engine_unsat != oracle_verdict.satisfiable
     )
@@ -247,11 +241,11 @@ def cmd_solve(config: argparse.Namespace) -> int:
 
 def cmd_trace(config: argparse.Namespace) -> int:
     instance, source = _load_instance(config)
-    build = build_clausal_partition(instance)
-    if build.trivially_unsat:
+    if instance.has_empty_clause:
         print(f"{source}: trivially unsatisfiable, nothing to trace", file=sys.stderr)
         return EXIT_UNSAT
-    result = fixpoint(build.state, order_seed=config.order_seed, record_trace=True)
+    state = build_clausal_partition(instance).state
+    result = fixpoint(state, order_seed=config.order_seed)
     _write_out(write_report(build_trace(result.trace, result.fixpoint.cubes.items())),
                config.out_path)
     return EXIT_UNSAT if result.empty_triple is not None else EXIT_OK
@@ -430,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (solve, bench):
         p.add_argument("--oracle", dest="oracle_mode", choices=["on", "off", "auto"],
                        default="auto")
-    solve.add_argument("--trace", dest="trace_path", help="trace output path")
     solve.add_argument("--timings", action="store_true",
                        help="add per-stage seconds to the report")
     bench.add_argument("--timings", action="store_true",

@@ -22,9 +22,13 @@ changes anything.  Every mask with at least 7 GREEN cells is inert, and in
 random 3SAT a cube has at most 6 only when its triple hosts two distinct
 clauses.  So a cube's out-edges are built only when they are applied from
 a mask that is not inert, and the edges out of an inert cube are counted
-as applied and skipped.  A skipped edge would change no mask, add no trace
-record and requeue nothing, so stats, traces and masks are those of
-applying every edge, one at a time, in queue order.
+as applied and skipped.  A skipped edge would change no mask, log nothing
+and requeue nothing, so stats, traces and masks are those of applying every
+edge, one at a time, in queue order.
+
+A run logs each change-making application once, as (source, target, mask
+before, mask after); a result's trace and its counts of changes and removed
+cells are read off that log.
 
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
@@ -32,7 +36,7 @@ both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
 lookups on the masks from before the update.  It shares the graph code and
 the shape tables with the engine, which are tested on their own, and no
 loop, so the two settling to the same state checks the worklist.  It
-counts nothing.
+counts and records nothing.
 
 No graph is cached between calls: each run builds its own unless handed
 one through the private `_graph` argument, and a result holds the graph it
@@ -86,7 +90,7 @@ class PropagationResult:
     fixpoint: ClausalState
     empty_triple: Triple | None
     stats: PropStats
-    trace: list[TraceRecord] | None
+    trace: list[TraceRecord]
     # The adjacency the result was computed on, with the blocks built so far
     _graph: _Graph = field(repr=False, compare=False)
 
@@ -210,7 +214,6 @@ def fixpoint(
     state: ClausalState,
     order_seed: int | None = None,
     early_exit: bool = True,
-    record_trace: bool = False,
     *,
     _graph: _Graph | None = None,
 ) -> PropagationResult:
@@ -225,14 +228,14 @@ def fixpoint(
     from an earlier call; which of its blocks are already built changes no
     result.
     """
-    trace: list[TraceRecord] | None = [] if record_trace else None
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
     if early_exit and 0 in masks:
-        return _result(graph, masks, masks.index(0), PropStats(), trace)
+        return _result(graph, masks, masks.index(0))
     rng = None if order_seed is None else random.Random(order_seed)
-    stats, empty = _worklist(graph, masks, range(len(masks)), early_exit, rng, trace)
-    return _result(graph, masks, empty, stats, trace)
+    passes, applications, log, empty = _worklist(
+        graph, masks, range(len(masks)), early_exit, rng)
+    return _result(graph, masks, empty, passes, applications, log)
 
 
 def bidirectional_fixpoint(
@@ -242,7 +245,7 @@ def bidirectional_fixpoint(
     sweeps: each adjacent pair a < b, in order, is updated on both sides
     from the masks before the update, until a sweep changes nothing.  The
     empty cube reported is the first all-RED cube in triple order.  The sweep
-    counts nothing: its stats are all zero."""
+    counts and records nothing: its stats are all zero and its trace empty."""
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     graph.build_all()
     table = {(s, t): onto for s, block in enumerate(graph.blocks) for t, onto in block}
@@ -257,19 +260,25 @@ def bidirectional_fixpoint(
             masks[b] = before_b & onto_b[before_a]
             if masks[a] != before_a or masks[b] != before_b:
                 changed = True
-    return _result(graph, masks, masks.index(0) if 0 in masks else None, PropStats())
+    return _result(graph, masks, masks.index(0) if 0 in masks else None)
 
 
 def _result(
     graph: _Graph,
     masks: list[int],
     empty: int | None,
-    stats: PropStats,
-    trace: list[TraceRecord] | None = None,
+    passes: int = 0,
+    applications: int = 0,
+    log: Sequence[tuple[int, int, int, int]] = (),
 ) -> PropagationResult:
     """The result of a run on `graph` that left `masks`, reporting cube
-    `empty` as all-RED unless it is None."""
+    `empty` as all-RED unless it is None, from what `_worklist` returned."""
     nodes = graph.nodes
+    trace = [TraceRecord((nodes[s], nodes[t]), before, after,
+                         (before ^ after).bit_count())
+             for s, t, before, after in log]
+    stats = PropStats(passes, applications, len(trace),
+                      sum(rec.cells_removed for rec in trace))
     return PropagationResult(ClausalState(dict(zip(nodes, masks))),
                              None if empty is None else nodes[empty],
                              stats, trace, graph)
@@ -281,12 +290,11 @@ def _worklist(
     items: Sequence[int],
     early_exit: bool,
     rng: random.Random | None,
-    trace: list[TraceRecord] | None,
-) -> tuple[PropStats, int | None]:
+) -> tuple[int, int, list[tuple[int, int, int, int]], int | None]:
     """The propagation loop from the blocks of the cubes `items`.  Updates
-    `masks` in place and returns the stats and the id of the empty cube it
-    reports, if any.  Under `early_exit` the caller guarantees that no mask
-    is empty on entry.
+    `masks` in place and returns the pass and edge application counts, the
+    change log and the id of the empty cube it reports, if any.  Under
+    `early_exit` the caller guarantees that no mask is empty on entry.
 
     Without `rng` a work item is a cube s, standing for its whole block, and
     the cubes `items` start queued, in the order given.  Under `rng` an item
@@ -307,6 +315,7 @@ def _worklist(
     """
     nodes, first, blocks, build, inert = (
         graph.nodes, graph.first, graph.blocks, graph.build, _INERT)
+    log: list[tuple[int, int, int, int]] = []
     count = first[-1]
 
     if rng is not None:  # items become the edge ids of their blocks
@@ -319,7 +328,7 @@ def _worklist(
     queue.append(None)  # pass marker
     popleft, append, extend = queue.popleft, queue.append, queue.extend
     passes = 1 if count else 0
-    applications = changed = removed_total = 0
+    applications = 0
     changed_this_pass = False
     empty = None
 
@@ -351,11 +360,7 @@ def _worklist(
             if after == before:
                 continue
             masks[t] = after
-            removed = (before ^ after).bit_count()
-            if trace is not None:
-                trace.append(TraceRecord((nodes[s], nodes[t]), before, after, removed))
-            changed += 1
-            removed_total += removed
+            log.append((s, t, before, after))
             changed_this_pass = True
             if early_exit and after == 0:
                 empty = t
@@ -381,7 +386,7 @@ def _worklist(
     if not early_exit and 0 in masks:
         empty = masks.index(0)
 
-    return PropStats(passes, applications, changed, removed_total), empty
+    return passes, applications, log, empty
 
 
 def extract_assignment(
@@ -449,5 +454,5 @@ def _impose_unit(
         if after != trial[i]:
             trial[i] = after
             changed.append(i)
-    _, empty = _worklist(graph, trial, changed, True, None, None)
+    *_, empty = _worklist(graph, trial, changed, True, None)
     return trial if empty is None else None

@@ -106,7 +106,7 @@ def test_forbidden_cells_match_direct_evaluation(data):
 def test_build_single_clause():
     inst = Instance(3, ((-1, 2, -3),))
     build = build_clausal_partition(inst)
-    assert not build.trivially_unsat
+    assert not inst.has_empty_clause
     assert build.state.cubes[(1, 2, 3)] == 0xDF
 
 
@@ -127,9 +127,11 @@ def test_build_all_polarities_gives_all_red():
 
 
 def test_build_flags_trivially_unsat():
+    # the instance carries the flag; the build holds the other clauses' cubes
     inst = parse_dimacs("p cnf 3 2\n1 2 3 0\n0\n").instance
     build = build_clausal_partition(inst)
-    assert build.trivially_unsat
+    assert inst.has_empty_clause
+    assert build.state.cubes == {(1, 2, 3): 0xFE}
 
 
 def test_build_green_iff_all_hosted_clauses_satisfied():

@@ -141,6 +141,7 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
     "trace --gen n=3,m=1,seed=1 --timings", "trace --gen n=3,m=1,seed=1 --trace t.json",
     "bench --gen n=3,m=1,seed=1 --input x.cnf", "bench --gen n=3,m=1,seed=1 --quick",
     "bench --gen n=3,m=1,seed=1 --trace t.json",
+    "solve --gen n=3,m=1,seed=1 --trace t.json",
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert main(argv.split()) == EXIT_PARSE
@@ -194,17 +195,43 @@ def test_one_process_runs_each_command_as_alone(capsys, monkeypatch):
         assert want is None or code == want
 
 
-def test_tracer_targets_resolve():
-    # perfbench's tracer wraps these names where the program looks them
-    # up; a rename would break its traced runs, which these tests do not run
+def _load_tracer():
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # perfbench's tracer wraps these names where the program looks them
+    # up; a rename would break its traced runs
+    tracer = _load_tracer()
     modules = {module for module, *_ in tracer.TARGETS}
     assert {"cli", "propagate"} <= modules
     for module, attr, *_ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"satprop.{module}"), attr))
+
+
+def test_tracer_reads_what_each_command_returns(capsys):
+    # the tracer also reads the wrapped functions' results (a build's
+    # cubes, a fixpoint's stats, a graph's edges); one traced call per
+    # command must run as usual and leave those counts set
+    tracer = _load_tracer()
+    spans = tracer.Tracer()
+    uninstall = spans.install({module: importlib.import_module(f"satprop.{module}")
+                               for module, *_ in tracer.TARGETS})
+    try:
+        codes = [main(argv.split()) for argv in (
+            "solve --gen n=9,m=30,seed=6", "trace --gen n=9,m=30,seed=6",
+            "bench --gen n=8,m=16..24..8,seed=2,count=2", "verify --quick")]
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * 4
+    metrics = spans.metrics(0.0, 0.0)
+    assert metrics["clausal.cubes"] > 0
+    assert metrics["propagate.edge_applications"] > 0
 
 
 # --- solve --------------------------------------------------------------------
@@ -297,17 +324,6 @@ def test_solve_trivially_unsat(capsys, tmp_path):
     assert json.loads(out)["engine_verdict"] == "trivially_unsat"
 
 
-def test_solve_trace_notes_trivially_unsat(capsys, tmp_path):
-    path, trace_path = tmp_path / "empty.cnf", tmp_path / "trace.json"
-    path.write_text("p cnf 3 1\n0\n")
-    code, out, err = run(capsys, "solve", "--input", str(path), "--oracle", "off",
-                         "--trace", str(trace_path))
-    assert code == EXIT_UNSAT
-    assert json.loads(out)["engine_verdict"] == "trivially_unsat"
-    assert err.endswith(f"{path}: trivially unsatisfiable, nothing to trace\n")
-    assert not trace_path.exists()
-
-
 def test_solve_deterministic_output(capsys, tmp_path):
     argv = ["solve", "--gen", "n=10,m=35,seed=3", "--oracle", "on"]
     code1, out1, _ = run(capsys, *argv)
@@ -326,7 +342,6 @@ def test_solve_writes_out_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--gen", "n=9,m=30,seed=6", "--out"],
-    ["solve", "--gen", "n=9,m=30,seed=6", "--trace"],
     ["trace", "--gen", "n=9,m=30,seed=6", "--out"],
     ["bench", "--gen", "n=8,m=16,seed=2,count=2", "--out"],
 ])
@@ -414,10 +429,10 @@ def _keeps_input_state(state, *args, **kwargs):
 def _reports_last_empty_cube(graph, masks, items, early_exit, *args):
     """`_worklist` reporting the last all-RED cube of a closed run, not the
     first."""
-    stats, empty = _worklist(graph, masks, items, early_exit, *args)
+    *counts, empty = _worklist(graph, masks, items, early_exit, *args)
     if not early_exit and 0 in masks:
         empty = len(masks) - 1 - masks[::-1].index(0)
-    return stats, empty
+    return *counts, empty
 
 
 def _claim_empty_cube(result):
@@ -613,13 +628,18 @@ def test_trace_two_cube_transition(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("order", ["fifo", "random:3"])
-def test_solve_trace_matches_trace_subcommand(capsys, tmp_path, order):
-    solve_path, trace_path = tmp_path / "solve.json", tmp_path / "trace.json"
+def test_trace_document_agrees_with_solve_report(capsys, order):
+    # both come from one run's change log: its records are the changes the
+    # report counts, and its final cubes the report's
     gen = ["--gen", "n=9,m=30,seed=6", "--order", order]
-    run(capsys, "solve", *gen, "--oracle", "off", "--trace", str(solve_path))
-    run(capsys, "trace", *gen, "--out", str(trace_path))
-    assert json.loads(trace_path.read_text())["records"]
-    assert solve_path.read_text() == trace_path.read_text()
+    _, trace, _ = run(capsys, "trace", *gen)
+    _, report, _ = run(capsys, "solve", *gen, "--oracle", "off")
+    trace, report = json.loads(trace), json.loads(report)
+    records, stats = trace["records"], report["stats"]
+    assert records
+    assert trace["final_cubes"] == report["cubes"]
+    assert len(records) == stats["applications_changed"]
+    assert sum(r["cells_removed"] for r in records) == stats["cells_removed"]
 
 
 def test_trace_replay_reproduces_fixpoint(capsys):
@@ -635,15 +655,13 @@ def test_trace_replay_reproduces_fixpoint(capsys):
 
 
 @pytest.mark.parametrize("order", ["fifo", "random:3"])
-def test_trace_documents_round_trip(capsys, tmp_path, order):
+def test_trace_documents_round_trip(capsys, order):
     # n=20, m=160, seed 7000 is refuted after 328 change-making applications
     gen = ["--gen", "n=20,m=160,seed=7000", "--order", order]
-    solve_path = tmp_path / "solve-trace.json"
-    solve_code, report, _ = run(capsys, "solve", *gen, "--oracle", "off",
-                                "--trace", str(solve_path))
+    solve_code, report, _ = run(capsys, "solve", *gen, "--oracle", "off")
     trace_code, trace, _ = run(capsys, "trace", *gen)
     assert solve_code == trace_code == EXIT_UNSAT
-    for text in (report, solve_path.read_text(), trace):
+    for text in (report, trace):
         doc = json.loads(text)
         assert write_report(doc) == text
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text

@@ -35,28 +35,32 @@ UNSAT_CNF = "p cnf 3 8\n" + "".join(
 # a unit, a 2-clause, a tautology and a header that undercounts
 SHORT_CNF = "c short clauses\np cnf 5 3\n1 0\n-2 4 0\n3 -3 5 0\n2 5 -1 0\n"
 
-# name -> (argv, stdin).  "{out}" and "{trace}" stand for files in a fresh
-# directory; each one named in an argv is hashed after the call.
+# name -> (argv, stdin).  "{out}" stands for a file in a fresh directory,
+# hashed after the call when an argv names it.
 CASES: dict[str, tuple[list[str], str | None]] = {
     "solve-fifo-oracle-on": (
         ["solve", "--gen", "n=12,m=51,seed=1", "--oracle", "on"], None),
     "solve-random-oracle-off": (
         ["solve", "--gen", "n=12,m=51,seed=1", "--oracle", "off",
          "--order", "random:5"], None),
-    "solve-fifo-trace-unsat": (
+    "solve-fifo-unsat-out": (
         ["solve", "--gen", "n=20,m=160,seed=7000", "--oracle", "off",
-         "--trace", "{trace}", "--out", "{out}"], None),
-    "solve-random-trace-oracle-on": (
+         "--out", "{out}"], None),
+    "solve-random-oracle-on": (
         ["solve", "--gen", "n=9,m=30,seed=6", "--order", "random:3",
-         "--oracle", "on", "--trace", "{trace}"], None),
+         "--oracle", "on"], None),
     "solve-stdin-unsat": (["solve", "--input", "-", "--oracle", "on"], UNSAT_CNF),
     "solve-stdin-short-clauses": (["solve", "--input", "-"], SHORT_CNF),
-    "solve-stdin-empty-clause-trace": (
-        ["solve", "--input", "-", "--oracle", "on", "--trace", "{trace}"],
-        "p cnf 3 2\n1 2 3 0\n0\n"),
+    "solve-stdin-empty-clause": (
+        ["solve", "--input", "-", "--oracle", "on"], "p cnf 3 2\n1 2 3 0\n0\n"),
     "solve-oracle-skipped": (
         ["solve", "--gen", "n=31,m=40,seed=1", "--oracle", "on"], None),
     "trace-fifo": (["trace", "--gen", "n=9,m=30,seed=6"], None),
+    "trace-fifo-unsat-out": (
+        ["trace", "--gen", "n=20,m=160,seed=7000", "--out", "{out}"], None),
+    "trace-random-small-out": (
+        ["trace", "--gen", "n=9,m=30,seed=6", "--order", "random:3",
+         "--out", "{out}"], None),
     "trace-random-out": (
         ["trace", "--gen", "n=20,m=160,seed=7000", "--order", "random:3",
          "--out", "{out}"], None),
@@ -81,6 +85,8 @@ CASES: dict[str, tuple[list[str], str | None]] = {
     "error-gen-range": (["solve", "--gen", "n=2,m=3,seed=1"], None),
     "error-gen-field": (["bench", "--gen", "n=12,m=30,seed=1,cont=50"], None),
     "error-multi-instance": (["trace", "--gen", "n=12,m=30..50,seed=1"], None),
+    "error-solve-trace": (
+        ["solve", "--gen", "n=3,m=1,seed=1", "--trace", "t.json"], None),
     "error-order": (["solve", "--gen", "n=3,m=1,seed=1", "--order", "lifo"], None),
     "error-exclusive": (["solve", "--input", "-", "--gen", "n=3,m=1,seed=1"], ""),
     "error-bench-needs-gen": (["bench"], None),
@@ -98,7 +104,7 @@ def run_case(name: str) -> dict:
     """The digests of one case's exit code, streams and written files."""
     argv, stdin = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {key: os.path.join(tmp, f"{key}.json") for key in ("out", "trace")}
+        paths = {"out": os.path.join(tmp, "out.json")}
         args = [arg.format(**paths) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         saved_stdin, saved_columns = sys.stdin, os.environ.get("COLUMNS")

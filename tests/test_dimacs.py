@@ -372,7 +372,7 @@ def test_report_and_trace_entries_take_the_fstring_path():
     # by the generic walker, at about half the speed; this pins the shapes
     # the builders make to the ones the writer matches
     inst = gen_random_3sat(20, 160, seed=7000)
-    result = fixpoint(build_clausal_partition(inst).state, record_trace=True)
+    result = fixpoint(build_clausal_partition(inst).state)
     cubes = result.fixpoint.cubes.items()
     report = build_report(
         instance=inst, source="gen", engine_verdict="unsat_by_empty_cube",

@@ -67,7 +67,7 @@ def case_digests() -> dict[str, str]:
     for key, instance, state in _instances():
         for order_seed in ORDER_SEEDS:
             for early_exit in (True, False):
-                result = fixpoint(state, order_seed, early_exit, record_trace=True)
+                result = fixpoint(state, order_seed, early_exit)
                 record = _outcome(result)
                 record["trace"] = [
                     [list(r.edge[0]), list(r.edge[1]), r.before, r.after,

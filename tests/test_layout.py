@@ -1,11 +1,18 @@
 """Every function, class, method and property of `src/satprop` is used by
-the package itself, or is on `UNREFERENCED` with the reason it stays.
+the package itself, or is on `UNREFERENCED` with the reason it stays; and
+every optional parameter of those functions and methods is set by some call
+in the package, or is on `UNSET` with the reason it stays.
 
 A definition counts as used when its name appears in `src/satprop` outside
 its own body: as a name for a module-level function or class (or as an
 attribute, `module.name`), as an attribute for a method or property.  Names
 are matched, not resolved, so a same-named use elsewhere also counts.
 Imports are not uses, and dunder methods are skipped.
+
+An optional parameter is one with a default, or keyword-only.  A call sets
+it when it calls the parameter's function by name (`f(...)` or `x.f(...)`)
+and passes it by keyword or by position, or passes `*args` or `**kwargs`
+that could hold it.  A method's first parameter is bound, not passed.
 """
 
 import ast
@@ -21,6 +28,12 @@ UNREFERENCED = {
     "ParseResult.errors": "acceptance criterion 9 reads a parse's errors",
     "ParseResult.warnings": "acceptance criterion 9 reads a parse's warnings",
     "_Graph.edges": "the benchmark's tracer counts edges with it",
+}
+
+# function.parameter -> why it stays with no call in the package setting it
+UNSET = {
+    "assemble.op": "the bitspace tests fold with WS as well as BS",
+    "main.argv": "the tests and the benchmark call main with an argv",
 }
 
 
@@ -62,3 +75,52 @@ def test_every_definition_is_referenced_or_allowed():
     assert orphans == set(UNREFERENCED), (
         f"unreferenced, not allowed: {sorted(orphans - set(UNREFERENCED))}; "
         f"allowed, now referenced: {sorted(set(UNREFERENCED) - orphans)}")
+
+
+def _optional_parameters(node, is_method):
+    """(name, positional index or None) of each optional parameter of the
+    function `node`; the index counts the parameters a call passes, so a
+    method's first one is left out."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    bound = 1 if is_method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in node.decorator_list) else 0
+    passed = positional[bound:]
+    for index, arg in enumerate(passed):
+        if index >= len(passed) - len(args.defaults):
+            yield arg.arg, index
+    for arg in args.kwonlyargs:
+        yield arg.arg, None
+
+
+def _sets(call, name, index):
+    """Whether `call` passes parameter `name`, at positional `index`."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_optional_parameter_is_set_or_allowed():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls = {}  # called name -> calls
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(called, []).append(node)
+    unset = set()
+    for tree in trees:
+        for qualname, node, is_method in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for name, index in _optional_parameters(node, is_method):
+                if not any(_sets(call, name, index) for call in calls.get(node.name, [])):
+                    unset.add(f"{qualname}.{name}")
+    assert unset == set(UNSET), (
+        f"never set, not allowed: {sorted(unset - set(UNSET))}; "
+        f"allowed, now set: {sorted(set(UNSET) - unset)}")

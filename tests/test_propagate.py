@@ -53,14 +53,14 @@ def test_adjacency_pairwise_single_shared():
 
 def test_edge_from_all_green_source_changes_nothing():
     state = ClausalState({(1, 2, 3): 0xFF, (2, 3, 4): 0xAB})
-    result = fixpoint(state, record_trace=True)
+    result = fixpoint(state)
     assert result.fixpoint.cubes[(2, 3, 4)] == 0xAB
     assert all(rec.edge[1] != (2, 3, 4) for rec in result.trace)
 
 
 def test_edge_prunes_target():
     state = ClausalState({(1, 2, 3): 0xFC, (2, 3, 4): 0xFF})
-    result = fixpoint(state, record_trace=True)
+    result = fixpoint(state)
     # one change, on the target only; the input state is left as it was
     assert result.trace == [
         TraceRecord(((1, 2, 3), (2, 3, 4)), 0xFF, 0xEE, 2)]
@@ -422,8 +422,8 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
         bidirectional_fixpoint(state, _graph=graph)  # builds every block
         for order_seed in (None, 0, 5):
             for early_exit in (True, False):
-                shared = fixpoint(state, order_seed, early_exit, True, _graph=graph)
-                fresh = fixpoint(state, order_seed, early_exit, True)
+                shared = fixpoint(state, order_seed, early_exit, _graph=graph)
+                fresh = fixpoint(state, order_seed, early_exit)
                 assert shared._graph is graph
                 assert (shared.fixpoint, shared.empty_triple, shared.stats,
                         shared.trace) == (fresh.fixpoint, fresh.empty_triple,
@@ -434,7 +434,7 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
 def test_fixpoint_reports_a_cube_empty_on_entry(order_seed):
     state = build_clausal_partition(Instance(4, (*ALL_POLARITIES, (2, 3, 4)))).state
     assert state.cubes[(1, 2, 3)] == 0
-    result = fixpoint(state, order_seed, record_trace=True)
+    result = fixpoint(state, order_seed)
     assert result.empty_triple == (1, 2, 3)
     assert result.stats == PropStats(0, 0, 0, 0)
     assert result.trace == []
@@ -464,6 +464,9 @@ def test_bidirectional_finds_empty_cube():
     inst = Instance(4, (*ALL_POLARITIES, (2, 3, 4)))
     result = bidirectional_fixpoint(build_clausal_partition(inst).state)
     assert result.empty_triple is not None
+    # the sweep changed cubes but counts and records nothing
+    assert result.fixpoint.cubes[(2, 3, 4)] != 0xFF
+    assert (result.stats, result.trace) == (PropStats(), [])
 
 
 # --- soundness ----------------------------------------------------------------
@@ -593,7 +596,7 @@ def test_lazy_engine_matches_eager_reference(instance):
             rng = None if order_seed is None else random.Random(order_seed)
             trace = []
             stats, empty = _eager_worklist(graph, masks, early_exit, rng, trace)
-            got = fixpoint(state, order_seed, early_exit, record_trace=True)
+            got = fixpoint(state, order_seed, early_exit)
             case = (order_seed, early_exit)
             assert got.stats == stats, case
             assert got.trace == trace, case
