@@ -1,14 +1,18 @@
 """Golden differential test of the propagation engine.
 
-Every case runs the engine on a seeded random 3SAT instance and hashes what
-it returned: the verdict, the four stats, the fixpoint masks and the trace
+Every case runs the engine on a seeded instance and hashes what it
+returned: the verdict, the four stats, the fixpoint masks and the trace
 records for `fixpoint` under three orders, with early exit on and off; and
 the `extract_assignment` result.  The digests in `data/engine_golden.json`
-were recorded from the engine that built a `Partition` per edge
-application, so a rewrite of the engine must reproduce its results byte for
-byte.  On the same instances, the two-sided sweep `bidirectional_fixpoint`
-must reach the masks and the empty cube of the closed FIFO fixpoint.  To
-re-record the digests against the engine on the path:
+cover random 3SAT and were recorded from the engine that built a
+`Partition` per edge application; those in
+`data/engine_golden_short.json` cover random CNF with 1- and 2-clauses,
+whose padding makes u1 a hub held by most cubes, and were recorded from
+the engine that applied a cube's whole block of out-edges.  A rewrite of
+the engine must reproduce both byte for byte.  On the same instances, the
+two-sided sweep `bidirectional_fixpoint` must reach the masks and the
+empty cube of the closed FIFO fixpoint.  To re-record the digests against
+the engine on the path:
 
     PYTHONPATH=src python tests/test_engine_golden.py --record
 """
@@ -17,19 +21,43 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
-from satprop.clausal import build_clausal_partition
+from satprop.clausal import Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import bidirectional_fixpoint, extract_assignment, fixpoint
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "engine_golden.json"
+GOLDEN_SHORT = GOLDEN.with_name("engine_golden_short.json")
 
 SIZES = (6, 9, 12, 20, 40)
 RATIOS = (2.0, 3.0, 4.26, 5.5)
 SEEDS = range(6)
 ORDER_SEEDS = (None, 0, 7)  # FIFO, then random order under two seeds
+
+# The short-clause family: (name, clause widths drawn from, clause/variable
+# ratios), at each of SHORT_SIZES and SHORT_SEEDS
+SHORT_FAMILIES = (
+    ("mixed", (3, 3, 3, 3, 3, 3, 2, 2, 2, 1), (1.0, 2.0, 3.0)),
+    ("2cnf", (2,), (0.5, 1.0, 1.5)),
+)
+SHORT_SIZES = (12, 40)
+SHORT_SEEDS = range(4)
+
+
+def random_cnf(n: int, m: int, seed: int, widths: tuple[int, ...]) -> Instance:
+    """m clauses, each on a width drawn from `widths` of distinct variables
+    drawn from 1..n, each literal positive with chance 1/2.  A clause of
+    width 1 or 2 is padded with the smallest ids it lacks, so almost every
+    such cube holds u1."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        chosen = sorted(rng.sample(range(1, n + 1), rng.choice(widths)))
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+    return Instance(n, tuple(clauses))
 
 
 def _masks(result) -> list:
@@ -52,7 +80,7 @@ def _digest(value: object) -> str:
 
 
 def _instances():
-    """(key, instance, clausal state) of every golden instance."""
+    """(key, instance, clausal state) of every random 3SAT golden instance."""
     for n in SIZES:
         for ratio in RATIOS:
             for seed in SEEDS:
@@ -61,10 +89,22 @@ def _instances():
                 yield f"n={n},ratio={ratio},seed={seed}", instance, state
 
 
-def case_digests() -> dict[str, str]:
-    """One digest per case, keyed by instance, order and early-exit flag."""
+def _short_instances():
+    """(key, instance, clausal state) of every short-clause golden instance."""
+    for name, widths, ratios in SHORT_FAMILIES:
+        for n in SHORT_SIZES:
+            for ratio in ratios:
+                for seed in SHORT_SEEDS:
+                    instance = random_cnf(n, round(n * ratio), seed, widths)
+                    state = build_clausal_partition(instance).state
+                    yield f"{name},n={n},ratio={ratio},seed={seed}", instance, state
+
+
+def case_digests(instances) -> dict[str, str]:
+    """One digest per case of `instances`, keyed by instance, order and
+    early-exit flag."""
     out: dict[str, str] = {}
-    for key, instance, state in _instances():
+    for key, instance, state in instances:
         for order_seed in ORDER_SEEDS:
             for early_exit in (True, False):
                 result = fixpoint(state, order_seed, early_exit)
@@ -83,26 +123,46 @@ def case_digests() -> dict[str, str]:
     return out
 
 
-def test_engine_matches_golden_digests():
-    want = json.loads(GOLDEN.read_text())
-    got = case_digests()
+def _assert_matches(path, instances):
+    want = json.loads(path.read_text())
+    got = case_digests(instances)
     assert sorted(got) == sorted(want)
     differing = [key for key in want if got[key] != want[key]]
     assert not differing, f"{len(differing)} cases differ, first: {differing[:5]}"
 
 
-def test_bidirectional_matches_closed_fixpoint():
+def test_engine_matches_golden_digests():
+    _assert_matches(GOLDEN, _instances())
+
+
+def test_engine_matches_short_clause_golden_digests():
+    _assert_matches(GOLDEN_SHORT, _short_instances())
+
+
+def _assert_sweep_matches(instances):
+    """The two-sided sweep reaches the closed FIFO fixpoint on each of
+    `instances`; returns how many there were."""
     count = 0
-    for key, _, state in _instances():
+    for key, _, state in instances:
         want = fixpoint(state, early_exit=False)
         got = bidirectional_fixpoint(state)
         assert _masks(got) == _masks(want), key
         assert got.empty_triple == want.empty_triple, key
         count += 1
-    assert count == 120
+    return count
+
+
+def test_bidirectional_matches_closed_fixpoint():
+    assert _assert_sweep_matches(_instances()) == 120
+
+
+def test_bidirectional_matches_closed_fixpoint_on_short_clauses():
+    assert _assert_sweep_matches(_short_instances()) == 48
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(case_digests(), indent=1, sort_keys=True) + "\n")
+    for path, instances in ((GOLDEN, _instances), (GOLDEN_SHORT, _short_instances)):
+        digests = case_digests(instances())
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
