@@ -16,15 +16,18 @@ built from `bitspace.bc_uni` at import, that maps a source mask to the
 target cells it supports, so applying an edge is `masks[t] &
 table[masks[s]]`.
 
-A cube whose RED cells are pairwise at distance two or more on the 3-cube
-is inert: every shape table maps its mask to 0xFF, so no edge out of it
-changes anything.  Every mask with at least 7 GREEN cells is inert, and in
-random 3SAT a cube has at most 6 only when its triple hosts two distinct
-clauses.  So a cube's out-edges are built only when they are applied from
-a mask that is not inert, and the edges out of an inert cube are counted
-as applied and skipped.  A skipped edge would change no mask, log nothing
-and requeue nothing, so stats, traces and masks are those of applying every
-edge, one at a time, in queue order.
+An edge prunes only through a separator, a variable or a pair of variables
+the two cubes share, onto which the source's projection is not full.
+`_SEPARATORS[mask]` lists the separators a mask restricts; a cube that
+restricts none is inert, and no edge out of it changes anything.  In FIFO
+order a popped cube is applied only to the cubes holding a separator it
+restricts, in target order, each through the table of its shape, read off
+the two triples; the edges to the other cubes would change nothing.  In
+random order a work item is one edge, taken from its source's block of
+out-edges, built the first time a cube that is not inert needs it.  Either
+way a skipped edge is counted as applied, and would change no mask, log
+nothing and requeue nothing, so stats, traces and masks are those of
+applying every edge, one at a time, in queue order.
 
 A run logs each change-making application once, as (source, target, mask
 before, mask after); a result's trace and its counts of changes and removed
@@ -38,9 +41,15 @@ the shape tables with the engine, which are tested on their own, and no
 loop, so the two settling to the same state checks the worklist.  It
 counts and records nothing.
 
+Extraction does not run the worklist.  A state is closed exactly when all
+cubes holding a separator project onto it alike, so `extract_assignment`
+reads one domain per separator off the fixpoint, imposes each unit on its
+variable's domain, and lifts every domain that shrinks onto the cubes
+holding it, until no domain shrinks.
+
 No graph is cached between calls: each run builds its own unless handed
 one through the private `_graph` argument, and a result holds the graph it
-was computed on, on which `extract_assignment` resumes propagation.
+was computed on, which `extract_assignment` reads.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from .clausal import _CELLS, ClausalState, Instance, Triple
 
 Edge = tuple[Triple, Triple]
 # A cube's out-edges: (target cube, shape table) pairs, in target order
-Block = list[tuple[int, tuple[int, ...]]]
+Block = list[tuple[int, bytes]]
 
 
 @dataclass
@@ -109,13 +118,13 @@ def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
     return code
 
 
-def _shape_tables() -> dict[int, tuple[int, ...]]:
+def _shape_tables() -> dict[int, bytes]:
     """For each shape, the table whose entry m is the mask of target cells
     that agree on the shared variables with some GREEN cell of source mask
     m.  The images of the 8 single source cells come from `bc_uni` on a
     representative pair of triples; a mask's image is the union of its
     cells' images, since projection and lifting both preserve unions."""
-    tables: dict[int, tuple[int, ...]] = {}
+    tables: dict[int, bytes] = {}
     triples = list(combinations(range(1, 6), 3))
     for src in triples:
         for tgt in triples:
@@ -127,22 +136,48 @@ def _shape_tables() -> dict[int, tuple[int, ...]]:
             for cell in range(8):
                 image = bc_uni(full, Partition(src, 1 << cell)).green_mask
                 table += [mask | image for mask in table]
-            tables[code] = tuple(table)
+            tables[code] = bytes(table)
     return tables
 
 
 _TABLES = _shape_tables()
 
-# _INERT[m] is 1 when every shape table maps mask m to 0xFF, so that no edge
-# out of a cube with mask m changes anything: 35 masks, those whose RED cells
-# are pairwise at distance two or more on the 3-cube.
-_INERT = bytes(all(t[mask] == 0xFF for t in _TABLES.values()) for mask in range(256))
+# A separator, a variable or a pair of variables, sits in one of six slots of
+# a triple holding it: its variable at position 0, 1 or 2, or its pair at
+# positions (0, 1), (0, 2) or (1, 2); _SLOTS gives each slot's position bits.
+# A separator's domain is kept as the mask it lifts to on a triple holding
+# its variables first, at the position bits _FRAMES gives, so projecting a
+# mask onto a slot and lifting a domain onto it are lookups in the shape
+# tables below, one per slot.
+_SLOTS = (1, 2, 4, 3, 5, 6)
+_FRAMES = (1, 1, 1, 3, 3, 3)
+_PROJECTIONS = tuple(_TABLES[bits | frame << 3] for bits, frame in zip(_SLOTS, _FRAMES))
+_LIFTS = tuple(_TABLES[frame | bits << 3] for bits, frame in zip(_SLOTS, _FRAMES))
+
+
+def _restricted(mask: int) -> int:
+    """The separators along which a cube with GREEN mask `mask` prunes, bit
+    k for slot k: a variable when the mask's projection onto it is not
+    full, a pair when that onto the pair is not full but that onto each of
+    its variables is."""
+    sep = 0
+    for slot, (bits, project) in enumerate(zip(_SLOTS, _PROJECTIONS)):
+        if project[mask] != 0xFF and not sep & bits:
+            sep |= 1 << slot
+    return sep
+
+
+# _SEPARATORS[m] lists the separators a cube with mask m restricts (see
+# `_restricted`).  An edge changes its target only if the target holds one
+# of them, and 0 marks the 35 inert masks, whose RED cells are pairwise at
+# distance two or more on the 3-cube: no edge out of them changes anything.
+_SEPARATORS = bytes(map(_restricted, range(256)))
 
 
 def count_prunable(masks: Iterable[int]) -> int:
     """How many of the cube masks `masks` can prune some neighbour, that is,
     are not inert."""
-    return sum(not _INERT[mask] for mask in masks)
+    return sum(_SEPARATORS[mask] != 0 for mask in masks)
 
 
 class _Graph:
@@ -154,8 +189,9 @@ class _Graph:
     (source triple, target triple) order.
 
     `first` comes from the out-degrees, counted without building any edge,
-    and `edges` builds every block.  `_index` maps each variable to its
-    (cube, position) pairs in cube order, which extraction reads too."""
+    and `edges` builds every block; `images` finds the edges that can prune
+    without building any.  `_index` maps each variable to its (cube,
+    position) pairs in cube order, which extraction reads too."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
@@ -163,12 +199,14 @@ class _Graph:
         index: dict[int, list[tuple[int, int]]] = {}
         # (u, v) -> the number of cubes holding both u < v
         pairs: dict[tuple[int, int], int] = {}
-        for i, triple in enumerate(nodes):
-            for pos, var in enumerate(triple):
-                index.setdefault(var, []).append((i, pos))
-            a, b, c = triple
-            for pair in ((a, b), (a, c), (b, c)):
-                pairs[pair] = pairs.get(pair, 0) + 1
+        setdefault, get = index.setdefault, pairs.get
+        for i, (a, b, c) in enumerate(nodes):
+            setdefault(a, []).append((i, 0))
+            setdefault(b, []).append((i, 1))
+            setdefault(c, []).append((i, 2))
+            pairs[a, b] = get((a, b), 0) + 1
+            pairs[a, c] = get((a, c), 0) + 1
+            pairs[b, c] = get((b, c), 0) + 1
         self._index = index
         # The cubes sharing a variable with (a, b, c), by inclusion-exclusion;
         # only the cube itself holds all three, and it is not its own target.
@@ -189,6 +227,41 @@ class _Graph:
         del shapes[s]
         block = self.blocks[s] = [(t, _TABLES[shapes[t]]) for t in sorted(shapes)]
         return block
+
+    def images(self, s: int, source: int) -> list[tuple[int, int]]:
+        """The (target, image) pairs, in target order, of the out-edges of
+        cube s, with GREEN mask `source`, that can change their target:
+        those into the cubes holding a separator that `_SEPARATORS[source]`
+        lists.  The image is the target's shape table entry for `source`,
+        with the shape read off the two triples; no block is built."""
+        nodes, index = self.nodes, self._index
+        sep = _SEPARATORS[source]
+        a, b, c = nodes[s]
+        found = []
+        if sep & 1:
+            found += [t for t, _ in index[a]]
+        if sep & 2:
+            found += [t for t, _ in index[b]]
+        if sep & 4:
+            found += [t for t, _ in index[c]]
+        if sep & 8:
+            found += [t for t, _ in index[a] if b in nodes[t]]
+        if sep & 16:
+            found += [t for t, _ in index[a] if c in nodes[t]]
+        if sep & 32:
+            found += [t for t, _ in index[b] if c in nodes[t]]
+        targets = set(found)
+        targets.discard(s)
+        out = []
+        for t in sorted(targets):
+            x, y, z = nodes[t]
+            # a variable at source position i and target position j sets
+            # bits i and 3 + j: 9, 10 and 12 are (1, 2 or 4) | 8, and so on
+            code = ((9 if x == a else 10 if x == b else 12 if x == c else 0)
+                    | (17 if y == a else 18 if y == b else 20 if y == c else 0)
+                    | (33 if z == a else 34 if z == b else 36 if z == c else 0))
+            out.append((t, _TABLES[code][source]))
+        return out
 
     def build_all(self) -> None:
         for s, block in enumerate(self.blocks):
@@ -233,8 +306,7 @@ def fixpoint(
     if early_exit and 0 in masks:
         return _result(graph, masks, masks.index(0))
     rng = None if order_seed is None else random.Random(order_seed)
-    passes, applications, log, empty = _worklist(
-        graph, masks, range(len(masks)), early_exit, rng)
+    passes, applications, log, empty = _worklist(graph, masks, early_exit, rng)
     return _result(graph, masks, empty, passes, applications, log)
 
 
@@ -287,43 +359,42 @@ def _result(
 def _worklist(
     graph: _Graph,
     masks: list[int],
-    items: Sequence[int],
     early_exit: bool,
     rng: random.Random | None,
 ) -> tuple[int, int, list[tuple[int, int, int, int]], int | None]:
-    """The propagation loop from the blocks of the cubes `items`.  Updates
-    `masks` in place and returns the pass and edge application counts, the
-    change log and the id of the empty cube it reports, if any.  Under
-    `early_exit` the caller guarantees that no mask is empty on entry.
+    """The propagation loop, from every cube.  Updates `masks` in place and
+    returns the pass and edge application counts, the change log and the
+    id of the empty cube it reports, if any.  Under `early_exit` the caller
+    guarantees that no mask is empty on entry.
 
-    Without `rng` a work item is a cube s, standing for its whole block, and
-    the cubes `items` start queued, in the order given.  Under `rng` an item
-    is an edge id, the edges of those cubes' blocks start queued and the ids
-    are shuffled; the id's source is the cube whose range in `first` holds
-    it.  A None marker ends each pass.
+    Without `rng` a work item is a cube s, standing for all its out-edges,
+    and every cube starts queued, in triple order.  Under `rng` an item is
+    an edge id, every edge starts queued and the ids are shuffled; the id's
+    source is the cube whose range in `first` holds it.  A None marker ends
+    each pass.
 
     An item is counted as applied in full and dequeued when it comes up.  If
-    its source is inert it is skipped: none of its edges targets its source,
-    which therefore stays inert through them.  Otherwise its block is built
-    if need be and its edges applied in one loop.  When a cube changes, it
-    is requeued: without `rng` as one item, unless it is queued already,
-    which one flag per cube tells, since then every block is queued in full
-    or not at all, bar the one being applied; under `rng`, its out-edges
-    that are not queued are appended as edge items, shuffled.  An empty cube
-    met under `early_exit` ends the loop in the middle of an item, and the
-    edges of the item not yet applied are taken off the count again.
+    its source restricts no separator it is skipped: none of its edges
+    targets its source, which therefore stays inert through them.  Without
+    `rng` only the edges into the cubes holding a restricted separator are
+    applied, from `images`, in target order; the others map their target to
+    itself.  Under `rng` the source's block is built if need be and the
+    item's edge applied.  When a cube changes, it is requeued: without `rng`
+    as one item, unless it is queued already, which one flag per cube tells;
+    under `rng`, its out-edges that are not queued are appended as edge
+    items, shuffled.  An empty cube met under `early_exit` ends the loop in
+    the middle of an item, and the out-edges of its source into cubes after
+    the empty one are taken off the count again.
     """
-    nodes, first, blocks, build, inert = (
-        graph.nodes, graph.first, graph.blocks, graph.build, _INERT)
+    nodes, first, index, images = graph.nodes, graph.first, graph._index, graph.images
+    separators = _SEPARATORS
     log: list[tuple[int, int, int, int]] = []
     count = first[-1]
 
-    if rng is not None:  # items become the edge ids of their blocks
-        items = [e for s in items for e in range(first[s], first[s + 1])]
+    items = list(range(len(nodes) if rng is None else count))
+    if rng is not None:
         rng.shuffle(items)
-    queued = bytearray(len(nodes) if rng is None else count)
-    for item in items:
-        queued[item] = 1
+    queued = bytearray(b"\x01") * len(items)
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
     popleft, append, extend = queue.popleft, queue.append, queue.extend
@@ -344,19 +415,21 @@ def _worklist(
         if rng is None:
             s = item
             applications += first[s + 1] - first[s]
+            source = masks[s]
+            if not separators[source]:
+                continue
+            edges = images(s, source)
         else:
             s = bisect_right(first, item) - 1
             applications += 1
-        source = masks[s]
-        if inert[source]:
-            continue
-        block = blocks[s]
-        if block is None:
-            block = build(s)
-        edges = block if rng is None else (block[item - first[s]],)
-        for t, onto in edges:
+            source = masks[s]
+            if not separators[source]:
+                continue
+            t, onto = (graph.blocks[s] or graph.build(s))[item - first[s]]
+            edges = [(t, onto[source])]
+        for t, image in edges:
             before = masks[t]
-            after = before & onto[source]
+            after = before & image
             if after == before:
                 continue
             masks[t] = after
@@ -364,7 +437,9 @@ def _worklist(
             changed_this_pass = True
             if early_exit and after == 0:
                 empty = t
-                applications -= len(edges) - 1 - edges.index((t, onto))
+                if rng is None:
+                    applications -= len({u for var in nodes[s] for u, _ in index[var]
+                                         if u > t and u != s})
                 break
             if rng is None:
                 if not queued[t]:
@@ -395,10 +470,9 @@ def extract_assignment(
     """Greedy assignment extraction with one-level value backtracking.
 
     Walks the variables of the cubes in ascending order and tries F, then
-    T: the value's cells are kept in every cube the graph's variable index
-    lists for it, and propagation resumes from the cubes that lost cells.
-    The first value that empties no cube is committed; if both do,
-    extraction gives up.
+    T: the value is imposed on the variable's domain and closed over the
+    separators (`_impose_unit`).  The first value that empties no cube is
+    committed; if both do, extraction gives up.
     Variables of the instance that no cube holds are set F, and any
     assignment returned is verified by direct clause evaluation.  Not a
     complete solver by design: returning None on a satisfiable instance is
@@ -406,23 +480,28 @@ def extract_assignment(
 
     Precondition: `result.fixpoint` is closed, i.e. no edge application
     changes it.  Every result of `fixpoint` or `bidirectional_fixpoint`
-    without an empty cube is.  Cubes only lose cells, so on a closed state
-    only the edges leaving a cube the unit changed can fire, and resuming
-    from those reaches the fixpoint, and the verdict, that propagating from
-    scratch would.
+    without an empty cube is.  A state is closed exactly when it is
+    separator-closed: when, for every variable and every pair of variables,
+    all cubes holding it project onto it alike, since two cubes share one
+    variable or one pair.  So the separators' domains are read once off
+    the fixpoint, and closing a unit over them reaches the greatest closed
+    state below it, which is the fixpoint, and the verdict, that
+    propagating from scratch would reach.
     """
     if result.empty_triple is not None:
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
     graph = result._graph
     masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
+    domains, holders, slots, variables = _separator_domains(graph, masks)
     chosen: dict[int, bool] = {}
 
-    for var in sorted(graph._index):
+    for var in sorted(variables):
         for value in (False, True):
-            trial = _impose_unit(graph, masks, graph._index[var], value)
+            trial = _impose_unit(masks, domains, holders, slots, variables[var], value)
             if trial is not None:
-                chosen[var], masks = value, trial
+                chosen[var] = value
+                masks, domains = trial
                 break
         else:
             return None
@@ -435,24 +514,81 @@ def extract_assignment(
     return Extraction(assignment, verified)
 
 
+def _separator_domains(
+    graph: _Graph, masks: list[int]
+) -> tuple[list[int], list[list[tuple[int, int]]],
+           list[tuple[int | None, ...]], dict[int, int]]:
+    """The separators of `graph`'s cubes, with GREEN masks `masks`: every
+    variable, and every pair of variables that two or more cubes hold.
+    Returns, by separator id, its domain and its holders as (cube, slot)
+    pairs; by cube, the ids of the separators in its six slots, None for a
+    pair no other cube holds; and each variable's separator id.  A domain
+    starts as the meet of its holders' projections."""
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, (a, b, c) in enumerate(graph.nodes):
+        pairs.setdefault((a, b), []).append((i, 3))
+        pairs.setdefault((a, c), []).append((i, 4))
+        pairs.setdefault((b, c), []).append((i, 5))
+    # a variable's holders are its (cube, position) pairs in the index
+    holders = list(graph._index.values())
+    variables = {var: sep for sep, var in enumerate(graph._index)}
+    relays: dict[tuple[int, int], int] = {}  # a pair one cube holds relays nothing
+    for pair, cubes in pairs.items():
+        if len(cubes) > 1:
+            relays[pair] = len(holders)
+            holders.append(cubes)
+    domains = []
+    for cubes in holders:
+        domain = 0xFF
+        for i, slot in cubes:
+            domain &= _PROJECTIONS[slot][masks[i]]
+        domains.append(domain)
+    relay = relays.get
+    slots = [(variables[a], variables[b], variables[c],
+              relay((a, b)), relay((a, c)), relay((b, c))) for a, b, c in graph.nodes]
+    return domains, holders, slots, variables
+
+
 def _impose_unit(
-    graph: _Graph,
     masks: list[int],
-    occurrences: list[tuple[int, int]],
+    domains: list[int],
+    holders: list[list[tuple[int, int]]],
+    slots: list[tuple[int | None, ...]],
+    sep: int,
     value: bool,
-) -> list[int] | None:
-    """A copy of `masks` with one variable set to `value` in every cube
-    holding it, at the (cube, position) pairs `occurrences`, and propagated
-    from the cubes that changed; None if a cube empties, without propagating
-    at all when the unit alone empties one."""
-    trial = masks[:]
-    changed: list[int] = []
-    for i, pos in occurrences:
-        after = trial[i] & _CELLS[pos][value]
-        if not after:
-            return None
-        if after != trial[i]:
-            trial[i] = after
-            changed.append(i)
-    *_, empty = _worklist(graph, trial, changed, True, None)
-    return trial if empty is None else None
+) -> tuple[list[int], list[int]] | None:
+    """Copies of `masks` and `domains` with the variable of separator `sep`
+    set to `value` and closed over the separators; None if a cube, or a
+    domain, empties.  A domain that shrinks is lifted onto its holders, and
+    a holder that changes shrinks the domains in its slots to its
+    projections; the closure ends when no domain shrinks."""
+    domain = domains[sep] & _CELLS[0][value]
+    if not domain:
+        return None
+    if domain == domains[sep]:  # the value is implied: nothing changes
+        return masks, domains
+    masks, domains = masks[:], domains[:]
+    domains[sep] = domain
+    shrunk = [sep]
+    while shrunk:
+        sep = shrunk.pop()
+        domain = domains[sep]
+        for t, slot in holders[sep]:
+            before = masks[t]
+            after = before & _LIFTS[slot][domain]
+            if after == before:
+                continue
+            if not after:
+                return None
+            masks[t] = after
+            for other, project in zip(slots[t], _PROJECTIONS):
+                if other is None:
+                    continue
+                was = domains[other]
+                now = was & project[after]
+                if now != was:
+                    if not now:
+                        return None
+                    domains[other] = now
+                    shrunk.append(other)
+    return masks, domains

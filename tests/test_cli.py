@@ -426,10 +426,10 @@ def _keeps_input_state(state, *args, **kwargs):
     return result
 
 
-def _reports_last_empty_cube(graph, masks, items, early_exit, *args):
+def _reports_last_empty_cube(graph, masks, early_exit, *args):
     """`_worklist` reporting the last all-RED cube of a closed run, not the
     first."""
-    *counts, empty = _worklist(graph, masks, items, early_exit, *args)
+    *counts, empty = _worklist(graph, masks, early_exit, *args)
     if not early_exit and 0 in masks:
         empty = len(masks) - 1 - masks[::-1].index(0)
     return *counts, empty

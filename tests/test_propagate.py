@@ -9,12 +9,14 @@ from satprop.bitspace import Partition, bc, bc_uni, impose
 from satprop.clausal import _CELLS, ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
-    _INERT,
+    _SEPARATORS,
     _TABLES,
     Extraction,
     PropStats,
     TraceRecord,
     _Graph,
+    _impose_unit,
+    _separator_domains,
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
@@ -121,9 +123,40 @@ def test_inert_masks_are_the_independent_sets_of_the_cube():
         independent = all((a ^ b).bit_count() != 1
                           for a, b in itertools.combinations(red, 2))
         assert all(t[mask] == 0xFF for t in _TABLES.values()) == independent, mask
-        assert _INERT[mask] == independent, mask
+        assert (not _SEPARATORS[mask]) == independent, mask
         inert += independent
     assert inert == 35
+
+
+def _red_faces(mask, positions):
+    """Whether some assignment of the variables at `positions` leaves only
+    RED cells of `mask`, i.e. the projection onto them is not full."""
+    return any(
+        not any(mask >> cell & 1 for cell in range(8)
+                if all(cell >> p & 1 == bit for p, bit in zip(positions, bits)))
+        for bits in itertools.product((0, 1), repeat=len(positions)))
+
+
+def test_separator_table_lists_what_each_shape_prunes():
+    # bits 0-2 list the variables at positions 0-2, bits 3-5 the pairs at
+    # positions (0, 1), (0, 2) and (1, 2) when neither of their variables is
+    # listed; an edge prunes its target exactly when the variables the two
+    # cubes share hold a listed separator
+    slots = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    for mask in range(256):
+        sep = _SEPARATORS[mask]
+        assert sep < 64, mask
+        listed = []
+        for bit, slot in enumerate(slots):
+            wanted = _red_faces(mask, slot) and (
+                len(slot) == 1 or not any(sep >> p & 1 for p in slot))
+            assert bool(sep >> bit & 1) == wanted, (mask, slot)
+            if wanted:
+                listed.append(set(slot))
+        for code, table in _TABLES.items():
+            shared = {p for p in range(3) if code >> p & 1}
+            prunes = any(separator <= shared for separator in listed)
+            assert (table[mask] != 0xFF) == prunes, (mask, code)
 
 
 def test_count_prunable_on_a_hand_built_instance():
@@ -561,6 +594,42 @@ def test_extract_matches_from_scratch_reference(n, m, seed):
     # does not depend on the order or mode that computed it
     assert extract_assignment(fixpoint(state, order_seed=5), inst) == want
     assert extract_assignment(bidirectional_fixpoint(state), inst) == want
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(gen_random_3sat(12, m, seed), id=f"n=12,m={m},seed={seed}")
+    for m in (36, 51) for seed in range(3)
+] + [
+    pytest.param(_with_extra_clauses(20, 60, 2, 6, FORCED), id="n=20,forced"),
+    pytest.param(_with_extra_clauses(20, 70, 3, 8, SHARED_PAIR), id="n=20,shared-pair"),
+    pytest.param(Instance(12, ((1, 2), (-2, 3), (-3, -4), (4, 5, 6), (-1, 7),
+                               (-7, 8), (8, -9), (9, 10, -11), (-12,))),
+                 id="n=12,short-clauses"),
+])
+def test_unit_closure_is_the_fixpoint_of_the_imposed_state(instance):
+    # closing a unit over the separators of a closed state reaches the
+    # closed fixpoint of the state with the unit imposed, and fails exactly
+    # when that fixpoint holds an empty cube; the domains it returns are
+    # those read off the masks it returns
+    result = fixpoint(build_clausal_partition(instance).state)
+    assert result.empty_triple is None
+    graph = result._graph
+    nodes = graph.nodes
+    masks = [result.fixpoint.cubes[triple] for triple in nodes]
+    domains, holders, touching, variables = _separator_domains(graph, masks)
+    for var, sep in variables.items():
+        for value in (False, True):
+            got = _impose_unit(masks, domains, holders, touching, sep, value)
+            imposed = ClausalState({
+                triple: mask & _CELLS[triple.index(var)][value] if var in triple else mask
+                for triple, mask in zip(nodes, masks)})
+            want = fixpoint(imposed, early_exit=False)
+            if want.empty_triple is not None:
+                assert got is None, (var, value)
+                continue
+            got_masks, got_domains = got
+            assert got_masks == [want.fixpoint.cubes[triple] for triple in nodes]
+            assert got_domains == _separator_domains(graph, got_masks)[0]
 
 
 # --- lazy engine against the eager reference ---------------------------------
