@@ -87,8 +87,8 @@ def uni_bi_confluence(
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
     under each of `order_seeds`.  All of them run on one graph, FIFO first:
-    it applies edges through separators and builds no block, the sweep and
-    the random orders apply them from the graph's blocks."""
+    it applies edges through separators and lists no edge, the sweep and
+    the random orders apply them from the graph's edge list."""
     graph = propagate.build_adjacency(state)
     base = propagate.fixpoint(state, early_exit=False, _graph=graph)
     want = (base.fixpoint, base.empty_triple)

@@ -97,28 +97,31 @@ def _dpll(clauses: list[list[int]], num_vars: int) -> dict[int, bool] | None:
     """DPLL with unit propagation, branching on the first literal of a
     shortest clause; returns a model of all of 1..num_vars or None."""
     assignment: dict[int, bool] = {}
+    if not _solve(clauses, assignment):
+        return None
+    for v in range(1, num_vars + 1):
+        assignment.setdefault(v, False)
+    return assignment
 
-    def solve(clauses: list[list[int]] | None) -> bool:
-        while clauses:
-            shortest = min(clauses, key=len)
-            lit = shortest[0]
-            if len(shortest) > 1:
-                var = abs(lit)
-                for choice in (lit, -lit):
-                    assignment[var] = choice > 0
-                    if solve(_assign(clauses, choice)):
-                        return True
-                del assignment[var]
-                return False
-            assignment[abs(lit)] = lit > 0
-            clauses = _assign(clauses, lit)
-        return clauses is not None
 
-    if solve(clauses):
-        for v in range(1, num_vars + 1):
-            assignment.setdefault(v, False)
-        return assignment
-    return None
+def _solve(clauses: list[list[int]] | None, assignment: dict[int, bool]) -> bool:
+    """Whether `clauses`, None for a falsified set, can be satisfied;
+    records the values it tries in `assignment`, which on success holds a
+    model of the clauses."""
+    while clauses:
+        shortest = min(clauses, key=len)
+        lit = shortest[0]
+        if len(shortest) > 1:
+            var = abs(lit)
+            for choice in (lit, -lit):
+                assignment[var] = choice > 0
+                if _solve(_assign(clauses, choice), assignment):
+                    return True
+            del assignment[var]
+            return False
+        assignment[abs(lit)] = lit > 0
+        clauses = _assign(clauses, lit)
+    return clauses is not None
 
 
 def _assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:

@@ -22,10 +22,10 @@ the two cubes share, onto which the source's projection is not full.
 restricts none is inert, and no edge out of it changes anything.  In FIFO
 order a popped cube is applied only to the cubes holding a separator it
 restricts, in target order, each through the table of its shape, read off
-the two triples; the edges to the other cubes would change nothing.  In
-random order a work item is one edge, taken from its source's block of
-out-edges, built the first time a cube that is not inert needs it.  Either
-way a skipped edge is counted as applied, and would change no mask, log
+the two triples by `_shape`; the edges to the other cubes would change
+nothing.  In random order a work item is one edge, whose target and shape
+are read off the graph's edge list, built on first use.  Either way a
+skipped edge is counted as applied, and would change no mask, log
 nothing and requeue nothing, so stats, traces and masks are those of
 applying every edge, one at a time, in queue order.
 
@@ -39,6 +39,8 @@ both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
 lookups on the masks from before the update.  It shares the graph code and
 the shape tables with the engine, which are tested on their own, and no
 loop, so the two settling to the same state checks the worklist.  It
+reads both tables of a pair off the graph's edge list, the reverse edge's
+shape code being the edge's with the source and target bits swapped, and
 counts and records nothing.
 
 Extraction does not run the worklist.  A state is closed exactly when all
@@ -68,8 +70,6 @@ from .bitspace import Partition, bc, bc_uni, impose  # noqa: F401
 from .clausal import _CELLS, ClausalState, Instance, Triple
 
 Edge = tuple[Triple, Triple]
-# A cube's out-edges: (target cube, shape table) pairs, in target order
-Block = list[tuple[int, bytes]]
 
 
 @dataclass
@@ -100,22 +100,19 @@ class PropagationResult:
     empty_triple: Triple | None
     stats: PropStats
     trace: list[TraceRecord]
-    # The adjacency the result was computed on, with the blocks built so far
+    # The adjacency the result was computed on
     _graph: _Graph = field(repr=False, compare=False)
 
 
-def _shape(src: Sequence[int], tgt: Sequence[int]) -> int:
-    """Shape code of an ordered pair of triples: bit i is set when src[i] is
-    a shared variable, bit 3 + j when tgt[j] is."""
-    shared = set(src) & set(tgt)
-    code = 0
-    for i, var in enumerate(src):
-        if var in shared:
-            code |= 1 << i
-    for j, var in enumerate(tgt):
-        if var in shared:
-            code |= 8 << j
-    return code
+def _shape(src: Triple, tgt: Triple) -> int:
+    """Shape code of an ordered pair of triples: a variable at source
+    position i and target position j sets bits i and 3 + j."""
+    a, b, c = src
+    x, y, z = tgt
+    # 9, 10 and 12 are (1, 2 or 4) | 8, and so on
+    return ((9 if x == a else 10 if x == b else 12 if x == c else 0)
+            | (17 if y == a else 18 if y == b else 20 if y == c else 0)
+            | (33 if z == a else 34 if z == b else 36 if z == c else 0))
 
 
 def _shape_tables() -> dict[int, bytes]:
@@ -181,17 +178,17 @@ def count_prunable(masks: Iterable[int]) -> int:
 
 
 class _Graph:
-    """Adjacency of a set of triples, one block per cube.  Cube i is
-    `nodes[i]`; its out-edges, its block, are `blocks[i]`, a list of
-    (target cube, shape table) pairs in target order, or None until `build`
-    fills it in.  Edge ids number the blocks one after the other: those of
-    cube i run from `first[i]` to `first[i + 1] - 1`, so they follow
-    (source triple, target triple) order.
+    """Adjacency of a set of triples.  Cube i is `nodes[i]`; its out-edges
+    go to every other cube sharing a variable with it, in target order.
+    Edge ids number the out-edges of cube 0, then those of cube 1, and so
+    on: those of cube i run from `first[i]` to `first[i + 1] - 1`, so they
+    follow (source triple, target triple) order.
 
-    `first` comes from the out-degrees, counted without building any edge,
-    and `edges` builds every block; `images` finds the edges that can prune
-    without building any.  `_index` maps each variable to its (cube,
-    position) pairs in cube order, which extraction reads too."""
+    `first` comes from the out-degrees, counted without listing any edge;
+    `images` finds the edges that can prune without listing any, and
+    `out_edges` lists them all on first use.  `_index` maps each variable
+    to its (cube, position) pairs in cube order, which extraction reads
+    too."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
@@ -215,28 +212,31 @@ class _Graph:
             - pairs[a, b] - pairs[a, c] - pairs[b, c]
             for a, b, c in nodes
         )]
-        self.blocks: list[Block | None] = [None] * len(nodes)
+        self._out: tuple[list[int], bytes] | None = None
 
-    def build(self, s: int) -> Block:
-        """Fill in and return cube s's block."""
-        shapes: dict[int, int] = {}
-        for pos, var in enumerate(self.nodes[s]):
-            src_bit = 1 << pos
-            for t, tgt_pos in self._index[var]:
-                shapes[t] = shapes.get(t, 0) | src_bit | 8 << tgt_pos
-        del shapes[s]
-        block = self.blocks[s] = [(t, _TABLES[shapes[t]]) for t in sorted(shapes)]
-        return block
+    def out_edges(self) -> tuple[list[int], bytes]:
+        """By edge id, each edge's target cube and its shape code."""
+        if self._out is None:
+            nodes, index = self.nodes, self._index
+            targets: list[int] = []
+            codes = bytearray()
+            for s, src in enumerate(nodes):
+                near = sorted({t for var in src for t, _ in index[var]} - {s})
+                targets += near
+                codes += bytes(_shape(src, nodes[t]) for t in near)
+            self._out = targets, bytes(codes)
+        return self._out
 
     def images(self, s: int, source: int) -> list[tuple[int, int]]:
         """The (target, image) pairs, in target order, of the out-edges of
         cube s, with GREEN mask `source`, that can change their target:
         those into the cubes holding a separator that `_SEPARATORS[source]`
-        lists.  The image is the target's shape table entry for `source`,
-        with the shape read off the two triples; no block is built."""
+        lists.  The image is the target's shape table entry for `source`;
+        no edge list is built."""
         nodes, index = self.nodes, self._index
         sep = _SEPARATORS[source]
-        a, b, c = nodes[s]
+        src = nodes[s]
+        a, b, c = src
         found = []
         if sep & 1:
             found += [t for t, _ in index[a]]
@@ -252,29 +252,15 @@ class _Graph:
             found += [t for t, _ in index[b] if c in nodes[t]]
         targets = set(found)
         targets.discard(s)
-        out = []
-        for t in sorted(targets):
-            x, y, z = nodes[t]
-            # a variable at source position i and target position j sets
-            # bits i and 3 + j: 9, 10 and 12 are (1, 2 or 4) | 8, and so on
-            code = ((9 if x == a else 10 if x == b else 12 if x == c else 0)
-                    | (17 if y == a else 18 if y == b else 20 if y == c else 0)
-                    | (33 if z == a else 34 if z == b else 36 if z == c else 0))
-            out.append((t, _TABLES[code][source]))
-        return out
-
-    def build_all(self) -> None:
-        for s, block in enumerate(self.blocks):
-            if block is None:
-                self.build(s)
+        return [(t, _TABLES[_shape(src, nodes[t])][source]) for t in sorted(targets)]
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as (source triple, target triple) pairs, in id order."""
-        self.build_all()
-        nodes = self.nodes
-        return tuple((nodes[s], nodes[t])
-                     for s, block in enumerate(self.blocks) for t, _ in block)
+        targets, _ = self.out_edges()
+        nodes, first = self.nodes, self.first
+        return tuple((nodes[s], nodes[t]) for s, (lo, hi) in enumerate(zip(first, first[1:]))
+                     for t in targets[lo:hi])
 
 
 def build_adjacency(state: ClausalState) -> _Graph:
@@ -292,14 +278,14 @@ def fixpoint(
 ) -> PropagationResult:
     """Run the unidirectional operator to steady state.
 
-    order_seed: None applies the blocks in FIFO order, starting from every
-    cube in triple order; an int shuffles the initial worklist of edges (and
-    each re-enqueue batch) with a generator seeded by it.  early_exit stops
-    at the first all-RED cube, one empty on entry included; disable it to
-    force full closure (the fixpoint masks can differ below an empty cube,
-    the verdict cannot).  `_graph`, if given, is `build_adjacency(state)`
-    from an earlier call; which of its blocks are already built changes no
-    result.
+    order_seed: None applies the out-edges a cube at a time in FIFO order,
+    starting from every cube in triple order; an int shuffles the initial
+    worklist of edges (and each re-enqueue batch) with a generator seeded
+    by it.  early_exit stops at the first all-RED cube, one empty on entry
+    included; disable it to force full closure (the fixpoint masks can
+    differ below an empty cube, the verdict cannot).  `_graph`, if given,
+    is `build_adjacency(state)` from an earlier call; whether its edge list
+    is already built changes no result.
     """
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
@@ -319,9 +305,12 @@ def bidirectional_fixpoint(
     empty cube reported is the first all-RED cube in triple order.  The sweep
     counts and records nothing: its stats are all zero and its trace empty."""
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
-    graph.build_all()
-    table = {(s, t): onto for s, block in enumerate(graph.blocks) for t, onto in block}
-    pairs = [(a, b, table[b, a], onto_b) for (a, b), onto_b in table.items() if a < b]
+    targets, codes = graph.out_edges()
+    first = graph.first
+    # the reverse edge's shape code has the source and target bits swapped
+    pairs = [(a, b, _TABLES[code >> 3 | (code & 7) << 3], _TABLES[code])
+             for a, (lo, hi) in enumerate(zip(first, first[1:]))
+             for b, code in zip(targets[lo:hi], codes[lo:hi]) if a < b]
     masks = [state.cubes[triple] for triple in graph.nodes]
     changed = True
     while changed:
@@ -378,13 +367,13 @@ def _worklist(
     targets its source, which therefore stays inert through them.  Without
     `rng` only the edges into the cubes holding a restricted separator are
     applied, from `images`, in target order; the others map their target to
-    itself.  Under `rng` the source's block is built if need be and the
-    item's edge applied.  When a cube changes, it is requeued: without `rng`
-    as one item, unless it is queued already, which one flag per cube tells;
-    under `rng`, its out-edges that are not queued are appended as edge
-    items, shuffled.  An empty cube met under `early_exit` ends the loop in
-    the middle of an item, and the out-edges of its source into cubes after
-    the empty one are taken off the count again.
+    itself.  Under `rng` the item's edge is applied, its target and shape
+    read off the graph's edge list, built when the first item needs it.  When a cube changes, it is requeued:
+    without `rng` as one item, unless it is queued already, which one flag
+    per cube tells; under `rng`, its out-edges that are not queued are
+    appended as edge items, shuffled.  An empty cube met under `early_exit`
+    ends the loop in the middle of an item, and the out-edges of its source
+    into cubes after the empty one are taken off the count again.
     """
     nodes, first, index, images = graph.nodes, graph.first, graph._index, graph.images
     separators = _SEPARATORS
@@ -394,6 +383,7 @@ def _worklist(
     items = list(range(len(nodes) if rng is None else count))
     if rng is not None:
         rng.shuffle(items)
+    targets: list[int] | None = None  # the edge list, once an item needs it
     queued = bytearray(b"\x01") * len(items)
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
@@ -425,8 +415,10 @@ def _worklist(
             source = masks[s]
             if not separators[source]:
                 continue
-            t, onto = (graph.blocks[s] or graph.build(s))[item - first[s]]
-            edges = [(t, onto[source])]
+            if targets is None:
+                targets, codes = graph.out_edges()
+            t = targets[item]
+            edges = [(t, _TABLES[codes[item]][source])]
         for t, image in edges:
             before = masks[t]
             after = before & image

@@ -170,19 +170,19 @@ def test_fifo_builds_no_block():
     # a 2-CNF whose cubes all hold u1, by padding or as a literal: its graph
     # is complete, yet FIFO only visits the cubes holding a separator that
     # its source restricts.  The stats are those of the engine that applied
-    # whole blocks, and no block is built
+    # whole blocks of out-edges, and no edge list is built
     state = build_clausal_partition(random_cnf(2000, 1600, 4, (2,))).state
     graph = _Graph(tuple(state.triples()))
     assert len(graph.nodes) == 1600 and graph.first[-1] == 2_558_400
     result = fixpoint(state, _graph=graph)
     assert result.empty_triple is None
     assert result.stats == PropStats(2, 2_559_999, 7, 11)
-    assert graph.blocks == [None] * 1600
+    assert graph._out is None
     for _, _, state in [*_instances(), *_short_instances()]:
         graph = _Graph(tuple(state.triples()))
         for early_exit in (True, False):
             fixpoint(state, early_exit=early_exit, _graph=graph)
-        assert graph.blocks == [None] * len(graph.nodes)
+        assert graph._out is None
 
 
 if __name__ == "__main__":

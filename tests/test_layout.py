@@ -1,13 +1,15 @@
-"""Every function, class, method and property of `src/satprop` is used by
-the package itself, or is on `UNREFERENCED` with the reason it stays; and
-every optional parameter of those functions and methods is set by some call
-in the package, or is on `UNSET` with the reason it stays.
+"""Every function, class, method, property and module-level assignment
+(a constant or a type alias) of `src/satprop` is used by the package
+itself, or is on `UNREFERENCED` with the reason it stays; and every
+optional parameter of those functions and methods is set by some call in
+the package, or is on `UNSET` with the reason it stays.
 
-A definition counts as used when its name appears in `src/satprop` outside
-its own body: as a name for a module-level function or class (or as an
-attribute, `module.name`), as an attribute for a method or property.  Names
-are matched, not resolved, so a same-named use elsewhere also counts.
-Imports are not uses, and dunder methods are skipped.
+A definition counts as used when its name is read in `src/satprop` outside
+its own body or statement: as a name for a module-level definition (or as
+an attribute, `module.name`), as an attribute for a method or property.
+Names are matched, not resolved, so a same-named use elsewhere also
+counts.  Imports and assignments are not uses, and dunder names are
+skipped.
 
 An optional parameter is one with a default, or keyword-only.  A call sets
 it when it calls the parameter's function by name (`f(...)` or `x.f(...)`)
@@ -38,8 +40,10 @@ UNSET = {
 
 
 def _definitions(tree):
-    """(qualified name, node, is a method) of each module-level function and
-    class and each non-dunder method or property of a module-level class."""
+    """(qualified name, node, is a method) of each module-level function,
+    class and non-dunder assigned name, and each non-dunder method or
+    property of a module-level class; an assigned name's node is its
+    assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node, False
@@ -47,6 +51,12 @@ def _definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item, True
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node, False
 
 
 def _uses(tree, skip):
@@ -56,7 +66,7 @@ def _uses(tree, skip):
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield "name", node.id
         elif isinstance(node, ast.Attribute):
             yield "attr", node.attr
@@ -69,7 +79,8 @@ def test_every_definition_is_referenced_or_allowed():
     for tree in trees:
         for qualname, node, is_method in _definitions(tree):
             kinds = {"attr"} if is_method else {"name", "attr"}
-            if not any(kind in kinds and name == node.name
+            defined = qualname.rpartition(".")[2]
+            if not any(kind in kinds and name == defined
                        for other in trees for kind, name in _uses(other, node)):
                 orphans.add(qualname)
     assert orphans == set(UNREFERENCED), (
@@ -116,7 +127,7 @@ def test_every_optional_parameter_is_set_or_allowed():
     unset = set()
     for tree in trees:
         for qualname, node, is_method in _definitions(tree):
-            if isinstance(node, ast.ClassDef):
+            if not isinstance(node, ast.FunctionDef):
                 continue
             for name, index in _optional_parameters(node, is_method):
                 if not any(_sets(call, name, index) for call in calls.get(node.name, [])):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import itertools
 import random
 from pathlib import Path
@@ -177,6 +178,21 @@ def test_dpll_decides_3xorsat_like_gaussian_elimination():
             assert result.stats.applications_changed == 0
             assert result.empty_triple is None
     assert outcomes == {False, True}
+
+
+def test_dpll_leaves_no_reference_cycle():
+    # the search recurses through a module function, not a closure over the
+    # assignment, so deciding an instance leaves no garbage for the cyclic
+    # collector
+    instances = [gen_random_3sat(12, 51, seed) for seed in range(50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in instances:
+            oracle.brute_force_sat(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- independence ---------------------------------------------------------------

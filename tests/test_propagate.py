@@ -75,16 +75,42 @@ def test_edge_prunes_target():
 
 # --- shape tables ---------------------------------------------------------------
 
+def _reference_shape(src, tgt):
+    """Shape code of an ordered pair of triples, from the shared variables:
+    bit i is set when src[i] is one of them, bit 3 + j when tgt[j] is."""
+    shared = set(src) & set(tgt)
+    code = 0
+    for i, var in enumerate(src):
+        if var in shared:
+            code |= 1 << i
+    for j, var in enumerate(tgt):
+        if var in shared:
+            code |= 8 << j
+    return code
+
+
+def _overlapping_pairs(variables):
+    """Every ordered pair of triples over `variables` sharing one or two."""
+    triples = list(itertools.combinations(variables, 3))
+    return [(src, tgt) for src in triples for tgt in triples
+            if 0 < len(set(src) & set(tgt)) < 3]
+
+
+def test_shape_matches_the_shared_variables_and_reverses_by_a_bit_swap():
+    pairs = _overlapping_pairs(range(1, 7))
+    assert len(pairs) == 360
+    for src, tgt in pairs:
+        code = _shape(src, tgt)
+        assert code == _reference_shape(src, tgt), (src, tgt)
+        # what the two-sided sweep reads the reverse edge's table with
+        assert _shape(tgt, src) == code >> 3 | (code & 7) << 3, (src, tgt)
+
+
 def _representatives():
     """One ordered pair of overlapping triples per shape, drawn from other
     variables than the tables were built from."""
-    triples = list(itertools.combinations((10, 20, 30, 40, 50, 60), 3))
-    pairs = {}
-    for src in triples:
-        for tgt in triples:
-            if 0 < len(set(src) & set(tgt)) < 3:
-                pairs[_shape(src, tgt)] = (src, tgt)
-    return pairs
+    return {_reference_shape(src, tgt): (src, tgt)
+            for src, tgt in _overlapping_pairs((10, 20, 30, 40, 50, 60))}
 
 
 def test_shape_tables_match_bc_uni():
@@ -173,13 +199,15 @@ def test_count_prunable_on_a_hand_built_instance():
 def test_graph_edges_carry_their_shape_table():
     state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
     graph = _Graph(tuple(state.triples()))
+    targets, codes = graph.out_edges()
+    assert graph.out_edges() is graph.out_edges()  # built once
+    assert len(targets) == len(codes) == graph.first[-1]
+    assert len(targets) == len(build_adjacency(state).edges)
     for s in range(len(graph.nodes)):
-        graph.build(s)
-    assert sum(map(len, graph.blocks)) == len(build_adjacency(state).edges)
-    for s, block in enumerate(graph.blocks):
-        assert len(block) == graph.first[s + 1] - graph.first[s]
-        for t, table in block:
-            assert table is _TABLES[_shape(graph.nodes[s], graph.nodes[t])]
+        for e in range(graph.first[s], graph.first[s + 1]):
+            code = codes[e]
+            assert code == _reference_shape(graph.nodes[s], graph.nodes[targets[e]])
+            assert code in _TABLES
 
 
 def test_bc_is_two_one_sided_combinations():
@@ -326,7 +354,7 @@ FORCED = [(1, -1, 1), (1, 1, -1), (1, -1, -1)]
 def _with_extra_clauses(n, m, seed, extra, flips):
     """A random instance plus, on the triples of its first `extra` clauses,
     a copy of each clause per sign pattern in `flips`: those cubes start
-    with at most 6 GREEN cells, so their blocks are built and applied."""
+    with at most 6 GREEN cells, so their out-edges are applied."""
     clauses = gen_random_3sat(n, m, seed).clauses
     return Instance(n, clauses + tuple(
         tuple(sign * lit for sign, lit in zip(signs, lits))
@@ -345,8 +373,8 @@ def _embedded_core(n, m, seed):
 def _with_isolated_clause(n, m, seed):
     """A random instance with its variables from 7 up renumbered from 10 up,
     plus two clauses on (7, 8, 9): that cube shares no variable with any
-    other, so its block is empty, it sits between cubes with out-edges, and
-    it is not inert, so the engine looks its block up."""
+    other, so it has no out-edges, it sits between cubes with some, and it
+    is not inert, so the engine looks its out-edges up."""
     def shift(lit):
         return lit + 3 if lit >= 7 else lit - 3 if lit <= -7 else lit
     clauses = gen_random_3sat(n, m, seed).clauses
@@ -366,16 +394,15 @@ def _with_isolated_clause(n, m, seed):
     build_clausal_partition(_embedded_core(400, 1200, 4)).state,
 ])
 def test_degrees_count_the_built_blocks(state):
+    # cube s's out-edges are the ids first[s] to first[s + 1] - 1 of the
+    # edge list, which is built only when asked for
     graph = _Graph(tuple(state.triples()))
     eager = _EagerGraph(graph.nodes)
     assert graph.first == eager.first
-    assert graph.blocks == [None] * len(graph.nodes)
-    for s in range(len(graph.nodes)):
-        block = graph.build(s)
-        assert graph.blocks[s] is block
-        lo, hi = eager.first[s], eager.first[s + 1]
-        assert block == list(zip(eager.tgt[lo:hi], eager.table[lo:hi]))
-    assert sum(map(len, graph.blocks)) == len(eager.tgt)
+    assert graph._out is None
+    targets, codes = graph.out_edges()
+    assert targets == eager.tgt
+    assert [_TABLES[code] for code in codes] == eager.table
     assert build_adjacency(state).edges == tuple(
         (eager.nodes[s], eager.nodes[t]) for s, t in zip(eager.src, eager.tgt))
 
@@ -448,11 +475,11 @@ def test_confluence_check_builds_one_graph(monkeypatch):
 
 
 def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
-    # the blocks an earlier run built change no stat, trace or mask
+    # the edge list an earlier run built changes no stat, trace or mask
     for seed in range(5):
         state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
         graph = build_adjacency(state)
-        bidirectional_fixpoint(state, _graph=graph)  # builds every block
+        bidirectional_fixpoint(state, _graph=graph)  # builds the edge list
         for order_seed in (None, 0, 5):
             for early_exit in (True, False):
                 shared = fixpoint(state, order_seed, early_exit, _graph=graph)
@@ -648,7 +675,7 @@ _DIFFERENTIAL = [
     pytest.param(_with_isolated_clause(12, 66, 1), id="n=12,isolated-clause,unsat"),
 ] + [
     # small dense instances, where FIFO early exit often meets the empty cube
-    # in the middle of a block: 8 of these 24 at seeds 0-3
+    # in the middle of a cube's out-edges: 8 of these 24 at seeds 0-3
     pytest.param(gen_random_3sat(n, round(n * ratio), seed=seed),
                  id=f"n={n},ratio={ratio},seed={seed}")
     for n in (6, 9, 12) for ratio in (4.26, 5.5) for seed in range(4)
