@@ -86,9 +86,9 @@ def uni_bi_confluence(
 ) -> str | None:
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
-    under each of `order_seeds`.  All of them run on one graph, FIFO first:
-    it applies edges through separators and lists no edge, the sweep and
-    the random orders apply them from the graph's edge list."""
+    under each of `order_seeds`.  All of them run on one graph, which none
+    of them changes: FIFO applies edges through separators, and the sweep
+    and the random orders each list the cubes' neighbours themselves."""
     graph = propagate.build_adjacency(state)
     base = propagate.fixpoint(state, early_exit=False, _graph=graph)
     want = (base.fixpoint, base.empty_triple)

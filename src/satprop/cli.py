@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, bitspace, checks, oracle
-from .bitspace import Partition, bc
+# bc is not used here, but callers that wrap the layer functions look it up
+# by name in this module, so it stays importable.
+from .bitspace import Partition, bc  # noqa: F401
 from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
     build_report,
@@ -255,7 +257,7 @@ def cmd_trace(config: argparse.Namespace) -> int:
 # verify: the property battery of `checks`, on fixed instance families
 
 
-def _bc_family(quick: bool, bc_fn: Callable) -> Iterator[str | None]:
+def _bc_family(quick: bool, bc_fn: Callable | None) -> Iterator[str | None]:
     rng = random.Random(20260826)
     for layout in checks.LAYOUTS:
         if quick:
@@ -297,7 +299,7 @@ def _soundness_family(quick: bool) -> Iterator[str | None]:
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    bc_fn = bc
+    bc_fn = None  # `checks.bc_matches_join` looks `bitspace.bc` up per call
     if config.mutate_bc:
         def bc_fn(p, q):  # deliberately wrong: skips the meet step on p's side
             return bitspace.bc_uni(p, q), q

@@ -23,11 +23,12 @@ restricts none is inert, and no edge out of it changes anything.  In FIFO
 order a popped cube is applied only to the cubes holding a separator it
 restricts, in target order, each through the table of its shape, read off
 the two triples by `_shape`; the edges to the other cubes would change
-nothing.  In random order a work item is one edge, whose target and shape
-are read off the graph's edge list, built on first use.  Either way a
-skipped edge is counted as applied, and would change no mask, log
-nothing and requeue nothing, so stats, traces and masks are those of
-applying every edge, one at a time, in queue order.
+nothing.  In random order a work item is one edge: its target is read off
+the cubes' neighbours listed by edge id, which a run lists when its first
+item needs them, and its table off `_shape`.  Either way a skipped edge is
+counted as applied, and would change no mask, log nothing and requeue
+nothing, so stats, traces and masks are those of applying every edge, one
+at a time, in queue order.
 
 A run logs each change-making application once, as (source, target, mask
 before, mask after); a result's trace and its counts of changes and removed
@@ -39,9 +40,8 @@ both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
 lookups on the masks from before the update.  It shares the graph code and
 the shape tables with the engine, which are tested on their own, and no
 loop, so the two settling to the same state checks the worklist.  It
-reads both tables of a pair off the graph's edge list, the reverse edge's
-shape code being the edge's with the source and target bits swapped, and
-counts and records nothing.
+takes its pairs from `_Graph.neighbours` and each side's table from
+`_shape` in that direction, and counts and records nothing.
 
 Extraction does not run the worklist.  A state is closed exactly when all
 cubes holding a separator project onto it alike, so `extract_assignment`
@@ -179,16 +179,17 @@ def count_prunable(masks: Iterable[int]) -> int:
 
 class _Graph:
     """Adjacency of a set of triples.  Cube i is `nodes[i]`; its out-edges
-    go to every other cube sharing a variable with it, in target order.
-    Edge ids number the out-edges of cube 0, then those of cube 1, and so
-    on: those of cube i run from `first[i]` to `first[i + 1] - 1`, so they
-    follow (source triple, target triple) order.
+    go to its `neighbours`, every other cube sharing a variable with it, in
+    target order.  Edge ids number the out-edges of cube 0, then those of
+    cube 1, and so on: those of cube i run from `first[i]` to
+    `first[i + 1] - 1`, so they follow (source triple, target triple) order.
 
-    `first` comes from the out-degrees, counted without listing any edge;
-    `images` finds the edges that can prune without listing any, and
-    `out_edges` lists them all on first use.  `_index` maps each variable
-    to its (cube, position) pairs in cube order, which extraction reads
-    too."""
+    `first` comes from the out-degrees, counted without listing any edge,
+    and `images` finds the edges that can prune without listing any.  No
+    edge is stored: a shape is read off the two triples by `_shape`, and
+    the graph holds nothing built after `__init__`.  `_index` maps each
+    variable to its (cube, position) pairs in cube order, which extraction
+    reads too."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
@@ -212,27 +213,19 @@ class _Graph:
             - pairs[a, b] - pairs[a, c] - pairs[b, c]
             for a, b, c in nodes
         )]
-        self._out: tuple[list[int], bytes] | None = None
 
-    def out_edges(self) -> tuple[list[int], bytes]:
-        """By edge id, each edge's target cube and its shape code."""
-        if self._out is None:
-            nodes, index = self.nodes, self._index
-            targets: list[int] = []
-            codes = bytearray()
-            for s, src in enumerate(nodes):
-                near = sorted({t for var in src for t, _ in index[var]} - {s})
-                targets += near
-                codes += bytes(_shape(src, nodes[t]) for t in near)
-            self._out = targets, bytes(codes)
-        return self._out
+    def neighbours(self, s: int) -> list[int]:
+        """The other cubes sharing a variable with cube s, in cube order:
+        the targets of its out-edges, ids `first[s]` on."""
+        index = self._index
+        return sorted({t for var in self.nodes[s] for t, _ in index[var]} - {s})
 
     def images(self, s: int, source: int) -> list[tuple[int, int]]:
         """The (target, image) pairs, in target order, of the out-edges of
         cube s, with GREEN mask `source`, that can change their target:
         those into the cubes holding a separator that `_SEPARATORS[source]`
         lists.  The image is the target's shape table entry for `source`;
-        no edge list is built."""
+        no other neighbour is listed."""
         nodes, index = self.nodes, self._index
         sep = _SEPARATORS[source]
         src = nodes[s]
@@ -257,10 +250,9 @@ class _Graph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges as (source triple, target triple) pairs, in id order."""
-        targets, _ = self.out_edges()
-        nodes, first = self.nodes, self.first
-        return tuple((nodes[s], nodes[t]) for s, (lo, hi) in enumerate(zip(first, first[1:]))
-                     for t in targets[lo:hi])
+        nodes = self.nodes
+        return tuple((nodes[s], nodes[t]) for s in range(len(nodes))
+                     for t in self.neighbours(s))
 
 
 def build_adjacency(state: ClausalState) -> _Graph:
@@ -284,8 +276,7 @@ def fixpoint(
     by it.  early_exit stops at the first all-RED cube, one empty on entry
     included; disable it to force full closure (the fixpoint masks can
     differ below an empty cube, the verdict cannot).  `_graph`, if given,
-    is `build_adjacency(state)` from an earlier call; whether its edge list
-    is already built changes no result.
+    is `build_adjacency(state)` from an earlier call.
     """
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
@@ -305,13 +296,11 @@ def bidirectional_fixpoint(
     empty cube reported is the first all-RED cube in triple order.  The sweep
     counts and records nothing: its stats are all zero and its trace empty."""
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
-    targets, codes = graph.out_edges()
-    first = graph.first
-    # the reverse edge's shape code has the source and target bits swapped
-    pairs = [(a, b, _TABLES[code >> 3 | (code & 7) << 3], _TABLES[code])
-             for a, (lo, hi) in enumerate(zip(first, first[1:]))
-             for b, code in zip(targets[lo:hi], codes[lo:hi]) if a < b]
-    masks = [state.cubes[triple] for triple in graph.nodes]
+    nodes = graph.nodes
+    pairs = [(a, b, _TABLES[_shape(nodes[b], nodes[a])],
+              _TABLES[_shape(nodes[a], nodes[b])])
+             for a in range(len(nodes)) for b in graph.neighbours(a) if a < b]
+    masks = [state.cubes[triple] for triple in nodes]
     changed = True
     while changed:
         changed = False
@@ -367,15 +356,17 @@ def _worklist(
     targets its source, which therefore stays inert through them.  Without
     `rng` only the edges into the cubes holding a restricted separator are
     applied, from `images`, in target order; the others map their target to
-    itself.  Under `rng` the item's edge is applied, its target and shape
-    read off the graph's edge list, built when the first item needs it.  When a cube changes, it is requeued:
-    without `rng` as one item, unless it is queued already, which one flag
-    per cube tells; under `rng`, its out-edges that are not queued are
-    appended as edge items, shuffled.  An empty cube met under `early_exit`
-    ends the loop in the middle of an item, and the out-edges of its source
-    into cubes after the empty one are taken off the count again.
+    itself.  Under `rng` the item's edge is applied: its target is read off
+    every cube's `neighbours` listed by edge id, which the loop lists when
+    the first item needs them, and its table off `_shape`.  When a cube
+    changes, it is requeued: without `rng` as one item, unless it is queued
+    already, which one flag per cube tells; under `rng`, its out-edges that
+    are not queued are appended as edge items, shuffled.  An empty cube met
+    under `early_exit` ends the loop in the middle of an item, and the
+    out-edges of its source into cubes after the empty one are taken off
+    the count again.
     """
-    nodes, first, index, images = graph.nodes, graph.first, graph._index, graph.images
+    nodes, first, images = graph.nodes, graph.first, graph.images
     separators = _SEPARATORS
     log: list[tuple[int, int, int, int]] = []
     count = first[-1]
@@ -383,7 +374,8 @@ def _worklist(
     items = list(range(len(nodes) if rng is None else count))
     if rng is not None:
         rng.shuffle(items)
-    targets: list[int] | None = None  # the edge list, once an item needs it
+    # by edge id, each edge's target, listed once an edge item needs it
+    targets: list[int] | None = None
     queued = bytearray(b"\x01") * len(items)
     queue: deque[int | None] = deque(items)
     queue.append(None)  # pass marker
@@ -416,9 +408,9 @@ def _worklist(
             if not separators[source]:
                 continue
             if targets is None:
-                targets, codes = graph.out_edges()
+                targets = [t for u in range(len(nodes)) for t in graph.neighbours(u)]
             t = targets[item]
-            edges = [(t, _TABLES[codes[item]][source])]
+            edges = [(t, _TABLES[_shape(nodes[s], nodes[t])][source])]
         for t, image in edges:
             before = masks[t]
             after = before & image
@@ -430,8 +422,8 @@ def _worklist(
             if early_exit and after == 0:
                 empty = t
                 if rng is None:
-                    applications -= len({u for var in nodes[s] for u, _ in index[var]
-                                         if u > t and u != s})
+                    near = graph.neighbours(s)
+                    applications -= len(near) - bisect_right(near, t)
                 break
             if rng is None:
                 if not queued[t]:

@@ -402,6 +402,16 @@ def test_verify_mutated_bc_fails(capsys):
     )
 
 
+def test_verify_checks_the_bc_installed_in_bitspace(capsys, monkeypatch):
+    # verify checks the bc that bitspace holds when it runs, so the fault
+    # --mutate-bc injects is caught the same way when installed there
+    monkeypatch.setattr(bitspace, "bc", lambda p, q: (bitspace.bc_uni(p, q), q))
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert ("FAIL bc-vs-join-oracle: bc mismatch on overlap2 masks (0xF2, 0x17)\n"
+            in out)
+
+
 _fixpoint = propagate.fixpoint
 _bidirectional = propagate.bidirectional_fixpoint
 _worklist = propagate._worklist

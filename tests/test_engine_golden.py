@@ -166,23 +166,34 @@ def test_bidirectional_matches_closed_fixpoint_on_short_clauses():
     assert _assert_sweep_matches(_short_instances()) == 48
 
 
-def test_fifo_builds_no_block():
+def test_fifo_builds_no_block(monkeypatch):
     # a 2-CNF whose cubes all hold u1, by padding or as a literal: its graph
     # is complete, yet FIFO only visits the cubes holding a separator that
     # its source restricts.  The stats are those of the engine that applied
-    # whole blocks of out-edges, and no edge list is built
+    # whole blocks of out-edges, and FIFO lists a cube's neighbours only to
+    # take the edges past an empty cube off the count, at most once a run
+    calls = []
+    neighbours = _Graph.neighbours
+
+    def counted(graph, s):
+        calls.append(s)
+        return neighbours(graph, s)
+
+    monkeypatch.setattr(_Graph, "neighbours", counted)
     state = build_clausal_partition(random_cnf(2000, 1600, 4, (2,))).state
     graph = _Graph(tuple(state.triples()))
     assert len(graph.nodes) == 1600 and graph.first[-1] == 2_558_400
     result = fixpoint(state, _graph=graph)
     assert result.empty_triple is None
     assert result.stats == PropStats(2, 2_559_999, 7, 11)
-    assert graph._out is None
+    assert calls == []
     for _, _, state in [*_instances(), *_short_instances()]:
-        graph = _Graph(tuple(state.triples()))
         for early_exit in (True, False):
-            fixpoint(state, early_exit=early_exit, _graph=graph)
-        assert graph._out is None
+            calls.clear()
+            result = fixpoint(state, early_exit=early_exit)
+            assert len(calls) <= 1
+            if calls:
+                assert early_exit and result.empty_triple is not None
 
 
 if __name__ == "__main__":

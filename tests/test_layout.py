@@ -1,8 +1,11 @@
 """Every function, class, method, property and module-level assignment
 (a constant or a type alias) of `src/satprop` is used by the package
-itself, or is on `UNREFERENCED` with the reason it stays; and every
-optional parameter of those functions and methods is set by some call in
-the package, or is on `UNSET` with the reason it stays.
+itself, or is on `UNREFERENCED` with the reason it stays; every optional
+parameter of those functions and methods is set by some call in the
+package, or is on `UNSET` with the reason it stays; and every name an
+import binds in a module is read in that module, or is on `UNREAD_IMPORTS`
+with the reason it stays.  `__init__.py` is exempt from the last rule: its
+imports are the package's re-exports.
 
 A definition counts as used when its name is read in `src/satprop` outside
 its own body or statement: as a name for a module-level definition (or as
@@ -36,6 +39,14 @@ UNREFERENCED = {
 UNSET = {
     "assemble.op": "the bitspace tests fold with WS as well as BS",
     "main.argv": "the tests and the benchmark call main with an argv",
+}
+
+# module.name -> why a name imported there stays unread in that module
+UNREAD_IMPORTS = {
+    "propagate.bc": "the benchmark's tracer wraps it by name in this module",
+    "propagate.impose": "the benchmark's tracer wraps it by name in this module",
+    "cli.bc": "the benchmark's tracer wraps it by name in this module",
+    "cli.bidirectional_fixpoint": "the benchmark's tracer wraps it by name in this module",
 }
 
 
@@ -135,3 +146,28 @@ def test_every_optional_parameter_is_set_or_allowed():
     assert unset == set(UNSET), (
         f"never set, not allowed: {sorted(unset - set(UNSET))}; "
         f"allowed, now set: {sorted(set(UNSET) - unset)}")
+
+
+def _imported_names(tree):
+    """The names the imports of module `tree` bind, `__future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
+def test_every_import_is_read_or_allowed():
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {f"{path.stem}.{name}" for name in _imported_names(tree)
+                   if name not in read}
+    assert unread == set(UNREAD_IMPORTS), (
+        f"unread, not allowed: {sorted(unread - set(UNREAD_IMPORTS))}; "
+        f"allowed, now read: {sorted(set(UNREAD_IMPORTS) - unread)}")

@@ -199,15 +199,14 @@ def test_count_prunable_on_a_hand_built_instance():
 def test_graph_edges_carry_their_shape_table():
     state = build_clausal_partition(gen_random_3sat(12, 40, seed=3)).state
     graph = _Graph(tuple(state.triples()))
-    targets, codes = graph.out_edges()
-    assert graph.out_edges() is graph.out_edges()  # built once
-    assert len(targets) == len(codes) == graph.first[-1]
-    assert len(targets) == len(build_adjacency(state).edges)
-    for s in range(len(graph.nodes)):
-        for e in range(graph.first[s], graph.first[s + 1]):
-            code = codes[e]
-            assert code == _reference_shape(graph.nodes[s], graph.nodes[targets[e]])
+    count = 0
+    for s, src in enumerate(graph.nodes):
+        for t in graph.neighbours(s):
+            code = _shape(src, graph.nodes[t])
+            assert code == _reference_shape(src, graph.nodes[t])
             assert code in _TABLES
+            count += 1
+    assert count == graph.first[-1] == len(build_adjacency(state).edges)
 
 
 def test_bc_is_two_one_sided_combinations():
@@ -394,15 +393,16 @@ def _with_isolated_clause(n, m, seed):
     build_clausal_partition(_embedded_core(400, 1200, 4)).state,
 ])
 def test_degrees_count_the_built_blocks(state):
-    # cube s's out-edges are the ids first[s] to first[s + 1] - 1 of the
-    # edge list, which is built only when asked for
+    # cube s's out-edges are the ids first[s] to first[s + 1] - 1, and go to
+    # its neighbours in cube order
     graph = _Graph(tuple(state.triples()))
     eager = _EagerGraph(graph.nodes)
     assert graph.first == eager.first
-    assert graph._out is None
-    targets, codes = graph.out_edges()
-    assert targets == eager.tgt
-    assert [_TABLES[code] for code in codes] == eager.table
+    first = graph.first
+    for s in range(len(graph.nodes)):
+        near = graph.neighbours(s)
+        assert first[s + 1] - first[s] == len(near)
+        assert near == eager.tgt[first[s]:first[s + 1]]
     assert build_adjacency(state).edges == tuple(
         (eager.nodes[s], eager.nodes[t]) for s, t in zip(eager.src, eager.tgt))
 
@@ -475,11 +475,11 @@ def test_confluence_check_builds_one_graph(monkeypatch):
 
 
 def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
-    # the edge list an earlier run built changes no stat, trace or mask
+    # a graph earlier runs used changes no stat, trace or mask
     for seed in range(5):
         state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
         graph = build_adjacency(state)
-        bidirectional_fixpoint(state, _graph=graph)  # builds the edge list
+        bidirectional_fixpoint(state, _graph=graph)
         for order_seed in (None, 0, 5):
             for early_exit in (True, False):
                 shared = fixpoint(state, order_seed, early_exit, _graph=graph)
