@@ -41,9 +41,19 @@ def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     1..num_vars, anywhere in the clause, tautology or not.  The width is not
     checked here: a result of more than three literals is rejected by
     `Instance`."""
+    clause = tuple(literals)
+    last = 0  # a clause whose variables ascend strictly from 1 is returned as is
+    for lit in clause:
+        var = abs(lit)
+        if var <= last:
+            break
+        last = var
+    else:
+        if 0 < last <= num_vars:
+            return clause
     polarity: dict[int, int] = {}  # variable -> its first literal
     tautology = False
-    for lit in literals:
+    for lit in clause:
         if lit == 0:
             raise ValueError("literal 0 is reserved as clause terminator")
         var = abs(lit)

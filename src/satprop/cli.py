@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -162,13 +164,20 @@ def _oracle_decides(num_vars: int, mode: str) -> bool:
 
 def _write_out(text: str, path: str | None) -> None:
     """Write to `path`, or stdout for None or "-".  Raises SystemExit(2)
-    after printing a diagnostic to stderr when the path cannot be written."""
+    after printing a diagnostic to stderr when the path cannot be written.
+
+    An existing file is overwritten in place and then cut to the text's
+    length, not truncated first: emptying a file that holds data can make
+    closing it start writeback, which costs more than the write.  Only a
+    regular file is cut, so devices and FIFOs such as /dev/null still work."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None

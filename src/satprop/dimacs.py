@@ -56,6 +56,12 @@ def parse_dimacs(text: str) -> ParseResult:
     Header/clause count mismatch and dropped tautologies are warnings;
     out-of-range literals, missing header, and clauses wider than 3
     distinct variables are errors.
+
+    Lines are read in one loop.  A plain clause line, exactly three nonzero
+    in-range literals and a 0 with no clause pending, has its four tokens
+    converted at once and closed as one clause; every other line is read
+    token by token.  Both close clauses through `finish_clause`, so each is
+    canonicalized once and its diagnostics point at its first token.
     """
     diagnostics: list[ParseDiagnostic] = []
     num_vars: int | None = None
@@ -73,18 +79,18 @@ def parse_dimacs(text: str) -> ParseResult:
     def warning(line: int, col: int, message: str) -> None:
         diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
 
-    def finish_clause(lineno: int, line: str, k: int) -> None:
-        """Close the pending clause at token k of `line`."""
+    def finish_clause(literals: list[int], start: tuple[int, str, int]) -> None:
+        """Close a clause whose first token (or terminating 0, for an empty
+        clause) is at `start`."""
         nonlocal empty_clauses, tautologies
         assert num_vars is not None
-        start = pending_start or (lineno, line, k)
-        if len(pending) > 3:
-            width = len({abs(lit) for lit in pending})
+        if len(literals) > 3:
+            width = len({abs(lit) for lit in literals})
             if width > 3:
                 error(*_position(*start),
                       f"clause has {width} distinct variables; this tool is 3SAT-only")
                 return
-        result = canonicalize(pending, num_vars)
+        result = canonicalize(literals, num_vars)
         if result is TAUTOLOGY:
             tautologies += 1
             warning(*_position(*start), "tautological clause dropped")
@@ -122,14 +128,25 @@ def parse_dimacs(text: str) -> ParseResult:
         if num_vars is None:
             error(*_position(lineno, line, 0), "clause data before problem line")
             return ParseResult(None, diagnostics)
-        for k, token in enumerate(stripped.split()):
+        tokens = stripped.split()
+        if len(tokens) == 4 and pending_start is None:
+            try:
+                a, b, c, end = map(int, tokens)
+            except ValueError:
+                pass
+            else:
+                if (end == 0 and a and b and c and abs(a) <= num_vars
+                        and abs(b) <= num_vars and abs(c) <= num_vars):
+                    finish_clause([a, b, c], (lineno, line, 0))
+                    continue
+        for k, token in enumerate(tokens):
             try:
                 lit = int(token)
             except ValueError:
                 error(*_position(lineno, line, k), f"not an integer literal: {token!r}")
                 continue
             if lit == 0:
-                finish_clause(lineno, line, k)
+                finish_clause(pending, pending_start or (lineno, line, k))
                 pending = []
                 pending_start = None
             elif abs(lit) > num_vars:

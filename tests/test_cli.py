@@ -354,6 +354,25 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "n=9,m=30,seed=6"],
+    ["trace", "--gen", "n=9,m=30,seed=6"],
+    ["bench", "--gen", "n=8,m=16,seed=2,count=2"],
+])
+def test_out_overwrites_longer_file_and_writes_to_devices(capsys, tmp_path, argv):
+    # the report is written over the old bytes in place and the file then
+    # cut to the report's length; a device such as /dev/null is not cut
+    code, printed, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 65536)
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert path.read_bytes() == printed.encode()
+    code, out, err = run(capsys, *argv, "--out", os.devnull)
+    assert (code, out, err) == (EXIT_OK, "", "")
+
+
 @pytest.mark.parametrize("source", ["gen", "unsat", "trivial"])
 def test_solve_timings_block(capsys, tmp_path, source):
     inputs = {"unsat": UNSAT_CNF, "trivial": "p cnf 3 1\n0\n"}

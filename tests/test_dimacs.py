@@ -249,14 +249,36 @@ _TOKENS = st.one_of(
 _BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\xa0"])
 
 
+def _spellings(lit):
+    """Tokens that int() reads as `lit`: with a sign, leading zeros or
+    underscores (`+2`, `-0`, `00`, `1_0`)."""
+    digits = str(abs(lit))
+    signs = ["-"] if lit < 0 else ["", "+", "-"] if lit == 0 else ["", "+"]
+    bodies = [digits, "0" + digits, "0_" + digits, "_".join(digits)]
+    return st.sampled_from([sign + body for sign in signs for body in bodies])
+
+
 @st.composite
 def _dimacs_lines(draw):
     """One line of DIMACS-like text: clause data that may span lines or
-    lack its 0, bad tokens, comments, problem lines and `%` trailers, with
-    tabs and leading blanks."""
+    lack its 0, plain clause lines, bad tokens, comments, problem lines and
+    `%` trailers, with tabs and leading blanks."""
     kind = draw(st.sampled_from(
-        ["data"] * 6 + ["wide", "comment", "problem", "bad problem", "trailer", "blank"]))
+        ["data"] * 6 + ["clause"] * 4
+        + ["wide", "comment", "problem", "bad problem", "trailer", "blank"]))
     lead = draw(st.sampled_from(["", " ", "\t", "  \t"]))
+    if kind == "clause":  # three literal tokens and 0, the parser's shortcut
+        literals = [draw(st.integers(-6, 6))]
+        for _ in range(2):
+            literals.append(draw(st.one_of(
+                st.integers(-6, 6),  # in range, out of range or 0 by the header
+                st.sampled_from([10, -10]),
+                st.sampled_from(literals),  # repeated
+                st.sampled_from(literals).map(lambda lit: -lit),  # tautological
+            )))
+        tokens = [draw(_spellings(lit)) for lit in literals + [0]]
+        line = "".join(token + draw(_BLANKS) for token in tokens)
+        return lead + line.rstrip(" ") if draw(st.booleans()) else lead + line
     if kind == "data":
         tokens = draw(st.lists(_TOKENS, max_size=7))
         line = ""
