@@ -35,6 +35,18 @@ EMPTY = Degenerate.EMPTY
 Clause = tuple[int, ...]
 
 
+def _top_var(clause: Clause) -> int:
+    """The last variable of `clause` if its variables ascend strictly from
+    1, so that no literal is 0 or repeats a variable; else 0."""
+    top = 0
+    for lit in clause:
+        var = abs(lit)
+        if var <= top:
+            return 0
+        top = var
+    return top
+
+
 def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     """Merge duplicate literals, sort by variable, detect tautologies and
     the empty clause.  Raises on literal 0 and on variable ids outside
@@ -42,15 +54,8 @@ def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
     checked here: a result of more than three literals is rejected by
     `Instance`."""
     clause = tuple(literals)
-    last = 0  # a clause whose variables ascend strictly from 1 is returned as is
-    for lit in clause:
-        var = abs(lit)
-        if var <= last:
-            break
-        last = var
-    else:
-        if 0 < last <= num_vars:
-            return clause
+    if 0 < _top_var(clause) <= num_vars:
+        return clause  # already canonical
     polarity: dict[int, int] = {}  # variable -> its first literal
     tautology = False
     for lit in clause:
@@ -83,14 +88,12 @@ class Instance:
         for clause in self.clauses:
             if not 1 <= len(clause) <= 3:
                 raise ValueError(f"clause width {len(clause)} outside 1..3")
-            var = 0  # each variable must exceed the one before it
-            for lit in clause:
-                if not var < abs(lit):
-                    raise ValueError(
-                        f"clause {clause}: literals must be nonzero, sorted by "
-                        f"variable and duplicate-free"
-                    )
-                var = abs(lit)
+            var = _top_var(clause)
+            if not var:
+                raise ValueError(
+                    f"clause {clause}: literals must be nonzero, sorted by "
+                    f"variable and duplicate-free"
+                )
             if var > self.num_vars:
                 raise ValueError(f"variable u{var} exceeds num_vars {self.num_vars}")
 

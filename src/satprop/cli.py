@@ -166,17 +166,22 @@ def _write_out(text: str, path: str | None) -> None:
     """Write to `path`, or stdout for None or "-".  Raises SystemExit(2)
     after printing a diagnostic to stderr when the path cannot be written.
 
-    An existing file is overwritten in place and then cut to the text's
-    length, not truncated first: emptying a file that holds data can make
-    closing it start writeback, which costs more than the write.  Only a
-    regular file is cut, so devices and FIFOs such as /dev/null still work."""
+    An existing file is overwritten in place, not truncated first: emptying
+    a file that holds data can make closing it start writeback, which costs
+    more than the write.  It is then cut to the text's length only if it was
+    longer than `len(text)`, which the encoded text never undercuts, so a
+    new file or one no longer than the text costs one fstat more than a
+    plain open.  Only a regular file is cut, so devices and FIFOs such as
+    /dev/null still work.  Not atomic: a crash mid-write can leave the old
+    bytes or a mix of old and new."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+            st = os.fstat(fh.fileno())
             fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(text):
                 fh.truncate()
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)

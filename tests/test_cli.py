@@ -360,15 +360,16 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     ["bench", "--gen", "n=8,m=16,seed=2,count=2"],
 ])
 def test_out_overwrites_longer_file_and_writes_to_devices(capsys, tmp_path, argv):
-    # the report is written over the old bytes in place and the file then
-    # cut to the report's length; a device such as /dev/null is not cut
+    # the report is written over the old bytes in place and a longer file
+    # then cut to the report's length; a device such as /dev/null is not cut
     code, printed, _ = run(capsys, *argv)
     assert code == EXIT_OK
     path = tmp_path / "report.json"
-    path.write_bytes(b"x" * 65536)
-    code, out, err = run(capsys, *argv, "--out", str(path))
-    assert (code, out, err) == (EXIT_OK, "", "")
-    assert path.read_bytes() == printed.encode()
+    for size in (65536, len(printed) + 1, len(printed), len(printed) - 1, 0):
+        path.write_bytes(b"x" * size)
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert path.read_bytes() == printed.encode()
     code, out, err = run(capsys, *argv, "--out", os.devnull)
     assert (code, out, err) == (EXIT_OK, "", "")
 
