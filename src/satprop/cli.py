@@ -24,6 +24,7 @@ from . import __version__, bitspace, checks, oracle
 from .bitspace import Partition, bc  # noqa: F401
 from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
+    MAX_VARS,
     build_report,
     build_trace,
     emit_dimacs,
@@ -93,6 +94,8 @@ def parse_gen_spec(spec: str) -> GenSpec:
     count = _gen_int(fields, "count") if "count" in fields else 1
     if n < 3:
         raise ValueError(f"--gen needs n >= 3, got {n}")
+    if n > MAX_VARS:
+        raise ValueError(f"--gen needs n <= {MAX_VARS}, got {n}")
     if min(m_points) < 0:
         raise ValueError(f"--gen needs m >= 0, got {m_spec}")
     if count < 1:
@@ -163,8 +166,9 @@ def _oracle_decides(num_vars: int, mode: str) -> bool:
 
 
 def _write_out(text: str, path: str | None) -> None:
-    """Write to `path`, or stdout for None or "-".  Raises SystemExit(2)
-    after printing a diagnostic to stderr when the path cannot be written.
+    """Write to `path`, or to stdout, flushed, for None or "-".  Raises
+    SystemExit(2) after printing a diagnostic to stderr when the path or
+    stdout cannot be written.
 
     An existing file is overwritten in place, not truncated first: emptying
     a file that holds data can make closing it start writeback, which costs
@@ -174,17 +178,20 @@ def _write_out(text: str, path: str | None) -> None:
     plain open.  Only a regular file is cut, so devices and FIFOs such as
     /dev/null still work.  Not atomic: a crash mid-write can leave the old
     bytes or a mix of old and new."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    stdout = path is None or path == "-"
     try:
+        if stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             st = os.fstat(fh.fileno())
             fh.write(text)
             if stat.S_ISREG(st.st_mode) and st.st_size > len(text):
                 fh.truncate()
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {'<stdout>' if stdout else path}: {exc}",
+              file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
 
 
@@ -327,7 +334,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
     failed = False
     for name, results in battery:
         detail = next((d for d in results if d is not None), None)
-        print(f"PASS {name}" if detail is None else f"FAIL {name}: {detail}")
+        line = f"PASS {name}" if detail is None else f"FAIL {name}: {detail}"
+        _write_out(line + "\n", None)
         failed |= detail is not None
     return 1 if failed else EXIT_OK
 

@@ -20,6 +20,12 @@ from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
 
 _TOKEN = re.compile(r"\S+")
 
+# The most variables a problem line or a --gen spec may declare.  Extraction
+# and the report are sized by the declared count, not by the clauses: at
+# 2**20 variables and one clause `solve --out` peaks near 390 MB and writes
+# a 37 MB report, and both grow in proportion to the count.
+MAX_VARS = 1 << 20
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -54,8 +60,9 @@ def parse_dimacs(text: str) -> ParseResult:
     by 0 and may span lines.  A line starting with '%' ends the data, as in
     the SATLIB benchmark files, whose '%' line is followed by a stray '0'.
     Header/clause count mismatch and dropped tautologies are warnings;
-    out-of-range literals, missing header, and clauses wider than 3
-    distinct variables are errors.
+    out-of-range literals, missing header, a header declaring more than
+    `MAX_VARS` variables, and clauses wider than 3 distinct variables are
+    errors.  One leading byte-order mark is dropped.
 
     Lines are read in one loop.  A plain clause line, exactly three nonzero
     in-range literals and a 0 with no clause pending, has its four tokens
@@ -63,6 +70,7 @@ def parse_dimacs(text: str) -> ParseResult:
     token by token.  Both close clauses through `finish_clause`, so each is
     canonicalized once and its diagnostics point at its first token.
     """
+    text = text.removeprefix("\ufeff")
     diagnostics: list[ParseDiagnostic] = []
     num_vars: int | None = None
     declared_clauses = 0
@@ -123,6 +131,10 @@ def parse_dimacs(text: str) -> ParseResult:
                 num_vars = None
             if num_vars is not None and (num_vars < 0 or declared_clauses < 0):
                 error(lineno, col, "negative counts in problem line")
+                num_vars = None
+            if num_vars is not None and num_vars > MAX_VARS:
+                error(lineno, col, f"problem line declares {num_vars} variables, "
+                                   f"more than {MAX_VARS}")
                 num_vars = None
             continue
         if num_vars is None:

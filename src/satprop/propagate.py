@@ -3,10 +3,10 @@
 Cubes sharing one or two variables are adjacent; along each directed edge
 the source cube's projection onto the shared variables is imposed on the
 target (the unidirectional combination, `bitspace.bc_uni`).  A worklist
-requeues the out-edges of any cube that changed, and the system runs until
-no edge application changes anything.  Cubes only ever lose GREEN cells,
-so the number of change-making applications is bounded by 8 x cube count
-and the fixpoint is independent of scheduling order.
+requeues the out-edges of any cube that changed, and runs in passes until
+a pass requeues nothing.  Cubes only ever lose GREEN cells, so the number
+of change-making applications is bounded by 8 x cube count and the
+fixpoint is independent of scheduling order.
 
 The engine works on integer masks, one per cube, with cubes numbered in
 sorted-triple order.  An ordered pair of adjacent triples has one of 18
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from typing import Iterable, Sequence
@@ -271,12 +270,12 @@ def fixpoint(
     """Run the unidirectional operator to steady state.
 
     order_seed: None applies the out-edges a cube at a time in FIFO order,
-    starting from every cube in triple order; an int shuffles the initial
-    worklist of edges (and each re-enqueue batch) with a generator seeded
-    by it.  early_exit stops at the first all-RED cube, one empty on entry
-    included; disable it to force full closure (the fixpoint masks can
-    differ below an empty cube, the verdict cannot).  `_graph`, if given,
-    is `build_adjacency(state)` from an earlier call.
+    starting from every cube in triple order; an int shuffles the first
+    pass of edges, and each batch of requeued edges, with a generator
+    seeded by it.  early_exit stops at the first all-RED cube, one empty
+    on entry included; disable it to force full closure (the fixpoint
+    masks can differ below an empty cube, the verdict cannot).  `_graph`,
+    if given, is `build_adjacency(state)` from an earlier call.
     """
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
@@ -340,29 +339,31 @@ def _worklist(
     early_exit: bool,
     rng: random.Random | None,
 ) -> tuple[int, int, list[tuple[int, int, int, int]], int | None]:
-    """The propagation loop, from every cube.  Updates `masks` in place and
+    """The propagation loop, pass by pass.  Updates `masks` in place and
     returns the pass and edge application counts, the change log and the
     id of the empty cube it reports, if any.  Under `early_exit` the caller
     guarantees that no mask is empty on entry.
 
-    Without `rng` a work item is a cube s, standing for all its out-edges,
-    and every cube starts queued, in triple order.  Under `rng` an item is
-    an edge id, every edge starts queued and the ids are shuffled; the id's
-    source is the cube whose range in `first` holds it.  A None marker ends
-    each pass.
+    A pass is a list of work items, applied in order.  Without `rng` an
+    item is a cube s, standing for all its out-edges, and the first pass
+    holds every cube in triple order.  Under `rng` an item is an edge id,
+    whose source is the cube whose range in `first` holds it, and the first
+    pass holds every edge, shuffled.  Each later pass holds what the one
+    before it requeued, in that order, and the run ends after a pass that
+    requeues nothing.  A graph with no edge makes no pass.
 
-    An item is counted as applied in full and dequeued when it comes up.  If
-    its source restricts no separator it is skipped: none of its edges
-    targets its source, which therefore stays inert through them.  Without
-    `rng` only the edges into the cubes holding a restricted separator are
-    applied, from `images`, in target order; the others map their target to
-    itself.  Under `rng` the item's edge is applied: its target is read off
-    every cube's `neighbours` listed by edge id, which the loop lists when
-    the first item needs them, and its table off `_shape`.  When a cube
+    An item is counted as applied in full when it comes up.  If its source
+    restricts no separator it is skipped: none of its edges targets its
+    source, which therefore stays inert through them.  Without `rng` only
+    the edges into the cubes holding a restricted separator are applied,
+    from `images`, in target order; the others map their target to itself.
+    Under `rng` the item's edge is applied: its target is read off every
+    cube's `neighbours` listed by edge id, which the loop lists when the
+    first item needs them, and its table off `_shape`.  When a cube
     changes, it is requeued: without `rng` as one item, unless it is queued
     already, which one flag per cube tells; under `rng`, its out-edges that
-    are not queued are appended as edge items, shuffled.  An empty cube met
-    under `early_exit` ends the loop in the middle of an item, and the
+    are not queued are requeued as edge items, shuffled.  An empty cube met
+    under `early_exit` ends the run in the middle of an item, and the
     out-edges of its source into cubes after the empty one are taken off
     the count again.
     """
@@ -371,81 +372,64 @@ def _worklist(
     log: list[tuple[int, int, int, int]] = []
     count = first[-1]
 
-    items = list(range(len(nodes) if rng is None else count))
+    items = list(range(len(nodes) if rng is None else count)) if count else []
     if rng is not None:
         rng.shuffle(items)
     # by edge id, each edge's target, listed once an edge item needs it
     targets: list[int] | None = None
     queued = bytearray(b"\x01") * len(items)
-    queue: deque[int | None] = deque(items)
-    queue.append(None)  # pass marker
-    popleft, append, extend = queue.popleft, queue.append, queue.extend
-    passes = 1 if count else 0
-    applications = 0
-    changed_this_pass = False
-    empty = None
+    passes = applications = 0
 
-    while queue:
-        item = popleft()
-        if item is None:
-            if queue and changed_this_pass:
-                passes += 1
-                append(None)
-                changed_this_pass = False
-            continue
-        queued[item] = 0
-        if rng is None:
-            s = item
-            applications += first[s + 1] - first[s]
-            source = masks[s]
-            if not separators[source]:
-                continue
-            edges = images(s, source)
-        else:
-            s = bisect_right(first, item) - 1
-            applications += 1
-            source = masks[s]
-            if not separators[source]:
-                continue
-            if targets is None:
-                targets = [t for u in range(len(nodes)) for t in graph.neighbours(u)]
-            t = targets[item]
-            edges = [(t, _TABLES[_shape(nodes[s], nodes[t])][source])]
-        for t, image in edges:
-            before = masks[t]
-            after = before & image
-            if after == before:
-                continue
-            masks[t] = after
-            log.append((s, t, before, after))
-            changed_this_pass = True
-            if early_exit and after == 0:
-                empty = t
-                if rng is None:
-                    near = graph.neighbours(s)
-                    applications -= len(near) - bisect_right(near, t)
-                break
+    while items:
+        passes += 1
+        requeued: list[int] = []
+        for item in items:
+            queued[item] = 0
             if rng is None:
-                if not queued[t]:
-                    queued[t] = 1
-                    append(t)
+                s = item
+                applications += first[s + 1] - first[s]
+                source = masks[s]
+                if not separators[source]:
+                    continue
+                edges = images(s, source)
             else:
-                requeue = []
-                for e in range(first[t], first[t + 1]):
-                    if not queued[e]:
-                        queued[e] = 1
-                        requeue.append(e)
-                rng.shuffle(requeue)
-                extend(requeue)
-        if empty is not None:
-            break
-    # Under early_exit a cube emptied in the loop ended it, and the caller
-    # guarantees none was empty on entry, so only a full closure needs this
-    # scan.
-    if not early_exit and 0 in masks:
-        empty = masks.index(0)
-
-    return passes, applications, log, empty
+                s = bisect_right(first, item) - 1
+                applications += 1
+                source = masks[s]
+                if not separators[source]:
+                    continue
+                if targets is None:
+                    targets = [t for u in range(len(nodes)) for t in graph.neighbours(u)]
+                t = targets[item]
+                edges = [(t, _TABLES[_shape(nodes[s], nodes[t])][source])]
+            for t, image in edges:
+                before = masks[t]
+                after = before & image
+                if after == before:
+                    continue
+                masks[t] = after
+                log.append((s, t, before, after))
+                if early_exit and after == 0:
+                    if rng is None:
+                        near = graph.neighbours(s)
+                        applications -= len(near) - bisect_right(near, t)
+                    return passes, applications, log, t
+                if rng is None:
+                    if not queued[t]:
+                        queued[t] = 1
+                        requeued.append(t)
+                else:
+                    requeue = []
+                    for e in range(first[t], first[t + 1]):
+                        if not queued[e]:
+                            queued[e] = 1
+                            requeue.append(e)
+                    rng.shuffle(requeue)
+                    requeued += requeue
+        items = requeued
+    # Under early_exit no mask is empty here: none was on entry, and a cube
+    # emptied in the loop returned from it.
+    return passes, applications, log, masks.index(0) if 0 in masks else None
 
 
 def extract_assignment(

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import importlib.util
 import io
@@ -55,6 +56,7 @@ def test_parse_gen_spec_forms():
 
 @pytest.mark.parametrize("spec, message", [
     ("n=2,m=3,seed=1", "n >= 3"),
+    ("n=1048577,m=1,seed=1", "^--gen needs n <= 1048576, got 1048577$"),
     ("n=12,m=-1,seed=1", "m >= 0"),
     ("n=12,m=-6..12..6,seed=1", "m >= 0"),
     ("n=12,m=30,seed=1,count=0", "count >= 1"),
@@ -84,6 +86,14 @@ def test_unknown_or_repeated_gen_field_exits_2(capsys, argv, message):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_gen_past_max_vars_exits_2(capsys):
+    # extraction and the report are sized by n, so a larger n is refused
+    # before any instance is built
+    code, out, err = run(capsys, "solve", "--gen", "n=1048577,m=1,seed=1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: --gen needs n <= 1048576, got 1048577\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -352,6 +362,27 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gen", "n=9,m=30,seed=6"],
+    ["trace", "--gen", "n=9,m=30,seed=6"],
+    ["bench", "--gen", "n=8,m=16,seed=2,count=2"],
+    ["verify", "--quick"],
+])
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert err == f"error: cannot write <stdout>: [Errno {errno.ENOSPC}] " \
+                  f"{os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("argv", [

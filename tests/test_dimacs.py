@@ -82,6 +82,31 @@ def test_parse_satlib_trailer():
         (1, -2, 3), (-1, 4, -5), (2, -3, -4), (-1, -2, 5)]
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf 3 1\n1 -2 3 0\n",
+    "c comment\np cnf 3 2\n1 -1 2 0\n",  # a tautology and a count mismatch
+    "p cnf 3 1\n1 4 x 0\n",
+])
+def test_parse_drops_a_byte_order_mark(text):
+    with_mark, plain = parse_dimacs("\ufeff" + text), parse_dimacs(text)
+    assert with_mark.instance == plain.instance
+    assert with_mark.diagnostics == plain.diagnostics
+
+
+def test_parse_rejects_more_variables_than_max_vars():
+    assert dimacs.MAX_VARS == 1 << 20
+    top = parse_dimacs("p cnf 1048576 1\n1 2 1048576 0\n")
+    assert top.instance.num_vars == 1048576 and top.diagnostics == []
+    for count in ("1048577", "99999999999999999999"):
+        result = parse_dimacs(f"p cnf {count} 1\n1 2 3 0\n")
+        assert result.instance is None
+        assert result.diagnostics == [
+            ParseDiagnostic(1, 1, f"problem line declares {count} variables, "
+                                  f"more than 1048576", "error"),
+            ParseDiagnostic(2, 1, "clause data before problem line", "error"),
+        ]
+
+
 def test_parse_missing_header():
     result = parse_dimacs("1 2 0\n")
     assert result.instance is None
@@ -201,6 +226,10 @@ def _reference_parse(text):
             if num_vars is not None and (num_vars < 0 or declared_clauses < 0):
                 error(lineno, col, "negative counts in problem line")
                 num_vars = None
+            if num_vars is not None and num_vars > dimacs.MAX_VARS:
+                error(lineno, col, f"problem line declares {num_vars} variables, "
+                                   f"more than {dimacs.MAX_VARS}")
+                num_vars = None
             continue
         for match in re.finditer(r"\S+", line):
             token, col = match.group(), match.start() + 1
@@ -295,7 +324,8 @@ def _dimacs_lines(draw):
         return f"{lead}p cnf {draw(st.integers(0, 5))} {draw(st.integers(0, 6))}"
     if kind == "bad problem":
         return lead + draw(st.sampled_from(
-            ["p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf -1 2", "p  cnf\t4 1 0"]))
+            ["p cnf 3", "p dnf 3 2", "p cnf x 2", "p cnf -1 2", "p  cnf\t4 1 0",
+             "p cnf 1048577 1", "p cnf 99999999999999999999 1"]))
     if kind == "trailer":
         return lead + "%"
     return lead

@@ -673,6 +673,12 @@ _DIFFERENTIAL = [
     # extraction queues it; the second ends under early exit
     pytest.param(_with_isolated_clause(12, 51, 1), id="n=12,isolated-clause"),
     pytest.param(_with_isolated_clause(12, 66, 1), id="n=12,isolated-clause,unsat"),
+    # no edge, so no pass: no cube, one cube, two disjoint cubes, and a cube
+    # empty on entry, which only a full closure runs the loop on
+    pytest.param(Instance(3, ()), id="no-clause"),
+    pytest.param(Instance(3, ((1, -2, 3),)), id="one-clause"),
+    pytest.param(Instance(6, ((1, 2, 3), (-4, 5, -6))), id="disjoint-clauses"),
+    pytest.param(Instance(3, ALL_POLARITIES), id="all-polarities"),
 ] + [
     # small dense instances, where FIFO early exit often meets the empty cube
     # in the middle of a cube's out-edges: 8 of these 24 at seeds 0-3
