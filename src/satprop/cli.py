@@ -24,6 +24,7 @@ from . import __version__, bitspace, checks, oracle
 from .bitspace import Partition, bc  # noqa: F401
 from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
+    MAX_CLAUSES,
     MAX_VARS,
     build_report,
     build_trace,
@@ -88,19 +89,21 @@ def parse_gen_spec(spec: str) -> GenSpec:
             raise ValueError(f"bad m range {m_spec!r}")
         if step < 1 or hi < lo:
             raise ValueError(f"bad m range {m_spec!r}")
-        m_points = list(range(lo, hi + 1, step))
     else:
-        m_points = [_gen_int(fields, "m")]
+        lo = hi = _gen_int(fields, "m")
+        step = 1
     count = _gen_int(fields, "count") if "count" in fields else 1
     if n < 3:
         raise ValueError(f"--gen needs n >= 3, got {n}")
     if n > MAX_VARS:
         raise ValueError(f"--gen needs n <= {MAX_VARS}, got {n}")
-    if min(m_points) < 0:
+    if lo < 0:
         raise ValueError(f"--gen needs m >= 0, got {m_spec}")
+    if hi > MAX_CLAUSES:
+        raise ValueError(f"--gen needs m <= {MAX_CLAUSES}, got {m_spec}")
     if count < 1:
         raise ValueError(f"--gen needs count >= 1, got {count}")
-    return GenSpec(n, m_points, _gen_int(fields, "seed"), count)
+    return GenSpec(n, list(range(lo, hi + 1, step)), _gen_int(fields, "seed"), count)
 
 
 def _gen_int(fields: dict[str, str], key: str) -> int:
@@ -141,7 +144,7 @@ def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:
         if stdin:
             text = sys.stdin.read()
         else:
-            with open(config.input_path) as fh:
+            with open(config.input_path, encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
@@ -184,7 +187,8 @@ def _write_out(text: str, path: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
             return
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as fh:
             st = os.fstat(fh.fileno())
             fh.write(text)
             if stat.S_ISREG(st.st_mode) and st.st_size > len(text):

@@ -26,6 +26,13 @@ _TOKEN = re.compile(r"\S+")
 # a 37 MB report, and both grow in proportion to the count.
 MAX_VARS = 1 << 20
 
+# The most clauses a --gen spec may ask for, as its `m` or the upper end of
+# its `m` range.  The generator builds every clause first, and the clausal
+# build, the fixpoint and the report grow with them: at 2**18 clauses
+# `solve --gen n=100000,m=262144,seed=1 --oracle off` peaks near 480 MB
+# (77 MB at n=12 with the oracle on), and it grows with m.
+MAX_CLAUSES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -227,14 +234,38 @@ def mask_hex(mask: int) -> str:
     return f"0x{mask:02X}"
 
 
-# The key sets of a cube entry and a trace record, the two shapes that
-# `write_report` writes with one f-string each (see `_entry`)
-_CUBE_KEYS = {"mask", "triple"}
-_RECORD_KEYS = {"after", "before", "cells_removed", "edge"}
+class _Cube(dict):
+    """A cube entry as `_cube_entries` builds it, from a `mask_hex` string
+    and a triple of ints; `to_json` writes it as `_json` would a dict."""
+
+    __slots__ = ()
+
+    def to_json(self, nl: str) -> str:
+        i, j = nl + "  ", nl + "    "
+        a, b, c = self["triple"]
+        return (f'{{{i}"mask": {_string(self["mask"])},{i}"triple": '
+                f'[{j}{a},{j}{b},{j}{c}{i}]{nl}}}')
+
+
+class _Record(dict):
+    """A trace record as `build_trace` builds it, from two `mask_hex`
+    strings, an int and an edge of two int triples; `to_json` writes it as
+    `_json` would a dict."""
+
+    __slots__ = ()
+
+    def to_json(self, nl: str) -> str:
+        i, j = nl + "  ", nl + "    "
+        k = j + "  "
+        (a, b, c), (d, e, f) = self["edge"]
+        return (f'{{{i}"after": {_string(self["after"])},{i}"before": '
+                f'{_string(self["before"])},{i}"cells_removed": {self["cells_removed"]},'
+                f'{i}"edge": [{j}[{k}{a},{k}{b},{k}{c}{j}],'
+                f'{j}[{k}{d},{k}{e},{k}{f}{j}]{i}]{nl}}}')
 
 
 def _cube_entries(cubes: Iterable[tuple[Sequence[int], int]]) -> list[dict[str, Any]]:
-    return [{"triple": list(triple), "mask": mask_hex(mask)} for triple, mask in cubes]
+    return [_Cube(triple=list(triple), mask=mask_hex(mask)) for triple, mask in cubes]
 
 
 def build_report(
@@ -295,12 +326,9 @@ def build_trace(
         "tool": "satprop",
         "version": __version__,
         "records": [
-            {
-                "edge": [list(rec.edge[0]), list(rec.edge[1])],
-                "before": mask_hex(rec.before),
-                "after": mask_hex(rec.after),
-                "cells_removed": rec.cells_removed,
-            }
+            _Record(edge=[list(rec.edge[0]), list(rec.edge[1])],
+                    before=mask_hex(rec.before), after=mask_hex(rec.after),
+                    cells_removed=rec.cells_removed)
             for rec in records
         ],
         "final_cubes": _cube_entries(cubes),
@@ -319,18 +347,22 @@ def write_report(doc: Any) -> str:
     ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
 
     json indents in pure Python, so the containers are walked here instead.
-    Each cube entry and each trace record is written by one f-string, and
-    ints and constants as json writes them; every other value, and every
-    string and key, is written by json."""
+    The cube entries and trace records that the builders above make write
+    themselves, each in one f-string, and ints and constants are written as
+    json writes them; every other value, a plain dict of an entry's shape
+    too, and every string and key, is written by json."""
     return _json(doc, "\n") + "\n"
 
 
 def _json(value: Any, nl: str) -> str:
     """`value` as JSON on a line whose indent `nl` (a newline and spaces)
     gives; nested lines are indented two more spaces per level."""
+    kind = type(value)
+    if kind is _Cube or kind is _Record:
+        return value.to_json(nl)
     if value is None or value is True or value is False:
         return _CONSTANTS[value]
-    if type(value) is int:
+    if kind is int:
         return str(value)  # as json writes an int, not a bool or subclass
     if isinstance(value, str):
         return _string(value)
@@ -338,7 +370,7 @@ def _json(value: Any, nl: str) -> str:
         if not value:
             return "[]"
         inner = nl + "  "
-        items = (_entry(item, inner) or _json(item, inner) for item in value)
+        items = (_json(item, inner) for item in value)
         return f"[{inner}{(',' + inner).join(items)}{nl}]"
     if isinstance(value, dict):
         if not value:
@@ -356,39 +388,3 @@ def _key(key: Any) -> str:
     # json writes an int, float, bool or None key as its JSON text, quoted,
     # and raises TypeError for any other type: '{"<key>": 0}'
     return json.dumps({key: 0})[1:-4]
-
-
-def _ints(value: Any, k: int) -> bool:
-    """A list or tuple of k exact ints, which str() writes as json does
-    (json writes bools and int subclasses otherwise)."""
-    return (type(value) in (list, tuple) and len(value) == k
-            and all(type(x) is int for x in value))
-
-
-def _entry(item: Any, nl: str) -> str | None:
-    """A cube entry ``{"mask", "triple"}`` or a trace record ``{"after",
-    "before", "cells_removed", "edge"}`` at indent `nl`, in one f-string;
-    None for any item that does not fit these shapes exactly."""
-    if type(item) is not dict:
-        return None
-    keys = item.keys()
-    i, j = nl + "  ", nl + "    "
-    if keys == _CUBE_KEYS:
-        mask, triple = item["mask"], item["triple"]
-        if type(mask) is str and _ints(triple, 3):
-            a, b, c = triple
-            return (f'{{{i}"mask": {_string(mask)},{i}"triple": '
-                    f'[{j}{a},{j}{b},{j}{c}{i}]{nl}}}')
-    elif keys == _RECORD_KEYS:
-        after, before, removed, edge = (
-            item["after"], item["before"], item["cells_removed"], item["edge"])
-        if (type(after) is str and type(before) is str and type(removed) is int
-                and type(edge) in (list, tuple) and len(edge) == 2
-                and _ints(edge[0], 3) and _ints(edge[1], 3)):
-            (a, b, c), (d, e, f) = edge
-            k = j + "  "
-            return (f'{{{i}"after": {_string(after)},{i}"before": '
-                    f'{_string(before)},{i}"cells_removed": {removed},'
-                    f'{i}"edge": [{j}[{k}{a},{k}{b},{k}{c}{j}],'
-                    f'{j}[{k}{d},{k}{e},{k}{f}{j}]{i}]{nl}}}')
-    return None

@@ -59,6 +59,9 @@ def test_parse_gen_spec_forms():
     ("n=1048577,m=1,seed=1", "^--gen needs n <= 1048576, got 1048577$"),
     ("n=12,m=-1,seed=1", "m >= 0"),
     ("n=12,m=-6..12..6,seed=1", "m >= 0"),
+    ("n=12,m=262145,seed=1", "^--gen needs m <= 262144, got 262145$"),
+    ("n=12,m=0..262145,seed=1", "^--gen needs m <= 262144, got 0..262145$"),
+    ("n=12,m=0..1000000000..1,seed=1", "^--gen needs m <= 262144, got 0..1000000000..1$"),
     ("n=12,m=30,seed=1,count=0", "count >= 1"),
     ("n=12,m=30,seed=1,count=-1", "count >= 1"),
     ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
@@ -86,6 +89,16 @@ def test_unknown_or_repeated_gen_field_exits_2(capsys, argv, message):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, m", [
+    ("bench", "0..1000000000..1"), ("solve", "1000000000")])
+def test_gen_past_max_clauses_exits_2(capsys, command, m):
+    # the generator builds every clause, and bench the list of m points,
+    # so an m past the bound is refused before either is built
+    code, out, err = run(capsys, command, "--gen", f"n=12,m={m},seed=1")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: --gen needs m <= 262144, got {m}\n"
 
 
 def test_gen_past_max_vars_exits_2(capsys):
@@ -275,6 +288,21 @@ def test_undecodable_stdin_exit_2(capsys, monkeypatch, subcommand):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
+
+
+def test_input_file_is_read_as_utf8_under_any_locale(tmp_path):
+    # a byte-order mark and a non-ASCII comment, read under the C locale
+    # (an ASCII preferred encoding) and under UTF-8 mode
+    (tmp_path / "bom.cnf").write_bytes("\ufeffc café\np cnf 3 1\n1 -2 3 0\n".encode())
+    env = {**os.environ, "PYTHONPATH": str(Path(satprop.__file__).parents[1])}
+    runs = [subprocess.run(
+        [sys.executable, "-m", "satprop.cli", "solve", "--input", "bom.cnf"],
+        capture_output=True, text=True, cwd=tmp_path, env={**env, **locale})
+        for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                       {"PYTHONUTF8": "1"})]
+    assert [(r.returncode, r.stderr) for r in runs] == [(EXIT_OK, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["assignment_verified"] is True
 
 
 def test_solve_satlib_file_with_trailer(capsys):

@@ -25,7 +25,7 @@ from satprop.dimacs import (
     parse_dimacs,
     write_report,
 )
-from satprop.propagate import fixpoint
+from satprop.propagate import extract_assignment, fixpoint
 
 
 # --- parsing ------------------------------------------------------------------
@@ -419,22 +419,35 @@ def test_write_report_is_deterministic():
     assert write_report(report).endswith("\n")
 
 
-def test_report_and_trace_entries_take_the_fstring_path():
-    # an entry whose keys `_entry` does not expect is still written right,
-    # by the generic walker, at about half the speed; this pins the shapes
-    # the builders make to the ones the writer matches
-    inst = gen_random_3sat(20, 160, seed=7000)
+@pytest.mark.parametrize("n, m, seed", [(20, 160, 7000), (12, 40, 3)])
+def test_builders_make_self_writing_entries(n, m, seed):
+    # the builders' cube entries and trace records write themselves, by one
+    # f-string each; a plain dict of the same shape takes the generic walker,
+    # so this pins the builders to the self-writing types and those types
+    # to json's text
+    inst = gen_random_3sat(n, m, seed)
     result = fixpoint(build_clausal_partition(inst).state)
+    unsat = result.empty_triple is not None
+    extraction = None if unsat else extract_assignment(result, inst)
     cubes = result.fixpoint.cubes.items()
     report = build_report(
-        instance=inst, source="gen", engine_verdict="unsat_by_empty_cube",
+        instance=inst, source="gen",
+        engine_verdict="unsat_by_empty_cube" if unsat else "no_empty_cube",
         empty_triple=result.empty_triple, cubes=cubes, stats={},
-        oracle_verdict=None, oracle_agrees=None, assignment=None,
-        assignment_verified=None, order="fifo", seeds={})
+        oracle_verdict=None, oracle_agrees=None,
+        assignment=extraction and extraction.assignment,
+        assignment_verified=extraction and extraction.verified,
+        order="fifo", seeds={})
     trace = build_trace(result.trace, cubes)
-    entries = [*report["cubes"], *trace["final_cubes"], *trace["records"]]
-    assert len(trace["records"]) > 100 and len(report["cubes"]) > 100
-    assert all(dimacs._entry(entry, "\n    ") is not None for entry in entries)
+    if unsat:
+        assert len(trace["records"]) > 100 and len(report["cubes"]) > 100
+    else:
+        assert extraction is not None and report["assignment"] is not None
+    assert all(type(entry) is dimacs._Cube
+               for entry in (*report["cubes"], *trace["final_cubes"]))
+    assert all(type(record) is dimacs._Record for record in trace["records"])
+    for doc in (report, trace):
+        assert write_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _reference_report(doc):

@@ -4,8 +4,9 @@ itself, or is on `UNREFERENCED` with the reason it stays; every optional
 parameter of those functions and methods is set by some call in the
 package, or is on `UNSET` with the reason it stays; and every name an
 import binds in a module is read in that module, or is on `UNREAD_IMPORTS`
-with the reason it stays.  `__init__.py` is exempt from the last rule: its
-imports are the package's re-exports.
+with the reason it stays.  `__init__.py` is exempt from that rule: its
+imports are the package's re-exports.  Every `open(...)` call that is not
+in binary mode passes `encoding=`, so no file's text depends on the locale.
 
 A definition counts as used when its name is read in `src/satprop` outside
 its own body or statement: as a name for a module-level definition (or as
@@ -171,3 +172,22 @@ def test_every_import_is_read_or_allowed():
     assert unread == set(UNREAD_IMPORTS), (
         f"unread, not allowed: {sorted(unread - set(UNREAD_IMPORTS))}; "
         f"allowed, now read: {sorted(set(UNREAD_IMPORTS) - unread)}")
+
+
+def _binary(call):
+    """Whether the `open(...)` call `call` opens in binary mode: its mode,
+    the second positional argument or `mode=`, is a constant holding "b"."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    return isinstance(mode, ast.Constant) and "b" in mode.value
+
+
+def test_every_text_open_names_its_encoding():
+    by_locale = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open" and not _binary(node)
+        and not any(kw.arg == "encoding" for kw in node.keywords)]
+    assert by_locale == [], f"open() in text mode without encoding=: {by_locale}"
