@@ -30,7 +30,10 @@ MAX_VARS = 1 << 20
 # its `m` range.  The generator builds every clause first, and the clausal
 # build, the fixpoint and the report grow with them: at 2**18 clauses
 # `solve --gen n=100000,m=262144,seed=1 --oracle off` peaks near 480 MB
-# (77 MB at n=12 with the oracle on), and it grows with m.
+# (77 MB at n=12 with the oracle on), and it grows with m.  At the largest
+# spec, `solve --gen n=1048576,m=262144,seed=1 --oracle off` took 21 s on a
+# 2-vCPU x86 VM, of which --timings read parse 1.4, build 1.7, fixpoint 4.0
+# and extract 7.9 s, and peaked near 690 MB.
 MAX_CLAUSES = 1 << 18
 
 
@@ -64,18 +67,21 @@ def parse_dimacs(text: str) -> ParseResult:
 
     Comment lines start with 'c'; one 'p cnf <vars> <clauses>' problem line
     is required before any clause; clauses are nonzero integers terminated
-    by 0 and may span lines.  A line starting with '%' ends the data, as in
-    the SATLIB benchmark files, whose '%' line is followed by a stray '0'.
+    by 0 and may span lines.  Counts and literals are ASCII decimals: a
+    sign and leading zeros are read, and `_` or a non-ASCII digit is an
+    error.  A line starting with '%' ends the data, as in the SATLIB
+    benchmark files, whose '%' line is followed by a stray '0'.
     Header/clause count mismatch and dropped tautologies are warnings;
     out-of-range literals, missing header, a header declaring more than
     `MAX_VARS` variables, and clauses wider than 3 distinct variables are
     errors.  One leading byte-order mark is dropped.
 
-    Lines are read in one loop.  A plain clause line, exactly three nonzero
-    in-range literals and a 0 with no clause pending, has its four tokens
-    converted at once and closed as one clause; every other line is read
-    token by token.  Both close clauses through `finish_clause`, so each is
-    canonicalized once and its diagnostics point at its first token.
+    Lines are read in one loop.  A plain clause line, ASCII without `_`,
+    exactly three nonzero in-range literals and a 0 with no clause pending,
+    has its four tokens converted at once and closed as one clause; every
+    other line is read token by token.  Both close clauses through
+    `finish_clause`, so each is canonicalized once and its diagnostics
+    point at its first token.
     """
     text = text.removeprefix("\ufeff")
     diagnostics: list[ParseDiagnostic] = []
@@ -131,8 +137,8 @@ def parse_dimacs(text: str) -> ParseResult:
                 error(lineno, col, f"malformed problem line: {stripped!r}")
                 continue
             try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                num_vars = _decimal(parts[2])
+                declared_clauses = _decimal(parts[3])
             except ValueError:
                 error(lineno, col, f"non-numeric counts in problem line: {stripped!r}")
                 num_vars = None
@@ -148,7 +154,8 @@ def parse_dimacs(text: str) -> ParseResult:
             error(*_position(lineno, line, 0), "clause data before problem line")
             return ParseResult(None, diagnostics)
         tokens = stripped.split()
-        if len(tokens) == 4 and pending_start is None:
+        if (len(tokens) == 4 and pending_start is None
+                and stripped.isascii() and "_" not in stripped):
             try:
                 a, b, c, end = map(int, tokens)
             except ValueError:
@@ -160,7 +167,7 @@ def parse_dimacs(text: str) -> ParseResult:
                     continue
         for k, token in enumerate(tokens):
             try:
-                lit = int(token)
+                lit = _decimal(token)
             except ValueError:
                 error(*_position(lineno, line, k), f"not an integer literal: {token!r}")
                 continue
@@ -192,6 +199,15 @@ def parse_dimacs(text: str) -> ParseResult:
 
     instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
     return ParseResult(instance, diagnostics)
+
+
+def _decimal(token: str) -> int:
+    """An ASCII decimal integer, with an optional sign and leading zeros
+    (`+1`, `01`).  `int` alone also takes `_` between digits and non-ASCII
+    digits (`1_0`, `１`), which DIMACS does not."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
 
 
 def _position(lineno: int, line: str, k: int) -> tuple[int, int]:

@@ -47,7 +47,8 @@ Extraction does not run the worklist.  A state is closed exactly when all
 cubes holding a separator project onto it alike, so `extract_assignment`
 reads one domain per separator off the fixpoint, imposes each unit on its
 variable's domain, and lifts every domain that shrinks onto the cubes
-holding it, until no domain shrinks.
+holding it, until no domain shrinks.  It keeps one state: a unit that
+empties a domain is undone from the log of the entries it changed.
 
 No graph is cached between calls: each run builds its own unless handed
 one through the private `_graph` argument, and a result holds the graph it
@@ -439,8 +440,9 @@ def extract_assignment(
 
     Walks the variables of the cubes in ascending order and tries F, then
     T: the value is imposed on the variable's domain and closed over the
-    separators (`_impose_unit`).  The first value that empties no cube is
-    committed; if both do, extraction gives up.
+    separators in place (`_impose_unit`).  The first value that empties no
+    cube is committed, and read off its domain at the end; one that does
+    is undone; if both do, extraction gives up.
     Variables of the instance that no cube holds are set F, and any
     assignment returned is verified by direct clause evaluation.  Not a
     complete solver by design: returning None on a satisfiable instance is
@@ -462,22 +464,16 @@ def extract_assignment(
     graph = result._graph
     masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
     domains, holders, slots, variables = _separator_domains(graph, masks)
-    chosen: dict[int, bool] = {}
-
     for var in sorted(variables):
-        for value in (False, True):
-            trial = _impose_unit(masks, domains, holders, slots, variables[var], value)
-            if trial is not None:
-                chosen[var] = value
-                masks, domains = trial
-                break
-        else:
+        sep = variables[var]
+        if not (_impose_unit(masks, domains, holders, slots, sep, False)
+                or _impose_unit(masks, domains, holders, slots, sep, True)):
             return None
 
     assignment = {v: False for v in range(1, instance.num_vars + 1)}
-    for var, value in chosen.items():
+    for var, sep in variables.items():
         if var <= instance.num_vars:
-            assignment[var] = value
+            assignment[var] = domains[sep] == _CELLS[0][True]
     verified = instance.evaluate(assignment)
     return Extraction(assignment, verified)
 
@@ -524,18 +520,18 @@ def _impose_unit(
     slots: list[tuple[int | None, ...]],
     sep: int,
     value: bool,
-) -> tuple[list[int], list[int]] | None:
-    """Copies of `masks` and `domains` with the variable of separator `sep`
-    set to `value` and closed over the separators; None if a cube, or a
-    domain, empties.  A domain that shrinks is lifted onto its holders, and
-    a holder that changes shrinks the domains in its slots to its
-    projections; the closure ends when no domain shrinks."""
+) -> bool:
+    """Set the variable of separator `sep` to `value` in `masks` and
+    `domains` and close them over the separators, in place.  A domain that
+    shrinks is lifted onto its holders, and a holder that changes shrinks
+    the domains in its slots to its projections; the closure ends when no
+    domain shrinks.  When a domain empties (those of an empty cube do:
+    every projection maps 0 to 0), each entry changed is put back, newest
+    first, and the result is False."""
     domain = domains[sep] & _CELLS[0][value]
-    if not domain:
-        return None
-    if domain == domains[sep]:  # the value is implied: nothing changes
-        return masks, domains
-    masks, domains = masks[:], domains[:]
+    if domain == domains[sep] or not domain:  # implied, or refuted at once
+        return bool(domain)
+    changes = [(domains, sep, domains[sep])]
     domains[sep] = domain
     shrunk = [sep]
     while shrunk:
@@ -546,8 +542,7 @@ def _impose_unit(
             after = before & _LIFTS[slot][domain]
             if after == before:
                 continue
-            if not after:
-                return None
+            changes.append((masks, t, before))
             masks[t] = after
             for other, project in zip(slots[t], _PROJECTIONS):
                 if other is None:
@@ -555,8 +550,11 @@ def _impose_unit(
                 was = domains[other]
                 now = was & project[after]
                 if now != was:
-                    if not now:
-                        return None
+                    changes.append((domains, other, was))
                     domains[other] = now
+                    if not now:
+                        for entries, i, before in reversed(changes):
+                            entries[i] = before
+                        return False
                     shrunk.append(other)
-    return masks, domains
+    return True

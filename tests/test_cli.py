@@ -354,6 +354,24 @@ def test_solve_parse_error_exit_2(capsys, tmp_path):
     assert "3SAT-only" in err
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf 10 1\n1_0 2 3 0\n",
+    "p cnf 3 1\n1 2 3 0_0\n",
+    "p cnf 3 1\n\uff11 2 3 0\n",
+    "p cnf 3 1\n\u0663 -2 1 0\n",
+    "p cnf 1_0 1\n1 2 3 0\n",
+], ids=["underscore-literal", "underscore-zero", "fullwidth", "arabic-indic",
+        "underscore-count"])
+def test_solve_non_ascii_decimal_exit_2(capsys, tmp_path, text):
+    # int() reads each bad token; DIMACS does not, and the error is at it
+    path = tmp_path / "bad.cnf"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == EXIT_PARSE and out == ""
+    first = parse_dimacs(text).diagnostics[0]
+    assert first.severity == "error" and str(first) in err
+
+
 def test_solve_trivially_unsat(capsys, tmp_path):
     path = tmp_path / "empty.cnf"
     path.write_text("p cnf 3 1\n0\n")

@@ -107,6 +107,32 @@ def test_parse_rejects_more_variables_than_max_vars():
         ]
 
 
+# int() also reads `_` between digits and non-ASCII digits; DIMACS is ASCII
+# decimal, so each of these is refused at the bad token
+NOT_ASCII_DECIMAL = [
+    ("p cnf 10 1\n1_0 2 3 0\n", 2, 1, "not an integer literal: '1_0'"),
+    ("p cnf 3 1\n1 2 3 0_0\n", 2, 7, "not an integer literal: '0_0'"),
+    ("p cnf 3 1\n\uff11 2 3 0\n", 2, 1, "not an integer literal: '\uff11'"),
+    ("p cnf 3 1\n\u0663 -2 1 0\n", 2, 1, "not an integer literal: '\u0663'"),
+    ("p cnf 1_0 1\n1 2 3 0\n", 1, 1,
+     "non-numeric counts in problem line: 'p cnf 1_0 1'"),
+]
+
+
+@pytest.mark.parametrize("text, line, col, message", NOT_ASCII_DECIMAL, ids=[
+    "underscore-literal", "underscore-zero", "fullwidth", "arabic-indic", "underscore-count"])
+def test_parse_reads_only_ascii_decimals(text, line, col, message):
+    result = parse_dimacs(text)
+    assert result.instance is None
+    assert result.diagnostics[0] == ParseDiagnostic(line, col, message, "error")
+
+
+def test_parse_reads_a_sign_and_leading_zeros():
+    result = parse_dimacs("p cnf 3 2\n+1 -02 3 0\n01 +2 003 0\n")
+    assert result.diagnostics == []
+    assert result.instance.clauses == ((1, -2, 3), (1, 2, 3))
+
+
 def test_parse_missing_header():
     result = parse_dimacs("1 2 0\n")
     assert result.instance is None
@@ -167,8 +193,9 @@ def test_parse_canonicalizes_each_clause_once(monkeypatch):
 
 def _reference_parse(text):
     """The parser as it was before it split lines: every token through a
-    regex with its column, and a distinct-variable set per clause.  Kept to
-    check that `parse_dimacs` gives the same instance and diagnostics."""
+    regex with its column, and a distinct-variable set per clause, with
+    counts and literals read as ASCII decimals.  Kept to check that
+    `parse_dimacs` gives the same instance and diagnostics."""
     diagnostics = []
     num_vars = None
     declared_clauses = 0
@@ -183,6 +210,12 @@ def _reference_parse(text):
 
     def warning(line, col, message):
         diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
+
+    def ascii_int(token):
+        # int() also reads `_` between digits, and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+", token):
+            raise ValueError(token)
+        return int(token)
 
     def finish_clause(line, col):
         nonlocal empty_clauses, tautologies
@@ -218,8 +251,8 @@ def _reference_parse(text):
                 error(lineno, col, f"malformed problem line: {stripped!r}")
                 continue
             try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                num_vars = ascii_int(parts[2])
+                declared_clauses = ascii_int(parts[3])
             except ValueError:
                 error(lineno, col, f"non-numeric counts in problem line: {stripped!r}")
                 num_vars = None
@@ -237,7 +270,7 @@ def _reference_parse(text):
                 error(lineno, col, "clause data before problem line")
                 return ParseResult(None, diagnostics)
             try:
-                lit = int(token)
+                lit = ascii_int(token)
             except ValueError:
                 error(lineno, col, f"not an integer literal: {token!r}")
                 continue
@@ -273,17 +306,18 @@ def _reference_parse(text):
 _TOKENS = st.one_of(
     st.integers(-6, 6).map(str),  # literals, some out of range, and 0
     st.just("0"),
-    st.sampled_from(["x", "1.5", "--1", "+2", "1_0", "0x1", "-", "9" * 12]),
+    st.sampled_from(["x", "1.5", "--1", "+2", "1_0", "0_0", "0x1", "-", "9" * 12,
+                     "\uff11", "\u0663"]),  # fullwidth 1 and Arabic-Indic 3
 )
 _BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\xa0"])
 
 
 def _spellings(lit):
-    """Tokens that int() reads as `lit`: with a sign, leading zeros or
-    underscores (`+2`, `-0`, `00`, `1_0`)."""
+    """Tokens that DIMACS reads as `lit`: ASCII decimals, with a sign or
+    leading zeros (`+2`, `-0`, `00`)."""
     digits = str(abs(lit))
     signs = ["-"] if lit < 0 else ["", "+", "-"] if lit == 0 else ["", "+"]
-    bodies = [digits, "0" + digits, "0_" + digits, "_".join(digits)]
+    bodies = [digits, "0" + digits]
     return st.sampled_from([sign + body for sign in signs for body in bodies])
 
 
