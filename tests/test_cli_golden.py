@@ -34,6 +34,13 @@ UNSAT_CNF = "p cnf 3 8\n" + "".join(
 )
 # a unit, a 2-clause, a tautology and a header that undercounts
 SHORT_CNF = "c short clauses\np cnf 5 3\n1 0\n-2 4 0\n3 -3 5 0\n2 5 -1 0\n"
+# CRLF line ends, a comment after the problem line, unsorted literals, a
+# clause split across lines, two clauses on one line, a header that
+# undercounts and a SATLIB `%` trailer with its stray 0
+SATLIB_LAYOUT_CNF = (
+    "c SATLIB-style layout\r\np cnf 6 3\r\nc after the header\r\n"
+    " 3 -1 2 0\r\n-4 5\r\n\t6 0\r\n2 -6 -3 0 1 4 0\r\n%\r\n0\r\n"
+)
 
 # name -> (argv, stdin).  "{out}" stands for a file in a fresh directory,
 # hashed after the call when an argv names it.
@@ -51,6 +58,7 @@ CASES: dict[str, tuple[list[str], str | None]] = {
          "--oracle", "on"], None),
     "solve-stdin-unsat": (["solve", "--input", "-", "--oracle", "on"], UNSAT_CNF),
     "solve-stdin-short-clauses": (["solve", "--input", "-"], SHORT_CNF),
+    "solve-stdin-satlib-layout": (["solve", "--input", "-"], SATLIB_LAYOUT_CNF),
     "solve-stdin-empty-clause": (
         ["solve", "--input", "-", "--oracle", "on"], "p cnf 3 2\n1 2 3 0\n0\n"),
     "solve-oracle-skipped": (
