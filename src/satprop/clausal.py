@@ -119,8 +119,6 @@ class Instance:
 def host_triple(clause: Clause, num_vars: int) -> Triple:
     """The canonical triple hosting a clause: its own variables, padded with
     the smallest absent ids.  Padding past num_vars uses phantom ids."""
-    if len(clause) == 3:
-        return tuple(map(abs, clause))  # type: ignore[return-value]
     vars_ = set(map(abs, clause))
     triple = sorted(vars_)
     candidate = 1
@@ -177,12 +175,21 @@ class ClausalBuild:
 
 def build_clausal_partition(instance: Instance) -> ClausalBuild:
     """Group clauses by host triple; each cube starts all-GREEN and loses
-    the forbidden cells of every clause it hosts.  An empty clause hosts no
-    cube; the instance flags it (`Instance.has_empty_clause`)."""
+    the forbidden cells of every clause it hosts.  A clause of three
+    literals is its own host and falsified by one cell, whose bit i is set
+    when its i-th literal is negative; a shorter one goes through
+    `host_triple` and `_forbidden_mask`.  An empty clause hosts no cube; the
+    instance flags it (`Instance.has_empty_clause`)."""
     cubes: dict[Triple, int] = {}
+    get = cubes.get
     for clause in instance.clauses:
-        triple = host_triple(clause, instance.num_vars)
-        cubes[triple] = cubes.get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
+        if len(clause) == 3:
+            a, b, c = clause
+            triple = (abs(a), abs(b), abs(c))
+            cubes[triple] = get(triple, 0xFF) & ~(1 << ((a < 0) | (b < 0) << 1 | (c < 0) << 2))
+        else:
+            triple = host_triple(clause, instance.num_vars)
+            cubes[triple] = get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
     state = ClausalState(dict(sorted(cubes.items())))
     return ClausalBuild(state)
 

@@ -26,6 +26,7 @@ from .clausal import Instance, Triple, build_clausal_partition
 from .dimacs import (
     MAX_CLAUSES,
     MAX_VARS,
+    _decimal,
     build_report,
     build_trace,
     emit_dimacs,
@@ -77,7 +78,7 @@ def parse_gen_spec(spec: str) -> GenSpec:
     m_spec = fields["m"]
     if ".." in m_spec:
         try:
-            bounds = [int(piece) for piece in m_spec.split("..")]
+            bounds = [_decimal(piece) for piece in m_spec.split("..")]
         except ValueError:
             raise ValueError(f"bad m range {m_spec!r}") from None
         if len(bounds) == 2:
@@ -108,7 +109,7 @@ def parse_gen_spec(spec: str) -> GenSpec:
 
 def _gen_int(fields: dict[str, str], key: str) -> int:
     try:
-        return int(fields[key])
+        return _decimal(fields[key])
     except ValueError:
         raise ValueError(
             f"--gen field {key!r} needs an integer, got {fields[key]!r}") from None
@@ -119,7 +120,7 @@ def parse_order(spec: str) -> tuple[str, int | None]:
         return "fifo", None
     if spec.startswith("random:"):
         try:
-            return "random", int(spec.removeprefix("random:"))
+            return "random", _decimal(spec.removeprefix("random:"))
         except ValueError:
             pass
     raise ValueError(f"bad --order {spec!r}, expected fifo or random:<seed>")

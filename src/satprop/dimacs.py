@@ -13,10 +13,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import lt
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
+from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, _top_var, canonicalize
 
 _TOKEN = re.compile(r"\S+")
 
@@ -32,8 +33,9 @@ MAX_VARS = 1 << 20
 # `solve --gen n=100000,m=262144,seed=1 --oracle off` peaks near 480 MB
 # (77 MB at n=12 with the oracle on), and it grows with m.  At the largest
 # spec, `solve --gen n=1048576,m=262144,seed=1 --oracle off` took 21 s on a
-# 2-vCPU x86 VM, of which --timings read parse 1.4, build 1.7, fixpoint 4.0
-# and extract 7.9 s, and peaked near 690 MB.
+# 2-vCPU x86 VM, of which --timings read parse 1.6, build 1.3, fixpoint 4.2
+# and extract 7.7 s; building and writing the report, which --timings does
+# not time, took about 3.0 and 1.2 s.  It peaked near 690 MB.
 MAX_CLAUSES = 1 << 18
 
 
@@ -76,14 +78,149 @@ def parse_dimacs(text: str) -> ParseResult:
     `MAX_VARS` variables, and clauses wider than 3 distinct variables are
     errors.  One leading byte-order mark is dropped.
 
-    Lines are read in one loop.  A plain clause line, ASCII without `_`,
-    exactly three nonzero in-range literals and a 0 with no clause pending,
-    has its four tokens converted at once and closed as one clause; every
-    other line is read token by token.  Both close clauses through
-    `finish_clause`, so each is canonicalized once and its diagnostics
-    point at its first token.
+    A clean input is read in bulk by `_read_clean`: blank and comment lines
+    and then a valid problem line, followed by clauses of one to three
+    in-range literals over distinct variables, with comment lines, tabs,
+    CRLF line ends, clauses split across lines or several on a line, and a
+    '%' trailer allowed.  Its one possible diagnostic is the clause-count
+    warning.  Every other input, any that needs a positioned diagnostic or
+    repeats a literal, is read again from the start by `_parse_lines`, so
+    every diagnostic comes from the line loop.  Either way each clause is
+    canonicalized once.
     """
     text = text.removeprefix("\ufeff")
+    clean = _read_clean(text)
+    if clean is None:
+        return _parse_lines(text)
+    num_vars, declared_clauses, clauses = clean
+    diagnostics = _count_warnings(text, declared_clauses, len(clauses))
+    return ParseResult(Instance(num_vars, tuple(clauses)), diagnostics)
+
+
+# A line whose first non-blank character is `%` (the SATLIB trailer) or `c`
+# (a comment), in clause data whose lines are split at "\n" only.
+_TRAILER = re.compile(r"^[ \t]*%", re.MULTILINE)
+_COMMENT = re.compile(r"^[ \t]*c.*", re.MULTILINE)
+# Characters other than "\n" and the "\r" of "\r\n" at which `splitlines`
+# also ends a line; `_read_clean` declines text holding one.
+_ASCII_BREAKS = "\v\f\x1c\x1d\x1e"
+_OTHER_BREAKS = "\x85\u2028\u2029"
+# Characters of clause data converted per step, rounded up to a line end:
+# one `split` of all the data would hold a string for each of its tokens
+# at once, which at 2**18 clauses takes the parse's peak (by tracemalloc)
+# from 50 to 83 MB.
+_CHUNK = 1 << 12
+
+
+def _read_clean(text: str) -> tuple[int, int, list[Clause]] | None:
+    """The variable count, declared clause count and canonical clauses of a
+    clean input (see `parse_dimacs`), or None for any other input.
+
+    Lines are split at "\n" only, so text with any other line break that
+    `splitlines` knows is declined.  The clause section, without its
+    comment lines, must be ASCII without `_`; its tokens are converted by
+    `split` and `map(int, ...)`, `_CHUNK` characters of whole lines at a
+    time.  When every fourth token is 0, the clauses are read by slicing;
+    otherwise clause by clause at each 0.  A clause whose variables
+    already ascend is kept as it is, any other is sorted by variable once
+    (`_canonical`); one that still does not ascend, because it repeats a
+    variable or holds a 0, declines the input."""
+    start = 0
+    while True:  # blank and comment lines, then the problem line
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        stripped = line.lstrip()
+        if len(line.splitlines()) > 1:
+            return None
+        if stripped.startswith("p"):
+            break
+        if end < 0 or stripped and not stripped.startswith("c"):
+            return None
+        start = end + 1
+    parts = stripped.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        return None
+    try:
+        num_vars, declared_clauses = _decimal(parts[2]), _decimal(parts[3])
+    except ValueError:
+        return None
+    if not 0 <= num_vars <= MAX_VARS or declared_clauses < 0:
+        return None
+
+    body = "" if end < 0 else text[end + 1:]
+    trailer = _TRAILER.search(body) if "%" in body else None
+    if trailer is not None:
+        body = body[:trailer.start()]
+    if ("\r" in body and body.count("\r") != body.count("\r\n")
+            or any(ch in body for ch in _ASCII_BREAKS)
+            or not body.isascii() and any(ch in body for ch in _OTHER_BREAKS)):
+        return None
+    if "c" in body:
+        body = _COMMENT.sub("", body)
+    if not body.isascii() or "_" in body:
+        return None
+    ints: list[int] = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK) + 1 or len(body)
+        try:
+            ints += map(int, body[start:end].split())
+        except ValueError:
+            return None
+        start = end
+    if ints and (max(ints) > num_vars or -min(ints) > num_vars):
+        return None
+
+    if len(ints) & 3 == 0 and ints[3::4].count(0) == len(ints) >> 2:
+        firsts, seconds, thirds = ints[0::4], ints[1::4], ints[2::4]
+        del ints
+        clauses = list(zip(firsts, seconds, thirds))
+        # absolute values are compared lazily, so that no list of them is held
+        if not (all(map(lt, map(abs, firsts), map(abs, seconds)))
+                and all(map(lt, map(abs, seconds), map(abs, thirds)))):
+            clauses = list(map(_canonical, clauses))
+    else:
+        clauses = []
+        index = ints.index
+        first = 0
+        while first < len(ints):
+            try:
+                last = index(0, first)
+            except ValueError:  # not terminated by 0
+                return None
+            if not 0 < last - first <= 3:  # empty or wider than 3
+                return None
+            clauses.append(_canonical(tuple(ints[first:last])))
+            first = last + 1
+    if None in clauses:  # a clause repeats a variable or holds a 0
+        return None
+    return num_vars, declared_clauses, clauses
+
+
+def _canonical(literals: Clause) -> Clause | None:
+    """`literals` as they are if their variables ascend, else sorted by
+    variable; None if a variable repeats or a literal is 0."""
+    if _top_var(literals):
+        return literals
+    clause = tuple(sorted(literals, key=abs))
+    return clause if _top_var(clause) else None
+
+
+def _count_warnings(text: str, declared: int, found: int) -> list[ParseDiagnostic]:
+    """The warning, at the line after the last, that the problem line
+    declares `declared` clauses and the data holds `found`; [] if equal."""
+    if declared == found:
+        return []
+    return [ParseDiagnostic(text.count("\n") + 1, 1,
+                            f"header declares {declared} clauses, found {found}",
+                            "warning")]
+
+
+def _parse_lines(text: str) -> ParseResult:
+    """`parse_dimacs` line by line and token by token, with a positioned
+    diagnostic for every fault.  Each clause is closed by `finish_clause`,
+    so each is canonicalized once and its diagnostics point at its first
+    token."""
     diagnostics: list[ParseDiagnostic] = []
     num_vars: int | None = None
     declared_clauses = 0
@@ -153,19 +290,7 @@ def parse_dimacs(text: str) -> ParseResult:
         if num_vars is None:
             error(*_position(lineno, line, 0), "clause data before problem line")
             return ParseResult(None, diagnostics)
-        tokens = stripped.split()
-        if (len(tokens) == 4 and pending_start is None
-                and stripped.isascii() and "_" not in stripped):
-            try:
-                a, b, c, end = map(int, tokens)
-            except ValueError:
-                pass
-            else:
-                if (end == 0 and a and b and c and abs(a) <= num_vars
-                        and abs(b) <= num_vars and abs(c) <= num_vars):
-                    finish_clause([a, b, c], (lineno, line, 0))
-                    continue
-        for k, token in enumerate(tokens):
+        for k, token in enumerate(stripped.split()):
             try:
                 lit = _decimal(token)
             except ValueError:
@@ -183,16 +308,13 @@ def parse_dimacs(text: str) -> ParseResult:
                     pending_start = (lineno, line, k)
                 pending.append(lit)
 
-    last_line = text.count("\n") + 1
     if num_vars is None:
-        error(last_line, 1, "missing problem line")
+        error(text.count("\n") + 1, 1, "missing problem line")
         return ParseResult(None, diagnostics)
     if pending_start is not None:
         error(*_position(*pending_start), "clause not terminated by 0")
-    parsed_count = len(clauses) + empty_clauses + tautologies
-    if parsed_count != declared_clauses:
-        warning(last_line, 1,
-                f"header declares {declared_clauses} clauses, found {parsed_count}")
+    diagnostics += _count_warnings(text, declared_clauses,
+                                   len(clauses) + empty_clauses + tautologies)
 
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
@@ -280,6 +402,35 @@ class _Record(dict):
                 f'{j}[{k}{d},{k}{e},{k}{f}{j}]{i}]{nl}}}')
 
 
+class _Assignment(dict):
+    """A report's assignment as `build_report` builds it, from variable ids
+    written as decimal strings to bools; `to_json` writes it as `_json`
+    would a dict, in json's order of string keys."""
+
+    __slots__ = ()
+
+    def to_json(self, nl: str) -> str:
+        if not self:
+            return "{}"
+        i = nl + "  "
+        lines = (f'"{key}": {"true" if value else "false"}'
+                 for key, value in sorted(self.items()))
+        return f"{{{i}{f',{i}'.join(lines)}{nl}}}"
+
+
+class _Ints(list):
+    """A list of ints, such as a report's `unconstrained_vars`; `to_json`
+    writes it as `_json` would a list."""
+
+    __slots__ = ()
+
+    def to_json(self, nl: str) -> str:
+        if not self:
+            return "[]"
+        i = nl + "  "
+        return f"[{i}{f',{i}'.join(map(str, self))}{nl}]"
+
+
 def _cube_entries(cubes: Iterable[tuple[Sequence[int], int]]) -> list[dict[str, Any]]:
     return [_Cube(triple=list(triple), mask=mask_hex(mask)) for triple, mask in cubes]
 
@@ -311,7 +462,7 @@ def build_report(
             "num_clauses": len(instance.clauses),
             "tautologies_dropped": instance.tautologies_dropped,
             "has_empty_clause": instance.has_empty_clause,
-            "unconstrained_vars": list(instance.unconstrained_vars()),
+            "unconstrained_vars": _Ints(instance.unconstrained_vars()),
         },
         "order": order,
         "seeds": seeds,
@@ -320,7 +471,7 @@ def build_report(
         "oracle_verdict": oracle_verdict,
         "oracle_agrees": oracle_agrees,
         "assignment": (
-            {str(v): val for v, val in sorted(assignment.items())}
+            _Assignment({str(v): val for v, val in sorted(assignment.items())})
             if assignment is not None
             else None
         ),
@@ -356,6 +507,8 @@ def build_trace(
 _CONSTANTS = {value: json.dumps(value) for value in (None, False, True)}
 # json's own string escaper, the one json.dumps calls for a str
 _string = json.encoder.encode_basestring_ascii
+# the builders' entry types, which write themselves
+_SELF_WRITING = frozenset({_Cube, _Record, _Assignment, _Ints})
 
 
 def write_report(doc: Any) -> str:
@@ -363,10 +516,11 @@ def write_report(doc: Any) -> str:
     ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
 
     json indents in pure Python, so the containers are walked here instead.
-    The cube entries and trace records that the builders above make write
-    themselves, each in one f-string, and ints and constants are written as
-    json writes them; every other value, a plain dict of an entry's shape
-    too, and every string and key, is written by json."""
+    The cube entries, trace records, assignments and int lists that the
+    builders above make write themselves, each in one string operation,
+    and ints and constants are written as json writes them; every other
+    value, a plain dict or list of an entry's shape too, and every string
+    and key, is written by json."""
     return _json(doc, "\n") + "\n"
 
 
@@ -374,7 +528,7 @@ def _json(value: Any, nl: str) -> str:
     """`value` as JSON on a line whose indent `nl` (a newline and spaces)
     gives; nested lines are indented two more spaces per level."""
     kind = type(value)
-    if kind is _Cube or kind is _Record:
+    if kind in _SELF_WRITING:
         return value.to_json(nl)
     if value is None or value is True or value is False:
         return _CONSTANTS[value]

@@ -137,6 +137,36 @@ def test_out_of_range_gen_exits_2(capsys, argv):
     assert err.startswith("error: --gen needs ")
 
 
+# int() also reads `_` between digits and non-ASCII digits; --gen and
+# --order read ASCII decimals, as DIMACS counts are read
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gen", "n=1_2,m=3_0,seed=1"], "--gen field 'n' needs an integer, got '1_2'"),
+    (["solve", "--gen", "n=12,m=3_0,seed=1"], "--gen field 'm' needs an integer, got '3_0'"),
+    (["solve", "--gen", "n=\uff11\uff12,m=30,seed=1"],
+     "--gen field 'n' needs an integer, got '\uff11\uff12'"),
+    (["trace", "--gen", "n=12,m=30,seed=\u0663"],
+     "--gen field 'seed' needs an integer, got '\u0663'"),
+    (["bench", "--gen", "n=12,m=30,seed=1,count=1_0"],
+     "--gen field 'count' needs an integer, got '1_0'"),
+    (["bench", "--gen", "n=12,m=1_2..30,seed=1"], "bad m range '1_2..30'"),
+    (["bench", "--gen", "n=12,m=12..30..\uff16,seed=1"], "bad m range '12..30..\uff16'"),
+    (["solve", "--gen", "n=12,m=30,seed=1", "--order", "random:1_0"],
+     "bad --order 'random:1_0', expected fifo or random:<seed>"),
+    (["trace", "--gen", "n=12,m=30,seed=1", "--order", "random:\uff15"],
+     "bad --order 'random:\uff15', expected fifo or random:<seed>"),
+])
+def test_gen_and_order_read_only_ascii_decimals(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: {message}\n"
+
+
+def test_gen_and_order_read_a_sign_and_leading_zeros():
+    spec = parse_gen_spec("n=+012,m=03..+9..03,seed=-01,count=02")
+    assert (spec.n, spec.m_points, spec.seed, spec.count) == (12, [3, 6, 9], -1, 2)
+    assert parse_order("random:-007") == ("random", -7)
+
+
 def test_parse_order_forms():
     assert parse_order("fifo") == ("fifo", None)
     assert parse_order("random:9") == ("random", 9)

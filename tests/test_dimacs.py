@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from pathlib import Path
 
@@ -365,13 +366,143 @@ def _dimacs_lines(draw):
     return lead
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(_dimacs_lines(), max_size=10), st.booleans(), st.booleans())
-def test_parse_matches_regex_reference(lines, header_first, final_newline):
-    if header_first:
+@st.composite
+def _messy_texts(draw):
+    """Lines of `_dimacs_lines`, most often after a problem line."""
+    lines = draw(st.lists(_dimacs_lines(), max_size=10))
+    if draw(st.booleans()):
         lines = ["p cnf 4 3", *lines]
-    text = "\n".join(lines) + ("\n" if final_newline else "")
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+@st.composite
+def _clean_texts(draw):
+    """A DIMACS text in the layouts real files use: comment and blank lines
+    before and after the problem line, clauses of one to three literals in
+    any order, split across lines or several on a line, tabs, CRLF line
+    ends, a header that may miscount and a SATLIB `%` trailer.  One clause
+    in 32 repeats a literal, which only the line loop reads."""
+    num_vars = draw(st.integers(3, 12))
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        variables = draw(st.permutations(range(1, num_vars + 1)))[:draw(st.integers(1, 3))]
+        clause = [var if draw(st.booleans()) else -var for var in variables]
+        if draw(st.integers(0, 31)) == 0:
+            clause.append(clause[0])
+        clauses.append(clause)
+    blank = st.sampled_from([" ", "  ", "\t", " \t"])
+    lead = st.sampled_from(["", " ", "\t"])
+    comment = lead.map(lambda lead: lead + "c comment %_\u00e9")
+    lines = draw(st.lists(st.one_of(comment, lead), max_size=2))
+    declared = len(clauses) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines.append(f"{draw(lead)}p cnf {num_vars}{draw(blank)}{max(declared, 0)}{draw(lead)}")
+    line = draw(lead)
+    for token in [str(lit) for clause in clauses for lit in clause + [0]]:
+        line += token
+        if draw(st.integers(0, 4)) == 0:  # end the line here
+            lines.append(line)
+            if draw(st.integers(0, 3)) == 0:
+                lines.append(draw(comment))
+            line = draw(lead)
+        else:
+            line += draw(blank)
+    lines.append(line)
+    if draw(st.booleans()):
+        lines += [draw(lead) + "%", "0", draw(st.sampled_from(["", "x y", "\u00e9"]))]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_clean_texts(), _clean_texts(), _clean_texts(), _messy_texts()))
+def test_parse_matches_regex_reference(text):
     got, want = parse_dimacs(text), _reference_parse(text)
+    assert got.diagnostics == want.diagnostics
+    assert got.instance == want.instance
+
+
+# clean layouts of real files; `parse_dimacs` reads each without the line loop
+CLEAN_LAYOUTS = {
+    "sorted": "p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n",
+    "unsorted": "p cnf 5 2\n3 -2 1 0\n5 -3 4 0\n",
+    # the variables of every clause out of order in one place only
+    "unsorted-first-two": "p cnf 5 2\n2 1 -3 0\n-4 3 5 0\n",
+    "unsorted-last-two": "p cnf 5 2\n1 -3 2 0\n-3 5 4 0\n",
+    "comments": "c a\nc b\np cnf 5 2\nc after the header\n1 -2 3 0\n  c indented\n-3 4 5 0\nc end\n",
+    "split": "p cnf 5 2\n1\n-2 3\n0 -3\n4 5 0",
+    "several-per-line": "p cnf 5 3\n1 -2 3 0 -3 4 5 0 2 4 -5 0\n",
+    "tabs-and-blanks": "\n  \np\tcnf 5 2 \n\t1\t-2  3 0\t\n\n -3 4\t5 0\n",
+    "crlf": "c x\r\np cnf 5 2\r\n1 -2 3 0\r\n\r\n-3 4 5 0\r\n",
+    "short-clauses": "p cnf 5 4\n1 0\n-2 4 0\n5 -1 0\n2 -3 4 0\n",
+    "trailer": "p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n%\n0\n\n",
+    "trailer-crlf": "p cnf 5 1\r\n1 -2 3 0\r\n %\r\n0\r\n",
+    "undercount": "p cnf 5 1\n1 -2 3 0\n-3 4 5 0\n",
+    "overcount": "p cnf 5 3\n1 -2 3 0\n-3 4 5 0\n",
+    "no-clauses": "c nothing\np cnf 0 0\n",
+    "byte-order-mark": "\ufeffp cnf 3 1\n1 2 3 0\n",
+    "signs-and-zeros": "p cnf 3 2\n+1 -02 3 00\n01 +2 003 -0\n",
+    "non-ascii-comments": "c \u00e9\np cnf 3 1\nc uf20_01 \u2603\n1 2 3 0\n",
+    "satlib-file": (Path(__file__).parent / "data" / "satlib_trailer.cnf").read_text(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLEAN_LAYOUTS))
+def test_parse_reads_clean_layouts_without_the_line_loop(monkeypatch, name):
+    text = CLEAN_LAYOUTS[name]
+    want = _reference_parse(text.removeprefix("\ufeff"))
+
+    def no_line_loop(text):
+        raise AssertionError("read by the line loop")
+
+    monkeypatch.setattr(dimacs, "_parse_lines", no_line_loop)
+    got = parse_dimacs(text)
+    assert got.diagnostics == want.diagnostics
+    assert got.instance == want.instance is not None
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_parse_converts_clean_data_in_chunks_at_line_ends(monkeypatch, chunk):
+    # tokens are converted a chunk of lines at a time; no chunk may cut a
+    # token or a clause, whatever its size
+    monkeypatch.setattr(dimacs, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    inst = gen_random_3sat(40, 300, seed=chunk)
+    lines = [" ".join(map(str, rng.sample(clause, 3))) + " 0" for clause in inst.clauses]
+    texts = [*CLEAN_LAYOUTS.values(), "p cnf 40 300\n" + "\n".join(lines),
+             "p cnf 40 300\r\n" + " ".join(lines)]
+    for text in texts:
+        assert dimacs._read_clean(text.removeprefix("\ufeff")) is not None
+        got, want = parse_dimacs(text), _reference_parse(text.removeprefix("\ufeff"))
+        assert got.diagnostics == want.diagnostics
+        assert got.instance == want.instance
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 3 1\n1 1 2 0\n",  # a repeated literal
+    "p cnf 3 1\n2 -2 3 0\n",  # a tautology
+    "p cnf 3 2\n1 2 3 0\n0\n",  # an empty clause
+    "p cnf 3 1\n1 2 3\n",  # not terminated
+    "p cnf 3 1\n1 2 4 0\n",  # out of range
+    "p cnf 3 1\n1 2 3 0\np cnf 3 1\n",  # a second problem line
+    "p cnf 3 1\n1 2 x 0\n",  # a bad token
+    "p cnf 3 1\n1 2\x0b3 0\n",  # a line break that splitlines knows
+    "p cnf 3 1\n1 2\r3 0\n",  # a lone carriage return
+    "c x\u2028p cnf 3 1\n1 2 3 0\n",  # a line break in a comment
+    "c x\x0bp cnf 3 1\np cnf 3 1\n1 2 3 0\n",  # so a second problem line
+    "p cnf 3 1\nc x\u20281 2 3 0\n",
+    "1 2 3 0\np cnf 3 1\n",  # data before the problem line
+])
+def test_parse_leaves_other_inputs_to_the_line_loop(monkeypatch, text):
+    calls = []
+
+    def counting_line_loop(text):
+        calls.append(text)
+        return real_line_loop(text)
+
+    real_line_loop = dimacs._parse_lines
+    monkeypatch.setattr(dimacs, "_parse_lines", counting_line_loop)
+    got, want = parse_dimacs(text), _reference_parse(text)
+    assert calls == [text]
     assert got.diagnostics == want.diagnostics
     assert got.instance == want.instance
 
@@ -480,8 +611,28 @@ def test_builders_make_self_writing_entries(n, m, seed):
     assert all(type(entry) is dimacs._Cube
                for entry in (*report["cubes"], *trace["final_cubes"]))
     assert all(type(record) is dimacs._Record for record in trace["records"])
+    assert type(report["instance"]["unconstrained_vars"]) is dimacs._Ints
+    assert type(report["assignment"]) is (dimacs._Assignment if extraction else type(None))
     for doc in (report, trace):
         assert write_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("num_vars, clauses", [
+    (0, ()),  # an empty assignment and no unconstrained variable
+    (12, ((1, -2, 3), (-10, 11), (4,))),  # keys 1, 10, 11, 12, 2, ... in json's order
+])
+def test_report_writes_assignment_and_unconstrained_vars_as_json(num_vars, clauses):
+    inst = Instance(num_vars, clauses)
+    result = fixpoint(build_clausal_partition(inst).state)
+    extraction = extract_assignment(result, inst)
+    report = build_report(
+        instance=inst, source="x", engine_verdict="no_empty_cube", empty_triple=None,
+        cubes=result.fixpoint.cubes.items(), stats={}, oracle_verdict=None,
+        oracle_agrees=None, assignment=extraction.assignment,
+        assignment_verified=extraction.verified, order="fifo", seeds={})
+    assert len(report["assignment"]) == num_vars
+    assert report["instance"]["unconstrained_vars"] == list(inst.unconstrained_vars())
+    assert write_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _reference_report(doc):
@@ -522,8 +673,11 @@ _RECORDS = st.fixed_dictionaries(
      "cells_removed": st.one_of(st.booleans(), _INTS),
      "edge": st.lists(st.one_of(_TRIPLES, _MISFIT_TRIPLES), min_size=1, max_size=3)},
 )
+_ASSIGNMENTS = st.dictionaries(st.integers(1, 10**6).map(str), st.booleans()).map(
+    dimacs._Assignment)
+_INT_LISTS = st.lists(_INTS).map(dimacs._Ints)
 _DOCUMENTS = st.recursive(
-    _SCALARS | st.lists(_CUBES) | st.lists(_RECORDS),
+    _SCALARS | st.lists(_CUBES) | st.lists(_RECORDS) | _ASSIGNMENTS | _INT_LISTS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
