@@ -98,17 +98,13 @@ def parse_dimacs(text: str) -> ParseResult:
 
 
 # A line whose first non-blank character is `%` (the SATLIB trailer) or `c`
-# (a comment), in clause data whose lines are split at "\n" only.
+# (a comment), in text whose lines end at "\n".
 _TRAILER = re.compile(r"^[ \t]*%", re.MULTILINE)
 _COMMENT = re.compile(r"^[ \t]*c.*", re.MULTILINE)
-# Characters other than "\n" and the "\r" of "\r\n" at which `splitlines`
-# also ends a line; `_read_clean` declines text holding one.
-_ASCII_BREAKS = "\v\f\x1c\x1d\x1e"
-_OTHER_BREAKS = "\x85\u2028\u2029"
-# Characters of clause data converted per step, rounded up to a line end:
-# one `split` of all the data would hold a string for each of its tokens
-# at once, which at 2**18 clauses takes the parse's peak (by tracemalloc)
-# from 50 to 83 MB.
+# Characters of clause data checked and converted per step, rounded up to a
+# line end: one `split` of all the data would hold a string for each of its
+# tokens at once, which at 2**18 clauses takes the parse's peak (by
+# tracemalloc) from 50 to 83 MB.
 _CHUNK = 1 << 12
 
 
@@ -116,22 +112,23 @@ def _read_clean(text: str) -> tuple[int, int, list[Clause]] | None:
     """The variable count, declared clause count and canonical clauses of a
     clean input (see `parse_dimacs`), or None for any other input.
 
-    Lines are split at "\n" only, so text with any other line break that
-    `splitlines` knows is declined.  The clause section, without its
-    comment lines, must be ASCII without `_`; its tokens are converted by
-    `split` and `map(int, ...)`, `_CHUNK` characters of whole lines at a
-    time.  When every fourth token is 0, the clauses are read by slicing;
-    otherwise clause by clause at each 0.  A clause whose variables
-    already ascend is kept as it is, any other is sorted by variable once
-    (`_canonical`); one that still does not ascend, because it repeats a
-    variable or holds a 0, declines the input."""
+    Lines are split at "\n", so text in which `splitlines` ends a line
+    anywhere else is declined (`_newline_lines`).  The clause section,
+    without its comment lines, must be ASCII without `_`; its tokens are
+    converted by `split` and `map(int, ...)`, `_CHUNK` characters of whole
+    lines at a time.  When every fourth token is 0 and no other is, the
+    clauses are read by slicing; otherwise clause by clause at each 0, and
+    an empty clause or one wider than 3 declines the input.  A clause whose
+    variables already ascend is kept as it is, any other is sorted by
+    variable once (`_canonical`); one that still does not ascend, because
+    it repeats a variable, declines the input."""
     start = 0
     while True:  # blank and comment lines, then the problem line
         end = text.find("\n", start)
         line = text[start:] if end < 0 else text[start:end]
-        stripped = line.lstrip()
-        if len(line.splitlines()) > 1:
+        if not _newline_lines(line):
             return None
+        stripped = line.lstrip()
         if stripped.startswith("p"):
             break
         if end < 0 or stripped and not stripped.startswith("c"):
@@ -151,27 +148,27 @@ def _read_clean(text: str) -> tuple[int, int, list[Clause]] | None:
     trailer = _TRAILER.search(body) if "%" in body else None
     if trailer is not None:
         body = body[:trailer.start()]
-    if ("\r" in body and body.count("\r") != body.count("\r\n")
-            or any(ch in body for ch in _ASCII_BREAKS)
-            or not body.isascii() and any(ch in body for ch in _OTHER_BREAKS)):
-        return None
-    if "c" in body:
-        body = _COMMENT.sub("", body)
-    if not body.isascii() or "_" in body:
-        return None
     ints: list[int] = []
     start = 0
     while start < len(body):
         end = body.find("\n", start + _CHUNK) + 1 or len(body)
+        chunk = body[start:end]
+        start = end
+        if not _newline_lines(chunk):
+            return None
+        if "c" in chunk:
+            chunk = _COMMENT.sub("", chunk)
+        if not chunk.isascii() or "_" in chunk:
+            return None
         try:
-            ints += map(int, body[start:end].split())
+            ints += map(int, chunk.split())
         except ValueError:
             return None
-        start = end
     if ints and (max(ints) > num_vars or -min(ints) > num_vars):
         return None
 
-    if len(ints) & 3 == 0 and ints[3::4].count(0) == len(ints) >> 2:
+    # every fourth token is 0 and no other is: all clauses have 3 literals
+    if len(ints) & 3 == 0 and ints.count(0) == ints[3::4].count(0) == len(ints) >> 2:
         firsts, seconds, thirds = ints[0::4], ints[1::4], ints[2::4]
         del ints
         clauses = list(zip(firsts, seconds, thirds))
@@ -192,9 +189,16 @@ def _read_clean(text: str) -> tuple[int, int, list[Clause]] | None:
                 return None
             clauses.append(_canonical(tuple(ints[first:last])))
             first = last + 1
-    if None in clauses:  # a clause repeats a variable or holds a 0
+    if None in clauses:  # a clause repeats a variable
         return None
     return num_vars, declared_clauses, clauses
+
+
+def _newline_lines(text: str) -> bool:
+    """Whether `splitlines` ends the lines of `text` only at "\n" (with
+    the "\r" of a "\r\n"), so that splitting at "\n" finds the same
+    lines."""
+    return len((text + "\n").splitlines()) == text.count("\n") + 1
 
 
 def _canonical(literals: Clause) -> Clause | None:

@@ -381,14 +381,18 @@ def _clean_texts(draw):
     before and after the problem line, clauses of one to three literals in
     any order, split across lines or several on a line, tabs, CRLF line
     ends, a header that may miscount and a SATLIB `%` trailer.  One clause
-    in 32 repeats a literal, which only the line loop reads."""
+    in 32 repeats a literal and one in 32 is empty, which only the line
+    loop reads."""
     num_vars = draw(st.integers(3, 12))
     clauses = []
     for _ in range(draw(st.integers(0, 8))):
         variables = draw(st.permutations(range(1, num_vars + 1)))[:draw(st.integers(1, 3))]
         clause = [var if draw(st.booleans()) else -var for var in variables]
-        if draw(st.integers(0, 31)) == 0:
+        rare = draw(st.integers(0, 31))
+        if rare == 0:
             clause.append(clause[0])
+        elif rare == 1:
+            clause = []
         clauses.append(clause)
     blank = st.sampled_from([" ", "  ", "\t", " \t"])
     lead = st.sampled_from(["", " ", "\t"])
@@ -413,7 +417,8 @@ def _clean_texts(draw):
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
 
-@settings(max_examples=400, deadline=None)
+# about 400 messy texts, as before the clean layouts were added, and 1200 clean
+@settings(max_examples=1600, deadline=None)
 @given(st.one_of(_clean_texts(), _clean_texts(), _clean_texts(), _messy_texts()))
 def test_parse_matches_regex_reference(text):
     got, want = parse_dimacs(text), _reference_parse(text)
@@ -481,6 +486,9 @@ def test_parse_converts_clean_data_in_chunks_at_line_ends(monkeypatch, chunk):
     "p cnf 3 1\n1 1 2 0\n",  # a repeated literal
     "p cnf 3 1\n2 -2 3 0\n",  # a tautology
     "p cnf 3 2\n1 2 3 0\n0\n",  # an empty clause
+    "p cnf 3 2\n0\n1 2 0\n",  # an empty clause, then four tokens in all
+    "p cnf 3 3\n1 2 3 0\n0\n-1 2 0\n",
+    "p cnf 3 2\n1 2 3 0\n0 1 2 0\n",
     "p cnf 3 1\n1 2 3\n",  # not terminated
     "p cnf 3 1\n1 2 4 0\n",  # out of range
     "p cnf 3 1\n1 2 3 0\np cnf 3 1\n",  # a second problem line
