@@ -98,14 +98,18 @@ class Instance:
                 raise ValueError(f"variable u{var} exceeds num_vars {self.num_vars}")
 
     def constrained_vars(self) -> tuple[int, ...]:
+        return tuple(sorted(self._variables()))
+
+    def unconstrained_vars(self) -> tuple[int, ...]:
+        constrained = self._variables()
+        return tuple(v for v in range(1, self.num_vars + 1) if v not in constrained)
+
+    def _variables(self) -> set[int]:
+        """The variables the clauses mention."""
         seen: set[int] = set()
         for clause in self.clauses:
             seen.update(map(abs, clause))
-        return tuple(sorted(seen))
-
-    def unconstrained_vars(self) -> tuple[int, ...]:
-        constrained = set(self.constrained_vars())
-        return tuple(v for v in range(1, self.num_vars + 1) if v not in constrained)
+        return seen
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         if self.has_empty_clause:

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import lt
+from operator import itemgetter, lt
 from typing import Any, Iterable, Sequence
 
 from . import __version__
@@ -78,127 +78,237 @@ def parse_dimacs(text: str) -> ParseResult:
     `MAX_VARS` variables, and clauses wider than 3 distinct variables are
     errors.  One leading byte-order mark is dropped.
 
-    A clean input is read in bulk by `_read_clean`: blank and comment lines
-    and then a valid problem line, followed by clauses of one to three
-    in-range literals over distinct variables, with comment lines, tabs,
-    CRLF line ends, clauses split across lines or several on a line, and a
-    '%' trailer allowed.  Its one possible diagnostic is the clause-count
-    warning.  Every other input, any that needs a positioned diagnostic or
-    repeats a literal, is read again from the start by `_parse_lines`, so
-    every diagnostic comes from the line loop.  Either way each clause is
-    canonicalized once.
+    The text is read once, into one `_Reader`: a line at a time up to the
+    problem line, then in chunks of about `_CHUNK` characters that end at a
+    line whose last token is 0.  `_Reader.read_bulk` reads a chunk of clean
+    clause data; any other chunk (one that needs a diagnostic, repeats a
+    literal or ends inside a clause) goes to `_Reader.read_lines` alone,
+    which gives every diagnostic, and the next chunk tries the bulk step
+    again.  Either way each clause is canonicalized once.
     """
     text = text.removeprefix("\ufeff")
-    clean = _read_clean(text)
-    if clean is None:
-        return _parse_lines(text)
-    num_vars, declared_clauses, clauses = clean
-    diagnostics = _count_warnings(text, declared_clauses, len(clauses))
-    return ParseResult(Instance(num_vars, tuple(clauses)), diagnostics)
+    reader = _Reader()
+    start = 0
+    while reader.num_vars is None and not reader.ended and start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        reader.read_lines(text[start:end])
+        start = end
+    while not reader.ended and start < len(text):
+        match = _CLAUSE_END.search(text, start + _CHUNK)
+        end = match.end() if match else len(text)
+        chunk = text[start:end]
+        start = end
+        if not reader.read_bulk(chunk):
+            reader.read_lines(chunk)
+    return reader.result(text)
 
 
-# A line whose first non-blank character is `%` (the SATLIB trailer) or `c`
-# (a comment), in text whose lines end at "\n".
-_TRAILER = re.compile(r"^[ \t]*%", re.MULTILINE)
+# A comment line, in text whose lines end at "\n".
 _COMMENT = re.compile(r"^[ \t]*c.*", re.MULTILINE)
-# Characters of clause data checked and converted per step, rounded up to a
-# line end: one `split` of all the data would hold a string for each of its
-# tokens at once, which at 2**18 clauses takes the parse's peak (by
-# tracemalloc) from 50 to 83 MB.
+# The end of a line whose last token is 0, where a chunk of clause data may
+# end without cutting a clause.
+_CLAUSE_END = re.compile(r"(?<!\S)0[^\S\n]*\n")
+# Characters of clause data checked and converted per step, rounded up to
+# the end of a line that ends a clause: one `split` of all the data would
+# hold a string for each of its tokens at once, which at 2**18 clauses
+# takes the parse's peak (by tracemalloc) from 50 to 83 MB.
 _CHUNK = 1 << 12
 
 
-def _read_clean(text: str) -> tuple[int, int, list[Clause]] | None:
-    """The variable count, declared clause count and canonical clauses of a
-    clean input (see `parse_dimacs`), or None for any other input.
+class _Reader:
+    """The state of one parse, carried from chunk to chunk: the counts, the
+    clauses so far, the pending clause and where it starts, the empty-clause
+    and tautology counts, and the diagnostics."""
 
-    Lines are split at "\n", so text in which `splitlines` ends a line
-    anywhere else is declined (`_newline_lines`).  The clause section,
-    without its comment lines, must be ASCII without `_`; its tokens are
-    converted by `split` and `map(int, ...)`, `_CHUNK` characters of whole
-    lines at a time.  When every fourth token is 0 and no other is, the
-    clauses are read by slicing; otherwise clause by clause at each 0, and
-    an empty clause or one wider than 3 declines the input.  A clause whose
-    variables already ascend is kept as it is, any other is sorted by
-    variable once (`_canonical`); one that still does not ascend, because
-    it repeats a variable, declines the input."""
-    start = 0
-    while True:  # blank and comment lines, then the problem line
-        end = text.find("\n", start)
-        line = text[start:] if end < 0 else text[start:end]
-        if not _newline_lines(line):
-            return None
-        stripped = line.lstrip()
-        if stripped.startswith("p"):
-            break
-        if end < 0 or stripped and not stripped.startswith("c"):
-            return None
-        start = end + 1
-    parts = stripped.split()
-    if len(parts) != 4 or parts[1] != "cnf":
-        return None
-    try:
-        num_vars, declared_clauses = _decimal(parts[2]), _decimal(parts[3])
-    except ValueError:
-        return None
-    if not 0 <= num_vars <= MAX_VARS or declared_clauses < 0:
-        return None
+    def __init__(self) -> None:
+        self.num_vars: int | None = None
+        self.declared = 0
+        self.clauses: list[Clause] = []
+        self.empty_clauses = 0
+        self.tautologies = 0
+        self.pending: list[int] = []
+        # where the pending clause starts: (line number, line, token index)
+        self.pending_start: tuple[int, str, int] | None = None
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.lineno = 1  # the number of the next line to read
+        self.ended = False  # at a '%' line, or at clause data before the problem line
+        self.headless = False  # at clause data before the problem line
 
-    body = "" if end < 0 else text[end + 1:]
-    trailer = _TRAILER.search(body) if "%" in body else None
-    if trailer is not None:
-        body = body[:trailer.start()]
-    ints: list[int] = []
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + _CHUNK) + 1 or len(body)
-        chunk = body[start:end]
-        start = end
-        if not _newline_lines(chunk):
-            return None
-        if "c" in chunk:
-            chunk = _COMMENT.sub("", chunk)
-        if not chunk.isascii() or "_" in chunk:
-            return None
+    def error(self, line: int, col: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, col, message, "error"))
+
+    def warning(self, line: int, col: int, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
+
+    def read_bulk(self, chunk: str) -> bool:
+        """Read a chunk of clean clause data and say True; say False, and
+        change nothing, for any other chunk or while a clause is pending.
+
+        `splitlines` must end the chunk's lines only at "\n" (with the "\r"
+        of a "\r\n").  Without its comment lines, and up to a line that
+        starts with '%', which ends the data as in `read_lines`, the chunk
+        must be ASCII without `_`; its tokens are converted by `split` and
+        `map(int, ...)`.  When every fourth token is 0 and no other is, the
+        clauses are read by slicing; otherwise clause by clause at each 0.
+        A clause whose variables already ascend is kept as it is, any other
+        is sorted by variable once (`_canonical`).  A token that is not an
+        integer, an out-of-range literal, or a clause that is empty, wider
+        than 3, left open at the chunk's end or repeats a variable declines
+        the chunk."""
+        newlines = chunk.count("\n")
+        if self.pending or len((chunk + "\n").splitlines()) != newlines + 1:
+            return False
+        data = _COMMENT.sub("", chunk) if "c" in chunk else chunk
+        ended = "%" in data
+        if ended:
+            cut = data.rfind("\n", 0, data.index("%")) + 1
+            if not data[cut:].lstrip().startswith("%"):  # a '%' inside a line
+                return False
+            data = data[:cut]
+        if not data.isascii() or "_" in data:
+            return False
         try:
-            ints += map(int, chunk.split())
-        except ValueError:
-            return None
-    if ints and (max(ints) > num_vars or -min(ints) > num_vars):
-        return None
-
-    # every fourth token is 0 and no other is: all clauses have 3 literals
-    if len(ints) & 3 == 0 and ints.count(0) == ints[3::4].count(0) == len(ints) >> 2:
-        firsts, seconds, thirds = ints[0::4], ints[1::4], ints[2::4]
-        del ints
-        clauses = list(zip(firsts, seconds, thirds))
-        # absolute values are compared lazily, so that no list of them is held
-        if not (all(map(lt, map(abs, firsts), map(abs, seconds)))
-                and all(map(lt, map(abs, seconds), map(abs, thirds)))):
+            ints = list(map(int, data.split()))
+        except ValueError:  # a problem line or a bad token
+            return False
+        # every fourth token is 0 and no other is: all clauses have 3 literals
+        if len(ints) & 3 == 0 and ints.count(0) == ints[3::4].count(0) == len(ints) >> 2:
+            firsts, seconds, thirds = ints[0::4], ints[1::4], ints[2::4]
+            clauses = list(zip(firsts, seconds, thirds))
+            # absolute values are compared lazily, so that no list of them is held
+            ascending = (all(map(lt, map(abs, firsts), map(abs, seconds)))
+                         and all(map(lt, map(abs, seconds), map(abs, thirds))))
+        else:
+            clauses, ascending = [], False
+            index = ints.index
+            first = 0
+            while first < len(ints):
+                try:
+                    last = index(0, first)
+                except ValueError:  # left open at the chunk's end
+                    return False
+                if not 0 < last - first <= 3:  # empty or wider than 3
+                    return False
+                clauses.append(tuple(ints[first:last]))
+                first = last + 1
+        if not ascending:
             clauses = list(map(_canonical, clauses))
-    else:
-        clauses = []
-        index = ints.index
-        first = 0
-        while first < len(ints):
-            try:
-                last = index(0, first)
-            except ValueError:  # not terminated by 0
-                return None
-            if not 0 < last - first <= 3:  # empty or wider than 3
-                return None
-            clauses.append(_canonical(tuple(ints[first:last])))
-            first = last + 1
-    if None in clauses:  # a clause repeats a variable
-        return None
-    return num_vars, declared_clauses, clauses
+            if None in clauses:  # a clause repeats a variable
+                return False
+        # the last variable of a canonical clause is its largest
+        assert self.num_vars is not None
+        if max(map(abs, map(itemgetter(-1), clauses)), default=0) > self.num_vars:
+            return False
+        self.clauses += clauses
+        self.lineno += newlines
+        self.ended = ended
+        return True
 
+    def read_lines(self, text: str) -> None:
+        """Read the lines of `text` one at a time and token by token, with a
+        positioned diagnostic for every fault, up to the end of the text or
+        of the data: a '%' line or clause data before the problem line.
+        Each clause is closed by `_finish_clause`, so each is canonicalized
+        once and its diagnostics point at its first token."""
+        lines = text.splitlines()
+        for lineno, line in enumerate(lines, start=self.lineno):
+            stripped = line.lstrip()
+            if not stripped or stripped.startswith("c"):
+                continue
+            if stripped.startswith("%"):  # SATLIB end-of-data trailer
+                self.ended = True
+                return
+            if stripped.startswith("p"):
+                self._problem_line(lineno, line.index("p") + 1, stripped)
+                continue
+            num_vars = self.num_vars
+            if num_vars is None:
+                self.error(*_position(lineno, line, 0), "clause data before problem line")
+                self.ended = self.headless = True
+                return
+            for k, token in enumerate(stripped.split()):
+                try:
+                    lit = _decimal(token)
+                except ValueError:
+                    self.error(*_position(lineno, line, k),
+                               f"not an integer literal: {token!r}")
+                    continue
+                if lit == 0:
+                    self._finish_clause(self.pending_start or (lineno, line, k))
+                elif abs(lit) > num_vars:
+                    self.error(*_position(lineno, line, k),
+                               f"literal {lit} out of range for {num_vars} variables")
+                else:
+                    if self.pending_start is None:
+                        self.pending_start = (lineno, line, k)
+                    self.pending.append(lit)
+        self.lineno += len(lines)
 
-def _newline_lines(text: str) -> bool:
-    """Whether `splitlines` ends the lines of `text` only at "\n" (with
-    the "\r" of a "\r\n"), so that splitting at "\n" finds the same
-    lines."""
-    return len((text + "\n").splitlines()) == text.count("\n") + 1
+    def _problem_line(self, lineno: int, col: int, stripped: str) -> None:
+        """Read the counts of a problem line, the first `p` of which is at
+        column `col`."""
+        if self.num_vars is not None:
+            self.error(lineno, col, "duplicate problem line")
+            return
+        parts = stripped.split()
+        if len(parts) != 4 or parts[1] != "cnf":
+            self.error(lineno, col, f"malformed problem line: {stripped!r}")
+            return
+        try:
+            num_vars, declared = _decimal(parts[2]), _decimal(parts[3])
+        except ValueError:
+            self.error(lineno, col, f"non-numeric counts in problem line: {stripped!r}")
+            return
+        if num_vars < 0 or declared < 0:
+            self.error(lineno, col, "negative counts in problem line")
+        elif num_vars > MAX_VARS:
+            self.error(lineno, col, f"problem line declares {num_vars} variables, "
+                                    f"more than {MAX_VARS}")
+        else:
+            self.num_vars, self.declared = num_vars, declared
+
+    def _finish_clause(self, start: tuple[int, str, int]) -> None:
+        """Close the pending clause, whose first token (or terminating 0,
+        for an empty clause) is at `start`."""
+        literals, num_vars = self.pending, self.num_vars
+        assert num_vars is not None
+        self.pending, self.pending_start = [], None
+        if len(literals) > 3:
+            width = len({abs(lit) for lit in literals})
+            if width > 3:
+                self.error(*_position(*start),
+                           f"clause has {width} distinct variables; this tool is 3SAT-only")
+                return
+        result = canonicalize(literals, num_vars)
+        if result is TAUTOLOGY:
+            self.tautologies += 1
+            self.warning(*_position(*start), "tautological clause dropped")
+        elif result is EMPTY:
+            self.empty_clauses += 1
+            self.warning(*_position(*start),
+                         "empty clause: instance is trivially unsatisfiable")
+        else:
+            self.clauses.append(result)
+
+    def result(self, text: str) -> ParseResult:
+        """The result once `text` has been read: the diagnostics of its end,
+        on the line after its last "\n", and the instance unless there is
+        an error."""
+        if self.num_vars is None:
+            if not self.headless:
+                self.error(text.count("\n") + 1, 1, "missing problem line")
+            return ParseResult(None, self.diagnostics)
+        if self.pending_start is not None:
+            self.error(*_position(*self.pending_start), "clause not terminated by 0")
+        found = len(self.clauses) + self.empty_clauses + self.tautologies
+        if found != self.declared:
+            self.warning(text.count("\n") + 1, 1,
+                         f"header declares {self.declared} clauses, found {found}")
+        if any(d.severity == "error" for d in self.diagnostics):
+            return ParseResult(None, self.diagnostics)
+        return ParseResult(Instance(self.num_vars, tuple(self.clauses),
+                                    self.empty_clauses > 0, self.tautologies),
+                           self.diagnostics)
 
 
 def _canonical(literals: Clause) -> Clause | None:
@@ -208,123 +318,6 @@ def _canonical(literals: Clause) -> Clause | None:
         return literals
     clause = tuple(sorted(literals, key=abs))
     return clause if _top_var(clause) else None
-
-
-def _count_warnings(text: str, declared: int, found: int) -> list[ParseDiagnostic]:
-    """The warning, at the line after the last, that the problem line
-    declares `declared` clauses and the data holds `found`; [] if equal."""
-    if declared == found:
-        return []
-    return [ParseDiagnostic(text.count("\n") + 1, 1,
-                            f"header declares {declared} clauses, found {found}",
-                            "warning")]
-
-
-def _parse_lines(text: str) -> ParseResult:
-    """`parse_dimacs` line by line and token by token, with a positioned
-    diagnostic for every fault.  Each clause is closed by `finish_clause`,
-    so each is canonicalized once and its diagnostics point at its first
-    token."""
-    diagnostics: list[ParseDiagnostic] = []
-    num_vars: int | None = None
-    declared_clauses = 0
-    clauses: list[Clause] = []
-    empty_clauses = 0
-    tautologies = 0
-    pending: list[int] = []
-    # where the pending clause starts: (line number, line, token index)
-    pending_start: tuple[int, str, int] | None = None
-
-    def error(line: int, col: int, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(line, col, message, "error"))
-
-    def warning(line: int, col: int, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
-
-    def finish_clause(literals: list[int], start: tuple[int, str, int]) -> None:
-        """Close a clause whose first token (or terminating 0, for an empty
-        clause) is at `start`."""
-        nonlocal empty_clauses, tautologies
-        assert num_vars is not None
-        if len(literals) > 3:
-            width = len({abs(lit) for lit in literals})
-            if width > 3:
-                error(*_position(*start),
-                      f"clause has {width} distinct variables; this tool is 3SAT-only")
-                return
-        result = canonicalize(literals, num_vars)
-        if result is TAUTOLOGY:
-            tautologies += 1
-            warning(*_position(*start), "tautological clause dropped")
-        elif result is EMPTY:
-            empty_clauses += 1
-            warning(*_position(*start), "empty clause: instance is trivially unsatisfiable")
-        else:
-            clauses.append(result)
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("%"):  # SATLIB end-of-data trailer
-            break
-        if stripped.startswith("p"):
-            col = line.index("p") + 1
-            if num_vars is not None:
-                error(lineno, col, "duplicate problem line")
-                continue
-            parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                error(lineno, col, f"malformed problem line: {stripped!r}")
-                continue
-            try:
-                num_vars = _decimal(parts[2])
-                declared_clauses = _decimal(parts[3])
-            except ValueError:
-                error(lineno, col, f"non-numeric counts in problem line: {stripped!r}")
-                num_vars = None
-            if num_vars is not None and (num_vars < 0 or declared_clauses < 0):
-                error(lineno, col, "negative counts in problem line")
-                num_vars = None
-            if num_vars is not None and num_vars > MAX_VARS:
-                error(lineno, col, f"problem line declares {num_vars} variables, "
-                                   f"more than {MAX_VARS}")
-                num_vars = None
-            continue
-        if num_vars is None:
-            error(*_position(lineno, line, 0), "clause data before problem line")
-            return ParseResult(None, diagnostics)
-        for k, token in enumerate(stripped.split()):
-            try:
-                lit = _decimal(token)
-            except ValueError:
-                error(*_position(lineno, line, k), f"not an integer literal: {token!r}")
-                continue
-            if lit == 0:
-                finish_clause(pending, pending_start or (lineno, line, k))
-                pending = []
-                pending_start = None
-            elif abs(lit) > num_vars:
-                error(*_position(lineno, line, k),
-                      f"literal {lit} out of range for {num_vars} variables")
-            else:
-                if pending_start is None:
-                    pending_start = (lineno, line, k)
-                pending.append(lit)
-
-    if num_vars is None:
-        error(text.count("\n") + 1, 1, "missing problem line")
-        return ParseResult(None, diagnostics)
-    if pending_start is not None:
-        error(*_position(*pending_start), "clause not terminated by 0")
-    diagnostics += _count_warnings(text, declared_clauses,
-                                   len(clauses) + empty_clauses + tautologies)
-
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-
-    instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
-    return ParseResult(instance, diagnostics)
 
 
 def _decimal(token: str) -> int:
@@ -475,7 +468,7 @@ def build_report(
         "oracle_verdict": oracle_verdict,
         "oracle_agrees": oracle_agrees,
         "assignment": (
-            _Assignment({str(v): val for v, val in sorted(assignment.items())})
+            _Assignment({str(v): val for v, val in assignment.items()})
             if assignment is not None
             else None
         ),

@@ -417,16 +417,30 @@ def _clean_texts(draw):
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
 
-# about 400 messy texts, as before the clean layouts were added, and 1200 clean
-@settings(max_examples=1600, deadline=None)
-@given(st.one_of(_clean_texts(), _clean_texts(), _clean_texts(), _messy_texts()))
-def test_parse_matches_regex_reference(text):
-    got, want = parse_dimacs(text), _reference_parse(text)
-    assert got.diagnostics == want.diagnostics
-    assert got.instance == want.instance
+@pytest.mark.parametrize("chunk", [dimacs._CHUNK, 1, 5, 64])
+def test_parse_matches_regex_reference(monkeypatch, chunk):
+    # at the real chunk size, about 400 messy texts, as before the clean
+    # layouts were added, and 1200 clean; at small ones, where a fault or a
+    # clause falls after the first chunk or across a chunk's end and several
+    # chunks may be read line by line, about 200 of each
+    if chunk == dimacs._CHUNK:
+        examples = 1600
+        texts = st.one_of(_clean_texts(), _clean_texts(), _clean_texts(), _messy_texts())
+    else:
+        examples, texts = 400, st.one_of(_clean_texts(), _messy_texts())
+    monkeypatch.setattr(dimacs, "_CHUNK", chunk)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(texts)
+    def check(text):
+        got, want = parse_dimacs(text), _reference_parse(text)
+        assert got.diagnostics == want.diagnostics
+        assert got.instance == want.instance
+
+    check()
 
 
-# clean layouts of real files; `parse_dimacs` reads each without the line loop
+# clean layouts of real files; `parse_dimacs` reads the clauses of each in bulk
 CLEAN_LAYOUTS = {
     "sorted": "p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n",
     "unsorted": "p cnf 5 2\n3 -2 1 0\n5 -3 4 0\n",
@@ -451,16 +465,32 @@ CLEAN_LAYOUTS = {
 }
 
 
+def _line_reads(monkeypatch, text):
+    """`parse_dimacs(text)`, and the texts it hands `_Reader.read_lines`."""
+    reads = []
+
+    def recording_read_lines(reader, text):
+        reads.append(text)
+        real_read_lines(reader, text)
+
+    real_read_lines = dimacs._Reader.read_lines
+    monkeypatch.setattr(dimacs._Reader, "read_lines", recording_read_lines)
+    return parse_dimacs(text), reads
+
+
+def _header(text):
+    """The lines of `text` up to its problem line, each with its line end."""
+    lines = text.removeprefix("\ufeff").splitlines(keepends=True)
+    return lines[:1 + next(k for k, line in enumerate(lines) if line.lstrip().startswith("p"))]
+
+
 @pytest.mark.parametrize("name", sorted(CLEAN_LAYOUTS))
 def test_parse_reads_clean_layouts_without_the_line_loop(monkeypatch, name):
+    # lines are read one at a time up to the problem line, and none after it
     text = CLEAN_LAYOUTS[name]
+    got, reads = _line_reads(monkeypatch, text)
     want = _reference_parse(text.removeprefix("\ufeff"))
-
-    def no_line_loop(text):
-        raise AssertionError("read by the line loop")
-
-    monkeypatch.setattr(dimacs, "_parse_lines", no_line_loop)
-    got = parse_dimacs(text)
+    assert reads == _header(text)
     assert got.diagnostics == want.diagnostics
     assert got.instance == want.instance is not None
 
@@ -476,41 +506,51 @@ def test_parse_converts_clean_data_in_chunks_at_line_ends(monkeypatch, chunk):
     texts = [*CLEAN_LAYOUTS.values(), "p cnf 40 300\n" + "\n".join(lines),
              "p cnf 40 300\r\n" + " ".join(lines)]
     for text in texts:
-        assert dimacs._read_clean(text.removeprefix("\ufeff")) is not None
-        got, want = parse_dimacs(text), _reference_parse(text.removeprefix("\ufeff"))
+        got, reads = _line_reads(monkeypatch, text)
+        want = _reference_parse(text.removeprefix("\ufeff"))
+        assert reads == _header(text)
         assert got.diagnostics == want.diagnostics
         assert got.instance == want.instance
 
 
-@pytest.mark.parametrize("text", [
-    "p cnf 3 1\n1 1 2 0\n",  # a repeated literal
-    "p cnf 3 1\n2 -2 3 0\n",  # a tautology
-    "p cnf 3 2\n1 2 3 0\n0\n",  # an empty clause
-    "p cnf 3 2\n0\n1 2 0\n",  # an empty clause, then four tokens in all
-    "p cnf 3 3\n1 2 3 0\n0\n-1 2 0\n",
-    "p cnf 3 2\n1 2 3 0\n0 1 2 0\n",
-    "p cnf 3 1\n1 2 3\n",  # not terminated
-    "p cnf 3 1\n1 2 4 0\n",  # out of range
-    "p cnf 3 1\n1 2 3 0\np cnf 3 1\n",  # a second problem line
-    "p cnf 3 1\n1 2 x 0\n",  # a bad token
-    "p cnf 3 1\n1 2\x0b3 0\n",  # a line break that splitlines knows
-    "p cnf 3 1\n1 2\r3 0\n",  # a lone carriage return
-    "c x\u2028p cnf 3 1\n1 2 3 0\n",  # a line break in a comment
-    "c x\x0bp cnf 3 1\np cnf 3 1\n1 2 3 0\n",  # so a second problem line
-    "p cnf 3 1\nc x\u20281 2 3 0\n",
-    "1 2 3 0\np cnf 3 1\n",  # data before the problem line
-])
+# inputs that need the line loop, and what it reads of each when a chunk
+# holds one line that ends a clause: the lines up to the problem line, then
+# only the chunk that holds the fault
+LINE_LOOP_READS = {
+    "p cnf 3 1\n1 1 2 0\n": ["p cnf 3 1\n", "1 1 2 0\n"],  # a repeated literal
+    "p cnf 3 1\n2 -2 3 0\n": ["p cnf 3 1\n", "2 -2 3 0\n"],  # a tautology
+    "p cnf 3 3\n1 2 3 0\n-1 2 3 0\n2 -2 3 0\n": ["p cnf 3 3\n", "2 -2 3 0\n"],
+    "p cnf 3 3\n2 -2 3 0\n1 2 3 0\n-1 2 3 0\n": ["p cnf 3 3\n", "2 -2 3 0\n"],
+    "p cnf 3 2\n1 2 3 0\n0\n": ["p cnf 3 2\n", "0\n"],  # an empty clause
+    # an empty clause, then four tokens in all; the search for a chunk's
+    # end starts one character in, so it passes over the line "0"
+    "p cnf 3 2\n0\n1 2 0\n": ["p cnf 3 2\n", "0\n1 2 0\n"],
+    "p cnf 3 3\n1 2 3 0\n0\n-1 2 0\n": ["p cnf 3 3\n", "0\n-1 2 0\n"],
+    "p cnf 3 2\n1 2 3 0\n0 1 2 0\n": ["p cnf 3 2\n", "0 1 2 0\n"],
+    "p cnf 3 1\n1 2 3\n": ["p cnf 3 1\n", "1 2 3\n"],  # not terminated
+    "p cnf 3 1\n1 2 4 0\n": ["p cnf 3 1\n", "1 2 4 0\n"],  # out of range
+    "p cnf 3 1\n-4 1 2 0\n": ["p cnf 3 1\n", "-4 1 2 0\n"],  # out of range, unsorted
+    "p cnf 3 1\n1 2 3 0\np cnf 3 1\n": ["p cnf 3 1\n", "p cnf 3 1\n"],  # a second problem line
+    "p cnf 3 1\n1 2 x 0\n": ["p cnf 3 1\n", "1 2 x 0\n"],  # a bad token
+    # a clause split by a comment line that ends in 0, where a chunk ends
+    "p cnf 3 2\n-1 -2 -3 0\n1 2\nc 0\n3 0\n": ["p cnf 3 2\n", "1 2\nc 0\n", "3 0\n"],
+    # a line break that splitlines knows
+    "p cnf 3 1\n1 2\x0b3 0\n": ["p cnf 3 1\n", "1 2\x0b3 0\n"],
+    "p cnf 3 1\n1 2\r3 0\n": ["p cnf 3 1\n", "1 2\r3 0\n"],  # a lone carriage return
+    "c x\u2028p cnf 3 1\n1 2 3 0\n": ["c x\u2028p cnf 3 1\n"],  # a line break in a comment
+    # so a second problem line
+    "c x\x0bp cnf 3 1\np cnf 3 1\n1 2 3 0\n": ["c x\x0bp cnf 3 1\n", "p cnf 3 1\n1 2 3 0\n"],
+    "p cnf 3 1\nc x\u20281 2 3 0\n": ["p cnf 3 1\n", "c x\u20281 2 3 0\n"],
+    "1 2 3 0\np cnf 3 1\n": ["1 2 3 0\n"],  # data before the problem line
+}
+
+
+@pytest.mark.parametrize("text", list(LINE_LOOP_READS))
 def test_parse_leaves_other_inputs_to_the_line_loop(monkeypatch, text):
-    calls = []
-
-    def counting_line_loop(text):
-        calls.append(text)
-        return real_line_loop(text)
-
-    real_line_loop = dimacs._parse_lines
-    monkeypatch.setattr(dimacs, "_parse_lines", counting_line_loop)
-    got, want = parse_dimacs(text), _reference_parse(text)
-    assert calls == [text]
+    monkeypatch.setattr(dimacs, "_CHUNK", 1)
+    got, reads = _line_reads(monkeypatch, text)
+    want = _reference_parse(text)
+    assert reads == LINE_LOOP_READS[text]
     assert got.diagnostics == want.diagnostics
     assert got.instance == want.instance
 
