@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import os
 import random
 import stat
@@ -142,11 +143,9 @@ def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:
     assert config.input_path is not None
     stdin = config.input_path == "-"
     try:
-        if stdin:
-            text = sys.stdin.read()
-        else:
-            with open(config.input_path, encoding="utf-8") as fh:
-                text = fh.read()
+        raw = io.BytesIO(sys.stdin.buffer.read()) if stdin else open(config.input_path, "rb")
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE) from None
@@ -419,6 +418,8 @@ def cmd_bench(config: argparse.Namespace) -> int:
         "oracle": config.oracle_mode,
         "points": points,
     }
+    if config.order_seed is not None:
+        doc["seeds"] = {"order_seed": config.order_seed}
     _write_out(write_report(doc), config.out_path)
     total_sound = sum(p["soundness_violations"] for p in points)
     return EXIT_OK if total_sound == 0 else EXIT_DISAGREE

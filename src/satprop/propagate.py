@@ -51,15 +51,15 @@ holding it, until no domain shrinks.  It keeps one state: a unit that
 empties a domain is undone from the log of the entries it changed.
 
 No graph is cached between calls: each run builds its own unless handed
-one through the private `_graph` argument, and a result holds the graph it
-was computed on, which `extract_assignment` reads.
+one through the private `_graph` argument, and a result holds no graph:
+`extract_assignment` reads only the fixpoint's masks.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
@@ -100,8 +100,6 @@ class PropagationResult:
     empty_triple: Triple | None
     stats: PropStats
     trace: list[TraceRecord]
-    # The adjacency the result was computed on
-    _graph: _Graph = field(repr=False, compare=False)
 
 
 def _shape(src: Triple, tgt: Triple) -> int:
@@ -188,20 +186,19 @@ class _Graph:
     and `images` finds the edges that can prune without listing any.  No
     edge is stored: a shape is read off the two triples by `_shape`, and
     the graph holds nothing built after `__init__`.  `_index` maps each
-    variable to its (cube, position) pairs in cube order, which extraction
-    reads too."""
+    variable to the cubes holding it, in cube order."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
-        # var -> (cube, position of var in that cube's triple), in cube order
-        index: dict[int, list[tuple[int, int]]] = {}
+        # var -> the cubes holding it, in cube order
+        index: dict[int, list[int]] = {}
         # (u, v) -> the number of cubes holding both u < v
         pairs: dict[tuple[int, int], int] = {}
         setdefault, get = index.setdefault, pairs.get
         for i, (a, b, c) in enumerate(nodes):
-            setdefault(a, []).append((i, 0))
-            setdefault(b, []).append((i, 1))
-            setdefault(c, []).append((i, 2))
+            setdefault(a, []).append(i)
+            setdefault(b, []).append(i)
+            setdefault(c, []).append(i)
             pairs[a, b] = get((a, b), 0) + 1
             pairs[a, c] = get((a, c), 0) + 1
             pairs[b, c] = get((b, c), 0) + 1
@@ -217,8 +214,7 @@ class _Graph:
     def neighbours(self, s: int) -> list[int]:
         """The other cubes sharing a variable with cube s, in cube order:
         the targets of its out-edges, ids `first[s]` on."""
-        index = self._index
-        return sorted({t for var in self.nodes[s] for t, _ in index[var]} - {s})
+        return sorted({t for var in self.nodes[s] for t in self._index[var]} - {s})
 
     def images(self, s: int, source: int) -> list[tuple[int, int]]:
         """The (target, image) pairs, in target order, of the out-edges of
@@ -232,17 +228,17 @@ class _Graph:
         a, b, c = src
         found = []
         if sep & 1:
-            found += [t for t, _ in index[a]]
+            found += index[a]
         if sep & 2:
-            found += [t for t, _ in index[b]]
+            found += index[b]
         if sep & 4:
-            found += [t for t, _ in index[c]]
+            found += index[c]
         if sep & 8:
-            found += [t for t, _ in index[a] if b in nodes[t]]
+            found += [t for t in index[a] if b in nodes[t]]
         if sep & 16:
-            found += [t for t, _ in index[a] if c in nodes[t]]
+            found += [t for t in index[a] if c in nodes[t]]
         if sep & 32:
-            found += [t for t, _ in index[b] if c in nodes[t]]
+            found += [t for t in index[b] if c in nodes[t]]
         targets = set(found)
         targets.discard(s)
         return [(t, _TABLES[_shape(src, nodes[t])][source]) for t in sorted(targets)]
@@ -281,10 +277,10 @@ def fixpoint(
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
     if early_exit and 0 in masks:
-        return _result(graph, masks, masks.index(0))
+        return _result(graph.nodes, masks, masks.index(0))
     rng = None if order_seed is None else random.Random(order_seed)
     passes, applications, log, empty = _worklist(graph, masks, early_exit, rng)
-    return _result(graph, masks, empty, passes, applications, log)
+    return _result(graph.nodes, masks, empty, passes, applications, log)
 
 
 def bidirectional_fixpoint(
@@ -310,20 +306,19 @@ def bidirectional_fixpoint(
             masks[b] = before_b & onto_b[before_a]
             if masks[a] != before_a or masks[b] != before_b:
                 changed = True
-    return _result(graph, masks, masks.index(0) if 0 in masks else None)
+    return _result(nodes, masks, masks.index(0) if 0 in masks else None)
 
 
 def _result(
-    graph: _Graph,
+    nodes: tuple[Triple, ...],
     masks: list[int],
     empty: int | None,
     passes: int = 0,
     applications: int = 0,
     log: Sequence[tuple[int, int, int, int]] = (),
 ) -> PropagationResult:
-    """The result of a run on `graph` that left `masks`, reporting cube
-    `empty` as all-RED unless it is None, from what `_worklist` returned."""
-    nodes = graph.nodes
+    """The result of a run on the cubes `nodes` that left `masks`, reporting
+    cube `empty` as all-RED unless it is None, from what `_worklist` gave."""
     trace = [TraceRecord((nodes[s], nodes[t]), before, after,
                          (before ^ after).bit_count())
              for s, t, before, after in log]
@@ -331,7 +326,7 @@ def _result(
                       sum(rec.cells_removed for rec in trace))
     return PropagationResult(ClausalState(dict(zip(nodes, masks))),
                              None if empty is None else nodes[empty],
-                             stats, trace, graph)
+                             stats, trace)
 
 
 def _worklist(
@@ -461,9 +456,9 @@ def extract_assignment(
     if result.empty_triple is not None:
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
-    graph = result._graph
-    masks = [result.fixpoint.cubes[triple] for triple in graph.nodes]
-    domains, holders, slots, variables = _separator_domains(graph, masks)
+    nodes = sorted(result.fixpoint.cubes)
+    masks = [result.fixpoint.cubes[triple] for triple in nodes]
+    domains, holders, slots, variables = _separator_domains(nodes, masks)
     for var in sorted(variables):
         sep = variables[var]
         if not (_impose_unit(masks, domains, holders, slots, sep, False)
@@ -479,23 +474,26 @@ def extract_assignment(
 
 
 def _separator_domains(
-    graph: _Graph, masks: list[int]
+    nodes: Sequence[Triple], masks: list[int]
 ) -> tuple[list[int], list[list[tuple[int, int]]],
            list[tuple[int | None, ...]], dict[int, int]]:
-    """The separators of `graph`'s cubes, with GREEN masks `masks`: every
+    """The separators of the cubes `nodes`, with GREEN masks `masks`: every
     variable, and every pair of variables that two or more cubes hold.
     Returns, by separator id, its domain and its holders as (cube, slot)
     pairs; by cube, the ids of the separators in its six slots, None for a
     pair no other cube holds; and each variable's separator id.  A domain
     starts as the meet of its holders' projections."""
+    singles: dict[int, list[tuple[int, int]]] = {}
     pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, (a, b, c) in enumerate(graph.nodes):
+    for i, (a, b, c) in enumerate(nodes):
+        singles.setdefault(a, []).append((i, 0))
+        singles.setdefault(b, []).append((i, 1))
+        singles.setdefault(c, []).append((i, 2))
         pairs.setdefault((a, b), []).append((i, 3))
         pairs.setdefault((a, c), []).append((i, 4))
         pairs.setdefault((b, c), []).append((i, 5))
-    # a variable's holders are its (cube, position) pairs in the index
-    holders = list(graph._index.values())
-    variables = {var: sep for sep, var in enumerate(graph._index)}
+    holders = list(singles.values())
+    variables = {var: sep for sep, var in enumerate(singles)}
     relays: dict[tuple[int, int], int] = {}  # a pair one cube holds relays nothing
     for pair, cubes in pairs.items():
         if len(cubes) > 1:
@@ -509,7 +507,7 @@ def _separator_domains(
         domains.append(domain)
     relay = relays.get
     slots = [(variables[a], variables[b], variables[c],
-              relay((a, b)), relay((a, c)), relay((b, c))) for a, b, c in graph.nodes]
+              relay((a, b)), relay((a, c)), relay((b, c))) for a, b, c in nodes]
     return domains, holders, slots, variables
 
 

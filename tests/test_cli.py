@@ -238,6 +238,8 @@ def test_one_process_runs_each_command_as_alone(capsys, monkeypatch):
         (["--help"], EXIT_OK),
         (["--version"], EXIT_OK),
         (["solve", "--gen", "n=12,m=51,seed=1", "--oracle", "on"], None),
+        # a completeness miss: no empty cube on an UNSAT instance
+        (["solve", "--gen", "n=10,m=35,seed=8005071", "--oracle", "on"], EXIT_DISAGREE),
         (["verify", "--quick", "--mutate-bc"], 1),
     ]
     for argv, want in commands:
@@ -333,6 +335,25 @@ def test_input_file_is_read_as_utf8_under_any_locale(tmp_path):
     assert [(r.returncode, r.stderr) for r in runs] == [(EXIT_OK, "")] * 2
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["assignment_verified"] is True
+
+
+def test_stdin_is_decoded_as_a_file_is(tmp_path):
+    # a byte-order mark, a UTF-8 comment and CRLF line ends, on a stdin
+    # configured as latin-1; the header undercounts, so a diagnostic names
+    # a line
+    data = "\ufeffc café\r\np cnf 3 1\r\n1 -2 3 0\r\n-1 2 0\r\n".encode()
+    (tmp_path / "bom.cnf").write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(Path(satprop.__file__).parents[1]),
+           "PYTHONIOENCODING": "latin-1"}
+    runs = [subprocess.run(
+        [sys.executable, "-m", "satprop.cli", "solve", "--input", path],
+        input=data, capture_output=True, cwd=tmp_path, env=env)
+        for path in ("bom.cnf", "-")]
+    from_file, from_stdin = [
+        (r.returncode, r.stdout.replace(b'"bom.cnf"', b'"<stdin>"'),
+         r.stderr.replace(b"bom.cnf:", b"<stdin>:")) for r in runs]
+    assert from_stdin == from_file
+    assert from_file[0] == EXIT_OK and b"<stdin>:5:" in from_file[2]
 
 
 def test_solve_satlib_file_with_trailer(capsys):
@@ -533,10 +554,12 @@ def test_verify_checks_the_bc_installed_in_bitspace(capsys, monkeypatch):
     # verify checks the bc that bitspace holds when it runs, so the fault
     # --mutate-bc injects is caught the same way when installed there
     monkeypatch.setattr(bitspace, "bc", lambda p, q: (bitspace.bc_uni(p, q), q))
-    code, out, _ = run(capsys, "verify", "--quick")
-    assert code == 1
-    assert ("FAIL bc-vs-join-oracle: bc mismatch on overlap2 masks (0xF2, 0x17)\n"
-            in out)
+    assert run(capsys, "verify", "--quick") == (1, (
+        "PASS algebra-axioms\n"
+        "FAIL bc-vs-join-oracle: bc mismatch on overlap2 masks (0xF2, 0x17)\n"
+        "PASS project-lift-impose-laws\n"
+        "PASS uni-bi-confluence\n"
+        "PASS soundness-vs-projections\n"), "")
 
 
 _fixpoint = propagate.fixpoint
@@ -681,6 +704,17 @@ def test_bench_tallies_false_unsat(capsys, monkeypatch):
             want = gen_random_3sat(8, point["m"], ce["seed"])
             assert parse_dimacs(ce["dimacs"]).instance == want
     assert sum(p["soundness_violations"] for p in points) > 0
+
+
+def test_bench_random_order_records_its_seed(capsys):
+    # a random-order sweep can be run again from its own document
+    argv = ["bench", "--gen", "n=8,m=16..24..8,seed=2,count=3", "--oracle", "off"]
+    assert "seeds" not in json.loads(run(capsys, *argv)[1])
+    _, out, _ = run(capsys, *argv, "--order", "random:7")
+    doc = json.loads(out)
+    assert (doc["order"], doc["seeds"]) == ("random", {"order_seed": 7})
+    order = f"{doc['order']}:{doc['seeds']['order_seed']}"
+    assert run(capsys, *argv, "--order", order)[1] == out
 
 
 def test_bench_timings_add_wall_time_only(capsys):

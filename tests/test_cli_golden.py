@@ -116,7 +116,8 @@ def run_case(name: str) -> dict:
         args = [arg.format(**paths) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         saved_stdin, saved_columns = sys.stdin, os.environ.get("COLUMNS")
-        sys.stdin = io.StringIO(stdin or "")
+        # bytes behind a text layer, as a process's stdin is
+        sys.stdin = io.TextIOWrapper(io.BytesIO((stdin or "").encode()), encoding="utf-8")
         os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to it
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

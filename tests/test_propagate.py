@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 from collections import deque
 
 import pytest
@@ -13,6 +15,7 @@ from satprop.propagate import (
     _SEPARATORS,
     _TABLES,
     Extraction,
+    PropagationResult,
     PropStats,
     TraceRecord,
     _Graph,
@@ -485,7 +488,6 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
             for early_exit in (True, False):
                 shared = fixpoint(state, order_seed, early_exit, _graph=graph)
                 fresh = fixpoint(state, order_seed, early_exit)
-                assert shared._graph is graph
                 assert (shared.fixpoint, shared.empty_triple, shared.stats,
                         shared.trace) == (fresh.fixpoint, fresh.empty_triple,
                                           fresh.stats, fresh.trace)
@@ -622,6 +624,29 @@ def test_extract_matches_from_scratch_reference(n, m, seed):
     # does not depend on the order or mode that computed it
     assert extract_assignment(fixpoint(state, order_seed=5), inst) == want
     assert extract_assignment(bidirectional_fixpoint(state), inst) == want
+    # nor on anything but the closed masks: a result built from them alone,
+    # inserted in any order, with no stats and no trace, gives it too
+    cubes = list(result.fixpoint.cubes.items())
+    random.Random(seed).shuffle(cubes)
+    bare = PropagationResult(ClausalState(dict(cubes)), None, PropStats(), [])
+    assert extract_assignment(bare, inst) == want
+
+
+def test_a_result_holds_no_graph(monkeypatch):
+    # the graph a run builds for itself is freed once the run returns
+    graphs = []
+    init = _Graph.__init__
+
+    def recording_init(self, nodes):
+        graphs.append(weakref.ref(self))
+        init(self, nodes)
+
+    monkeypatch.setattr(_Graph, "__init__", recording_init)
+    state = build_clausal_partition(gen_random_3sat(12, 40, seed=1)).state
+    results = [fixpoint(state), fixpoint(state, order_seed=3), bidirectional_fixpoint(state)]
+    gc.collect()
+    assert len(graphs) == len(results)
+    assert all(ref() is None for ref in graphs)
 
 
 def test_extraction_is_linear_on_a_sparse_instance():
@@ -655,10 +680,9 @@ def test_unit_closure_is_the_fixpoint_of_the_imposed_state(instance):
     # off the masks it leaves
     result = fixpoint(build_clausal_partition(instance).state)
     assert result.empty_triple is None
-    graph = result._graph
-    nodes = graph.nodes
+    nodes = sorted(result.fixpoint.cubes)
     masks = [result.fixpoint.cubes[triple] for triple in nodes]
-    domains, holders, touching, variables = _separator_domains(graph, masks)
+    domains, holders, touching, variables = _separator_domains(nodes, masks)
     for var, sep in variables.items():
         for value in (False, True):
             got_masks, got_domains = masks[:], domains[:]
@@ -673,7 +697,7 @@ def test_unit_closure_is_the_fixpoint_of_the_imposed_state(instance):
                 continue
             assert got is True, (var, value)
             assert got_masks == [want.fixpoint.cubes[triple] for triple in nodes]
-            assert got_domains == _separator_domains(graph, got_masks)[0]
+            assert got_domains == _separator_domains(nodes, got_masks)[0]
 
 
 # --- lazy engine against the eager reference ---------------------------------
