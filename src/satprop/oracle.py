@@ -1,14 +1,23 @@
 """Independent ground truth.
 
 Everything here recomputes results directly, deliberately avoiding the
-partition-combination code it is used to check.  SAT decisions come from
-DPLL with unit propagation at every size; the projections of the solution
-set onto triples and the conjunction table come from truth tables, a mask
-over all assignments, since their cells are the answer; and the
-join-semantics reference for the two-sided combination scans the
-neighbor's cells for support directly, reading each cell's restriction to
-the shared coordinates from a table cached per coordinate layout.  Only the
-Partition value type is shared.
+partition-combination code it is used to check.  Only the Partition value
+type is shared.
+
+SAT decisions come from DPLL with unit propagation at every size, over
+clause bitsets: bit i stands for clause i.  The search keeps each
+literal's occurrence set, `alive` (the clauses not yet satisfied) and each
+clause's count of free literals (0-3), bit-sliced into two ints, so
+setting a literal is a few operations on ints and backtracking drops them.
+It branches on the first free literal of the first unit, else of the first
+2-clause, else of the first alive clause: of the first shortest clause.
+
+The projections of the solution set onto triples and the conjunction table
+come from truth tables, a mask over all assignments, since their cells are
+the answer.  The join-semantics reference for the two-sided combination
+scans the neighbor's cells for support directly, reading each cell's
+restriction to the shared coordinates from a table cached per coordinate
+layout.
 
 Size guards are hard errors, not silent truncation: decide <= 30 vars,
 project <= 20, full truth-table partition <= 16.
@@ -89,54 +98,76 @@ def brute_force_sat(instance: Instance) -> OracleVerdict:
         raise ValueError(f"num_vars {n} exceeds oracle decide limit {DECIDE_LIMIT}")
     if instance.has_empty_clause:
         return OracleVerdict(False, None)
-    witness = _dpll([list(c) for c in instance.clauses], n)
+    witness = _dpll(instance.clauses, n)
     return OracleVerdict(witness is not None, witness)
 
 
-def _dpll(clauses: list[list[int]], num_vars: int) -> dict[int, bool] | None:
-    """DPLL with unit propagation, branching on the first literal of a
-    shortest clause; returns a model of all of 1..num_vars or None."""
+def _dpll(clauses: Sequence[tuple[int, ...]], num_vars: int) -> dict[int, bool] | None:
+    """DPLL with unit propagation, branching on the first free literal of
+    the first shortest clause; returns a model of all of 1..num_vars or
+    None."""
+    occ, low, high = _encode(clauses, num_vars)
     assignment: dict[int, bool] = {}
-    if not _solve(clauses, assignment):
+    if not _solve(clauses, occ, (1 << len(clauses)) - 1, low, high, 0, assignment):
         return None
     for v in range(1, num_vars + 1):
         assignment.setdefault(v, False)
     return assignment
 
 
-def _solve(clauses: list[list[int]] | None, assignment: dict[int, bool]) -> bool:
-    """Whether `clauses`, None for a falsified set, can be satisfied;
-    records the values it tries in `assignment`, which on success holds a
-    model of the clauses."""
-    while clauses:
-        shortest = min(clauses, key=len)
-        lit = shortest[0]
-        if len(shortest) > 1:
-            var = abs(lit)
+def _encode(
+    clauses: Sequence[tuple[int, ...]], num_vars: int
+) -> tuple[list[int], int, int]:
+    """The search's starting bitsets, bit i for clause i: the occurrence
+    set of each literal, at index `lit` of a list of 2*num_vars + 1 ints (a
+    negative literal counts from the end), and each clause's width 1-3 as
+    its bit in a low and a high int."""
+    occ = [0] * (2 * num_vars + 1)
+    low = high = 0
+    for i, clause in enumerate(clauses):
+        bit = 1 << i
+        for lit in clause:
+            occ[lit] |= bit
+        if len(clause) != 2:
+            low |= bit
+        if len(clause) > 1:
+            high |= bit
+    return occ, low, high
+
+
+def _solve(
+    clauses: Sequence[tuple[int, ...]], occ: list[int], alive: int, low: int,
+    high: int, fixed: int, assignment: dict[int, bool],
+) -> bool:
+    """Whether the `alive` clauses can be satisfied, where `low` and `high`
+    hold each clause's count of free literals and bit v of `fixed` is set
+    for each variable v set on this path.  Records the values it tries in
+    `assignment`, which on success holds a model of the clauses."""
+    while alive:
+        units = alive & low & ~high
+        pick = units or alive & high & ~low or alive
+        for lit in clauses[(pick & -pick).bit_length() - 1]:
+            if not fixed >> abs(lit) & 1:
+                break
+        var = abs(lit)
+        fixed |= 1 << var
+        if not units:  # no clause has one free literal, so none empties
             for choice in (lit, -lit):
                 assignment[var] = choice > 0
-                if _solve(_assign(clauses, choice), assignment):
+                rest = alive & ~occ[choice]
+                hit = occ[-choice] & rest
+                if _solve(clauses, occ, rest, low ^ hit, high ^ (hit & ~low),
+                          fixed, assignment):
                     return True
             del assignment[var]
             return False
-        assignment[abs(lit)] = lit > 0
-        clauses = _assign(clauses, lit)
-    return clauses is not None
-
-
-def _assign(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
-    """The clauses left once `lit` is true, or None if one of them is
-    falsified."""
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            clause = [x for x in clause if x != -lit]
-            if not clause:
-                return None
-        out.append(clause)
-    return out
+        assignment[var] = lit > 0
+        alive &= ~occ[lit]
+        hit = occ[-lit] & alive  # these clauses lose a free literal
+        if hit & low & ~high:
+            return False
+        low, high = low ^ hit, high ^ (hit & ~low)
+    return True
 
 
 def join_semantics_oracle(

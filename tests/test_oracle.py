@@ -195,6 +195,40 @@ def test_dpll_leaves_no_reference_cycle():
         gc.enable()
 
 
+# --- the search's bitsets -------------------------------------------------------
+
+def test_encode_sets_occurrences_and_two_bit_widths():
+    # bit i stands for clause i; its width is 1 (low), 2 (high) or 3 (both)
+    occ, low, high = oracle._encode(((1,), (-1, 2), (1, -2, 3), (-3,)), 3)
+    assert [occ[lit] for lit in (1, 2, 3, -1, -2, -3)] == [
+        0b0101, 0b0010, 0b0100, 0b0010, 0b0100, 0b1000]
+    assert (low & ~high, high & ~low, low & high) == (0b1001, 0b0010, 0b0100)
+
+
+def test_search_sets_units_first_then_branches_on_a_two_clause():
+    # with no unit, the 2-clause (-3, 4) is taken before the lower 3-clause;
+    # the 1-literal clause (-1,) is a unit, set before any branch
+    verdict = oracle.brute_force_sat(Instance(4, ((1, 2, 3), (-3, 4))))
+    assert list(verdict.witness.items()) == [(3, False), (1, True), (2, False), (4, False)]
+    verdict = oracle.brute_force_sat(Instance(4, ((1, 2, 3), (-3, 4), (-1,))))
+    assert list(verdict.witness.items()) == [(1, False), (2, True), (3, False), (4, False)]
+
+
+def test_contradictory_units_are_refuted_at_the_root(monkeypatch):
+    calls = []
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda *args: calls.append(1) or solve(*args))
+    assert oracle.brute_force_sat(Instance(1, ((1,), (-1,)))) == oracle.OracleVerdict(
+        False, None)
+    assert len(calls) == 1
+
+
+def test_no_clauses_give_the_all_false_model():
+    for n in (0, 1, 4):
+        verdict = oracle.brute_force_sat(Instance(n, ()))
+        assert verdict.witness == dict.fromkeys(range(1, n + 1), False)
+
+
 # --- independence ---------------------------------------------------------------
 
 def test_oracle_imports_only_value_types():

@@ -103,6 +103,17 @@ def test_oracle_matches_golden_digests():
     assert not differing, f"{len(differing)} cases differ, first: {differing[:5]}"
 
 
+def test_models_over_several_machine_words_satisfy_the_instance():
+    # 200 clauses: each bitset of the search spans four 64-bit words; the
+    # golden digests pin these models, which no truth table over 2^30 cells
+    # could check
+    for seed in range(3):
+        inst = planted_3sat(30, 200, seed)
+        verdict = brute_force_sat(inst)
+        assert verdict.satisfiable and inst.evaluate(verdict.witness)
+        assert set(verdict.witness) == set(range(1, 31))
+
+
 def test_golden_cases_cover_both_verdicts_and_every_clause_width():
     verdicts = {key.split(",")[0]: set() for key, _ in cases()}
     widths = set()
