@@ -143,7 +143,12 @@ def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:
     assert config.input_path is not None
     stdin = config.input_path == "-"
     try:
-        raw = io.BytesIO(sys.stdin.buffer.read()) if stdin else open(config.input_path, "rb")
+        if not stdin:
+            raw = open(config.input_path, "rb")
+        elif sys.stdin is None:  # the process was started with fd 0 closed
+            raise OSError("stdin is closed")
+        else:
+            raw = io.BytesIO(sys.stdin.buffer.read())
         with io.TextIOWrapper(raw, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -370,7 +375,7 @@ def cmd_bench(config: argparse.Namespace) -> int:
             "prunable_cubes": 0,  # cubes that are not inert at the start
             "counterexamples": [],
         }
-        elapsed = 0.0
+        elapsed = oracle_elapsed = 0.0  # seconds in fixpoint, in the oracle
         for i in range(spec.count):
             seed = instance_seed(spec.seed, point_index, i)
             inst = gen_random_3sat(spec.n, m, seed)
@@ -384,10 +389,12 @@ def cmd_bench(config: argparse.Namespace) -> int:
                 agg["engine_unsat"] += 1
             agg["total_passes"] += result.stats.passes
             agg["total_cells_removed"] += result.stats.cells_removed
-            verdict = oracle.brute_force_sat(inst) if decides else None
-            if verdict is None:
+            if not decides:
                 agg["oracle_skipped"] += 1
                 continue
+            start = time.perf_counter()
+            verdict = oracle.brute_force_sat(inst)
+            oracle_elapsed += time.perf_counter() - start
             if verdict.satisfiable:
                 agg["oracle_sat"] += 1
             else:
@@ -407,6 +414,7 @@ def cmd_bench(config: argparse.Namespace) -> int:
                 )
         if config.timings:
             agg["wall_time_s"] = round(elapsed, 6)
+            agg["oracle_time_s"] = round(oracle_elapsed, 6)
         points.append(agg)
 
     doc = {

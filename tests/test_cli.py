@@ -322,6 +322,14 @@ def test_undecodable_stdin_exit_2(capsys, monkeypatch, subcommand):
     assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "trace"])
+def test_closed_stdin_exit_2(capsys, monkeypatch, subcommand):
+    # a process started with fd 0 closed has sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, subcommand, "--input", "-")
+    assert (code, out, err) == (EXIT_PARSE, "", "error: cannot read -: stdin is closed\n")
+
+
 def test_input_file_is_read_as_utf8_under_any_locale(tmp_path):
     # a byte-order mark and a non-ASCII comment, read under the C locale
     # (an ASCII preferred encoding) and under UTF-8 mode
@@ -718,17 +726,23 @@ def test_bench_random_order_records_its_seed(capsys):
 
 
 def test_bench_timings_add_wall_time_only(capsys):
-    argv = ["bench", "--gen", "n=8,m=16..24..8,seed=2,count=3", "--oracle", "off"]
-    _, plain, _ = run(capsys, *argv)
-    code, timed, _ = run(capsys, *argv, "--timings")
-    assert code == EXIT_OK
-    plain_points, timed_points = json.loads(plain)["points"], json.loads(timed)["points"]
-    assert len(timed_points) == len(plain_points) == 2
-    for without, with_timings in zip(plain_points, timed_points):
-        assert "wall_time_s" not in without
-        wall = with_timings.pop("wall_time_s")
-        assert isinstance(wall, float) and wall >= 0
-        assert with_timings == without
+    # each point gains the seconds of its fixpoint calls and of its oracle
+    # calls, which read 0.0 when the oracle does not run, and nothing else
+    for mode in ("off", "on"):
+        argv = ["bench", "--gen", "n=8,m=16..24..8,seed=2,count=3", "--oracle", mode]
+        _, plain, _ = run(capsys, *argv)
+        code, timed, _ = run(capsys, *argv, "--timings")
+        assert code == EXIT_OK
+        plain_points, timed_points = json.loads(plain)["points"], json.loads(timed)["points"]
+        assert len(timed_points) == len(plain_points) == 2
+        for without, with_timings in zip(plain_points, timed_points):
+            assert not {"wall_time_s", "oracle_time_s"} & set(without)
+            wall = with_timings.pop("wall_time_s")
+            assert isinstance(wall, float) and wall >= 0
+            oracle_time = with_timings.pop("oracle_time_s")
+            assert isinstance(oracle_time, float)
+            assert oracle_time > 0 if mode == "on" else oracle_time == 0.0
+            assert with_timings == without
 
 
 def _can_prune(mask):

@@ -8,7 +8,8 @@ with the reason it stays, which is that `perfbench/tracer.py` wraps it:
 each entry is one of the tracer's `TARGETS`.  `__init__.py` is exempt from
 that rule: its imports are the package's re-exports.  Every `open(...)`
 call that is not in binary mode passes `encoding=`, so no file's text
-depends on the locale.
+depends on the locale.  Every module parses under the grammar of the
+oldest Python that `pyproject.toml` declares in `requires-python`.
 
 A definition counts as used when its name is read in `src/satprop` outside
 its own body or statement: as a name for a module-level definition (or as
@@ -25,6 +26,7 @@ that could hold it.  A method's first parameter is bound, not passed.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "satprop"
@@ -205,3 +207,12 @@ def test_every_text_open_names_its_encoding():
         and node.func.id == "open" and not _binary(node)
         and not any(kw.arg == "encoding" for kw in node.keywords)]
     assert by_locale == [], f"open() in text mode without encoding=: {by_locale}"
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=version)
