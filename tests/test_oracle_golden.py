@@ -115,10 +115,11 @@ def test_models_over_several_machine_words_satisfy_the_instance():
 
 
 def test_golden_cases_cover_both_verdicts_and_every_clause_width():
-    verdicts = {key.split(",")[0]: set() for key, _ in cases()}
+    verdicts: dict[str, set[bool]] = {}
     widths = set()
     for key, inst in cases():
-        verdicts[key.split(",")[0]].add(brute_force_sat(inst).satisfiable)
+        family = key.split(",")[0]
+        verdicts.setdefault(family, set()).add(brute_force_sat(inst).satisfiable)
         widths.update(map(len, inst.clauses))
     assert widths == {1, 2, 3}
     for family in ("decide", "xorsat", "mixed", "3sat"):
