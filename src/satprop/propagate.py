@@ -340,65 +340,40 @@ def _worklist(
     id of the empty cube it reports, if any.  Under `early_exit` the caller
     guarantees that no mask is empty on entry.
 
-    A pass is a list of work items, applied in order.  Without `rng` an
-    item is a cube s, standing for all its out-edges, and the first pass
-    holds every cube in triple order.  Under `rng` an item is an edge id,
-    whose source is the cube whose range in `first` holds it, and the first
-    pass holds every edge, shuffled.  Each later pass holds what the one
-    before it requeued, in that order, and the run ends after a pass that
-    requeues nothing.  A graph with no edge makes no pass.
+    A pass is a list of cubes, each standing for all its out-edges, applied
+    in order; under `rng` it is shuffled first.  The first pass holds every
+    cube in triple order, each later one the cubes the pass before it
+    requeued, in that order, and the run ends after a pass that requeues
+    nothing.  A graph with no edge makes no pass.
 
-    An item is counted as applied in full when it comes up.  If its source
-    restricts no separator it is skipped: none of its edges targets its
-    source, which therefore stays inert through them.  Without `rng` only
-    the edges into the cubes holding a restricted separator are applied,
-    from `images`, in target order; the others map their target to itself.
-    Under `rng` the item's edge is applied: its target is read off every
-    cube's `neighbours` listed by edge id, which the loop lists when the
-    first item needs them, and its table off `_shape`.  When a cube
-    changes, it is requeued: without `rng` as one item, unless it is queued
-    already, which one flag per cube tells; under `rng`, its out-edges that
-    are not queued are requeued as edge items, shuffled.  An empty cube met
-    under `early_exit` ends the run in the middle of an item, and the
-    out-edges of its source into cubes after the empty one are taken off
-    the count again.
+    A cube's out-edges are counted as applied when it comes up.  If it
+    restricts no separator it is skipped: no edge out of it changes
+    anything.  Otherwise only its edges into the cubes holding a restricted
+    separator are applied, from `images`, in target order; the others map
+    their target to itself.  A cube that changes is requeued once, unless
+    it is queued already, which one flag per cube tells.  An empty cube met
+    under `early_exit` ends the run in the middle of its source's edges,
+    and those into cubes after the empty one are taken off the count again.
     """
-    nodes, first, images = graph.nodes, graph.first, graph.images
+    first, images = graph.first, graph.images
     separators = _SEPARATORS
     log: list[tuple[int, int, int, int]] = []
-    count = first[-1]
-
-    items = list(range(len(nodes) if rng is None else count)) if count else []
-    if rng is not None:
-        rng.shuffle(items)
-    # by edge id, each edge's target, listed once an edge item needs it
-    targets: list[int] | None = None
+    items = list(range(len(graph.nodes))) if first[-1] else []
     queued = bytearray(b"\x01") * len(items)
     passes = applications = 0
 
     while items:
         passes += 1
+        if rng is not None:
+            rng.shuffle(items)
         requeued: list[int] = []
-        for item in items:
-            queued[item] = 0
-            if rng is None:
-                s = item
-                applications += first[s + 1] - first[s]
-                source = masks[s]
-                if not separators[source]:
-                    continue
-                edges = images(s, source)
-            else:
-                s = bisect_right(first, item) - 1
-                applications += 1
-                source = masks[s]
-                if not separators[source]:
-                    continue
-                if targets is None:
-                    targets = [t for u in range(len(nodes)) for t in graph.neighbours(u)]
-                t = targets[item]
-                edges = [(t, _TABLES[_shape(nodes[s], nodes[t])][source])]
-            for t, image in edges:
+        for s in items:
+            queued[s] = 0
+            applications += first[s + 1] - first[s]
+            source = masks[s]
+            if not separators[source]:
+                continue
+            for t, image in images(s, source):
                 before = masks[t]
                 after = before & image
                 if after == before:
@@ -406,22 +381,12 @@ def _worklist(
                 masks[t] = after
                 log.append((s, t, before, after))
                 if early_exit and after == 0:
-                    if rng is None:
-                        near = graph.neighbours(s)
-                        applications -= len(near) - bisect_right(near, t)
+                    near = graph.neighbours(s)
+                    applications -= len(near) - bisect_right(near, t)
                     return passes, applications, log, t
-                if rng is None:
-                    if not queued[t]:
-                        queued[t] = 1
-                        requeued.append(t)
-                else:
-                    requeue = []
-                    for e in range(first[t], first[t + 1]):
-                        if not queued[e]:
-                            queued[e] = 1
-                            requeue.append(e)
-                    rng.shuffle(requeue)
-                    requeued += requeue
+                if not queued[t]:
+                    queued[t] = 1
+                    requeued.append(t)
         items = requeued
     # Under early_exit no mask is empty here: none was on entry, and a cube
     # emptied in the loop returned from it.

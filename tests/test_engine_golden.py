@@ -8,13 +8,18 @@ cover random 3SAT and were recorded from the engine that built a
 `Partition` per edge application; those in
 `data/engine_golden_short.json` cover random CNF with 1- and 2-clauses,
 whose padding makes u1 a hub held by most cubes, and were recorded from
-the engine that applied a cube's whole block of out-edges.  A rewrite of
+the engine that applied a cube's whole block of out-edges.  In both, the
+random-order digests were re-recorded when random order became shuffled
+passes of cubes, where it had applied shuffled single edges.  A rewrite of
 the engine must reproduce both byte for byte.  On the same instances, the
 two-sided sweep `bidirectional_fixpoint` must reach the masks and the
 empty cube of the closed FIFO fixpoint.  To re-record the digests against
 the engine on the path:
 
     PYTHONPATH=src python tests/test_engine_golden.py --record
+
+which prints, per file, how many digests changed in each group of one
+order and early-exit flag, and among the extraction digests.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from satprop.clausal import Instance, build_clausal_partition
@@ -170,8 +176,10 @@ def test_fifo_builds_no_block(monkeypatch):
     # a 2-CNF whose cubes all hold u1, by padding or as a literal: its graph
     # is complete, yet FIFO only visits the cubes holding a separator that
     # its source restricts.  The stats are those of the engine that applied
-    # whole blocks of out-edges, and FIFO lists a cube's neighbours only to
-    # take the edges past an empty cube off the count, at most once a run
+    # whole blocks of out-edges.  Random order applies the same cubes in
+    # shuffled passes and reaches the same masks.  Either order lists a
+    # cube's neighbours only to take the edges past an empty cube off the
+    # count, at most once a run
     calls = []
     neighbours = _Graph.neighbours
 
@@ -186,19 +194,36 @@ def test_fifo_builds_no_block(monkeypatch):
     result = fixpoint(state, _graph=graph)
     assert result.empty_triple is None
     assert result.stats == PropStats(2, 2_559_999, 7, 11)
+    shuffled = fixpoint(state, order_seed=0, _graph=graph)
+    assert shuffled.empty_triple is None
+    assert shuffled.fixpoint == result.fixpoint
     assert calls == []
     for _, _, state in [*_instances(), *_short_instances()]:
-        for early_exit in (True, False):
-            calls.clear()
-            result = fixpoint(state, early_exit=early_exit)
-            assert len(calls) <= 1
-            if calls:
-                assert early_exit and result.empty_triple is not None
+        for order_seed in (None, 0):
+            for early_exit in (True, False):
+                calls.clear()
+                result = fixpoint(state, order_seed, early_exit)
+                assert len(calls) <= 1
+                if calls:
+                    assert early_exit and result.empty_triple is not None
+
+
+def _group(key: str) -> str:
+    """The group of a digest key: its order and early-exit flag, or
+    "extract"."""
+    return "order=" + key.split(",order=")[1] if ",order=" in key else "extract"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     for path, instances in ((GOLDEN, _instances), (GOLDEN_SHORT, _short_instances)):
+        old = json.loads(path.read_text()) if path.exists() else {}
         digests = case_digests(instances())
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        keys = digests.keys() | old.keys()
+        total = Counter(map(_group, keys))
+        changed = Counter(_group(key) for key in keys if old.get(key) != digests.get(key))
+        print(f"{path.name}: {sum(changed.values())} of {len(keys)} digests changed")
+        for group in sorted(total):
+            print(f"  {group}: {changed[group]} of {total[group]}")

@@ -227,8 +227,10 @@ def test_bc_is_two_one_sided_combinations():
 #
 # The engine as it was before it counted the blocks of inert cubes instead of
 # building and scanning them: every edge built up front, and every queued
-# edge applied.  The lazy engine must return the same stats, trace, masks,
-# empty cube and extraction, on instances larger than the golden digests'.
+# edge applied.  In random order it runs passes of cubes, each shuffled, and
+# applies every out-edge of a cube, one at a time, in target order.  The
+# lazy engine must return the same stats, trace, masks, empty cube and
+# extraction, on instances larger than the golden digests'.
 
 class _EagerGraph:
     def __init__(self, nodes):
@@ -255,14 +257,13 @@ class _EagerGraph:
 def _eager_worklist(graph, masks, early_exit, rng, trace, items=None):
     if items is None and early_exit and 0 in masks:
         return PropStats(), masks.index(0)
+    if rng is not None:
+        return _eager_shuffled(graph, masks, early_exit, rng, trace)
     nodes, src, tgt = graph.nodes, graph.src, graph.tgt
     table, first = graph.table, graph.first
     count = len(tgt)
     if items is None:
         items = range(count)
-        if rng is not None:
-            items = list(items)
-            rng.shuffle(items)
         queued = bytearray(b"\x01") * count
     else:
         queued = bytearray(count)
@@ -299,16 +300,48 @@ def _eager_worklist(graph, masks, early_exit, rng, trace, items=None):
         if early_exit and after == 0:
             empty = t
             break
-        requeue = []
         for e in range(first[t], first[t + 1]):
             if not queued[e]:
                 queued[e] = 1
-                requeue.append(e)
-        if rng is not None:
-            rng.shuffle(requeue)
-        queue.extend(requeue)
+                queue.append(e)
     if not early_exit and 0 in masks:
         empty = masks.index(0)
+    return PropStats(passes, applications, changed, removed_total), empty
+
+
+def _eager_shuffled(graph, masks, early_exit, rng, trace):
+    """Random order: passes of cubes, each shuffled by `rng`; every out-edge
+    of a cube is applied, one at a time, and a cube that changes is
+    requeued unless it is queued."""
+    nodes, tgt, table, first = graph.nodes, graph.tgt, graph.table, graph.first
+    items = list(range(len(nodes))) if tgt else []
+    queued = bytearray(b"\x01") * len(items)
+    passes = applications = changed = removed_total = 0
+    while items:
+        passes += 1
+        rng.shuffle(items)
+        requeued = []
+        for s in items:
+            queued[s] = 0
+            for e in range(first[s], first[s + 1]):
+                applications += 1
+                t = tgt[e]
+                before = masks[t]
+                after = before & table[e][masks[s]]
+                if after == before:
+                    continue
+                masks[t] = after
+                removed = (before ^ after).bit_count()
+                trace.append(TraceRecord((nodes[s], nodes[t]), before, after, removed))
+                changed += 1
+                removed_total += removed
+                if early_exit and after == 0:
+                    return PropStats(passes, applications, changed, removed_total), t
+                if not queued[t]:
+                    queued[t] = 1
+                    requeued.append(t)
+        items = requeued
+    empty = masks.index(0) if 0 in masks else None
     return PropStats(passes, applications, changed, removed_total), empty
 
 
@@ -713,8 +746,8 @@ _DIFFERENTIAL = [
     # sparse: most units are not implied, so extraction changes the state
     # and undoes refuted values on many variables
     pytest.param(gen_random_3sat(2000, 600, seed=1), id="n=2000,m=600"),
-    # a degree-0 cube: random order maps edge ids to sources across it, and
-    # extraction queues it; the second ends under early exit
+    # a degree-0 cube, which the passes hold and extraction queues; the
+    # second ends under early exit
     pytest.param(_with_isolated_clause(12, 51, 1), id="n=12,isolated-clause"),
     pytest.param(_with_isolated_clause(12, 66, 1), id="n=12,isolated-clause,unsat"),
     # no edge, so no pass: no cube, one cube, two disjoint cubes, and a cube
