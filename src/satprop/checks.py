@@ -87,8 +87,9 @@ def uni_bi_confluence(
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
     under each of `order_seeds`.  All of them run on one graph, which none
-    of them changes: FIFO applies edges through separators, and the sweep
-    and the random orders each list the cubes' neighbours themselves."""
+    of them changes: FIFO and the random orders apply edges through
+    separators, FIFO in queue order and a random order in shuffled passes,
+    and the sweep lists the cubes' neighbours itself."""
     graph = propagate.build_adjacency(state)
     base = propagate.fixpoint(state, early_exit=False, _graph=graph)
     want = (base.fixpoint, base.empty_triple)

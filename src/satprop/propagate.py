@@ -3,10 +3,10 @@
 Cubes sharing one or two variables are adjacent; along each directed edge
 the source cube's projection onto the shared variables is imposed on the
 target (the unidirectional combination, `bitspace.bc_uni`).  A worklist
-requeues the out-edges of any cube that changed, and runs in passes until
-a pass requeues nothing.  Cubes only ever lose GREEN cells, so the number
-of change-making applications is bounded by 8 x cube count and the
-fixpoint is independent of scheduling order.
+of cubes requeues any cube that changed, standing for its out-edges, and
+runs in passes until a pass requeues nothing.  Cubes only ever lose GREEN
+cells, so the number of change-making applications is bounded by 8 x cube
+count and the fixpoint is independent of scheduling order.
 
 The engine works on integer masks, one per cube, with cubes numbered in
 sorted-triple order.  An ordered pair of adjacent triples has one of 18
@@ -19,16 +19,16 @@ table[masks[s]]`.
 An edge prunes only through a separator, a variable or a pair of variables
 the two cubes share, onto which the source's projection is not full.
 `_SEPARATORS[mask]` lists the separators a mask restricts; a cube that
-restricts none is inert, and no edge out of it changes anything.  In FIFO
-order a popped cube is applied only to the cubes holding a separator it
-restricts, in target order, each through the table of its shape, read off
-the two triples by `_shape`; the edges to the other cubes would change
-nothing.  In random order a work item is one edge: its target is read off
-the cubes' neighbours listed by edge id, which a run lists when its first
-item needs them, and its table off `_shape`.  Either way a skipped edge is
-counted as applied, and would change no mask, log nothing and requeue
-nothing, so stats, traces and masks are those of applying every edge, one
-at a time, in queue order.
+restricts none is inert, and no edge out of it changes anything.  A cube in a
+pass is applied only to the cubes holding a separator it restricts, in
+target order, each through the table of its shape, read off the two
+triples by `_shape`; the edges to the other cubes would change nothing.
+A skipped edge is counted as applied, and would change no mask, log
+nothing and requeue nothing, so stats, traces and masks are those of
+applying every edge, one at a time, in queue order.  FIFO order applies
+each pass as it was queued; random order shuffles each pass first, which
+can change the stats and the trace but, by confluence, neither the closed
+masks nor the verdict.
 
 A run logs each change-making application once, as (source, target, mask
 before, mask after); a result's trace and its counts of changes and removed
@@ -178,12 +178,12 @@ def count_prunable(masks: Iterable[int]) -> int:
 class _Graph:
     """Adjacency of a set of triples.  Cube i is `nodes[i]`; its out-edges
     go to its `neighbours`, every other cube sharing a variable with it, in
-    target order.  Edge ids number the out-edges of cube 0, then those of
-    cube 1, and so on: those of cube i run from `first[i]` to
-    `first[i + 1] - 1`, so they follow (source triple, target triple) order.
+    target order.  `first` holds the prefix sums of the out-degrees, so
+    cube i has `first[i + 1] - first[i]` out-edges and the graph
+    `first[-1]`.
 
-    `first` comes from the out-degrees, counted without listing any edge,
-    and `images` finds the edges that can prune without listing any.  No
+    The out-degrees are counted without listing any edge, and `images`
+    finds the edges that can prune without listing any.  No
     edge is stored: a shape is read off the two triples by `_shape`, and
     the graph holds nothing built after `__init__`.  `_index` maps each
     variable to the cubes holding it, in cube order."""
@@ -213,7 +213,7 @@ class _Graph:
 
     def neighbours(self, s: int) -> list[int]:
         """The other cubes sharing a variable with cube s, in cube order:
-        the targets of its out-edges, ids `first[s]` on."""
+        the targets of its out-edges."""
         return sorted({t for var in self.nodes[s] for t in self._index[var]} - {s})
 
     def images(self, s: int, source: int) -> list[tuple[int, int]]:
@@ -245,7 +245,8 @@ class _Graph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The edges as (source triple, target triple) pairs, in id order."""
+        """The edges as (source triple, target triple) pairs, in that
+        order."""
         nodes = self.nodes
         return tuple((nodes[s], nodes[t]) for s in range(len(nodes))
                      for t in self.neighbours(s))
@@ -267,12 +268,12 @@ def fixpoint(
     """Run the unidirectional operator to steady state.
 
     order_seed: None applies the out-edges a cube at a time in FIFO order,
-    starting from every cube in triple order; an int shuffles the first
-    pass of edges, and each batch of requeued edges, with a generator
-    seeded by it.  early_exit stops at the first all-RED cube, one empty
-    on entry included; disable it to force full closure (the fixpoint
-    masks can differ below an empty cube, the verdict cannot).  `_graph`,
-    if given, is `build_adjacency(state)` from an earlier call.
+    starting from every cube in triple order; an int shuffles each pass of
+    cubes with a generator seeded by it.  early_exit stops at the first
+    all-RED cube, one empty on entry included; disable it to force full
+    closure (the fixpoint masks can differ below an empty cube, the
+    verdict cannot).  `_graph`, if given, is `build_adjacency(state)` from
+    an earlier call.
     """
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import importlib
 import importlib.util
@@ -5,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +201,23 @@ def test_input_and_gen_mutually_exclusive(capsys, tmp_path):
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert main(argv.split()) == EXIT_PARSE
     assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row of README's subcommand table lists exactly the flags that
+    # subcommand's parser accepts, leaving out --help and the flags whose
+    # help is suppressed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE))
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(rows) == sorted(sub.choices)
+    for name, parser in sub.choices.items():
+        accepted = {flag for action in parser._actions
+                    if action.help != argparse.SUPPRESS
+                    and not isinstance(action, argparse._HelpAction)
+                    for flag in action.option_strings}
+        assert set(re.findall(r"`(--[\w-]+)`", rows[name])) == accepted, name
 
 
 @pytest.mark.parametrize("argv, message", [
