@@ -9,7 +9,7 @@ at call time, so wrappers installed there see the calls.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import bitspace, oracle, propagate
 from .bitspace import GREEN, RED, Partition, bs, ws
@@ -51,14 +51,12 @@ def algebra_laws() -> str | None:
     return None
 
 
-def bc_matches_join(
-    layout: str, mask_a: int, mask_b: int, bc_fn: Callable | None = None
-) -> str | None:
-    """`bc_fn`, by default `bitspace.bc`, on one mask pair of a `LAYOUTS`
-    entry equals `oracle.join_semantics_oracle`."""
+def bc_matches_join(layout: str, mask_a: int, mask_b: int) -> str | None:
+    """`bitspace.bc` on one mask pair of a `LAYOUTS` entry equals
+    `oracle.join_semantics_oracle`."""
     coords_a, coords_b = LAYOUTS[layout]
     p, q = Partition(coords_a, mask_a), Partition(coords_b, mask_b)
-    got_p, got_q = (bc_fn or bitspace.bc)(p, q)
+    got_p, got_q = bitspace.bc(p, q)
     want_p, want_q = oracle.join_semantics_oracle(p, q)
     if got_p.green_mask != want_p.green_mask or got_q.green_mask != want_q.green_mask:
         return f"bc mismatch on {layout} masks ({mask_hex(mask_a)}, {mask_hex(mask_b)})"

@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import __version__, bitspace, checks, oracle
+from . import __version__, checks, oracle
 # bc is not used here, but callers that wrap the layer functions look it up
 # by name in this module, so it stays importable.
 from .bitspace import Partition, bc  # noqa: F401
@@ -287,7 +287,7 @@ def cmd_trace(config: argparse.Namespace) -> int:
 # verify: the property battery of `checks`, on fixed instance families
 
 
-def _bc_family(quick: bool, bc_fn: Callable | None) -> Iterator[str | None]:
+def _bc_family(quick: bool) -> Iterator[str | None]:
     rng = random.Random(20260826)
     for layout in checks.LAYOUTS:
         if quick:
@@ -295,7 +295,7 @@ def _bc_family(quick: bool, bc_fn: Callable | None) -> Iterator[str | None]:
         else:
             pairs = [(a, b) for a in range(256) for b in range(256)]
         for ma, mb in pairs:
-            yield checks.bc_matches_join(layout, ma, mb, bc_fn)
+            yield checks.bc_matches_join(layout, ma, mb)
 
 
 def _laws_family(quick: bool) -> Iterator[str | None]:
@@ -329,13 +329,9 @@ def _soundness_family(quick: bool) -> Iterator[str | None]:
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    bc_fn = None  # `checks.bc_matches_join` looks `bitspace.bc` up per call
-    if config.mutate_bc:
-        def bc_fn(p, q):  # deliberately wrong: skips the meet step on p's side
-            return bitspace.bc_uni(p, q), q
     battery = [  # (check name, one result per instance, None when it holds)
         ("algebra-axioms", [checks.algebra_laws()]),
-        ("bc-vs-join-oracle", _bc_family(config.quick, bc_fn)),
+        ("bc-vs-join-oracle", _bc_family(config.quick)),
         ("project-lift-impose-laws", _laws_family(config.quick)),
         ("uni-bi-confluence", _fixpoint_family(config.quick)),
         ("soundness-vs-projections", _soundness_family(config.quick)),
@@ -467,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--timings", action="store_true",
                        help="include wall-clock fields in bench output")
     verify.add_argument("--quick", action="store_true", help="subsampled verify checks")
-    verify.add_argument("--mutate-bc", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
