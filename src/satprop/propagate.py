@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
@@ -178,9 +178,7 @@ def count_prunable(masks: Iterable[int]) -> int:
 class _Graph:
     """Adjacency of a set of triples.  Cube i is `nodes[i]`; its out-edges
     go to its `neighbours`, every other cube sharing a variable with it, in
-    target order.  `first` holds the prefix sums of the out-degrees, so
-    cube i has `first[i + 1] - first[i]` out-edges and the graph
-    `first[-1]`.
+    target order, and cube i has `degree[i]` of them.
 
     The out-degrees are counted without listing any edge, and `images`
     finds the edges that can prune without listing any.  No
@@ -205,11 +203,11 @@ class _Graph:
         self._index = index
         # The cubes sharing a variable with (a, b, c), by inclusion-exclusion;
         # only the cube itself holds all three, and it is not its own target.
-        self.first = [0, *accumulate(
+        self.degree = [
             len(index[a]) + len(index[b]) + len(index[c])
             - pairs[a, b] - pairs[a, c] - pairs[b, c]
             for a, b, c in nodes
-        )]
+        ]
 
     def neighbours(self, s: int) -> list[int]:
         """The other cubes sharing a variable with cube s, in cube order:
@@ -356,10 +354,10 @@ def _worklist(
     under `early_exit` ends the run in the middle of its source's edges,
     and those into cubes after the empty one are taken off the count again.
     """
-    first, images = graph.first, graph.images
+    degree, images = graph.degree, graph.images
     separators = _SEPARATORS
     log: list[tuple[int, int, int, int]] = []
-    items = list(range(len(graph.nodes))) if first[-1] else []
+    items = list(range(len(graph.nodes))) if any(degree) else []
     queued = bytearray(b"\x01") * len(items)
     passes = applications = 0
 
@@ -370,7 +368,7 @@ def _worklist(
         requeued: list[int] = []
         for s in items:
             queued[s] = 0
-            applications += first[s + 1] - first[s]
+            applications += degree[s]
             source = masks[s]
             if not separators[source]:
                 continue
