@@ -575,6 +575,21 @@ def test_verify_checks_the_bc_installed_in_bitspace(capsys, monkeypatch):
         "PASS soundness-vs-projections\n"), "")
 
 
+def test_verify_mutated_bc_fails(capsys, monkeypatch):
+    # the mirror fault: p is returned as it came, only q is narrowed.  The
+    # oracle compares both outputs, so the same first pair fails
+    monkeypatch.setattr(bitspace, "bc", lambda p, q: (p, bitspace.bc_uni(q, p)))
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert out == (
+        "PASS algebra-axioms\n"
+        "FAIL bc-vs-join-oracle: bc mismatch on overlap2 masks (0xF2, 0x17)\n"
+        "PASS project-lift-impose-laws\n"
+        "PASS uni-bi-confluence\n"
+        "PASS soundness-vs-projections\n"
+    )
+
+
 _fixpoint = propagate.fixpoint
 _bidirectional = propagate.bidirectional_fixpoint
 _worklist = propagate._worklist
