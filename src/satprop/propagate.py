@@ -45,10 +45,11 @@ takes its pairs from `_Graph.neighbours` and each side's table from
 
 Extraction does not run the worklist.  A state is closed exactly when all
 cubes holding a separator project onto it alike, so `extract_assignment`
-reads one domain per separator off the fixpoint, imposes each unit on its
-variable's domain, and lifts every domain that shrinks onto the cubes
-holding it, until no domain shrinks.  It keeps one state: a unit that
-empties a domain is undone from the log of the entries it changed.
+reads one domain per separator off the fixpoint into a `_Closure`, and
+`_Closure.impose` sets each unit on its variable's domain and lifts every
+domain that shrinks onto the cubes holding it, until no domain shrinks.
+It keeps one state: a unit that empties a domain is undone from the log of
+the entries it changed, and `_Closure.value` reads the values committed.
 
 No graph is cached between calls: each run builds its own unless handed
 one through the private `_graph` argument, and a result holds no graph:
@@ -398,10 +399,10 @@ def extract_assignment(
     """Greedy assignment extraction with one-level value backtracking.
 
     Walks the variables of the cubes in ascending order and tries F, then
-    T: the value is imposed on the variable's domain and closed over the
-    separators in place (`_impose_unit`).  The first value that empties no
-    cube is committed, and read off its domain at the end; one that does
-    is undone; if both do, extraction gives up.
+    T: the value is imposed and closed over the separators in place by
+    `_Closure.impose`.  The first value that empties no cube is committed,
+    and read back by `_Closure.value` at the end; one that does is undone;
+    if both do, extraction gives up.
     Variables of the instance that no cube holds are set F, and any
     assignment returned is verified by direct clause evaluation.  Not a
     complete solver by design: returning None on a satisfiable instance is
@@ -412,111 +413,107 @@ def extract_assignment(
     without an empty cube is.  A state is closed exactly when it is
     separator-closed: when, for every variable and every pair of variables,
     all cubes holding it project onto it alike, since two cubes share one
-    variable or one pair.  So the separators' domains are read once off
-    the fixpoint, and closing a unit over them reaches the greatest closed
-    state below it, which is the fixpoint, and the verdict, that
-    propagating from scratch would reach.
+    variable or one pair.  So the `_Closure` reads the separators'
+    domains once off the fixpoint, and closing a unit over them reaches
+    the greatest closed state below it, which is the fixpoint, and the
+    verdict, that propagating from scratch would reach.
     """
     if result.empty_triple is not None:
         raise ValueError("cannot extract an assignment from an empty-cube verdict")
 
-    nodes = sorted(result.fixpoint.cubes)
-    masks = [result.fixpoint.cubes[triple] for triple in nodes]
-    domains, holders, slots, variables = _separator_domains(nodes, masks)
-    for var in sorted(variables):
-        sep = variables[var]
-        if not (_impose_unit(masks, domains, holders, slots, sep, False)
-                or _impose_unit(masks, domains, holders, slots, sep, True)):
+    closure = _Closure(result.fixpoint.cubes)
+    for var in sorted(closure.variables):
+        if not (closure.impose(var, False) or closure.impose(var, True)):
             return None
 
     assignment = {v: False for v in range(1, instance.num_vars + 1)}
-    for var, sep in variables.items():
+    for var in closure.variables:
         if var <= instance.num_vars:
-            assignment[var] = domains[sep] == _CELLS[0][True]
+            assignment[var] = closure.value(var)
     verified = instance.evaluate(assignment)
     return Extraction(assignment, verified)
 
 
-def _separator_domains(
-    nodes: Sequence[Triple], masks: list[int]
-) -> tuple[list[int], list[list[tuple[int, int]]],
-           list[tuple[int | None, ...]], dict[int, int]]:
-    """The separators of the cubes `nodes`, with GREEN masks `masks`: every
-    variable, and every pair of variables that two or more cubes hold.
-    Returns, by separator id, its domain and its holders as (cube, slot)
-    pairs; by cube, the ids of the separators in its six slots, None for a
-    pair no other cube holds; and each variable's separator id.  A domain
-    starts as the meet of its holders' projections."""
-    singles: dict[int, list[tuple[int, int]]] = {}
-    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, (a, b, c) in enumerate(nodes):
-        singles.setdefault(a, []).append((i, 0))
-        singles.setdefault(b, []).append((i, 1))
-        singles.setdefault(c, []).append((i, 2))
-        pairs.setdefault((a, b), []).append((i, 3))
-        pairs.setdefault((a, c), []).append((i, 4))
-        pairs.setdefault((b, c), []).append((i, 5))
-    holders = list(singles.values())
-    variables = {var: sep for sep, var in enumerate(singles)}
-    relays: dict[tuple[int, int], int] = {}  # a pair one cube holds relays nothing
-    for pair, cubes in pairs.items():
-        if len(cubes) > 1:
-            relays[pair] = len(holders)
-            holders.append(cubes)
-    domains = []
-    for cubes in holders:
-        domain = 0xFF
-        for i, slot in cubes:
-            domain &= _PROJECTIONS[slot][masks[i]]
-        domains.append(domain)
-    relay = relays.get
-    slots = [(variables[a], variables[b], variables[c],
-              relay((a, b)), relay((a, c)), relay((b, c))) for a, b, c in nodes]
-    return domains, holders, slots, variables
+class _Closure:
+    """Extraction's state over the separators of `cubes`, a closed
+    fixpoint's triple -> GREEN mask dict: every variable, and every pair of
+    variables two or more cubes hold.  Cube i is the i-th triple in sorted
+    order, with mask `masks[i]`; separator k has domain `domains[k]`, the
+    meet of its holders' projections, and holders `holders[k]`, as (cube,
+    slot) pairs; `slots[i]` gives the separators in cube i's six slots, None
+    for a pair no other cube holds; `variables` maps each variable to its
+    separator."""
 
+    def __init__(self, cubes: dict[Triple, int]) -> None:
+        nodes = sorted(cubes)
+        self.masks = masks = [cubes[triple] for triple in nodes]
+        singles: dict[int, list[tuple[int, int]]] = {}
+        pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, (a, b, c) in enumerate(nodes):
+            singles.setdefault(a, []).append((i, 0))
+            singles.setdefault(b, []).append((i, 1))
+            singles.setdefault(c, []).append((i, 2))
+            pairs.setdefault((a, b), []).append((i, 3))
+            pairs.setdefault((a, c), []).append((i, 4))
+            pairs.setdefault((b, c), []).append((i, 5))
+        self.holders = holders = list(singles.values())
+        self.variables = variables = {var: sep for sep, var in enumerate(singles)}
+        relays: dict[tuple[int, int], int] = {}  # a pair one cube holds relays nothing
+        for pair, held in pairs.items():
+            if len(held) > 1:
+                relays[pair] = len(holders)
+                holders.append(held)
+        self.domains = domains = []
+        for held in holders:
+            domain = 0xFF
+            for i, slot in held:
+                domain &= _PROJECTIONS[slot][masks[i]]
+            domains.append(domain)
+        relay = relays.get
+        self.slots = [(variables[a], variables[b], variables[c], relay((a, b)),
+                       relay((a, c)), relay((b, c))) for a, b, c in nodes]
 
-def _impose_unit(
-    masks: list[int],
-    domains: list[int],
-    holders: list[list[tuple[int, int]]],
-    slots: list[tuple[int | None, ...]],
-    sep: int,
-    value: bool,
-) -> bool:
-    """Set the variable of separator `sep` to `value` in `masks` and
-    `domains` and close them over the separators, in place.  A domain that
-    shrinks is lifted onto its holders, and a holder that changes shrinks
-    the domains in its slots to its projections; the closure ends when no
-    domain shrinks.  When a domain empties (those of an empty cube do:
-    every projection maps 0 to 0), each entry changed is put back, newest
-    first, and the result is False."""
-    domain = domains[sep] & _CELLS[0][value]
-    if domain == domains[sep] or not domain:  # implied, or refuted at once
-        return bool(domain)
-    changes = [(domains, sep, domains[sep])]
-    domains[sep] = domain
-    shrunk = [sep]
-    while shrunk:
-        sep = shrunk.pop()
-        domain = domains[sep]
-        for t, slot in holders[sep]:
-            before = masks[t]
-            after = before & _LIFTS[slot][domain]
-            if after == before:
-                continue
-            changes.append((masks, t, before))
-            masks[t] = after
-            for other, project in zip(slots[t], _PROJECTIONS):
-                if other is None:
+    def impose(self, var: int, value: bool) -> bool:
+        """Set variable `var` to `value` and close the masks and domains
+        over the separators, in place.  A domain that shrinks is lifted onto
+        its holders, and a holder that changes shrinks the domains in its
+        slots to its projections; the closure ends when no domain shrinks.
+        When a domain empties (those of an empty cube do: every projection
+        maps 0 to 0), each entry changed is put back, newest first, and the
+        result is False."""
+        masks, domains, holders, slots = self.masks, self.domains, self.holders, self.slots
+        sep = self.variables[var]
+        domain = domains[sep] & _CELLS[0][value]
+        if domain == domains[sep] or not domain:  # implied, or refuted at once
+            return bool(domain)
+        changes = [(domains, sep, domains[sep])]
+        domains[sep] = domain
+        shrunk = [sep]
+        while shrunk:
+            sep = shrunk.pop()
+            domain = domains[sep]
+            for t, slot in holders[sep]:
+                before = masks[t]
+                after = before & _LIFTS[slot][domain]
+                if after == before:
                     continue
-                was = domains[other]
-                now = was & project[after]
-                if now != was:
-                    changes.append((domains, other, was))
-                    domains[other] = now
-                    if not now:
-                        for entries, i, before in reversed(changes):
-                            entries[i] = before
-                        return False
-                    shrunk.append(other)
-    return True
+                changes.append((masks, t, before))
+                masks[t] = after
+                for other, project in zip(slots[t], _PROJECTIONS):
+                    if other is None:
+                        continue
+                    was = domains[other]
+                    now = was & project[after]
+                    if now != was:
+                        changes.append((domains, other, was))
+                        domains[other] = now
+                        if not now:
+                            for entries, i, before in reversed(changes):
+                                entries[i] = before
+                            return False
+                        shrunk.append(other)
+        return True
+
+    def value(self, var: int) -> bool:
+        """The value committed to variable `var`: is its domain its T cells?"""
+        return self.domains[self.variables[var]] == _CELLS[0][True]

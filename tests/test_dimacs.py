@@ -619,6 +619,16 @@ def test_generator_empty_and_guard():
         gen_random_3sat(2, 1, seed=1)
 
 
+@pytest.mark.parametrize("n", [3, 12, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_generator_streams_clauses(n, seed):
+    # a seed fixes one clause stream, and m takes its first m clauses, so a
+    # walk along m at a fixed seed adds clauses to the instance before it
+    stream = gen_random_3sat(n, 500, seed).clauses
+    for m in (0, 1, 50, 499):
+        assert gen_random_3sat(n, m, seed).clauses == stream[:m], m
+
+
 # --- report -------------------------------------------------------------------
 
 def test_mask_hex_format():

@@ -6,7 +6,10 @@ package, or is on `UNSET` with the reason it stays; and every name an
 import binds in a module is read in that module, or is on `UNREAD_IMPORTS`
 with the reason it stays, which is that `perfbench/tracer.py` wraps it:
 each entry is one of the tracer's `TARGETS`.  `__init__.py` is exempt from
-that rule: its imports are the package's re-exports.  Every `open(...)`
+that rule: its imports are the package's re-exports.  No module reads a
+private (underscore) name of a sibling module, by `from .sibling import
+_name` or as `sibling._name`, unless `PRIVATE_IMPORTS` names it with the
+reason it is shared.  Every `open(...)`
 call that is not in binary mode passes `encoding=`, so no file's text
 depends on the locale.  Every module parses under the grammar of the
 oldest Python that `pyproject.toml` declares in `requires-python`.
@@ -53,6 +56,16 @@ UNREAD_IMPORTS = {
     "propagate.impose": "the benchmark's tracer wraps it by name in this module",
     "cli.bc": "the benchmark's tracer wraps it by name in this module",
     "cli.bidirectional_fixpoint": "the benchmark's tracer wraps it by name in this module",
+}
+
+# "module <- sibling._name" -> why the module reads a private name of a sibling
+PRIVATE_IMPORTS = {
+    "dimacs <- clausal._top_var":
+        "the DIMACS reader checks its clauses with the test Instance applies",
+    "propagate <- clausal._CELLS":
+        "extraction imposes a unit on the cells the clause masks are built from",
+    "cli <- dimacs._decimal":
+        "--gen and --order parse their integers as DIMACS reads its own",
 }
 
 
@@ -177,6 +190,29 @@ def test_every_import_is_read_or_allowed():
     assert unread == set(UNREAD_IMPORTS), (
         f"unread, not allowed: {sorted(unread - set(UNREAD_IMPORTS))}; "
         f"allowed, now read: {sorted(set(UNREAD_IMPORTS) - unread)}")
+
+
+def test_private_names_stay_in_their_module_or_are_allowed():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    shared = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()  # names bound to sibling modules by `from . import`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        siblings.add(alias.asname or alias.name)
+                    elif node.module and alias.name.startswith("_"):
+                        shared.add(f"{path.stem} <- {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings):
+                shared.add(f"{path.stem} <- {node.value.id}.{node.attr}")
+    assert shared == set(PRIVATE_IMPORTS), (
+        f"private names read from a sibling, not allowed: "
+        f"{sorted(shared - set(PRIVATE_IMPORTS))}; "
+        f"allowed, now not read: {sorted(set(PRIVATE_IMPORTS) - shared)}")
 
 
 def test_unread_imports_are_tracer_targets():

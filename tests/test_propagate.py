@@ -18,9 +18,8 @@ from satprop.propagate import (
     PropagationResult,
     PropStats,
     TraceRecord,
+    _Closure,
     _Graph,
-    _impose_unit,
-    _separator_domains,
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
@@ -713,24 +712,37 @@ def test_unit_closure_is_the_fixpoint_of_the_imposed_state(instance):
     # off the masks it leaves
     result = fixpoint(build_clausal_partition(instance).state)
     assert result.empty_triple is None
-    nodes = sorted(result.fixpoint.cubes)
-    masks = [result.fixpoint.cubes[triple] for triple in nodes]
-    domains, holders, touching, variables = _separator_domains(nodes, masks)
-    for var, sep in variables.items():
+    cubes = result.fixpoint.cubes
+    nodes = sorted(cubes)
+    masks = [cubes[triple] for triple in nodes]
+    domains = _Closure(cubes).domains
+
+    def check(closure, got, var, value):
+        imposed = ClausalState({
+            triple: mask & _CELLS[triple.index(var)][value] if var in triple else mask
+            for triple, mask in zip(nodes, masks)})
+        want = fixpoint(imposed, early_exit=False)
+        if want.empty_triple is not None:
+            assert got is False, (var, value)
+            assert (closure.masks, closure.domains) == (masks, domains), (var, value)
+            return False
+        assert got is True, (var, value)
+        assert closure.masks == [want.fixpoint.cubes[triple] for triple in nodes]
+        assert closure.domains == _Closure(dict(zip(nodes, closure.masks))).domains
+        return True
+
+    for var in _Closure(cubes).variables:
+        holds = {}
         for value in (False, True):
-            got_masks, got_domains = masks[:], domains[:]
-            got = _impose_unit(got_masks, got_domains, holders, touching, sep, value)
-            imposed = ClausalState({
-                triple: mask & _CELLS[triple.index(var)][value] if var in triple else mask
-                for triple, mask in zip(nodes, masks)})
-            want = fixpoint(imposed, early_exit=False)
-            if want.empty_triple is not None:
-                assert got is False, (var, value)
-                assert (got_masks, got_domains) == (masks, domains), (var, value)
-                continue
-            assert got is True, (var, value)
-            assert got_masks == [want.fixpoint.cubes[triple] for triple in nodes]
-            assert got_domains == _separator_domains(nodes, got_masks)[0]
+            closure = _Closure(cubes)
+            holds[value] = check(closure, closure.impose(var, value), var, value)
+        # extraction's sequence: on one closure, a refuted value, then the
+        # other, which reaches the fixpoint with only the other imposed
+        for value in (False, True):
+            if holds[value] and not holds[not value]:
+                closure = _Closure(cubes)
+                assert closure.impose(var, not value) is False, (var, value)
+                check(closure, closure.impose(var, value), var, value)
 
 
 # --- lazy engine against the eager reference ---------------------------------
