@@ -51,6 +51,12 @@ EXIT_UNSAT = 10
 EXIT_DISAGREE = 20
 
 
+# Seeds per bench point: point p's instances take the seeds from p*1009 on
+# (plus the base's offset), so a count past it would reuse point p + 1's
+# seeds, and a seed fixes one clause stream.
+POINT_SEEDS = 1_009
+
+
 @dataclass
 class GenSpec:
     n: int
@@ -105,6 +111,8 @@ def parse_gen_spec(spec: str) -> GenSpec:
         raise ValueError(f"--gen needs m <= {MAX_CLAUSES}, got {m_spec}")
     if count < 1:
         raise ValueError(f"--gen needs count >= 1, got {count}")
+    if count > POINT_SEEDS:
+        raise ValueError(f"--gen needs count <= {POINT_SEEDS}, got {count}")
     return GenSpec(n, list(range(lo, hi + 1, step)), _gen_int(fields, "seed"), count)
 
 
@@ -129,7 +137,7 @@ def parse_order(spec: str) -> tuple[str, int | None]:
 
 def instance_seed(base: int, point_index: int, i: int) -> int:
     """Per-instance generator seed: base*1000003 + point*1009 + i."""
-    return base * 1_000_003 + point_index * 1_009 + i
+    return base * 1_000_003 + point_index * POINT_SEEDS + i
 
 
 def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:

@@ -349,17 +349,59 @@ def emit_dimacs(instance: Instance) -> str:
 
 
 def gen_random_3sat(n: int, m: int, seed: int) -> Instance:
-    """Uniform random 3SAT: each clause picks 3 distinct variables with
-    rng.sample(range(1, n+1), 3), sorts them ascending, then draws one
-    polarity per variable with rng.random() < 0.5 meaning positive.
-    Duplicate clauses are permitted.  Deterministic for a fixed seed."""
+    """Uniform random 3SAT: each clause picks 3 distinct variables, sorts
+    them ascending, then draws one polarity per variable with
+    rng.random() < 0.5 meaning positive.  Duplicate clauses are permitted.
+    Deterministic for a fixed seed, and m takes the first m clauses of the
+    seed's stream.
+
+    The variables are the stream of rng.sample(range(1, n + 1), 3), drawn
+    through rng.getrandbits as sample draws them in CPython 3.10-3.13: an
+    index below k is getrandbits(k.bit_length()), redrawn while it is >= k.
+    For n <= 21 sample takes its pool method: indices below n, n - 1 and
+    n - 2, each drawn item's slot refilled from the end of the pool.  Above
+    21 it takes its set method: three indices below n, each redrawn while
+    it repeats an earlier one."""
     if n < 3:
         raise ValueError(f"need at least 3 variables, got {n}")
     rng = random.Random(seed)
-    sample, coin, population = rng.sample, rng.random, range(1, n + 1)
+    bits, coin = rng.getrandbits, rng.random
+    pool = n <= 21
+    k0, k1, k2 = n.bit_length(), (n - 1).bit_length(), (n - 2).bit_length()
     clauses = []
-    for _ in range(m):  # distinct sorted variables: canonical as built
-        a, b, c = sorted(sample(population, 3))
+    for _ in range(m):
+        i = bits(k0)
+        while i >= n:
+            i = bits(k0)
+        if pool:  # after i, slot i holds n; after j, slot j holds slot n - 2
+            j = bits(k1)
+            while j >= n - 1:
+                j = bits(k1)
+            k = bits(k2)
+            while k >= n - 2:
+                k = bits(k2)
+            a = i + 1
+            b = n if j == i else j + 1
+            if k == j:
+                c = n if i == n - 2 else n - 1
+            elif k == i:
+                c = n
+            else:
+                c = k + 1
+        else:
+            j = bits(k0)
+            while j >= n or j == i:
+                j = bits(k0)
+            k = bits(k0)
+            while k >= n or k == i or k == j:
+                k = bits(k0)
+            a, b, c = i + 1, j + 1, k + 1
+        if a > b:  # distinct sorted variables: canonical as built
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
         clauses.append((a if coin() < 0.5 else -a, b if coin() < 0.5 else -b,
                         c if coin() < 0.5 else -c))
     return Instance(n, tuple(clauses))

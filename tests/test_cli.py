@@ -66,6 +66,7 @@ def test_parse_gen_spec_forms():
     ("n=12,m=0..1000000000..1,seed=1", "^--gen needs m <= 262144, got 0..1000000000..1$"),
     ("n=12,m=30,seed=1,count=0", "count >= 1"),
     ("n=12,m=30,seed=1,count=-1", "count >= 1"),
+    ("n=12,m=30,seed=1,count=1010", "^--gen needs count <= 1009, got 1010$"),
     ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
     ("n=12,m=30,seed=1,cont=50", "unknown --gen field 'cont'"),
     ("n=3,m=1,seed=1,n=4", "repeated --gen field 'n'"),
@@ -111,6 +112,14 @@ def test_gen_past_max_vars_exits_2(capsys):
     assert err == "error: --gen needs n <= 1048576, got 1048577\n"
 
 
+def test_gen_count_stops_before_the_next_points_seeds():
+    # the 1010th instance of a point would take the next point's first
+    # seed, and so the first clauses of its instances; count=1010 exits 2
+    # (test_out_of_range_gen_exits_2)
+    assert instance_seed(5, 0, 1009) == instance_seed(5, 1, 0) == 5_001_024
+    assert parse_gen_spec("n=12,m=30..35..5,seed=5,count=1009").count == 1009
+
+
 @pytest.mark.parametrize("argv, message", [
     (["solve", "--gen", "n=x,m=1,seed=1"], "--gen field 'n' needs an integer, got 'x'"),
     (["bench", "--gen", "n=12,m=3..,seed=1"], "bad m range '3..'"),
@@ -131,6 +140,7 @@ def test_non_integer_value_names_its_field(capsys, argv, message):
     ["solve", "--gen", "n=12,m=-1,seed=1"],
     ["bench", "--gen", "n=2,m=3..6..3,seed=1"],
     ["bench", "--gen", "n=12,m=30,seed=1,count=-1"],
+    ["bench", "--gen", "n=12,m=30..35..5,seed=5,count=1010"],
 ])
 def test_out_of_range_gen_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

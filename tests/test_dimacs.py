@@ -629,6 +629,33 @@ def test_generator_streams_clauses(n, seed):
         assert gen_random_3sat(n, m, seed).clauses == stream[:m], m
 
 
+def _sample_reference(n, m, seed):
+    # the stream as the generator first drew it, through random.sample:
+    # every seeded instance, golden file and benchmark reference rests on it
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        a, b, c = sorted(rng.sample(range(1, n + 1), 3))
+        clauses.append((a if rng.random() < 0.5 else -a,
+                        b if rng.random() < 0.5 else -b,
+                        c if rng.random() < 0.5 else -c))
+    return tuple(clauses)
+
+
+def test_generator_matches_sample_reference():
+    # n = 21 is sample's last pool-method size and 22 its first set-method one
+    for n in (*range(3, 41), 100, 400, 1 << 20):
+        for m in (0, 1, 97):
+            for seed in (0, 1, 7, -5, 5_001_024):
+                assert (gen_random_3sat(n, m, seed).clauses
+                        == _sample_reference(n, m, seed)), (n, m, seed)
+
+
+@given(st.integers(3, 64), st.integers(0, 60), st.integers(-2**40, 2**40))
+def test_generator_matches_sample_reference_on_random_specs(n, m, seed):
+    assert gen_random_3sat(n, m, seed).clauses == _sample_reference(n, m, seed)
+
+
 # --- report -------------------------------------------------------------------
 
 def test_mask_hex_format():
