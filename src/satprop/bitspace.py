@@ -4,9 +4,10 @@ A Partition colors every point of a small Boolean cube GREEN (allowed) or
 RED (disallowed).  Two cellwise operators exist: WS keeps GREEN alive
 (disjunction) and BS keeps RED alive (conjunction).  On top of those sit
 the structural operations: projection onto a coordinate subset
-(GREEN-preserving fold), cylindrical lifting, imposition, the two-sided /
-one-sided combination of overlapping cubes (bc / bc_uni), and the assembly
-of several partitions into one on the union of their coordinates.
+(GREEN-preserving fold), cylindrical lifting, imposition, the one-sided
+combination of overlapping cubes (bc_uni) and the two-sided one (bc, the
+pair of one-sided ones), and the assembly of several partitions into one
+on the union of their coordinates.
 
 Cell indexing convention (used everywhere in this package): coordinates
 are kept sorted ascending; the coordinate at position i contributes bit
@@ -148,17 +149,12 @@ def impose(p: Partition, q: Partition) -> Partition:
 
 
 def bc(p: Partition, q: Partition) -> tuple[Partition, Partition]:
-    """Two-sided combination of overlapping cubes: project both onto the
-    shared coordinates, meet the projections, impose the meet back on each
-    operand.  Both outputs are GREEN-subsets of their inputs."""
-    shared = _shared_coords(p.coords, q.coords)
-    pp = _project_mask(p.green_mask, p.coords, shared)
-    qp = _project_mask(q.green_mask, q.coords, shared)
-    meet = pp & qp
-    return (
-        Partition(p.coords, p.green_mask & _lift_mask(meet, shared, p.coords)),
-        Partition(q.coords, q.green_mask & _lift_mask(meet, shared, q.coords)),
-    )
+    """Two-sided combination of overlapping cubes, (bc_uni(p, q),
+    bc_uni(q, p)).  That is the paper's definition, the meet of the two
+    projections onto the shared coordinates imposed back on each operand:
+    an operand lies inside the lift of its own projection, so imposing the
+    meet on it clears the cells that imposing the other's projection does."""
+    return bc_uni(p, q), bc_uni(q, p)
 
 
 def bc_uni(p: Partition, q: Partition) -> Partition:
@@ -173,7 +169,7 @@ def bc_uni(p: Partition, q: Partition) -> Partition:
 def _shared_coords(
     p_coords: tuple[int, ...], q_coords: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """The coordinates two operands of bc / bc_uni share.  Disjoint or equal
+    """The coordinates two operands of bc_uni share.  Disjoint or equal
     coordinate tuples raise ValueError, on every call: lru_cache caches no
     exception."""
     shared = tuple(sorted(set(p_coords) & set(q_coords)))

@@ -53,8 +53,11 @@ EXIT_DISAGREE = 20
 
 # Seeds per bench point: point p's instances take the seeds from p*1009 on
 # (plus the base's offset), so a count past it would reuse point p + 1's
-# seeds, and a seed fixes one clause stream.
+# seeds, and a seed fixes one clause stream.  Bases lie BASE_SEEDS apart,
+# so a sweep past BASE_SEEDS // POINT_SEEDS = 991 points would reuse the
+# next base's seeds.
 POINT_SEEDS = 1_009
+BASE_SEEDS = 1_000_003
 
 
 @dataclass
@@ -113,7 +116,12 @@ def parse_gen_spec(spec: str) -> GenSpec:
         raise ValueError(f"--gen needs count >= 1, got {count}")
     if count > POINT_SEEDS:
         raise ValueError(f"--gen needs count <= {POINT_SEEDS}, got {count}")
-    return GenSpec(n, list(range(lo, hi + 1, step)), _gen_int(fields, "seed"), count)
+    seed = _gen_int(fields, "seed")
+    m_points = range(lo, hi + 1, step)
+    if len(m_points) > BASE_SEEDS // POINT_SEEDS:
+        raise ValueError(f"--gen needs at most {BASE_SEEDS // POINT_SEEDS} m points, "
+                         f"got {len(m_points)}")
+    return GenSpec(n, list(m_points), seed, count)
 
 
 def _gen_int(fields: dict[str, str], key: str) -> int:
@@ -137,7 +145,7 @@ def parse_order(spec: str) -> tuple[str, int | None]:
 
 def instance_seed(base: int, point_index: int, i: int) -> int:
     """Per-instance generator seed: base*1000003 + point*1009 + i."""
-    return base * 1_000_003 + point_index * POINT_SEEDS + i
+    return base * BASE_SEEDS + point_index * POINT_SEEDS + i
 
 
 def _load_instance(config: argparse.Namespace) -> tuple[Instance, str]:

@@ -36,12 +36,13 @@ cells are read off that log.
 
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
-both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), that is two table
-lookups on the masks from before the update.  It shares the graph code and
-the shape tables with the engine, which are tested on their own, and no
-loop, so the two settling to the same state checks the worklist.  It
-takes its pairs from `_Graph.neighbours` and each side's table from
-`_shape` in that direction, and counts and records nothing.
+both sides by bc(p, q) == (bc_uni(p, q), bc_uni(q, p)), `bitspace`'s
+definition of bc, that is two table lookups on the masks from before the
+update.  It shares the graph code and the shape tables with the engine,
+which are tested on their own, and no loop, so the two settling to the
+same state checks the worklist.  It takes its pairs from
+`_Graph.neighbours` and each side's table from `_shape` in that
+direction, and counts and records nothing.
 
 Extraction does not run the worklist.  A state is closed exactly when all
 cubes holding a separator project onto it alike, so `extract_assignment`

@@ -67,6 +67,7 @@ def test_parse_gen_spec_forms():
     ("n=12,m=30,seed=1,count=0", "count >= 1"),
     ("n=12,m=30,seed=1,count=-1", "count >= 1"),
     ("n=12,m=30,seed=1,count=1010", "^--gen needs count <= 1009, got 1010$"),
+    ("n=12,m=0..991..1,seed=1", "^--gen needs at most 991 m points, got 992$"),
     ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
     ("n=12,m=30,seed=1,cont=50", "unknown --gen field 'cont'"),
     ("n=3,m=1,seed=1,n=4", "repeated --gen field 'n'"),
@@ -118,6 +119,12 @@ def test_gen_count_stops_before_the_next_points_seeds():
     # (test_out_of_range_gen_exits_2)
     assert instance_seed(5, 0, 1009) == instance_seed(5, 1, 0) == 5_001_024
     assert parse_gen_spec("n=12,m=30..35..5,seed=5,count=1009").count == 1009
+    # likewise the 992nd point of a sweep would take the next base's seeds;
+    # 991 points of 1009 instances stay below them, and 992 points exit 2
+    assert instance_seed(1, 991, 84) == instance_seed(2, 0, 0) == 2_000_006
+    assert instance_seed(1, 990, 1008) < instance_seed(2, 0, 0)
+    spec = parse_gen_spec("n=12,m=0..990..1,seed=1,count=1009")
+    assert (len(spec.m_points), spec.count) == (991, 1009)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -141,6 +148,7 @@ def test_non_integer_value_names_its_field(capsys, argv, message):
     ["bench", "--gen", "n=2,m=3..6..3,seed=1"],
     ["bench", "--gen", "n=12,m=30,seed=1,count=-1"],
     ["bench", "--gen", "n=12,m=30..35..5,seed=5,count=1010"],
+    ["bench", "--gen", "n=12,m=0..991..1,seed=1"],
 ])
 def test_out_of_range_gen_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

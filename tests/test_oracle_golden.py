@@ -11,6 +11,10 @@ reproduce them byte for byte.  To re-record them against the oracle on the
 path:
 
     PYTHONPATH=src python tests/test_oracle_golden.py --record
+
+which prints how many digests changed in each family of cases, a family
+being a key's text before its first comma; a case added or removed counts
+as changed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from test_oracle import _decide_cases, _xorsat
@@ -130,4 +135,13 @@ def test_golden_cases_cover_both_verdicts_and_every_clause_width():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(case_digests(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    digests = case_digests()
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    keys = digests.keys() | old.keys()
+    total = Counter(key.split(",")[0] for key in keys)
+    changed = Counter(key.split(",")[0] for key in keys
+                      if old.get(key) != digests.get(key))
+    print(f"{GOLDEN.name}: {sum(changed.values())} of {len(keys)} digests changed")
+    for family in sorted(total):
+        print(f"  {family}: {changed[family]} of {total[family]} digests changed")

@@ -6,11 +6,14 @@ import weakref
 from collections import deque
 
 import pytest
+from hypothesis import given
+from test_oracle import overlapping_partitions
 
 from satprop import checks
-from satprop.bitspace import Partition, bc, bc_uni, impose
+from satprop.bitspace import Partition, bc, bc_uni, impose, lift, project
 from satprop.clausal import _CELLS, ClausalState, Instance, build_clausal_partition
 from satprop.dimacs import gen_random_3sat
+from satprop.oracle import join_semantics_oracle
 from satprop.propagate import (
     _SEPARATORS,
     _TABLES,
@@ -213,13 +216,43 @@ def test_graph_edges_carry_their_shape_table():
 
 
 def test_bc_is_two_one_sided_combinations():
-    # the identity bidirectional mode relies on, on every pair of masks
+    # bitspace.bc is (bc_uni(p, q), bc_uni(q, p)), the identity the tables
+    # and bidirectional mode rely on; this checks it against the paper's
+    # definition, the meet of the two projections imposed back on each
+    # operand, on every pair of masks
     for ca, cb in checks.LAYOUTS.values():
+        shared = tuple(sorted(set(ca) & set(cb)))
+        proj_a = [project(Partition(ca, m), shared).green_mask for m in range(256)]
+        proj_b = [project(Partition(cb, m), shared).green_mask for m in range(256)]
+        lifts = [(lift(Partition(shared, meet), ca).green_mask,
+                  lift(Partition(shared, meet), cb).green_mask)
+                 for meet in range(1 << (1 << len(shared)))]
         for ma in range(256):
             p = Partition(ca, ma)
             for mb in range(256):
-                q = Partition(cb, mb)
-                assert bc(p, q) == (bc_uni(p, q), bc_uni(q, p))
+                lift_a, lift_b = lifts[proj_a[ma] & proj_b[mb]]
+                got_p, got_q = bc(p, Partition(cb, mb))
+                assert (got_p.green_mask, got_q.green_mask) == (
+                    ma & lift_a, mb & lift_b), (ca, cb, ma, mb)
+
+
+@given(overlapping_partitions())
+def test_bc_is_two_one_sided_combinations_on_random_partitions(pair):
+    p, q = pair
+    shared = tuple(sorted(set(p.coords) & set(q.coords)))
+    meet = Partition(shared, project(p, shared).green_mask & project(q, shared).green_mask)
+    assert bc(p, q) == tuple(
+        Partition(x.coords, x.green_mask & lift(meet, x.coords).green_mask) for x in (p, q))
+
+
+def test_shape_tables_match_join_oracle():
+    # the tables against the independent oracle on every shape, where
+    # verify's two layouts reach only four of them
+    for code, (src, tgt) in _representatives().items():
+        table = _TABLES[code]
+        for src_mask in range(256):
+            want = join_semantics_oracle(Partition(src, src_mask), Partition(tgt, 0xFF))[1]
+            assert table[src_mask] == want.green_mask, (src, tgt, src_mask)
 
 
 # --- eager reference engine -----------------------------------------------------
