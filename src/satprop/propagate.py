@@ -19,16 +19,20 @@ table[masks[s]]`.
 An edge prunes only through a separator, a variable or a pair of variables
 the two cubes share, onto which the source's projection is not full.
 `_SEPARATORS[mask]` lists the separators a mask restricts; a cube that
-restricts none is inert, and no edge out of it changes anything.  A cube in a
-pass is applied only to the cubes holding a separator it restricts, in
-target order, each through the table of its shape, read off the two
-triples by `_shape`; the edges to the other cubes would change nothing.
-A skipped edge is counted as applied, and would change no mask, log
-nothing and requeue nothing, so stats, traces and masks are those of
-applying every edge, one at a time, in queue order.  FIFO order applies
-each pass as it was queued; random order shuffles each pass first, which
-can change the stats and the trace but, by confluence, neither the closed
-masks nor the verdict.
+restricts none is inert, and no edge out of it changes anything.  For the
+length of a run the loop keeps a bound per separator, the meet of the
+projections onto it that earlier cubes were applied through, and every
+cube holding the separator projects onto it within that bound.  A cube in
+a pass lists only the separators it restricts whose bound its projection
+does not contain, and is applied only to the cubes holding a listed
+separator, in target order, each through the table of its shape, read off
+the two triples by `_shape`; the edges to the other cubes would change
+nothing (`_worklist` says why).  A skipped edge is counted as applied, and
+would change no mask, log nothing and requeue nothing, so stats, traces
+and masks are those of applying every edge, one at a time, in queue
+order.  FIFO order applies each pass as it was queued; random order
+shuffles each pass first, which can change the stats and the trace but,
+by confluence, neither the closed masks nor the verdict.
 
 A run logs each change-making application once, as (source, target, mask
 before, mask after); a result's trace and its counts of changes and removed
@@ -182,11 +186,11 @@ class _Graph:
     go to its `neighbours`, every other cube sharing a variable with it, in
     target order, and cube i has `degree[i]` of them.
 
-    The out-degrees are counted without listing any edge, and `images`
-    finds the edges that can prune without listing any.  No
-    edge is stored: a shape is read off the two triples by `_shape`, and
-    the graph holds nothing built after `__init__`.  `_index` maps each
-    variable to the cubes holding it, in cube order."""
+    The out-degrees are counted without listing any edge, and no edge is
+    stored: a shape is read off the two triples by `_shape`, and the graph
+    holds nothing built after `__init__`.  `_index` maps each variable to
+    the cubes holding it, in cube order; `_worklist` lists a separator's
+    holders from it."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
@@ -215,33 +219,6 @@ class _Graph:
         """The other cubes sharing a variable with cube s, in cube order:
         the targets of its out-edges."""
         return sorted({t for var in self.nodes[s] for t in self._index[var]} - {s})
-
-    def images(self, s: int, source: int) -> list[tuple[int, int]]:
-        """The (target, image) pairs, in target order, of the out-edges of
-        cube s, with GREEN mask `source`, that can change their target:
-        those into the cubes holding a separator that `_SEPARATORS[source]`
-        lists.  The image is the target's shape table entry for `source`;
-        no other neighbour is listed."""
-        nodes, index = self.nodes, self._index
-        sep = _SEPARATORS[source]
-        src = nodes[s]
-        a, b, c = src
-        found = []
-        if sep & 1:
-            found += index[a]
-        if sep & 2:
-            found += index[b]
-        if sep & 4:
-            found += index[c]
-        if sep & 8:
-            found += [t for t in index[a] if b in nodes[t]]
-        if sep & 16:
-            found += [t for t in index[a] if c in nodes[t]]
-        if sep & 32:
-            found += [t for t in index[b] if c in nodes[t]]
-        targets = set(found)
-        targets.discard(s)
-        return [(t, _TABLES[_shape(src, nodes[t])][source]) for t in sorted(targets)]
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -349,17 +326,40 @@ def _worklist(
 
     A cube's out-edges are counted as applied when it comes up.  If it
     restricts no separator it is skipped: no edge out of it changes
-    anything.  Otherwise only its edges into the cubes holding a restricted
-    separator are applied, from `images`, in target order; the others map
-    their target to itself.  A cube that changes is requeued once, unless
-    it is queued already, which one flag per cube tells.  An empty cube met
-    under `early_exit` ends the run in the middle of its source's edges,
-    and those into cubes after the empty one are taken off the count again.
+    anything.  Otherwise its edges into the holders of the restricted
+    separators it lists are applied, in target order, each through the
+    table of its shape; the others map their target to itself.
+
+    The loop keeps a bound per separator, keyed by its variable or its
+    pair and framed as a `_Closure` domain: full at the start, then the
+    meet of the projections onto it that earlier cubes were applied
+    through.  Every holder of a separator projects onto it within its
+    bound, since each was given an image inside the lift of each of those
+    projections and masks only shrink.  So a restricted separator whose
+    bound lies within the cube's projection onto it is not listed: the
+    edges into its holders map them to themselves.  A listed separator's
+    bound is met with the projection when it is listed; the invariant
+    holds again once the listed targets are applied, before any bound is
+    read.  A variable's bound is enough for a holder that
+    shares a pair (a, x) with the cube, whose edge imposes the projection
+    onto (a, x): a cube that restricts a projects onto (a, x) as
+    P(a) x P(x), since P(a) holds at most one value.  If P(x) is full, the
+    holder lies within that once it lies within P(a); otherwise the cube
+    restricts x too, and the holder is listed through x or lies within
+    x's bound, inside P(x).
+
+    A cube that changes is requeued once, unless it is queued already,
+    which one flag per cube tells.  An empty cube met under `early_exit`
+    ends the run in the middle of its source's edges, and those into cubes
+    after the empty one are taken off the count again.
     """
-    degree, images = graph.degree, graph.images
-    separators = _SEPARATORS
+    nodes, index, degree = graph.nodes, graph._index, graph.degree
+    separators, tables = _SEPARATORS, _TABLES
+    on_a, on_b, on_c, on_ab, on_ac, on_bc = _PROJECTIONS
+    bounds: dict[int | tuple[int, int], int] = {}
+    bound = bounds.get
     log: list[tuple[int, int, int, int]] = []
-    items = list(range(len(graph.nodes))) if any(degree) else []
+    items = list(range(len(nodes))) if any(degree) else []
     queued = bytearray(b"\x01") * len(items)
     passes = applications = 0
 
@@ -372,11 +372,34 @@ def _worklist(
             queued[s] = 0
             applications += degree[s]
             source = masks[s]
-            if not separators[source]:
+            sep = separators[source]
+            if not sep:
                 continue
-            for t, image in images(s, source):
+            a, b, c = src = nodes[s]
+            found: list[int] = []
+            if sep & 1 and (was := bound(a, 0xFF)) & ~on_a[source]:
+                bounds[a] = was & on_a[source]
+                found += index[a]
+            if sep & 2 and (was := bound(b, 0xFF)) & ~on_b[source]:
+                bounds[b] = was & on_b[source]
+                found += index[b]
+            if sep & 4 and (was := bound(c, 0xFF)) & ~on_c[source]:
+                bounds[c] = was & on_c[source]
+                found += index[c]
+            if sep & 8 and (was := bound((a, b), 0xFF)) & ~on_ab[source]:
+                bounds[a, b] = was & on_ab[source]
+                found += [t for t in index[a] if b in nodes[t]]
+            if sep & 16 and (was := bound((a, c), 0xFF)) & ~on_ac[source]:
+                bounds[a, c] = was & on_ac[source]
+                found += [t for t in index[a] if c in nodes[t]]
+            if sep & 32 and (was := bound((b, c), 0xFF)) & ~on_bc[source]:
+                bounds[b, c] = was & on_bc[source]
+                found += [t for t in index[b] if c in nodes[t]]
+            targets = set(found)
+            targets.discard(s)
+            for t in sorted(targets):
                 before = masks[t]
-                after = before & image
+                after = before & tables[_shape(src, nodes[t])][source]
                 if after == before:
                     continue
                 masks[t] = after

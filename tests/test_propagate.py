@@ -3,10 +3,12 @@ import itertools
 import random
 import time
 import weakref
+from bisect import bisect_right
 from collections import deque
 
 import pytest
 from hypothesis import given
+from test_engine_golden import random_cnf
 from test_oracle import overlapping_partitions
 
 from satprop import checks
@@ -23,6 +25,7 @@ from satprop.propagate import (
     TraceRecord,
     _Closure,
     _Graph,
+    _result,
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
@@ -829,3 +832,134 @@ def test_lazy_engine_matches_eager_reference(instance):
             if order_seed is None and early_exit and empty is None:
                 assert extract_assignment(got, instance) == _eager_extract(
                     graph, masks, instance)
+
+
+# --- separator bounds -----------------------------------------------------------
+
+def _unbounded_worklist(graph, masks, early_exit, rng):
+    """`_worklist` without separator bounds: a cube that restricts some
+    separator is applied to every holder of every separator it restricts,
+    in target order."""
+    nodes, index, degree = graph.nodes, graph._index, graph.degree
+    log = []
+    items = list(range(len(nodes))) if any(degree) else []
+    queued = bytearray(b"\x01") * len(items)
+    passes = applications = 0
+    while items:
+        passes += 1
+        if rng is not None:
+            rng.shuffle(items)
+        requeued = []
+        for s in items:
+            queued[s] = 0
+            applications += degree[s]
+            source = masks[s]
+            sep = _SEPARATORS[source]
+            a, b, c = src = nodes[s]
+            found = []
+            for bit, var in zip((1, 2, 4), src):
+                if sep & bit:
+                    found += index[var]
+            for bit, (u, v) in zip((8, 16, 32), ((a, b), (a, c), (b, c))):
+                if sep & bit:
+                    found += [t for t in index[u] if v in nodes[t]]
+            for t in sorted(set(found) - {s}):
+                before = masks[t]
+                after = before & _TABLES[_shape(src, nodes[t])][source]
+                if after == before:
+                    continue
+                masks[t] = after
+                log.append((s, t, before, after))
+                if early_exit and after == 0:
+                    near = graph.neighbours(s)
+                    applications -= len(near) - bisect_right(near, t)
+                    return passes, applications, log, t
+                if not queued[t]:
+                    queued[t] = 1
+                    requeued.append(t)
+        items = requeued
+    return passes, applications, log, masks.index(0) if 0 in masks else None
+
+
+def _unbounded_fixpoint(state, order_seed, early_exit):
+    """`fixpoint` on the unbounded loop."""
+    graph = _Graph(tuple(state.triples()))
+    masks = [state.cubes[triple] for triple in graph.nodes]
+    if early_exit and 0 in masks:
+        return _result(graph.nodes, masks, masks.index(0))
+    rng = None if order_seed is None else random.Random(order_seed)
+    passes, applications, log, empty = _unbounded_worklist(graph, masks, early_exit, rng)
+    return _result(graph.nodes, masks, empty, passes, applications, log)
+
+
+_UNBOUNDED_CASES = [
+    pytest.param(gen_random_3sat(n, round(n * ratio), seed), id=f"n={n},ratio={ratio},seed={seed}")
+    for n in (6, 9, 12, 20, 30, 40) for ratio in (2.0, 3.0, 4.26, 5.5) for seed in range(3)
+] + [
+    # 1- and 2-clauses padded with the smallest ids they lack, so that many
+    # cubes share u1 and u2 and a pair of them
+    pytest.param(random_cnf(n, round(n * ratio), seed, widths),
+                 id=f"widths={''.join(map(str, widths))},n={n},ratio={ratio},seed={seed}")
+    for widths in ((3, 3, 3, 3, 3, 3, 2, 2, 2, 1), (3, 2, 1), (2,))
+    for n in (12, 40, 100) for ratio in (1.0, 2.0, 3.0) for seed in range(2)
+]
+
+
+def _assert_runs_unbounded(state, order_seed, early_exit):
+    """`fixpoint` returns what the unbounded loop does; returns that."""
+    want = _unbounded_fixpoint(state, order_seed, early_exit)
+    got = fixpoint(state, order_seed, early_exit)
+    case = (order_seed, early_exit)
+    assert got.fixpoint == want.fixpoint, case
+    assert got.stats == want.stats, case
+    assert got.trace == want.trace, case
+    assert got.empty_triple == want.empty_triple, case
+    return got
+
+
+@pytest.mark.parametrize("instance", _UNBOUNDED_CASES)
+def test_bounds_skip_only_edges_that_change_nothing(instance):
+    state = build_clausal_partition(instance).state
+    for order_seed in (None, 0, 1, 2):
+        for early_exit in (True, False):
+            _assert_runs_unbounded(state, order_seed, early_exit)
+
+
+def test_bounds_skip_only_edges_that_change_nothing_on_a_long_refutation():
+    # Refuted in FIFO order after 3,459 changes, over 19 passes.  Closed, it
+    # runs on until every cube is empty, which takes the unbounded loop
+    # about 4 s an order, so it runs closed in FIFO order only.
+    state = build_clausal_partition(gen_random_3sat(200, 13_000, seed=1)).state
+    result = _assert_runs_unbounded(state, None, True)
+    assert result.stats.applications_changed == 3459
+    assert result.empty_triple is not None
+    for order_seed in (0, 1, 2):
+        _assert_runs_unbounded(state, order_seed, True)
+    _assert_runs_unbounded(state, None, False)
+
+
+@pytest.mark.parametrize("restricted", [
+    pytest.param(_CELLS[0][False], id="variable"),
+    pytest.param(0xFF & ~(_CELLS[0][False] & _CELLS[1][False]), id="pair"),
+])
+def test_a_bounded_separator_lists_no_holder(monkeypatch, restricted):
+    # The first two cubes restrict the same separator, u1 or the pair
+    # (u1, u2), to the same projection, and all four hold it.  Whichever of
+    # the two comes up first lists its three holders and bounds the
+    # separator; after it, neither the other nor the two cubes it pruned,
+    # which then restrict the separator alike, visit a target.
+    state = ClausalState({(1, 2, 3): restricted, (1, 2, 4): restricted,
+                          (1, 2, 5): 0xFF, (1, 2, 6): 0xFF})
+    shape = _shape
+    visits = []
+
+    def counted(src, tgt):
+        visits.append((src, tgt))
+        return shape(src, tgt)
+
+    monkeypatch.setattr("satprop.propagate._shape", counted)
+    for order_seed in (None, 0, 1, 2):
+        visits.clear()
+        result = fixpoint(state, order_seed)
+        assert result.stats.applications_changed == 2
+        assert len(visits) == 3 and len({src for src, _ in visits}) == 1, visits
