@@ -34,9 +34,13 @@ order.  FIFO order applies each pass as it was queued; random order
 shuffles each pass first, which can change the stats and the trace but,
 by confluence, neither the closed masks nor the verdict.
 
-A run logs each change-making application once, as (source, target, mask
-before, mask after); a result's trace and its counts of changes and removed
-cells are read off that log.
+A run keeps a record of what it did: its cubes, the list of cubes each
+pass applied, the edges an early exit leaves out, and a log of each
+change-making application, as (source, target, mask before, mask after).
+A result's stats and trace are computed from that record when first read,
+and the out-degrees that `edge_applications` sums are counted only then,
+by `_out_degrees`: a caller that reads no stats counts no out-degree, and
+one that reads no trace builds no trace record.
 
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
@@ -57,16 +61,17 @@ It keeps one state: a unit that empties a domain is undone from the log of
 the entries it changed, and `_Closure.value` reads the values committed.
 
 No graph is cached between calls: each run builds its own unless handed
-one through the private `_graph` argument, and a result holds no graph:
-`extract_assignment` reads only the fixpoint's masks.
+one through the private `_graph` argument, and a result holds its run's
+record, not a graph: `extract_assignment` reads only the fixpoint's masks.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
@@ -80,6 +85,19 @@ Edge = tuple[Triple, Triple]
 
 @dataclass
 class PropStats:
+    """What a `fixpoint` run did.
+
+    passes: the first pass over every cube, then one per non-empty list of
+    requeued cubes; 0 on a graph with no edge and when the run stops at a
+    cube empty on entry.
+    edge_applications: every out-edge of a cube, counted when the cube
+    comes up in a pass, the edges the loop skips included; at an early exit
+    the source's edges to targets after the emptied one are left out.
+    applications_changed: the applications that changed their target, one
+    per trace record.
+    cells_removed: the GREEN cells those applications removed.
+    """
+
     passes: int = 0
     edge_applications: int = 0
     applications_changed: int = 0
@@ -100,12 +118,48 @@ class Extraction:
     verified: bool
 
 
+@dataclass(frozen=True)
+class _Run:
+    """The record of a run on the cubes `nodes`, in cube order: `passes`,
+    the cubes each pass applied, in the order applied, the last cut just
+    after the source of an early exit; `correction`, that source's
+    out-edges to cubes after the one it emptied; and `log`, each
+    change-making application as (source, target, mask before, mask
+    after)."""
+
+    nodes: tuple[Triple, ...] = ()
+    passes: Sequence[list[int]] = ()
+    correction: int = 0
+    log: Sequence[tuple[int, int, int, int]] = ()
+
+
 @dataclass
 class PropagationResult:
+    """The fixpoint a run left and the all-RED cube it reports, if any.  Its
+    `stats` and `trace` are computed from the run's record when first
+    read."""
+
     fixpoint: ClausalState
     empty_triple: Triple | None
-    stats: PropStats
-    trace: list[TraceRecord]
+    _run: _Run = field(default=_Run(), repr=False)
+
+    @cached_property
+    def stats(self) -> PropStats:
+        run = self._run
+        applications = -run.correction
+        if run.passes:
+            degree = _out_degrees(run.nodes)
+            applications += sum(degree[s] for items in run.passes for s in items)
+        log = run.log
+        return PropStats(len(run.passes), applications, len(log),
+                         sum((before ^ after).bit_count() for _, _, before, after in log))
+
+    @cached_property
+    def trace(self) -> list[TraceRecord]:
+        nodes = self._run.nodes
+        return [TraceRecord((nodes[s], nodes[t]), before, after,
+                            (before ^ after).bit_count())
+                for s, t, before, after in self._run.log]
 
 
 def _shape(src: Triple, tgt: Triple) -> int:
@@ -184,36 +238,24 @@ def count_prunable(masks: Iterable[int]) -> int:
 class _Graph:
     """Adjacency of a set of triples.  Cube i is `nodes[i]`; its out-edges
     go to its `neighbours`, every other cube sharing a variable with it, in
-    target order, and cube i has `degree[i]` of them.
+    target order.
 
-    The out-degrees are counted without listing any edge, and no edge is
-    stored: a shape is read off the two triples by `_shape`, and the graph
-    holds nothing built after `__init__`.  `_index` maps each variable to
-    the cubes holding it, in cube order; `_worklist` lists a separator's
-    holders from it."""
+    No edge is stored, nor any out-degree: a shape is read off the two
+    triples by `_shape`, `_out_degrees` counts the out-degrees when a
+    result's stats are read, and the graph holds nothing built after
+    `__init__`.  `_index` maps each variable to the cubes holding it, in
+    cube order; `_worklist` lists a separator's holders from it."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes
         # var -> the cubes holding it, in cube order
         index: dict[int, list[int]] = {}
-        # (u, v) -> the number of cubes holding both u < v
-        pairs: dict[tuple[int, int], int] = {}
-        setdefault, get = index.setdefault, pairs.get
+        setdefault = index.setdefault
         for i, (a, b, c) in enumerate(nodes):
             setdefault(a, []).append(i)
             setdefault(b, []).append(i)
             setdefault(c, []).append(i)
-            pairs[a, b] = get((a, b), 0) + 1
-            pairs[a, c] = get((a, c), 0) + 1
-            pairs[b, c] = get((b, c), 0) + 1
         self._index = index
-        # The cubes sharing a variable with (a, b, c), by inclusion-exclusion;
-        # only the cube itself holds all three, and it is not its own target.
-        self.degree = [
-            len(index[a]) + len(index[b]) + len(index[c])
-            - pairs[a, b] - pairs[a, c] - pairs[b, c]
-            for a, b, c in nodes
-        ]
 
     def neighbours(self, s: int) -> list[int]:
         """The other cubes sharing a variable with cube s, in cube order:
@@ -227,6 +269,30 @@ class _Graph:
         nodes = self.nodes
         return tuple((nodes[s], nodes[t]) for s in range(len(nodes))
                      for t in self.neighbours(s))
+
+
+def _out_degrees(nodes: Sequence[Triple]) -> list[int]:
+    """The out-degree of each cube of `nodes`: the number of other cubes
+    sharing a variable with it, counted without listing any edge, by
+    inclusion-exclusion over the cubes holding each of its variables and
+    each of its pairs.  Only the cube itself holds all three, and it is not
+    its own target.  The pair at positions (u, v) is keyed u * k + v, with
+    k above every variable."""
+    k = max(chain.from_iterable(nodes), default=0) + 1
+    held = [0] * k
+    pairs: dict[int, int] = {}
+    get = pairs.get
+    for a, b, c in nodes:
+        held[a] += 1
+        held[b] += 1
+        held[c] += 1
+        u, v, w = a * k + b, a * k + c, b * k + c
+        pairs[u] = get(u, 0) + 1
+        pairs[v] = get(v, 0) + 1
+        pairs[w] = get(w, 0) + 1
+    return [held[a] + held[b] + held[c]
+            - pairs[a * k + b] - pairs[a * k + c] - pairs[b * k + c]
+            for a, b, c in nodes]
 
 
 def build_adjacency(state: ClausalState) -> _Graph:
@@ -255,10 +321,10 @@ def fixpoint(
     graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
     masks = [state.cubes[triple] for triple in graph.nodes]
     if early_exit and 0 in masks:
-        return _result(graph.nodes, masks, masks.index(0))
+        return _result(_Run(graph.nodes), masks, masks.index(0))
     rng = None if order_seed is None else random.Random(order_seed)
-    passes, applications, log, empty = _worklist(graph, masks, early_exit, rng)
-    return _result(graph.nodes, masks, empty, passes, applications, log)
+    run, empty = _worklist(graph, masks, early_exit, rng)
+    return _result(run, masks, empty)
 
 
 def bidirectional_fixpoint(
@@ -284,27 +350,15 @@ def bidirectional_fixpoint(
             masks[b] = before_b & onto_b[before_a]
             if masks[a] != before_a or masks[b] != before_b:
                 changed = True
-    return _result(nodes, masks, masks.index(0) if 0 in masks else None)
+    return _result(_Run(nodes), masks, masks.index(0) if 0 in masks else None)
 
 
-def _result(
-    nodes: tuple[Triple, ...],
-    masks: list[int],
-    empty: int | None,
-    passes: int = 0,
-    applications: int = 0,
-    log: Sequence[tuple[int, int, int, int]] = (),
-) -> PropagationResult:
-    """The result of a run on the cubes `nodes` that left `masks`, reporting
-    cube `empty` as all-RED unless it is None, from what `_worklist` gave."""
-    trace = [TraceRecord((nodes[s], nodes[t]), before, after,
-                         (before ^ after).bit_count())
-             for s, t, before, after in log]
-    stats = PropStats(passes, applications, len(trace),
-                      sum(rec.cells_removed for rec in trace))
+def _result(run: _Run, masks: list[int], empty: int | None) -> PropagationResult:
+    """The result of `run`, which left `masks` on its cubes, reporting cube
+    `empty` as all-RED unless it is None."""
+    nodes = run.nodes
     return PropagationResult(ClausalState(dict(zip(nodes, masks))),
-                             None if empty is None else nodes[empty],
-                             stats, trace)
+                             None if empty is None else nodes[empty], run)
 
 
 def _worklist(
@@ -312,11 +366,11 @@ def _worklist(
     masks: list[int],
     early_exit: bool,
     rng: random.Random | None,
-) -> tuple[int, int, list[tuple[int, int, int, int]], int | None]:
+) -> tuple[_Run, int | None]:
     """The propagation loop, pass by pass.  Updates `masks` in place and
-    returns the pass and edge application counts, the change log and the
-    id of the empty cube it reports, if any.  Under `early_exit` the caller
-    guarantees that no mask is empty on entry.
+    returns the run's record and the id of the empty cube it reports, if
+    any.  Under `early_exit` the caller guarantees that no mask is empty on
+    entry.
 
     A pass is a list of cubes, each standing for all its out-edges, applied
     in order; under `rng` it is shuffled first.  The first pass holds every
@@ -324,7 +378,8 @@ def _worklist(
     requeued, in that order, and the run ends after a pass that requeues
     nothing.  A graph with no edge makes no pass.
 
-    A cube's out-edges are counted as applied when it comes up.  If it
+    A cube's out-edges count as applied when it comes up, which the record
+    of the passes keeps for `PropagationResult.stats`.  If it
     restricts no separator it is skipped: no edge out of it changes
     anything.  Otherwise its edges into the holders of the restricted
     separators it lists are applied, in target order, each through the
@@ -350,27 +405,29 @@ def _worklist(
 
     A cube that changes is requeued once, unless it is queued already,
     which one flag per cube tells.  An empty cube met under `early_exit`
-    ends the run in the middle of its source's edges, and those into cubes
-    after the empty one are taken off the count again.
+    ends the run in the middle of its source's edges: the last pass is cut
+    just after the source, and the record's correction takes its edges into
+    cubes after the empty one off the count again.
     """
-    nodes, index, degree = graph.nodes, graph._index, graph.degree
+    nodes, index = graph.nodes, graph._index
     separators, tables = _SEPARATORS, _TABLES
     on_a, on_b, on_c, on_ab, on_ac, on_bc = _PROJECTIONS
     bounds: dict[int | tuple[int, int], int] = {}
     bound = bounds.get
     log: list[tuple[int, int, int, int]] = []
-    items = list(range(len(nodes))) if any(degree) else []
+    passes: list[list[int]] = []
+    # a graph has an edge when some variable is held by two cubes
+    edged = any(len(holders) > 1 for holders in index.values())
+    items = list(range(len(nodes))) if edged else []
     queued = bytearray(b"\x01") * len(items)
-    passes = applications = 0
 
     while items:
-        passes += 1
         if rng is not None:
             rng.shuffle(items)
+        passes.append(items)
         requeued: list[int] = []
         for s in items:
             queued[s] = 0
-            applications += degree[s]
             source = masks[s]
             sep = separators[source]
             if not sep:
@@ -405,16 +462,17 @@ def _worklist(
                 masks[t] = after
                 log.append((s, t, before, after))
                 if early_exit and after == 0:
+                    del items[items.index(s) + 1:]
                     near = graph.neighbours(s)
-                    applications -= len(near) - bisect_right(near, t)
-                    return passes, applications, log, t
+                    run = _Run(nodes, passes, len(near) - bisect_right(near, t), log)
+                    return run, t
                 if not queued[t]:
                     queued[t] = 1
                     requeued.append(t)
         items = requeued
     # Under early_exit no mask is empty here: none was on entry, and a cube
     # emptied in the loop returned from it.
-    return passes, applications, log, masks.index(0) if 0 in masks else None
+    return _Run(nodes, passes, 0, log), masks.index(0) if 0 in masks else None
 
 
 def extract_assignment(

@@ -324,6 +324,38 @@ def test_tracer_reads_what_each_command_returns(capsys):
     assert metrics["propagate.edge_applications"] > 0
 
 
+def test_out_degrees_are_counted_only_where_stats_are_read(capsys, monkeypatch):
+    # a result counts the out-degrees `edge_applications` sums when its
+    # stats are first read: trace and verify read none, solve reads those
+    # of its one fixpoint, a bench point those of each instance
+    counted, runs = [], []
+    out_degrees, run_fixpoint = propagate._out_degrees, propagate.fixpoint
+
+    def counting_out_degrees(nodes):
+        counted.append(nodes)
+        return out_degrees(nodes)
+
+    def counting_fixpoint(*args, **kwargs):
+        runs.append(args[0])
+        return run_fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(propagate, "_out_degrees", counting_out_degrees)
+    monkeypatch.setattr(cli, "fixpoint", counting_fixpoint)
+    assert run(capsys, "trace", "--gen", "n=400,m=1704,seed=1")[0] == EXIT_OK
+    assert run(capsys, "verify", "--quick")[0] == EXIT_OK
+    assert counted == []
+    runs.clear()
+    run(capsys, "solve", "--gen", "n=12,m=51,seed=1")
+    assert len(counted) == len(runs) == 1
+    counted.clear()
+    run(capsys, "bench", "--gen", "n=12,m=42,seed=1,count=5")
+    assert len(counted) == 5
+    counted.clear()
+    result = run_fixpoint(build_clausal_partition(gen_random_3sat(12, 42, seed=1)).state)
+    stats = result.stats
+    assert result.stats is stats and len(counted) == 1
+
+
 # --- solve --------------------------------------------------------------------
 
 def test_solve_single_clause(capsys, tmp_path):

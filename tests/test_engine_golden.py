@@ -36,6 +36,7 @@ from satprop.dimacs import gen_random_3sat
 from satprop.propagate import (
     PropStats,
     _Graph,
+    _out_degrees,
     bidirectional_fixpoint,
     extract_assignment,
     fixpoint,
@@ -190,7 +191,7 @@ def test_fifo_builds_no_block(monkeypatch):
     monkeypatch.setattr(_Graph, "neighbours", counted)
     state = build_clausal_partition(random_cnf(2000, 1600, 4, (2,))).state
     graph = _Graph(tuple(state.triples()))
-    assert len(graph.nodes) == 1600 and sum(graph.degree) == 2_558_400
+    assert len(graph.nodes) == 1600 and sum(_out_degrees(graph.nodes)) == 2_558_400
     result = fixpoint(state, _graph=graph)
     assert result.empty_triple is None
     assert result.stats == PropStats(2, 2_559_999, 7, 11)

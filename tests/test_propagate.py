@@ -25,7 +25,9 @@ from satprop.propagate import (
     TraceRecord,
     _Closure,
     _Graph,
+    _out_degrees,
     _result,
+    _Run,
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
@@ -215,7 +217,7 @@ def test_graph_edges_carry_their_shape_table():
             assert code == _reference_shape(src, graph.nodes[t])
             assert code in _TABLES
             count += 1
-    assert count == sum(graph.degree) == len(build_adjacency(state).edges)
+    assert count == sum(_out_degrees(graph.nodes)) == len(build_adjacency(state).edges)
 
 
 def test_bc_is_two_one_sided_combinations():
@@ -470,10 +472,11 @@ def test_degrees_count_the_built_blocks(state):
     graph = _Graph(tuple(state.triples()))
     eager = _EagerGraph(graph.nodes)
     first = eager.first
-    assert graph.degree == [b - a for a, b in zip(first, first[1:])]
+    degree = _out_degrees(graph.nodes)
+    assert degree == [b - a for a, b in zip(first, first[1:])]
     for s in range(len(graph.nodes)):
         near = graph.neighbours(s)
-        assert graph.degree[s] == len(near)
+        assert degree[s] == len(near)
         assert near == eager.tgt[first[s]:first[s + 1]]
     assert build_adjacency(state).edges == tuple(
         (eager.nodes[s], eager.nodes[t]) for s, t in zip(eager.src, eager.tgt))
@@ -559,6 +562,35 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
                 assert (shared.fixpoint, shared.empty_triple, shared.stats,
                         shared.trace) == (fresh.fixpoint, fresh.empty_triple,
                                           fresh.stats, fresh.trace)
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(gen_random_3sat(12, 51, seed=1), id="n=12,m=51"),
+    pytest.param(gen_random_3sat(12, 66, seed=2), id="n=12,m=66"),
+    pytest.param(gen_random_3sat(40, 170, seed=1), id="n=40,m=170"),
+])
+def test_stats_and_trace_do_not_depend_on_when_they_are_read(instance):
+    # a result's stats and trace are computed from its run's record when
+    # first read, and come out the same read in either order, after the
+    # caller changes the fixpoint, and after more runs on the same graph,
+    # as `checks.uni_bi_confluence` does
+    state = build_clausal_partition(instance).state
+    graph = build_adjacency(state)
+    for order_seed in (None, 0):
+        for early_exit in (True, False):
+            case = (order_seed, early_exit)
+            first = fixpoint(state, order_seed, early_exit)
+            want = first.stats, first.trace
+            trace_first = fixpoint(state, order_seed, early_exit, _graph=graph)
+            assert trace_first.trace == want[1], case
+            assert trace_first.stats == want[0], case
+            late = fixpoint(state, order_seed, early_exit, _graph=graph)
+            for triple in late.fixpoint.cubes:
+                late.fixpoint.cubes[triple] = 0
+            for other_seed in (None, 1, 2):
+                fixpoint(state, other_seed, early_exit=False, _graph=graph)
+            bidirectional_fixpoint(state, _graph=graph)
+            assert (late.stats, late.trace) == want, case
 
 
 @pytest.mark.parametrize("order_seed", [None, 0])
@@ -696,7 +728,8 @@ def test_extract_matches_from_scratch_reference(n, m, seed):
     # inserted in any order, with no stats and no trace, gives it too
     cubes = list(result.fixpoint.cubes.items())
     random.Random(seed).shuffle(cubes)
-    bare = PropagationResult(ClausalState(dict(cubes)), None, PropStats(), [])
+    bare = PropagationResult(ClausalState(dict(cubes)), None)
+    assert (bare.stats, bare.trace) == (PropStats(), [])
     assert extract_assignment(bare, inst) == want
 
 
@@ -840,19 +873,18 @@ def _unbounded_worklist(graph, masks, early_exit, rng):
     """`_worklist` without separator bounds: a cube that restricts some
     separator is applied to every holder of every separator it restricts,
     in target order."""
-    nodes, index, degree = graph.nodes, graph._index, graph.degree
+    nodes, index = graph.nodes, graph._index
     log = []
-    items = list(range(len(nodes))) if any(degree) else []
+    passes = []
+    items = list(range(len(nodes))) if any(len(held) > 1 for held in index.values()) else []
     queued = bytearray(b"\x01") * len(items)
-    passes = applications = 0
     while items:
-        passes += 1
         if rng is not None:
             rng.shuffle(items)
+        passes.append(items)
         requeued = []
         for s in items:
             queued[s] = 0
-            applications += degree[s]
             source = masks[s]
             sep = _SEPARATORS[source]
             a, b, c = src = nodes[s]
@@ -871,14 +903,14 @@ def _unbounded_worklist(graph, masks, early_exit, rng):
                 masks[t] = after
                 log.append((s, t, before, after))
                 if early_exit and after == 0:
+                    del items[items.index(s) + 1:]
                     near = graph.neighbours(s)
-                    applications -= len(near) - bisect_right(near, t)
-                    return passes, applications, log, t
+                    return _Run(nodes, passes, len(near) - bisect_right(near, t), log), t
                 if not queued[t]:
                     queued[t] = 1
                     requeued.append(t)
         items = requeued
-    return passes, applications, log, masks.index(0) if 0 in masks else None
+    return _Run(nodes, passes, 0, log), masks.index(0) if 0 in masks else None
 
 
 def _unbounded_fixpoint(state, order_seed, early_exit):
@@ -886,10 +918,10 @@ def _unbounded_fixpoint(state, order_seed, early_exit):
     graph = _Graph(tuple(state.triples()))
     masks = [state.cubes[triple] for triple in graph.nodes]
     if early_exit and 0 in masks:
-        return _result(graph.nodes, masks, masks.index(0))
+        return _result(_Run(graph.nodes), masks, masks.index(0))
     rng = None if order_seed is None else random.Random(order_seed)
-    passes, applications, log, empty = _unbounded_worklist(graph, masks, early_exit, rng)
-    return _result(graph.nodes, masks, empty, passes, applications, log)
+    run, empty = _unbounded_worklist(graph, masks, early_exit, rng)
+    return _result(run, masks, empty)
 
 
 _UNBOUNDED_CASES = [
