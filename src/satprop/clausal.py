@@ -84,8 +84,15 @@ class Instance:
 
     def __post_init__(self) -> None:
         """Every clause is canonical: one to three nonzero literals over
-        strictly ascending variables, none past num_vars."""
+        strictly ascending variables, none past num_vars.  A 3-literal
+        clause that passes one chained comparison is canonical; any other
+        clause goes through the checks that name what is wrong."""
+        num_vars = self.num_vars
         for clause in self.clauses:
+            if len(clause) == 3:
+                a, b, c = clause
+                if 0 < abs(a) < abs(b) < abs(c) <= num_vars:
+                    continue
             if not 1 <= len(clause) <= 3:
                 raise ValueError(f"clause width {len(clause)} outside 1..3")
             var = _top_var(clause)
@@ -94,8 +101,8 @@ class Instance:
                     f"clause {clause}: literals must be nonzero, sorted by "
                     f"variable and duplicate-free"
                 )
-            if var > self.num_vars:
-                raise ValueError(f"variable u{var} exceeds num_vars {self.num_vars}")
+            if var > num_vars:
+                raise ValueError(f"variable u{var} exceeds num_vars {num_vars}")
 
     def constrained_vars(self) -> tuple[int, ...]:
         return tuple(sorted(self._variables()))

@@ -399,8 +399,8 @@ def cmd_bench(config: argparse.Namespace) -> int:
             engine_unsat = result.empty_triple is not None
             if engine_unsat:
                 agg["engine_unsat"] += 1
-            agg["total_passes"] += result.stats.passes
-            agg["total_cells_removed"] += result.stats.cells_removed
+            agg["total_passes"] += result.passes
+            agg["total_cells_removed"] += result.cells_removed
             if not decides:
                 agg["oracle_skipped"] += 1
                 continue

@@ -40,7 +40,10 @@ change-making application, as (source, target, mask before, mask after).
 A result's stats and trace are computed from that record when first read,
 and the out-degrees that `edge_applications` sums are counted only then,
 by `_out_degrees`: a caller that reads no stats counts no out-degree, and
-one that reads no trace builds no trace record.
+one that reads no trace builds no trace record.  A result's `passes` and
+`cells_removed` are read off the record without counting out-degrees, and
+they are all that `bench` reads, so of the commands only `solve`, which
+reports the stats, counts out-degrees.
 
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
@@ -135,13 +138,25 @@ class _Run:
 
 @dataclass
 class PropagationResult:
-    """The fixpoint a run left and the all-RED cube it reports, if any.  Its
-    `stats` and `trace` are computed from the run's record when first
-    read."""
+    """The fixpoint a run left and the all-RED cube it reports, if any.
+    `passes` and `cells_removed` are read off the run's record and count no
+    out-degree; `stats` adds `edge_applications`, which does, and it and
+    `trace` are computed from the record when first read.  Of the commands
+    only `solve` reads `stats`; `bench` reads `passes` and `cells_removed`."""
 
     fixpoint: ClausalState
     empty_triple: Triple | None
     _run: _Run = field(default=_Run(), repr=False)
+
+    @property
+    def passes(self) -> int:
+        """`stats.passes`: the number of passes the run made."""
+        return len(self._run.passes)
+
+    @property
+    def cells_removed(self) -> int:
+        """`stats.cells_removed`: the GREEN cells the run's changes removed."""
+        return sum((before ^ after).bit_count() for _, _, before, after in self._run.log)
 
     @cached_property
     def stats(self) -> PropStats:
@@ -150,9 +165,7 @@ class PropagationResult:
         if run.passes:
             degree = _out_degrees(run.nodes)
             applications += sum(degree[s] for items in run.passes for s in items)
-        log = run.log
-        return PropStats(len(run.passes), applications, len(log),
-                         sum((before ^ after).bit_count() for _, _, before, after in log))
+        return PropStats(self.passes, applications, len(run.log), self.cells_removed)
 
     @cached_property
     def trace(self) -> list[TraceRecord]:
@@ -242,9 +255,10 @@ class _Graph:
 
     No edge is stored, nor any out-degree: a shape is read off the two
     triples by `_shape`, `_out_degrees` counts the out-degrees when a
-    result's stats are read, and the graph holds nothing built after
-    `__init__`.  `_index` maps each variable to the cubes holding it, in
-    cube order; `_worklist` lists a separator's holders from it."""
+    result's stats are read (of the commands, only by `solve`), and the
+    graph holds nothing built after `__init__`.  `_index` maps each
+    variable to the cubes holding it, in cube order; `_worklist` lists a
+    separator's holders from it."""
 
     def __init__(self, nodes: tuple[Triple, ...]) -> None:
         self.nodes = nodes

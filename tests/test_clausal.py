@@ -188,6 +188,28 @@ def test_instance_rejects_non_canonical_clause(clause):
         Instance(3, (clause,))
 
 
+_NOT_CANONICAL = "literals must be nonzero, sorted by variable and duplicate-free"
+
+
+@pytest.mark.parametrize("clause, message", [
+    ((0, 2, 3), _NOT_CANONICAL),  # literal 0 first
+    ((1, 0, 3), _NOT_CANONICAL),  # literal 0 second
+    ((1, -2, 0), _NOT_CANONICAL),  # literal 0 last
+    ((1, -1, 3), _NOT_CANONICAL),  # first variable repeated
+    ((1, 3, -3), _NOT_CANONICAL),  # last variable repeated
+    ((3, 2, 1), _NOT_CANONICAL),  # variables descending
+    ((1, 3, 2), _NOT_CANONICAL),  # last two variables swapped
+    ((1, 2, -5), "variable u5 exceeds num_vars 4"),  # one past num_vars
+])
+def test_instance_names_what_is_wrong_with_a_3_literal_clause(clause, message):
+    # a 3-literal clause that fails the quick canonical test gets the
+    # message of the check it fails, as any other clause does
+    with pytest.raises(ValueError) as caught:
+        Instance(4, ((1, 2, 3), clause))
+    expected = message if message.startswith("variable") else f"clause {clause}: {message}"
+    assert str(caught.value) == expected
+
+
 # --- differential: mask construction against the per-cell references ----------
 
 def _forbidden_cells_by_cell(clause, triple):

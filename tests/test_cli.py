@@ -326,8 +326,9 @@ def test_tracer_reads_what_each_command_returns(capsys):
 
 def test_out_degrees_are_counted_only_where_stats_are_read(capsys, monkeypatch):
     # a result counts the out-degrees `edge_applications` sums when its
-    # stats are first read: trace and verify read none, solve reads those
-    # of its one fixpoint, a bench point those of each instance
+    # stats are first read: trace, verify and bench read none (a bench
+    # point reads only each result's passes and cells removed), solve reads
+    # those of its one fixpoint
     counted, runs = [], []
     out_degrees, run_fixpoint = propagate._out_degrees, propagate.fixpoint
 
@@ -348,9 +349,9 @@ def test_out_degrees_are_counted_only_where_stats_are_read(capsys, monkeypatch):
     run(capsys, "solve", "--gen", "n=12,m=51,seed=1")
     assert len(counted) == len(runs) == 1
     counted.clear()
+    runs.clear()
     run(capsys, "bench", "--gen", "n=12,m=42,seed=1,count=5")
-    assert len(counted) == 5
-    counted.clear()
+    assert counted == [] and len(runs) == 5
     result = run_fixpoint(build_clausal_partition(gen_random_3sat(12, 42, seed=1)).state)
     stats = result.stats
     assert result.stats is stats and len(counted) == 1
@@ -840,6 +841,26 @@ def test_bench_counts_prunable_cubes(capsys):
         assert point["prunable_cubes"] == prunable <= shared_hosts
         assert "informative_cubes" not in point
     assert [p["prunable_cubes"] > 0 for p in points] == [False, True, True]
+
+
+@pytest.mark.parametrize("order, order_seed", [("fifo", None), ("random:7", 7)])
+def test_bench_totals_are_sums_of_the_fixpoint_stats(capsys, order, order_seed):
+    # a point's totals are read off each result without its stats, and must
+    # equal the stats' sums, at points where the engine refutes some of the
+    # instances and an early exit cuts a run short
+    _, out, _ = run(capsys, "bench", "--gen", "n=12,m=60..72..12,seed=1,count=6",
+                    "--oracle", "off", "--order", order)
+    points = json.loads(out)["points"]
+    for point_index, point in enumerate(points):
+        passes = cells_removed = 0
+        for i in range(point["count"]):
+            inst = gen_random_3sat(12, point["m"], instance_seed(1, point_index, i))
+            stats = propagate.fixpoint(build_clausal_partition(inst).state,
+                                       order_seed=order_seed).stats
+            passes += stats.passes
+            cells_removed += stats.cells_removed
+        assert (point["total_passes"], point["total_cells_removed"]) == (passes, cells_removed)
+    assert all(0 < point["engine_unsat"] < point["count"] for point in points)
 
 
 def test_bench_requires_gen(capsys):

@@ -593,6 +593,46 @@ def test_stats_and_trace_do_not_depend_on_when_they_are_read(instance):
             assert (late.stats, late.trace) == want, case
 
 
+_REFUTED = gen_random_3sat(12, 66, seed=2)  # FIFO stops 25 edges short in a source
+_EMPTY_ON_ENTRY = Instance(4, (*ALL_POLARITIES, (2, 3, 4)))
+
+
+@pytest.mark.parametrize("run, instance", [
+    pytest.param(fixpoint, gen_random_3sat(12, 51, seed=1), id="fifo"),
+    pytest.param(lambda state: fixpoint(state, order_seed=0),
+                 gen_random_3sat(12, 51, seed=1), id="order_seed"),
+    pytest.param(lambda state: fixpoint(state, early_exit=False), _REFUTED, id="closed"),
+    pytest.param(fixpoint, _REFUTED, id="early-exit"),
+    pytest.param(lambda state: fixpoint(state, order_seed=0), _REFUTED,
+                 id="early-exit,order_seed"),
+    pytest.param(fixpoint, _EMPTY_ON_ENTRY, id="empty-on-entry"),
+    pytest.param(fixpoint, Instance(6, ((1, 2, 3), (-4, 5, 6))), id="no-edge"),
+    pytest.param(bidirectional_fixpoint, _REFUTED, id="bidirectional"),
+])
+def test_passes_and_cells_removed_are_the_stats_fields(run, instance):
+    # bench reads a result's passes and cells removed, which count no
+    # out-degree, in place of its stats: they must be the stats' fields,
+    # read before the stats or after
+    result = run(build_clausal_partition(instance).state)
+    unread = result.passes, result.cells_removed
+    stats = result.stats
+    assert unread == (result.passes, result.cells_removed) == (stats.passes, stats.cells_removed)
+    assert result.cells_removed == sum(record.cells_removed for record in result.trace)
+
+
+def test_the_fixpoint_kinds_are_each_their_own_case():
+    # the cases above reach what each name says
+    refuted = build_clausal_partition(_REFUTED).state
+    early = fixpoint(refuted)
+    assert early.empty_triple is not None and early._run.correction > 0
+    assert fixpoint(refuted, order_seed=0)._run.correction > 0
+    closed = fixpoint(refuted, early_exit=False)
+    assert closed.cells_removed > early.cells_removed > 0
+    assert bidirectional_fixpoint(refuted).empty_triple is not None
+    assert fixpoint(build_clausal_partition(_EMPTY_ON_ENTRY).state).passes == 0
+    assert fixpoint(build_clausal_partition(gen_random_3sat(12, 51, seed=1)).state).passes > 1
+
+
 @pytest.mark.parametrize("order_seed", [None, 0])
 def test_fixpoint_reports_a_cube_empty_on_entry(order_seed):
     state = build_clausal_partition(Instance(4, (*ALL_POLARITIES, (2, 3, 4)))).state
