@@ -201,6 +201,6 @@ def build_clausal_partition(instance: Instance) -> ClausalBuild:
         else:
             triple = host_triple(clause, instance.num_vars)
             cubes[triple] = get(triple, 0xFF) & ~_forbidden_mask(clause, triple)
-    state = ClausalState(dict(sorted(cubes.items())))
+    state = ClausalState({triple: cubes[triple] for triple in sorted(cubes)})
     return ClausalBuild(state)
 

@@ -13,11 +13,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, _top_var, canonicalize
+from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
 
 _TOKEN = re.compile(r"\S+")
 
@@ -28,14 +28,9 @@ _TOKEN = re.compile(r"\S+")
 MAX_VARS = 1 << 20
 
 # The most clauses a --gen spec may ask for, as its `m` or the upper end of
-# its `m` range.  The generator builds every clause first, and the clausal
-# build, the fixpoint and the report grow with them: at 2**18 clauses
-# `solve --gen n=100000,m=262144,seed=1 --oracle off` peaks near 480 MB
-# (77 MB at n=12 with the oracle on), and it grows with m.  At the largest
-# spec, `solve --gen n=1048576,m=262144,seed=1 --oracle off` took 21 s on a
-# 2-vCPU x86 VM, of which --timings read parse 1.6, build 1.3, fixpoint 4.2
-# and extract 7.7 s; building and writing the report, which --timings does
-# not time, took about 3.0 and 1.2 s.  It peaked near 690 MB.
+# its `m` range.  The generator builds every clause first, and the memory
+# and time of the clausal build, the fixpoint and the report grow with them;
+# the README's `--gen` entry gives both at the largest spec.
 MAX_CLAUSES = 1 << 18
 
 
@@ -80,11 +75,12 @@ def parse_dimacs(text: str) -> ParseResult:
 
     The text is read once, into one `_Reader`: a line at a time up to the
     problem line, then in chunks of about `_CHUNK` characters that end at a
-    line whose last token is 0.  `_Reader.read_bulk` reads a chunk of clean
-    clause data; any other chunk (one that needs a diagnostic, repeats a
-    literal or ends inside a clause) goes to `_Reader.read_lines` alone,
-    which gives every diagnostic, and the next chunk tries the bulk step
-    again.  Either way each clause is canonicalized once.
+    line whose last token is 0.  `_Reader.read_bulk` reads a chunk of
+    clean 3-literal clauses; any other chunk (one with a comment line, a
+    clause of another width, a repeated variable, or anything that needs a
+    diagnostic) goes to `_Reader.read_lines` alone, which gives every
+    diagnostic, and the next chunk tries the bulk step again.  Either way
+    each clause is canonicalized once.
     """
     text = text.removeprefix("\ufeff")
     reader = _Reader()
@@ -103,8 +99,10 @@ def parse_dimacs(text: str) -> ParseResult:
     return reader.result(text)
 
 
-# A comment line, in text whose lines end at "\n".
-_COMMENT = re.compile(r"^[ \t]*c.*", re.MULTILINE)
+# The line breaks that `str.splitlines` knows besides "\n" and "\r", each
+# looked for with `in`, which finds one character at memchr speed; a regex
+# character class is slower than `splitlines` itself.
+_OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # The end of a line whose last token is 0, where a chunk of clause data may
 # end without cutting a clause.
 _CLAUSE_END = re.compile(r"(?<!\S)0[^\S\n]*\n")
@@ -141,25 +139,22 @@ class _Reader:
         self.diagnostics.append(ParseDiagnostic(line, col, message, "warning"))
 
     def read_bulk(self, chunk: str) -> bool:
-        """Read a chunk of clean clause data and say True; say False, and
-        change nothing, for any other chunk or while a clause is pending.
+        """Read a chunk of clean 3-SAT clause data and say True; say False,
+        and change nothing, for any other chunk or while a clause is pending.
 
-        `splitlines` must end the chunk's lines only at "\n" (with the "\r"
-        of a "\r\n").  Without its comment lines, and up to a line that
-        starts with '%', which ends the data as in `read_lines`, the chunk
-        must be ASCII without `_`; its tokens are converted by `split` and
-        `map(int, ...)`.  When every fourth token is 0 and no other is, the
-        clauses are read by slicing; otherwise clause by clause at each 0.
-        A clause whose variables already ascend is kept as it is, any other
-        is sorted by variable once (`_canonical`).  A token that is not an
-        integer, an out-of-range literal, or a clause that is empty, wider
-        than 3, left open at the chunk's end or repeats a variable declines
-        the chunk."""
-        newlines = chunk.count("\n")
-        if self.pending or len((chunk + "\n").splitlines()) != newlines + 1:
+        The chunk's lines must end at "\n" or "\r\n" only.  Up to a line
+        that starts with '%', which ends the data as in `read_lines`, the
+        chunk must be ASCII without `_`, and its tokens, converted by
+        `split` and `map(int, ...)`, must be clauses of exactly three
+        literals: every fourth token is 0 and no other is.  A clause is
+        sorted by variable if its variables do not ascend.  A comment line,
+        a token that is not an integer, a clause that is not 3 literals
+        wide or repeats a variable, and an out-of-range literal decline the
+        chunk."""
+        if (self.pending or any(map(chunk.__contains__, _OTHER_BREAKS))
+                or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
             return False
-        data = _COMMENT.sub("", chunk) if "c" in chunk else chunk
-        ended = "%" in data
+        data, ended = chunk, "%" in chunk
         if ended:
             cut = data.rfind("\n", 0, data.index("%")) + 1
             if not data[cut:].lstrip().startswith("%"):  # a '%' inside a line
@@ -169,38 +164,22 @@ class _Reader:
             return False
         try:
             ints = list(map(int, data.split()))
-        except ValueError:  # a problem line or a bad token
+        except ValueError:  # a comment or problem line, or a bad token
             return False
-        # every fourth token is 0 and no other is: all clauses have 3 literals
-        if len(ints) & 3 == 0 and ints.count(0) == ints[3::4].count(0) == len(ints) >> 2:
-            firsts, seconds, thirds = ints[0::4], ints[1::4], ints[2::4]
-            clauses = list(zip(firsts, seconds, thirds))
-            # absolute values are compared lazily, so that no list of them is held
-            ascending = (all(map(lt, map(abs, firsts), map(abs, seconds)))
-                         and all(map(lt, map(abs, seconds), map(abs, thirds))))
-        else:
-            clauses, ascending = [], False
-            index = ints.index
-            first = 0
-            while first < len(ints):
-                try:
-                    last = index(0, first)
-                except ValueError:  # left open at the chunk's end
+        if len(ints) & 3 or not ints.count(0) == ints[3::4].count(0) == len(ints) >> 2:
+            return False
+        clauses = list(zip(ints[0::4], ints[1::4], ints[2::4]))
+        for k, (a, b, c) in enumerate(clauses):
+            if not abs(a) < abs(b) < abs(c):
+                a, b, c = clauses[k] = tuple(sorted((a, b, c), key=abs))
+                if not 0 < abs(a) < abs(b) < abs(c):  # a repeated variable
                     return False
-                if not 0 < last - first <= 3:  # empty or wider than 3
-                    return False
-                clauses.append(tuple(ints[first:last]))
-                first = last + 1
-        if not ascending:
-            clauses = list(map(_canonical, clauses))
-            if None in clauses:  # a clause repeats a variable
-                return False
-        # the last variable of a canonical clause is its largest
+        # the last variable of a sorted clause is its largest
         assert self.num_vars is not None
-        if max(map(abs, map(itemgetter(-1), clauses)), default=0) > self.num_vars:
+        if max(map(abs, map(itemgetter(2), clauses)), default=0) > self.num_vars:
             return False
         self.clauses += clauses
-        self.lineno += newlines
+        self.lineno += chunk.count("\n")
         self.ended = ended
         return True
 
@@ -309,15 +288,6 @@ class _Reader:
         return ParseResult(Instance(self.num_vars, tuple(self.clauses),
                                     self.empty_clauses > 0, self.tautologies),
                            self.diagnostics)
-
-
-def _canonical(literals: Clause) -> Clause | None:
-    """`literals` as they are if their variables ascend, else sorted by
-    variable; None if a variable repeats or a literal is 0."""
-    if _top_var(literals):
-        return literals
-    clause = tuple(sorted(literals, key=abs))
-    return clause if _top_var(clause) else None
 
 
 def _decimal(token: str) -> int:

@@ -440,19 +440,18 @@ def test_parse_matches_regex_reference(monkeypatch, chunk):
     check()
 
 
-# clean layouts of real files; `parse_dimacs` reads the clauses of each in bulk
+# layouts of real 3-SAT files, whose clause data is 3-literal clauses with no
+# comment line among them; `parse_dimacs` reads the clauses of each in bulk
 CLEAN_LAYOUTS = {
     "sorted": "p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n",
     "unsorted": "p cnf 5 2\n3 -2 1 0\n5 -3 4 0\n",
     # the variables of every clause out of order in one place only
     "unsorted-first-two": "p cnf 5 2\n2 1 -3 0\n-4 3 5 0\n",
     "unsorted-last-two": "p cnf 5 2\n1 -3 2 0\n-3 5 4 0\n",
-    "comments": "c a\nc b\np cnf 5 2\nc after the header\n1 -2 3 0\n  c indented\n-3 4 5 0\nc end\n",
     "split": "p cnf 5 2\n1\n-2 3\n0 -3\n4 5 0",
     "several-per-line": "p cnf 5 3\n1 -2 3 0 -3 4 5 0 2 4 -5 0\n",
     "tabs-and-blanks": "\n  \np\tcnf 5 2 \n\t1\t-2  3 0\t\n\n -3 4\t5 0\n",
     "crlf": "c x\r\np cnf 5 2\r\n1 -2 3 0\r\n\r\n-3 4 5 0\r\n",
-    "short-clauses": "p cnf 5 4\n1 0\n-2 4 0\n5 -1 0\n2 -3 4 0\n",
     "trailer": "p cnf 5 2\n1 -2 3 0\n-3 4 5 0\n%\n0\n\n",
     "trailer-crlf": "p cnf 5 1\r\n1 -2 3 0\r\n %\r\n0\r\n",
     "undercount": "p cnf 5 1\n1 -2 3 0\n-3 4 5 0\n",
@@ -460,7 +459,6 @@ CLEAN_LAYOUTS = {
     "no-clauses": "c nothing\np cnf 0 0\n",
     "byte-order-mark": "\ufeffp cnf 3 1\n1 2 3 0\n",
     "signs-and-zeros": "p cnf 3 2\n+1 -02 3 00\n01 +2 003 -0\n",
-    "non-ascii-comments": "c \u00e9\np cnf 3 1\nc uf20_01 \u2603\n1 2 3 0\n",
     "satlib-file": (Path(__file__).parent / "data" / "satlib_trailer.cnf").read_text(),
 }
 
@@ -537,11 +535,21 @@ LINE_LOOP_READS = {
     # a line break that splitlines knows
     "p cnf 3 1\n1 2\x0b3 0\n": ["p cnf 3 1\n", "1 2\x0b3 0\n"],
     "p cnf 3 1\n1 2\r3 0\n": ["p cnf 3 1\n", "1 2\r3 0\n"],  # a lone carriage return
+    **{f"p cnf 3 1\n1 2{brk}3 0\n": ["p cnf 3 1\n", f"1 2{brk}3 0\n"]
+       for brk in "\f\x1c\x1d\x1e\x85\u2028\u2029"},  # and each of the others
     "c x\u2028p cnf 3 1\n1 2 3 0\n": ["c x\u2028p cnf 3 1\n"],  # a line break in a comment
     # so a second problem line
     "c x\x0bp cnf 3 1\np cnf 3 1\n1 2 3 0\n": ["c x\x0bp cnf 3 1\n", "p cnf 3 1\n1 2 3 0\n"],
     "p cnf 3 1\nc x\u20281 2 3 0\n": ["p cnf 3 1\n", "c x\u20281 2 3 0\n"],
     "1 2 3 0\np cnf 3 1\n": ["1 2 3 0\n"],  # data before the problem line
+    # comment lines after the problem line, and clauses of 1 or 2 literals
+    "c a\nc b\np cnf 5 2\nc after the header\n1 -2 3 0\n  c indented\n-3 4 5 0\nc end\n": [
+        "c a\n", "c b\n", "p cnf 5 2\n", "c after the header\n1 -2 3 0\n",
+        "  c indented\n-3 4 5 0\n", "c end\n"],
+    "c \u00e9\np cnf 3 1\nc uf20_01 \u2603\n1 2 3 0\n": [
+        "c \u00e9\n", "p cnf 3 1\n", "c uf20_01 \u2603\n1 2 3 0\n"],
+    "p cnf 5 4\n1 0\n-2 4 0\n5 -1 0\n2 -3 4 0\n": [
+        "p cnf 5 4\n", "1 0\n", "-2 4 0\n", "5 -1 0\n"],
 }
 
 

@@ -60,8 +60,6 @@ UNREAD_IMPORTS = {
 
 # "module <- sibling._name" -> why the module reads a private name of a sibling
 PRIVATE_IMPORTS = {
-    "dimacs <- clausal._top_var":
-        "the DIMACS reader checks its clauses with the test Instance applies",
     "propagate <- clausal._CELLS":
         "extraction imposes a unit on the cells the clause masks are built from",
     "cli <- dimacs._decimal":
