@@ -84,19 +84,17 @@ def uni_bi_confluence(
 ) -> str | None:
     """The closed FIFO fixpoint of `state`, and the empty cube it reports,
     equal those of the two-sided sweep and those reached in random order
-    under each of `order_seeds`.  All of them run on one graph, which none
-    of them changes: FIFO and the random orders apply edges through
-    separators, FIFO in queue order and a random order in shuffled passes,
-    and the sweep lists the cubes' neighbours itself."""
-    graph = propagate.build_adjacency(state)
-    base = propagate.fixpoint(state, early_exit=False, _graph=graph)
+    under each of `order_seeds`.  FIFO and the random orders apply edges
+    through separators, FIFO in queue order and a random order in shuffled
+    passes, and the sweep lists the cubes' neighbours itself; each run
+    builds its own graph."""
+    base = propagate.fixpoint(state, early_exit=False)
     want = (base.fixpoint, base.empty_triple)
-    bi = propagate.bidirectional_fixpoint(state, _graph=graph)
+    bi = propagate.bidirectional_fixpoint(state)
     if (bi.fixpoint, bi.empty_triple) != want:
         return f"uni/bi fixpoint mismatch on {name}"
     for order_seed in order_seeds:
-        alt = propagate.fixpoint(
-            state, order_seed=order_seed, early_exit=False, _graph=graph)
+        alt = propagate.fixpoint(state, order_seed=order_seed, early_exit=False)
         if (alt.fixpoint, alt.empty_triple) != want:
             return f"confluence violated on {name}, order {order_seed}"
     return None

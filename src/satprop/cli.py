@@ -117,6 +117,8 @@ def parse_gen_spec(spec: str) -> GenSpec:
     if count > POINT_SEEDS:
         raise ValueError(f"--gen needs count <= {POINT_SEEDS}, got {count}")
     seed = _gen_int(fields, "seed")
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) does
+        raise ValueError(f"--gen needs seed >= 0, got {seed}")
     m_points = range(lo, hi + 1, step)
     if len(m_points) > BASE_SEEDS // POINT_SEEDS:
         raise ValueError(f"--gen needs at most {BASE_SEEDS // POINT_SEEDS} m points, "
@@ -137,9 +139,13 @@ def parse_order(spec: str) -> tuple[str, int | None]:
         return "fifo", None
     if spec.startswith("random:"):
         try:
-            return "random", _decimal(spec.removeprefix("random:"))
+            seed = _decimal(spec.removeprefix("random:"))
         except ValueError:
             pass
+        else:
+            if seed < 0:  # random.Random(-s) shuffles as random.Random(s) does
+                raise ValueError(f"--order needs seed >= 0, got {seed}")
+            return "random", seed
     raise ValueError(f"bad --order {spec!r}, expected fifo or random:<seed>")
 
 

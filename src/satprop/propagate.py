@@ -34,16 +34,17 @@ order.  FIFO order applies each pass as it was queued; random order
 shuffles each pass first, which can change the stats and the trace but,
 by confluence, neither the closed masks nor the verdict.
 
-A run keeps a record of what it did: its cubes, the list of cubes each
-pass applied, the edges an early exit leaves out, and a log of each
-change-making application, as (source, target, mask before, mask after).
-A result's stats and trace are computed from that record when first read,
-and the out-degrees that `edge_applications` sums are counted only then,
-by `_out_degrees`: a caller that reads no stats counts no out-degree, and
-one that reads no trace builds no trace record.  A result's `passes` and
-`cells_removed` are read off the record without counting out-degrees, and
-they are all that `bench` reads, so of the commands only `solve`, which
-reports the stats, counts out-degrees.
+A result holds the record of its run: the list of cubes each pass
+applied, the edges an early exit leaves out, and a log of each
+change-making application, as (source, target, mask before, mask after),
+with cubes numbered in the key order of its fixpoint.  Its stats and
+trace are computed from that record when first read, and the out-degrees
+that `edge_applications` sums are counted only then, by `_out_degrees`: a
+caller that reads no stats counts no out-degree, and one that reads no
+trace builds no trace record.  A result's `passes` and `cells_removed`
+are read off the record without counting out-degrees, and they are all
+that `bench` reads, so of the commands only `solve`, which reports the
+stats, counts out-degrees.
 
 `bidirectional_fixpoint` is a separate reference for the paper's two-sided
 combination: Gauss-Seidel sweeps over the undirected pairs, each updated on
@@ -63,19 +64,18 @@ domain that shrinks onto the cubes holding it, until no domain shrinks.
 It keeps one state: a unit that empties a domain is undone from the log of
 the entries it changed, and `_Closure.value` reads the values committed.
 
-No graph is cached between calls: each run builds its own unless handed
-one through the private `_graph` argument, and a result holds its run's
-record, not a graph: `extract_assignment` reads only the fixpoint's masks.
+Each run builds its own graph and keeps none: a result holds the
+fixpoint's masks, the empty cube and the run's record, and
+`extract_assignment` reads only the masks.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 # bc and impose are not used here, but callers that wrap the layer functions
 # look bc, bc_uni and impose up by name in this module, so all three stay
@@ -121,58 +121,51 @@ class Extraction:
     verified: bool
 
 
-@dataclass(frozen=True)
-class _Run:
-    """The record of a run on the cubes `nodes`, in cube order: `passes`,
-    the cubes each pass applied, in the order applied, the last cut just
-    after the source of an early exit; `correction`, that source's
-    out-edges to cubes after the one it emptied; and `log`, each
-    change-making application as (source, target, mask before, mask
-    after)."""
-
-    nodes: tuple[Triple, ...] = ()
-    passes: Sequence[list[int]] = ()
-    correction: int = 0
-    log: Sequence[tuple[int, int, int, int]] = ()
-
-
 @dataclass
 class PropagationResult:
-    """The fixpoint a run left and the all-RED cube it reports, if any.
-    `passes` and `cells_removed` are read off the run's record and count no
-    out-degree; `stats` adds `edge_applications`, which does, and it and
-    `trace` are computed from the record when first read.  Of the commands
-    only `solve` reads `stats`; `bench` reads `passes` and `cells_removed`."""
+    """The fixpoint a run left, the all-RED cube it reports, if any, and
+    the run's record, with cube i the i-th key of `fixpoint.cubes`:
+    `_passes`, the cubes each pass applied, in the order applied, the last
+    cut just after the source of an early exit; `_skipped`, that source's
+    out-edges to cubes after the one it emptied; and `_log`, each
+    change-making application as (source, target, mask before, mask after).
+    A result with no run, such as that of `bidirectional_fixpoint`, has an
+    empty record.  `passes` and `cells_removed` are read off the record and
+    count no out-degree; `stats` adds `edge_applications`, which does, and
+    it and `trace` are computed from the record when first read.  Of the
+    commands only `solve` reads `stats`; `bench` reads `passes` and
+    `cells_removed`."""
 
     fixpoint: ClausalState
     empty_triple: Triple | None
-    _run: _Run = field(default=_Run(), repr=False)
+    _passes: Sequence[list[int]] = field(default=(), repr=False)
+    _skipped: int = field(default=0, repr=False)
+    _log: Sequence[tuple[int, int, int, int]] = field(default=(), repr=False)
 
     @property
     def passes(self) -> int:
         """`stats.passes`: the number of passes the run made."""
-        return len(self._run.passes)
+        return len(self._passes)
 
     @property
     def cells_removed(self) -> int:
         """`stats.cells_removed`: the GREEN cells the run's changes removed."""
-        return sum((before ^ after).bit_count() for _, _, before, after in self._run.log)
+        return sum((before ^ after).bit_count() for _, _, before, after in self._log)
 
     @cached_property
     def stats(self) -> PropStats:
-        run = self._run
-        applications = -run.correction
-        if run.passes:
-            degree = _out_degrees(run.nodes)
-            applications += sum(degree[s] for items in run.passes for s in items)
-        return PropStats(self.passes, applications, len(run.log), self.cells_removed)
+        applications = -self._skipped
+        if self._passes:
+            degree = _out_degrees(self.fixpoint.cubes)
+            applications += sum(degree[s] for items in self._passes for s in items)
+        return PropStats(self.passes, applications, len(self._log), self.cells_removed)
 
     @cached_property
     def trace(self) -> list[TraceRecord]:
-        nodes = self._run.nodes
+        nodes = list(self.fixpoint.cubes)
         return [TraceRecord((nodes[s], nodes[t]), before, after,
                             (before ^ after).bit_count())
-                for s, t, before, after in self._run.log]
+                for s, t, before, after in self._log]
 
 
 def _shape(src: Triple, tgt: Triple) -> int:
@@ -285,7 +278,7 @@ class _Graph:
                      for t in self.neighbours(s))
 
 
-def _out_degrees(nodes: Sequence[Triple]) -> list[int]:
+def _out_degrees(nodes: Collection[Triple]) -> list[int]:
     """The out-degree of each cube of `nodes`: the number of other cubes
     sharing a variable with it, counted without listing any edge, by
     inclusion-exclusion over the cubes holding each of its variables and
@@ -316,11 +309,7 @@ def build_adjacency(state: ClausalState) -> _Graph:
 
 
 def fixpoint(
-    state: ClausalState,
-    order_seed: int | None = None,
-    early_exit: bool = True,
-    *,
-    _graph: _Graph | None = None,
+    state: ClausalState, order_seed: int | None = None, early_exit: bool = True
 ) -> PropagationResult:
     """Run the unidirectional operator to steady state.
 
@@ -329,27 +318,25 @@ def fixpoint(
     cubes with a generator seeded by it.  early_exit stops at the first
     all-RED cube, one empty on entry included; disable it to force full
     closure (the fixpoint masks can differ below an empty cube, the
-    verdict cannot).  `_graph`, if given, is `build_adjacency(state)` from
-    an earlier call.
+    verdict cannot).
     """
-    graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
-    masks = [state.cubes[triple] for triple in graph.nodes]
+    nodes = tuple(sorted(state.cubes))
+    masks = [state.cubes[triple] for triple in nodes]
     if early_exit and 0 in masks:
-        return _result(_Run(graph.nodes), masks, masks.index(0))
+        return PropagationResult(ClausalState(dict(zip(nodes, masks))), nodes[masks.index(0)])
     rng = None if order_seed is None else random.Random(order_seed)
-    run, empty = _worklist(graph, masks, early_exit, rng)
-    return _result(run, masks, empty)
+    passes, skipped, log, empty = _worklist(_Graph(nodes), masks, early_exit, rng)
+    return PropagationResult(ClausalState(dict(zip(nodes, masks))),
+                             None if empty is None else nodes[empty], passes, skipped, log)
 
 
-def bidirectional_fixpoint(
-    state: ClausalState, *, _graph: _Graph | None = None
-) -> PropagationResult:
+def bidirectional_fixpoint(state: ClausalState) -> PropagationResult:
     """The closed fixpoint of the two-sided combination, by Gauss-Seidel
     sweeps: each adjacent pair a < b, in order, is updated on both sides
     from the masks before the update, until a sweep changes nothing.  The
     empty cube reported is the first all-RED cube in triple order.  The sweep
     counts and records nothing: its stats are all zero and its trace empty."""
-    graph = _Graph(tuple(sorted(state.cubes))) if _graph is None else _graph
+    graph = _Graph(tuple(sorted(state.cubes)))
     nodes = graph.nodes
     pairs = [(a, b, _TABLES[_shape(nodes[b], nodes[a])],
               _TABLES[_shape(nodes[a], nodes[b])])
@@ -364,15 +351,8 @@ def bidirectional_fixpoint(
             masks[b] = before_b & onto_b[before_a]
             if masks[a] != before_a or masks[b] != before_b:
                 changed = True
-    return _result(_Run(nodes), masks, masks.index(0) if 0 in masks else None)
-
-
-def _result(run: _Run, masks: list[int], empty: int | None) -> PropagationResult:
-    """The result of `run`, which left `masks` on its cubes, reporting cube
-    `empty` as all-RED unless it is None."""
-    nodes = run.nodes
     return PropagationResult(ClausalState(dict(zip(nodes, masks))),
-                             None if empty is None else nodes[empty], run)
+                             nodes[masks.index(0)] if 0 in masks else None)
 
 
 def _worklist(
@@ -380,11 +360,11 @@ def _worklist(
     masks: list[int],
     early_exit: bool,
     rng: random.Random | None,
-) -> tuple[_Run, int | None]:
+) -> tuple[list[list[int]], int, list[tuple[int, int, int, int]], int | None]:
     """The propagation loop, pass by pass.  Updates `masks` in place and
-    returns the run's record and the id of the empty cube it reports, if
-    any.  Under `early_exit` the caller guarantees that no mask is empty on
-    entry.
+    returns the run's record, `PropagationResult`'s `_passes`, `_skipped`
+    and `_log`, and the id of the empty cube it reports, if any.  Under
+    `early_exit` the caller guarantees that no mask is empty on entry.
 
     A pass is a list of cubes, each standing for all its out-edges, applied
     in order; under `rng` it is shuffled first.  The first pass holds every
@@ -420,8 +400,8 @@ def _worklist(
     A cube that changes is requeued once, unless it is queued already,
     which one flag per cube tells.  An empty cube met under `early_exit`
     ends the run in the middle of its source's edges: the last pass is cut
-    just after the source, and the record's correction takes its edges into
-    cubes after the empty one off the count again.
+    just after the source, and the record's skipped count takes its edges
+    into cubes after the empty one off the count again.
     """
     nodes, index = graph.nodes, graph._index
     separators, tables = _SEPARATORS, _TABLES
@@ -477,16 +457,14 @@ def _worklist(
                 log.append((s, t, before, after))
                 if early_exit and after == 0:
                     del items[items.index(s) + 1:]
-                    near = graph.neighbours(s)
-                    run = _Run(nodes, passes, len(near) - bisect_right(near, t), log)
-                    return run, t
+                    return passes, sum(u > t for u in graph.neighbours(s)), log, t
                 if not queued[t]:
                     queued[t] = 1
                     requeued.append(t)
         items = requeued
     # Under early_exit no mask is empty here: none was on entry, and a cube
     # emptied in the loop returned from it.
-    return _Run(nodes, passes, 0, log), masks.index(0) if 0 in masks else None
+    return passes, 0, log, masks.index(0) if 0 in masks else None
 
 
 def extract_assignment(

@@ -68,6 +68,7 @@ def test_parse_gen_spec_forms():
     ("n=12,m=30,seed=1,count=-1", "count >= 1"),
     ("n=12,m=30,seed=1,count=1010", "^--gen needs count <= 1009, got 1010$"),
     ("n=12,m=0..991..1,seed=1", "^--gen needs at most 991 m points, got 992$"),
+    ("n=12,m=30,seed=-007", "^--gen needs seed >= 0, got -7$"),
     ("n=3,m=1,seed=1,foo=2", "unknown --gen field 'foo'"),
     ("n=12,m=30,seed=1,cont=50", "unknown --gen field 'cont'"),
     ("n=3,m=1,seed=1,n=4", "repeated --gen field 'n'"),
@@ -149,12 +150,24 @@ def test_non_integer_value_names_its_field(capsys, argv, message):
     ["bench", "--gen", "n=12,m=30,seed=1,count=-1"],
     ["bench", "--gen", "n=12,m=30..35..5,seed=5,count=1010"],
     ["bench", "--gen", "n=12,m=0..991..1,seed=1"],
+    # random.Random(-s) draws what random.Random(s) does
+    ["solve", "--gen", "n=10,m=40,seed=-7"],
+    ["bench", "--gen", "n=12,m=30..35..5,seed=-1,count=2"],
 ])
 def test_out_of_range_gen_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error: --gen needs ")
+
+
+@pytest.mark.parametrize("command", ["solve", "trace", "bench"])
+def test_negative_order_seed_exits_2(capsys, command):
+    # random.Random(-s) shuffles as random.Random(s) does, so random:-3
+    # would run random:3's schedule under another label
+    code, out, err = run(capsys, command, "--gen", "n=12,m=30,seed=1", "--order", "random:-3")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: --order needs seed >= 0, got -3\n"
 
 
 # int() also reads `_` between digits and non-ASCII digits; --gen and
@@ -182,9 +195,9 @@ def test_gen_and_order_read_only_ascii_decimals(capsys, argv, message):
 
 
 def test_gen_and_order_read_a_sign_and_leading_zeros():
-    spec = parse_gen_spec("n=+012,m=03..+9..03,seed=-01,count=02")
-    assert (spec.n, spec.m_points, spec.seed, spec.count) == (12, [3, 6, 9], -1, 2)
-    assert parse_order("random:-007") == ("random", -7)
+    spec = parse_gen_spec("n=+012,m=03..+9..03,seed=+01,count=02")
+    assert (spec.n, spec.m_points, spec.seed, spec.count) == (12, [3, 6, 9], 1, 2)
+    assert parse_order("random:+007") == ("random", 7)
 
 
 def test_parse_order_forms():

@@ -382,13 +382,17 @@ def _clean_texts(draw):
     any order, split across lines or several on a line, tabs, CRLF line
     ends, a header that may miscount and a SATLIB `%` trailer.  One clause
     in 32 repeats a literal and one in 32 is empty, which only the line
-    loop reads."""
+    loop reads.  Half the texts hold only 3-literal clauses and no comment
+    after the problem line, as real 3-SAT files do, which the bulk step
+    reads."""
+    threes = draw(st.booleans())
     num_vars = draw(st.integers(3, 12))
     clauses = []
     for _ in range(draw(st.integers(0, 8))):
-        variables = draw(st.permutations(range(1, num_vars + 1)))[:draw(st.integers(1, 3))]
+        width = 3 if threes else draw(st.integers(1, 3))
+        variables = draw(st.permutations(range(1, num_vars + 1)))[:width]
         clause = [var if draw(st.booleans()) else -var for var in variables]
-        rare = draw(st.integers(0, 31))
+        rare = 2 if threes else draw(st.integers(0, 31))
         if rare == 0:
             clause.append(clause[0])
         elif rare == 1:
@@ -405,7 +409,7 @@ def _clean_texts(draw):
         line += token
         if draw(st.integers(0, 4)) == 0:  # end the line here
             lines.append(line)
-            if draw(st.integers(0, 3)) == 0:
+            if not threes and draw(st.integers(0, 3)) == 0:
                 lines.append(draw(comment))
             line = draw(lead)
         else:

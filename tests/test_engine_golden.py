@@ -192,10 +192,10 @@ def test_fifo_builds_no_block(monkeypatch):
     state = build_clausal_partition(random_cnf(2000, 1600, 4, (2,))).state
     graph = _Graph(tuple(state.triples()))
     assert len(graph.nodes) == 1600 and sum(_out_degrees(graph.nodes)) == 2_558_400
-    result = fixpoint(state, _graph=graph)
+    result = fixpoint(state)
     assert result.empty_triple is None
     assert result.stats == PropStats(2, 2_559_999, 7, 11)
-    shuffled = fixpoint(state, order_seed=0, _graph=graph)
+    shuffled = fixpoint(state, order_seed=0)
     assert shuffled.empty_triple is None
     assert shuffled.fixpoint == result.fixpoint
     assert calls == []

@@ -1,6 +1,8 @@
 """Every function, class, method, property and module-level assignment
 (a constant or a type alias) of `src/satprop` is used by the package
-itself, or is on `UNREFERENCED` with the reason it stays; every optional
+itself, or is on `UNREFERENCED` with the reason it stays, and an entry
+whose reason is the tracer names what `perfbench/tracer.py` reads: one of
+its `TARGETS` or an attribute its `_count_result` reads; every optional
 parameter of those functions and methods is set by some call in the
 package, or is on `UNSET` with the reason it stays; and every name an
 import binds in a module is read in that module, or is on `UNREAD_IMPORTS`
@@ -42,6 +44,7 @@ UNREFERENCED = {
     "ParseResult.errors": "acceptance criterion 9 reads a parse's errors",
     "ParseResult.warnings": "acceptance criterion 9 reads a parse's warnings",
     "_Graph.edges": "the benchmark's tracer counts edges with it",
+    "build_adjacency": "the benchmark's tracer times it and counts the edges of its graph",
 }
 
 # function.parameter -> why it stays with no call in the package setting it
@@ -213,15 +216,36 @@ def test_private_names_stay_in_their_module_or_are_allowed():
         f"allowed, now not read: {sorted(set(PRIVATE_IMPORTS) - shared)}")
 
 
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_targets():
+    """The tracer's `TARGETS`, as (module, attribute, layer, summed)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
 def test_unread_imports_are_tracer_targets():
     # an import stays unread only for the tracer to wrap, so an allowance
     # the tracer no longer names is stale
-    path = SRC.parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    targets = {f"{module}.{name}" for module, name, _, _ in tracer.TARGETS}
+    targets = {f"{module}.{name}" for module, name, _, _ in _tracer_targets()}
     assert set(UNREAD_IMPORTS) <= targets, sorted(set(UNREAD_IMPORTS) - targets)
+
+
+def test_unreferenced_for_the_tracer_are_read_by_it():
+    # a definition kept for the tracer must be a function it wraps or an
+    # attribute it reads off a result, so an allowance it no longer reads
+    # is stale
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    counter = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_count_result")
+    read = {name for _, name, _, _ in _tracer_targets()}
+    read |= {node.attr for node in ast.walk(counter) if isinstance(node, ast.Attribute)}
+    stale = sorted(qualname for qualname, reason in UNREFERENCED.items()
+                   if "tracer" in reason and qualname.rpartition(".")[2] not in read)
+    assert stale == [], stale
 
 
 def _binary(call):

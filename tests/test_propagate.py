@@ -3,7 +3,6 @@ import itertools
 import random
 import time
 import weakref
-from bisect import bisect_right
 from collections import deque
 
 import pytest
@@ -26,8 +25,6 @@ from satprop.propagate import (
     _Closure,
     _Graph,
     _out_degrees,
-    _result,
-    _Run,
     _shape,
     bidirectional_fixpoint,
     build_adjacency,
@@ -533,37 +530,6 @@ def test_fixpoint_confluent_across_orders():
         assert checks.uni_bi_confluence(build.state, f"seed {100 + seed}", range(4)) is None
 
 
-def test_confluence_check_builds_one_graph(monkeypatch):
-    graphs = []
-    init = _Graph.__init__
-
-    def counting_init(self, nodes):
-        graphs.append(nodes)
-        init(self, nodes)
-
-    monkeypatch.setattr(_Graph, "__init__", counting_init)
-    for seed in range(3):
-        state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
-        graphs.clear()
-        assert checks.uni_bi_confluence(state, f"seed {300 + seed}", range(3)) is None
-        assert len(graphs) == 1
-
-
-def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
-    # a graph earlier runs used changes no stat, trace or mask
-    for seed in range(5):
-        state = build_clausal_partition(gen_random_3sat(10, 40, seed=300 + seed)).state
-        graph = build_adjacency(state)
-        bidirectional_fixpoint(state, _graph=graph)
-        for order_seed in (None, 0, 5):
-            for early_exit in (True, False):
-                shared = fixpoint(state, order_seed, early_exit, _graph=graph)
-                fresh = fixpoint(state, order_seed, early_exit)
-                assert (shared.fixpoint, shared.empty_triple, shared.stats,
-                        shared.trace) == (fresh.fixpoint, fresh.empty_triple,
-                                          fresh.stats, fresh.trace)
-
-
 @pytest.mark.parametrize("instance", [
     pytest.param(gen_random_3sat(12, 51, seed=1), id="n=12,m=51"),
     pytest.param(gen_random_3sat(12, 66, seed=2), id="n=12,m=66"),
@@ -572,24 +538,23 @@ def test_fixpoint_on_a_built_graph_matches_a_fresh_one():
 def test_stats_and_trace_do_not_depend_on_when_they_are_read(instance):
     # a result's stats and trace are computed from its run's record when
     # first read, and come out the same read in either order, after the
-    # caller changes the fixpoint, and after more runs on the same graph,
-    # as `checks.uni_bi_confluence` does
+    # caller changes the fixpoint, and after more runs on the same state,
+    # such as `checks.uni_bi_confluence` makes
     state = build_clausal_partition(instance).state
-    graph = build_adjacency(state)
     for order_seed in (None, 0):
         for early_exit in (True, False):
             case = (order_seed, early_exit)
             first = fixpoint(state, order_seed, early_exit)
             want = first.stats, first.trace
-            trace_first = fixpoint(state, order_seed, early_exit, _graph=graph)
+            trace_first = fixpoint(state, order_seed, early_exit)
             assert trace_first.trace == want[1], case
             assert trace_first.stats == want[0], case
-            late = fixpoint(state, order_seed, early_exit, _graph=graph)
+            late = fixpoint(state, order_seed, early_exit)
             for triple in late.fixpoint.cubes:
                 late.fixpoint.cubes[triple] = 0
             for other_seed in (None, 1, 2):
-                fixpoint(state, other_seed, early_exit=False, _graph=graph)
-            bidirectional_fixpoint(state, _graph=graph)
+                fixpoint(state, other_seed, early_exit=False)
+            bidirectional_fixpoint(state)
             assert (late.stats, late.trace) == want, case
 
 
@@ -624,8 +589,8 @@ def test_the_fixpoint_kinds_are_each_their_own_case():
     # the cases above reach what each name says
     refuted = build_clausal_partition(_REFUTED).state
     early = fixpoint(refuted)
-    assert early.empty_triple is not None and early._run.correction > 0
-    assert fixpoint(refuted, order_seed=0)._run.correction > 0
+    assert early.empty_triple is not None and early._skipped > 0
+    assert fixpoint(refuted, order_seed=0)._skipped > 0
     closed = fixpoint(refuted, early_exit=False)
     assert closed.cells_removed > early.cells_removed > 0
     assert bidirectional_fixpoint(refuted).empty_triple is not None
@@ -944,13 +909,12 @@ def _unbounded_worklist(graph, masks, early_exit, rng):
                 log.append((s, t, before, after))
                 if early_exit and after == 0:
                     del items[items.index(s) + 1:]
-                    near = graph.neighbours(s)
-                    return _Run(nodes, passes, len(near) - bisect_right(near, t), log), t
+                    return passes, sum(u > t for u in graph.neighbours(s)), log, t
                 if not queued[t]:
                     queued[t] = 1
                     requeued.append(t)
         items = requeued
-    return _Run(nodes, passes, 0, log), masks.index(0) if 0 in masks else None
+    return passes, 0, log, masks.index(0) if 0 in masks else None
 
 
 def _unbounded_fixpoint(state, order_seed, early_exit):
@@ -958,10 +922,13 @@ def _unbounded_fixpoint(state, order_seed, early_exit):
     graph = _Graph(tuple(state.triples()))
     masks = [state.cubes[triple] for triple in graph.nodes]
     if early_exit and 0 in masks:
-        return _result(_Run(graph.nodes), masks, masks.index(0))
+        return PropagationResult(ClausalState(dict(zip(graph.nodes, masks))),
+                                 graph.nodes[masks.index(0)])
     rng = None if order_seed is None else random.Random(order_seed)
-    run, empty = _unbounded_worklist(graph, masks, early_exit, rng)
-    return _result(run, masks, empty)
+    passes, skipped, log, empty = _unbounded_worklist(graph, masks, early_exit, rng)
+    return PropagationResult(ClausalState(dict(zip(graph.nodes, masks))),
+                             None if empty is None else graph.nodes[empty],
+                             _passes=passes, _skipped=skipped, _log=log)
 
 
 _UNBOUNDED_CASES = [
