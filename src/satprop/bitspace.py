@@ -159,19 +159,26 @@ def bc(p: Partition, q: Partition) -> tuple[Partition, Partition]:
 
 def bc_uni(p: Partition, q: Partition) -> Partition:
     """One-sided combination: q's projection onto the shared coordinates
-    imposed on p.  q is not modified."""
-    shared = _shared_coords(p.coords, q.coords)
-    qp = _project_mask(q.green_mask, q.coords, shared)
-    return Partition(p.coords, p.green_mask & _lift_mask(qp, shared, p.coords))
+    imposed on p, in one pass over the shared cells: p keeps its fiber
+    over a shared cell where q's fiber over it holds a GREEN cell.  The
+    fiber pairs of two coordinate tuples are read from a cache.  q is not
+    modified."""
+    q_mask = q.green_mask
+    keep = 0
+    for p_fiber, q_fiber in _shared_fibers(p.coords, q.coords):
+        if q_mask & q_fiber:
+            keep |= p_fiber
+    return Partition(p.coords, p.green_mask & keep)
 
 
 @lru_cache(maxsize=None)
-def _shared_coords(
+def _shared_fibers(
     p_coords: tuple[int, ...], q_coords: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The coordinates two operands of bc_uni share.  Disjoint or equal
-    coordinate tuples raise ValueError, on every call: lru_cache caches no
-    exception."""
+) -> tuple[tuple[int, int], ...]:
+    """For each cell of the coordinates two operands of bc_uni share, the
+    pair (p fiber, q fiber) of the cells of each operand restricting to it.
+    Disjoint or equal coordinate tuples raise ValueError, on every call:
+    lru_cache caches no exception."""
     shared = tuple(sorted(set(p_coords) & set(q_coords)))
     if not shared:
         raise ValueError(
@@ -179,7 +186,7 @@ def _shared_coords(
         )
     if p_coords == q_coords:
         raise ValueError("operands must differ in at least one coordinate")
-    return shared
+    return tuple(zip(_fiber_masks(p_coords, shared), _fiber_masks(q_coords, shared)))
 
 
 def assemble(parts: Iterable[Partition], op: str = "BS") -> Partition:

@@ -15,9 +15,11 @@ It branches on the first free literal of the first unit, else of the first
 The projections of the solution set onto triples and the conjunction table
 come from truth tables, a mask over all assignments, since their cells are
 the answer.  The join-semantics reference for the two-sided combination
-scans the neighbor's cells for support directly, reading each cell's
-restriction to the shared coordinates from a table cached per coordinate
-layout.
+enumerates every cell of both operands on each call: it collects the
+shared cells that each side's GREEN cells restrict to, then keeps the
+GREEN cells whose restriction the other side holds.  Only the operands'
+restriction tables, with the check that their coordinates overlap and
+differ, are cached, per pair of coordinate tuples; no answer is.
 
 Size guards are hard errors, not silent truncation: decide <= 30 vars,
 project <= 20, full truth-table partition <= 16.
@@ -175,46 +177,52 @@ def join_semantics_oracle(
 ) -> tuple[Partition, Partition]:
     """Reference semantics for the two-sided combination: a cell survives
     iff it was GREEN and some GREEN cell of the other partition agrees with
-    it on the shared coordinates.  Computed by direct cell enumeration, over
-    a cached table of each cell's restriction to the shared coordinates.
-    Like `bitspace.bc`, it raises ValueError on operands with disjoint or
-    equal coordinate tuples."""
-    shared = tuple(sorted(set(p.coords) & set(q.coords)))
-    if not shared:
-        raise ValueError(
-            f"disjoint coordinates: {list(p.coords)} vs {list(q.coords)}"
-        )
-    if p.coords == q.coords:
-        raise ValueError("operands must differ in at least one coordinate")
-    return (
-        Partition(p.coords, _supported_mask(p, q, shared)),
-        Partition(q.coords, _supported_mask(q, p, shared)),
-    )
+    it on the shared coordinates.  Computed by direct cell enumeration of
+    both operands, over cached tables of each cell's restriction to the
+    shared coordinates.  Like `bitspace.bc`, it raises ValueError on
+    operands with disjoint or equal coordinate tuples."""
+    p_table, q_table = _restriction_tables(p.coords, q.coords)
+    p_mask, q_mask = p.green_mask, q.green_mask
+    p_support = q_support = 0  # the shared cells each side's GREEN cells restrict to
+    for cell, bit in enumerate(p_table):
+        if p_mask >> cell & 1:
+            p_support |= bit
+    for cell, bit in enumerate(q_table):
+        if q_mask >> cell & 1:
+            q_support |= bit
+    p_out = q_out = 0
+    for cell, bit in enumerate(p_table):
+        if p_mask >> cell & 1 and q_support & bit:
+            p_out |= 1 << cell
+    for cell, bit in enumerate(q_table):
+        if q_mask >> cell & 1 and p_support & bit:
+            q_out |= 1 << cell
+    return Partition(p.coords, p_out), Partition(q.coords, q_out)
 
 
 @lru_cache(maxsize=None)
-def _restrictions(coords: tuple[int, ...], shared: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry `cell` is the restriction of that cell of `coords` to `shared`,
-    as a cell index over `shared`."""
-    positions = [coords.index(v) for v in shared]
-    return tuple(
-        sum((cell >> pos & 1) << j for j, pos in enumerate(positions))
-        for cell in range(1 << len(coords))
-    )
-
-
-def _supported_mask(a: Partition, b: Partition, shared: tuple[int, ...]) -> int:
-    """The GREEN cells of `a` whose restriction to `shared` is that of some
-    GREEN cell of `b`."""
-    b_mask = b.green_mask
-    support = {r for cell, r in enumerate(_restrictions(b.coords, shared))
-               if b_mask >> cell & 1}
-    a_mask = a.green_mask
-    out = 0
-    for cell, r in enumerate(_restrictions(a.coords, shared)):
-        if a_mask >> cell & 1 and r in support:
-            out |= 1 << cell
-    return out
+def _restriction_tables(
+    p_coords: tuple[int, ...], q_coords: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each operand, entry `cell` is the restriction of that cell to the
+    shared coordinates, as the bit of a cell index over them.  Disjoint or
+    equal coordinate tuples raise ValueError, on every call: lru_cache
+    caches no exception."""
+    shared = tuple(sorted(set(p_coords) & set(q_coords)))
+    if not shared:
+        raise ValueError(
+            f"disjoint coordinates: {list(p_coords)} vs {list(q_coords)}"
+        )
+    if p_coords == q_coords:
+        raise ValueError("operands must differ in at least one coordinate")
+    tables = []
+    for coords in (p_coords, q_coords):
+        positions = [coords.index(v) for v in shared]
+        tables.append(tuple(
+            1 << sum((cell >> pos & 1) << j for j, pos in enumerate(positions))
+            for cell in range(1 << len(coords))
+        ))
+    return tables[0], tables[1]
 
 
 def projected_solution_sets(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satprop import bitspace, checks
@@ -212,7 +212,7 @@ def test_bc_mutually_supported():
 
 def test_bc_errors():
     for fn in (bc, bc_uni):
-        for _ in range(2):  # the cached shared coordinates never cache a failure
+        for _ in range(2):  # the cached fiber pairs never cache a failure
             with pytest.raises(ValueError, match=r"disjoint.*\[1, 2, 3\] vs \[4, 5, 6\]"):
                 fn(Partition((1, 2, 3), 0), Partition((4, 5, 6), 0))
             with pytest.raises(ValueError, match="differ"):
@@ -225,6 +225,29 @@ def test_bc_uni_examples():
     q = Partition((2, 3, 5), 0xEE)
     assert bc_uni(p, q).green_mask == 0xEE
     assert bc_uni(p, Partition.all_green((3, 4, 5))) == p
+
+
+def _bc_uni_by_definition(p, q):
+    shared = sorted(set(p.coords) & set(q.coords))
+    return impose(p, project(q, shared))
+
+
+@pytest.mark.parametrize("layout", sorted(checks.LAYOUTS))
+def test_bc_uni_is_impose_of_projection_on_every_layout_pair(layout):
+    coords_a, coords_b = checks.LAYOUTS[layout]
+    parts_a = [Partition(coords_a, m) for m in range(256)]
+    parts_b = [Partition(coords_b, m) for m in range(256)]
+    for p in parts_a:
+        for q in parts_b:
+            assert bc_uni(p, q) == _bc_uni_by_definition(p, q)
+            assert bc_uni(q, p) == _bc_uni_by_definition(q, p)
+
+
+@given(partitions(), partitions())
+def test_bc_uni_is_impose_of_projection_on_any_shape(p, q):
+    assume(set(p.coords) & set(q.coords) and p.coords != q.coords)
+    assert bc_uni(p, q) == _bc_uni_by_definition(p, q)
+    assert bc_uni(q, p) == _bc_uni_by_definition(q, p)
 
 
 @given(partitions(max_k=3), partitions(max_k=3))

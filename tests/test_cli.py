@@ -626,6 +626,19 @@ def test_verify_quick_passes(capsys):
     )
 
 
+def test_verify_full_passes(capsys):
+    # the whole battery, every mask pair of both layouts, as the README runs it
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_OK
+    assert out == (
+        "PASS algebra-axioms\n"
+        "PASS bc-vs-join-oracle\n"
+        "PASS project-lift-impose-laws\n"
+        "PASS uni-bi-confluence\n"
+        "PASS soundness-vs-projections\n"
+    )
+
+
 def test_verify_checks_the_bc_installed_in_bitspace(capsys, monkeypatch):
     # verify checks the bc that bitspace holds when it runs; this one skips
     # the meet step on p's side.  The first failing pair pins which pairs are

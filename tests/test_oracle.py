@@ -265,8 +265,11 @@ def test_join_oracle_no_support_anywhere():
 
 
 def test_join_oracle_disjoint_error():
-    with pytest.raises(ValueError):
-        oracle.join_semantics_oracle(Partition((1,), 1), Partition((2,), 1))
+    p, q = Partition((1, 2, 3), 0), Partition((4, 5, 6), 0)
+    for _ in range(2):  # the cached restriction tables never cache a failure
+        with pytest.raises(ValueError,
+                           match=r"disjoint coordinates: \[1, 2, 3\] vs \[4, 5, 6\]"):
+            oracle.join_semantics_oracle(p, q)
 
 
 def test_join_oracle_rejects_equal_coordinates_as_bc_does():
