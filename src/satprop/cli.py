@@ -2,8 +2,8 @@
 
 Exit codes: 0 = engine reports no empty cube and the oracle (if run)
 agrees; 10 = UNSAT by empty cube (oracle-confirmed or oracle skipped);
-20 = engine and oracle disagree; 2 = usage error, unreadable input,
-unwritable output or parse error.
+20 = engine and oracle disagree; 1 = a `verify` check failed; 2 = usage
+error, unreadable input, unwritable output or parse error.
 """
 
 from __future__ import annotations

@@ -307,8 +307,11 @@ def _position(lineno: int, line: str, k: int) -> tuple[int, int]:
 
 
 def emit_dimacs(instance: Instance) -> str:
-    """Canonical emission: sorted literals, one clause per line.  Parsing
-    the output reproduces the instance."""
+    """Canonical emission: sorted literals, one clause per line, and a
+    line `0` for the empty clause.  Parsing the output reproduces the
+    instance's `num_vars`, `clauses` and `has_empty_clause`; a parse's
+    dropped tautologies are not emitted, so its `tautologies_dropped` reads
+    0 again."""
     count = len(instance.clauses) + (1 if instance.has_empty_clause else 0)
     lines = [f"p cnf {instance.num_vars} {count}"]
     for clause in instance.clauses:

@@ -216,29 +216,31 @@ _PROJECTIONS = tuple(_TABLES[bits | frame << 3] for bits, frame in zip(_SLOTS, _
 _LIFTS = tuple(_TABLES[frame | bits << 3] for bits, frame in zip(_SLOTS, _FRAMES))
 
 
-def _restricted(mask: int) -> int:
-    """The separators along which a cube with GREEN mask `mask` prunes, bit
-    k for slot k: a variable when the mask's projection onto it is not
-    full, a pair when that onto the pair is not full but that onto each of
-    its variables is."""
-    sep = 0
+def _restricted(mask: int) -> tuple[int, ...]:
+    """The slots of the separators along which a cube with GREEN mask
+    `mask` prunes, in slot order: a variable when the mask's projection
+    onto it is not full, a pair when that onto the pair is not full but
+    that onto each of its variables is.  A variable's slot is its
+    position, so a pair's position bits are the slots of its variables."""
+    slots: list[int] = []
     for slot, (bits, project) in enumerate(zip(_SLOTS, _PROJECTIONS)):
-        if project[mask] != 0xFF and not sep & bits:
-            sep |= 1 << slot
-    return sep
+        if project[mask] != 0xFF and not any(bits >> k & 1 for k in slots):
+            slots.append(slot)
+    return tuple(slots)
 
 
-# _SEPARATORS[m] lists the separators a cube with mask m restricts (see
-# `_restricted`).  An edge changes its target only if the target holds one
-# of them, and 0 marks the 35 inert masks, whose RED cells are pairwise at
-# distance two or more on the 3-cube: no edge out of them changes anything.
-_SEPARATORS = bytes(map(_restricted, range(256)))
+# _SEPARATORS[m] lists the slots of the separators a cube with mask m
+# restricts (see `_restricted`).  An edge changes its target only if the
+# target holds one of them, and an empty tuple marks the 35 inert masks,
+# whose RED cells are pairwise at distance two or more on the 3-cube: no
+# edge out of them changes anything.
+_SEPARATORS = tuple(map(_restricted, range(256)))
 
 
 def count_prunable(masks: Iterable[int]) -> int:
     """How many of the cube masks `masks` can prune some neighbour, that is,
     are not inert."""
-    return sum(_SEPARATORS[mask] != 0 for mask in masks)
+    return sum(1 for mask in masks if _SEPARATORS[mask])
 
 
 class _Graph:
@@ -322,8 +324,6 @@ def fixpoint(
     """
     nodes = tuple(sorted(state.cubes))
     masks = [state.cubes[triple] for triple in nodes]
-    if early_exit and 0 in masks:
-        return PropagationResult(ClausalState(dict(zip(nodes, masks))), nodes[masks.index(0)])
     rng = None if order_seed is None else random.Random(order_seed)
     passes, skipped, log, empty = _worklist(_Graph(nodes), masks, early_exit, rng)
     return PropagationResult(ClausalState(dict(zip(nodes, masks))),
@@ -364,7 +364,7 @@ def _worklist(
     """The propagation loop, pass by pass.  Updates `masks` in place and
     returns the run's record, `PropagationResult`'s `_passes`, `_skipped`
     and `_log`, and the id of the empty cube it reports, if any.  Under
-    `early_exit` the caller guarantees that no mask is empty on entry.
+    `early_exit` a cube empty on entry ends the run before any pass.
 
     A pass is a list of cubes, each standing for all its out-edges, applied
     in order; under `rng` it is shuffled first.  The first pass holds every
@@ -403,9 +403,10 @@ def _worklist(
     just after the source, and the record's skipped count takes its edges
     into cubes after the empty one off the count again.
     """
+    if early_exit and 0 in masks:
+        return [], 0, [], masks.index(0)
     nodes, index = graph.nodes, graph._index
-    separators, tables = _SEPARATORS, _TABLES
-    on_a, on_b, on_c, on_ab, on_ac, on_bc = _PROJECTIONS
+    separators, projections, tables = _SEPARATORS, _PROJECTIONS, _TABLES
     bounds: dict[int | tuple[int, int], int] = {}
     bound = bounds.get
     log: list[tuple[int, int, int, int]] = []
@@ -427,25 +428,18 @@ def _worklist(
             if not sep:
                 continue
             a, b, c = src = nodes[s]
+            keys = (a, b, c, (a, b), (a, c), (b, c))
             found: list[int] = []
-            if sep & 1 and (was := bound(a, 0xFF)) & ~on_a[source]:
-                bounds[a] = was & on_a[source]
-                found += index[a]
-            if sep & 2 and (was := bound(b, 0xFF)) & ~on_b[source]:
-                bounds[b] = was & on_b[source]
-                found += index[b]
-            if sep & 4 and (was := bound(c, 0xFF)) & ~on_c[source]:
-                bounds[c] = was & on_c[source]
-                found += index[c]
-            if sep & 8 and (was := bound((a, b), 0xFF)) & ~on_ab[source]:
-                bounds[a, b] = was & on_ab[source]
-                found += [t for t in index[a] if b in nodes[t]]
-            if sep & 16 and (was := bound((a, c), 0xFF)) & ~on_ac[source]:
-                bounds[a, c] = was & on_ac[source]
-                found += [t for t in index[a] if c in nodes[t]]
-            if sep & 32 and (was := bound((b, c), 0xFF)) & ~on_bc[source]:
-                bounds[b, c] = was & on_bc[source]
-                found += [t for t in index[b] if c in nodes[t]]
+            for slot in sep:
+                key = keys[slot]
+                image = projections[slot][source]
+                if (was := bound(key, 0xFF)) & ~image:
+                    bounds[key] = was & image
+                    if slot < 3:
+                        found += index[key]
+                    else:
+                        u, v = key
+                        found += [t for t in index[u] if v in nodes[t]]
             targets = set(found)
             targets.discard(s)
             for t in sorted(targets):
@@ -512,11 +506,11 @@ class _Closure:
     """Extraction's state over the separators of `cubes`, a closed
     fixpoint's triple -> GREEN mask dict: every variable, and every pair of
     variables two or more cubes hold.  Cube i is the i-th triple in sorted
-    order, with mask `masks[i]`; separator k has domain `domains[k]`, the
-    meet of its holders' projections, and holders `holders[k]`, as (cube,
-    slot) pairs; `slots[i]` gives the separators in cube i's six slots, None
-    for a pair no other cube holds; `variables` maps each variable to its
-    separator."""
+    order, with mask `masks[i]`; separator k has holders `holders[k]`, as
+    (cube, slot) pairs, and domain `domains[k]`, read off its first holder:
+    the state is closed, so every holder projects onto it alike; `slots[i]`
+    gives the separators in cube i's six slots, None for a pair no other
+    cube holds; `variables` maps each variable to its separator."""
 
     def __init__(self, cubes: dict[Triple, int]) -> None:
         nodes = sorted(cubes)
@@ -537,12 +531,8 @@ class _Closure:
             if len(held) > 1:
                 relays[pair] = len(holders)
                 holders.append(held)
-        self.domains = domains = []
-        for held in holders:
-            domain = 0xFF
-            for i, slot in held:
-                domain &= _PROJECTIONS[slot][masks[i]]
-            domains.append(domain)
+        self.domains = [_PROJECTIONS[slot][masks[i]]
+                        for i, slot in (held[0] for held in holders)]
         relay = relays.get
         self.slots = [(variables[a], variables[b], variables[c], relay((a, b)),
                        relay((a, c)), relay((b, c))) for a, b, c in nodes]

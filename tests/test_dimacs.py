@@ -595,6 +595,18 @@ def test_emit_empty_clause_round_trip():
     assert parse_dimacs(text).instance == inst
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf 3 2\n1 -1 2 0\n1 2 3 0\n",   # a tautology, dropped by the parse
+    "p cnf 3 2\n0\n-1 2 3 0\n",         # an empty clause
+])
+def test_round_trip_of_a_parsed_instance(text):
+    # the emission carries no dropped tautology, so only these fields return
+    inst = parse_dimacs(text).instance
+    again = parse_dimacs(emit_dimacs(inst)).instance
+    assert (again.num_vars, again.clauses, again.has_empty_clause) == (
+        inst.num_vars, inst.clauses, inst.has_empty_clause)
+
+
 def test_round_trip_identity():
     inst = gen_random_3sat(10, 30, seed=5)
     assert parse_dimacs(emit_dimacs(inst)).instance == inst

@@ -2,7 +2,8 @@
 (a constant or a type alias) of `src/satprop` is used by the package
 itself, or is on `UNREFERENCED` with the reason it stays, and an entry
 whose reason is the tracer names what `perfbench/tracer.py` reads: one of
-its `TARGETS` or an attribute its `_count_result` reads; every optional
+its `TARGETS` or an attribute its `_count_result` reads; any other entry
+is read by some test module other than this one; every optional
 parameter of those functions and methods is set by some call in the
 package, or is on `UNSET` with the reason it stays; and every name an
 import binds in a module is read in that module, or is on `UNREAD_IMPORTS`
@@ -245,6 +246,25 @@ def test_unreferenced_for_the_tracer_are_read_by_it():
     read |= {node.attr for node in ast.walk(counter) if isinstance(node, ast.Attribute)}
     stale = sorted(qualname for qualname, reason in UNREFERENCED.items()
                    if "tracer" in reason and qualname.rpartition(".")[2] not in read)
+    assert stale == [], stale
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_unreferenced_for_the_tests_are_read_by_them():
+    # a definition kept for the tests must be read by some test module, a
+    # method as an attribute, so an allowance no test reads is stale
+    read = set()
+    for path in sorted(TESTS.rglob("*.py")):
+        if path.name != Path(__file__).name:
+            read |= set(_uses(ast.parse(path.read_text(encoding="utf-8")), None))
+    stale = []
+    for qualname, reason in UNREFERENCED.items():
+        owner, _, name = qualname.rpartition(".")
+        kinds = ("attr",) if owner else ("name", "attr")
+        if "tracer" not in reason and not any((kind, name) in read for kind in kinds):
+            stale.append(qualname)
     assert stale == [], stale
 
 

@@ -3,7 +3,7 @@ import itertools
 import random
 import time
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
@@ -160,6 +160,9 @@ def test_inert_masks_are_the_independent_sets_of_the_cube():
         assert (not _SEPARATORS[mask]) == independent, mask
         inert += independent
     assert inert == 35
+    # the README's breakdown by GREEN count
+    by_green = Counter(mask.bit_count() for mask in range(256) if not _SEPARATORS[mask])
+    assert by_green == {8: 1, 7: 8, 6: 16, 5: 8, 4: 2}
 
 
 def _red_faces(mask, positions):
@@ -172,19 +175,19 @@ def _red_faces(mask, positions):
 
 
 def test_separator_table_lists_what_each_shape_prunes():
-    # bits 0-2 list the variables at positions 0-2, bits 3-5 the pairs at
+    # slots 0-2 list the variables at positions 0-2, slots 3-5 the pairs at
     # positions (0, 1), (0, 2) and (1, 2) when neither of their variables is
-    # listed; an edge prunes its target exactly when the variables the two
-    # cubes share hold a listed separator
+    # listed, in slot order; an edge prunes its target exactly when the
+    # variables the two cubes share hold a listed separator
     slots = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     for mask in range(256):
         sep = _SEPARATORS[mask]
-        assert sep < 64, mask
+        assert sep == tuple(sorted(set(sep))) and set(sep) <= set(range(6)), mask
         listed = []
-        for bit, slot in enumerate(slots):
+        for k, slot in enumerate(slots):
             wanted = _red_faces(mask, slot) and (
-                len(slot) == 1 or not any(sep >> p & 1 for p in slot))
-            assert bool(sep >> bit & 1) == wanted, (mask, slot)
+                len(slot) == 1 or not any(p in sep for p in slot))
+            assert (k in sep) == wanted, (mask, slot)
             if wanted:
                 listed.append(set(slot))
         for code, table in _TABLES.items():
@@ -894,11 +897,11 @@ def _unbounded_worklist(graph, masks, early_exit, rng):
             sep = _SEPARATORS[source]
             a, b, c = src = nodes[s]
             found = []
-            for bit, var in zip((1, 2, 4), src):
-                if sep & bit:
+            for slot, var in enumerate(src):
+                if slot in sep:
                     found += index[var]
-            for bit, (u, v) in zip((8, 16, 32), ((a, b), (a, c), (b, c))):
-                if sep & bit:
+            for slot, (u, v) in enumerate(((a, b), (a, c), (b, c)), 3):
+                if slot in sep:
                     found += [t for t in index[u] if v in nodes[t]]
             for t in sorted(set(found) - {s}):
                 before = masks[t]
