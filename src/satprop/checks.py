@@ -14,7 +14,7 @@ from typing import Iterable
 from . import bitspace, oracle, propagate
 from .bitspace import GREEN, RED, Partition, bs, ws
 from .clausal import ClausalState, Instance
-from .dimacs import mask_hex
+from .report import mask_hex
 
 # Overlap layouts of two 3-variable cubes, sharing two or one variables.
 LAYOUTS = {

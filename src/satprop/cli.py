@@ -1,5 +1,9 @@
 """Command-line surface: solve, verify, bench, and trace subcommands.
 
+A command runs the pipeline's stages and writes their outcome: `solve` and
+`trace` hand the run's own objects to `report`'s builders, and every JSON
+document goes through `report.write_report`.
+
 Exit codes: 0 = engine reports no empty cube and the oracle (if run)
 agrees; 10 = UNSAT by empty cube (oracle-confirmed or oracle skipped);
 20 = engine and oracle disagree; 1 = a `verify` check failed; 2 = usage
@@ -16,34 +20,25 @@ import random
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__, checks, oracle
 # bc is not used here, but callers that wrap the layer functions look it up
 # by name in this module, so it stays importable.
 from .bitspace import Partition, bc  # noqa: F401
-from .clausal import Instance, Triple, build_clausal_partition
-from .dimacs import (
-    MAX_CLAUSES,
-    MAX_VARS,
-    _decimal,
-    build_report,
-    build_trace,
-    emit_dimacs,
-    gen_random_3sat,
-    parse_dimacs,
-    write_report,
-)
+from .clausal import Instance, build_clausal_partition
+from .dimacs import (MAX_CLAUSES, MAX_VARS, _decimal, emit_dimacs, gen_random_3sat,
+                     parse_dimacs)
 # bidirectional_fixpoint is not used here, but callers that wrap the layer
 # functions look it up by name in this module, so it stays importable.
 from .propagate import (  # noqa: F401
-    PropStats,
     bidirectional_fixpoint,
     count_prunable,
     extract_assignment,
     fixpoint,
 )
+from .report import PROVENANCE, build_report, build_trace, write_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -240,57 +235,23 @@ def cmd_solve(config: argparse.Namespace) -> int:
     instance, source = timed("parse", _load_instance, config)
     build = timed("build", build_clausal_partition, instance)
     decides = _oracle_decides(instance.num_vars, config.oracle_mode)
-    oracle_verdict = timed("oracle", oracle.brute_force_sat, instance) if decides else None
-
-    empty_triple = assignment = verified = None
-    cubes: Iterable[tuple[Triple, int]] = ()
-    if instance.has_empty_clause:
-        engine_verdict = "trivially_unsat"
-        stats = asdict(PropStats())
-    else:
+    verdict = timed("oracle", oracle.brute_force_sat, instance) if decides else None
+    result = extraction = None
+    if not instance.has_empty_clause:
         result = timed("fixpoint", fixpoint, build.state, order_seed=config.order_seed)
-        empty_triple = result.empty_triple
-        engine_verdict = (
-            "unsat_by_empty_cube" if empty_triple is not None else "no_empty_cube"
-        )
-        if empty_triple is None:
+        if result.empty_triple is None:
             extraction = timed("extract", extract_assignment, result, instance)
-            if extraction is not None:
-                assignment, verified = extraction.assignment, extraction.verified
-        stats = asdict(result.stats)
-        cubes = result.fixpoint.cubes.items()
-    engine_unsat = instance.has_empty_clause or empty_triple is not None
-    agrees = (
-        None if oracle_verdict is None else engine_unsat != oracle_verdict.satisfiable
-    )
 
     seeds: dict[str, int] = {} if config.gen is None else {"gen_seed": config.gen.seed}
     if config.order_seed is not None:
         seeds["order_seed"] = config.order_seed
-    report = build_report(
-        instance=instance,
-        source=source,
-        engine_verdict=engine_verdict,
-        empty_triple=empty_triple,
-        cubes=cubes,
-        stats=stats,
-        oracle_verdict=(
-            None
-            if oracle_verdict is None
-            else ("sat" if oracle_verdict.satisfiable else "unsat")
-        ),
-        oracle_agrees=agrees,
-        assignment=assignment,
-        assignment_verified=verified,
-        order=config.order,
-        seeds=seeds,
-        timings=timings if config.timings else None,
-    )
+    report = build_report(instance, source, result, extraction, verdict, config.order,
+                          seeds, timings if config.timings else None)
     _write_out(write_report(report), config.out_path)
 
-    if agrees is False:
+    if report["oracle_agrees"] is False:
         return EXIT_DISAGREE
-    return EXIT_UNSAT if engine_unsat else EXIT_OK
+    return EXIT_OK if report["engine_verdict"] == "no_empty_cube" else EXIT_UNSAT
 
 
 def cmd_trace(config: argparse.Namespace) -> int:
@@ -298,10 +259,8 @@ def cmd_trace(config: argparse.Namespace) -> int:
     if instance.has_empty_clause:
         print(f"{source}: trivially unsatisfiable, nothing to trace", file=sys.stderr)
         return EXIT_UNSAT
-    state = build_clausal_partition(instance).state
-    result = fixpoint(state, order_seed=config.order_seed)
-    _write_out(write_report(build_trace(result.trace, result.fixpoint.cubes.items())),
-               config.out_path)
+    result = fixpoint(build_clausal_partition(instance).state, order_seed=config.order_seed)
+    _write_out(write_report(build_trace(result)), config.out_path)
     return EXIT_UNSAT if result.empty_triple is not None else EXIT_OK
 
 
@@ -417,27 +376,21 @@ def cmd_bench(config: argparse.Namespace) -> int:
                 agg["oracle_sat"] += 1
             else:
                 agg["oracle_unsat"] += 1
-            if engine_unsat == (not verdict.satisfiable):
+            if engine_unsat != verdict.satisfiable:
                 agg["agree"] += 1
-            elif engine_unsat:
-                agg["soundness_violations"] += 1
-                agg["counterexamples"].append(
-                    {"kind": "false_unsat", "seed": seed, "dimacs": emit_dimacs(inst)}
-                )
-            else:
-                agg["completeness_misses"] += 1
-                agg["counterexamples"].append(
-                    {"kind": "engine_nonempty_oracle_unsat", "seed": seed,
-                     "dimacs": emit_dimacs(inst)}
-                )
+                continue
+            kind, tally = (("false_unsat", "soundness_violations") if engine_unsat else
+                           ("engine_nonempty_oracle_unsat", "completeness_misses"))
+            agg[tally] += 1
+            agg["counterexamples"].append(
+                {"kind": kind, "seed": seed, "dimacs": emit_dimacs(inst)})
         if config.timings:
             agg["wall_time_s"] = round(elapsed, 6)
             agg["oracle_time_s"] = round(oracle_elapsed, 6)
         points.append(agg)
 
     doc = {
-        "tool": "satprop",
-        "version": __version__,
+        **PROVENANCE,
         "gen": {"n": spec.n, "seed": spec.seed, "count": spec.count,
                 "m_points": spec.m_points},
         "order": config.order,

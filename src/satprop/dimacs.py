@@ -1,5 +1,4 @@
-"""DIMACS CNF ingestion and emission, random 3SAT generation, and the JSON
-run-report format.
+"""DIMACS CNF ingestion and emission, and random 3SAT generation.
 
 The parser is 3SAT-only: clauses of more than three distinct variables are
 rejected with a diagnostic rather than split.  Diagnostics carry 1-based
@@ -8,15 +7,12 @@ line/column positions into the source text.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
 
-from . import __version__
 from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
 
 _TOKEN = re.compile(r"\S+")
@@ -379,194 +375,3 @@ def gen_random_3sat(n: int, m: int, seed: int) -> Instance:
                         c if coin() < 0.5 else -c))
     return Instance(n, tuple(clauses))
 
-
-def mask_hex(mask: int) -> str:
-    return f"0x{mask:02X}"
-
-
-class _Cube(dict):
-    """A cube entry as `_cube_entries` builds it, from a `mask_hex` string
-    and a triple of ints; `to_json` writes it as `_json` would a dict."""
-
-    __slots__ = ()
-
-    def to_json(self, nl: str) -> str:
-        i, j = nl + "  ", nl + "    "
-        a, b, c = self["triple"]
-        return (f'{{{i}"mask": {_string(self["mask"])},{i}"triple": '
-                f'[{j}{a},{j}{b},{j}{c}{i}]{nl}}}')
-
-
-class _Record(dict):
-    """A trace record as `build_trace` builds it, from two `mask_hex`
-    strings, an int and an edge of two int triples; `to_json` writes it as
-    `_json` would a dict."""
-
-    __slots__ = ()
-
-    def to_json(self, nl: str) -> str:
-        i, j = nl + "  ", nl + "    "
-        k = j + "  "
-        (a, b, c), (d, e, f) = self["edge"]
-        return (f'{{{i}"after": {_string(self["after"])},{i}"before": '
-                f'{_string(self["before"])},{i}"cells_removed": {self["cells_removed"]},'
-                f'{i}"edge": [{j}[{k}{a},{k}{b},{k}{c}{j}],'
-                f'{j}[{k}{d},{k}{e},{k}{f}{j}]{i}]{nl}}}')
-
-
-class _Assignment(dict):
-    """A report's assignment as `build_report` builds it, from variable ids
-    written as decimal strings to bools; `to_json` writes it as `_json`
-    would a dict, in json's order of string keys."""
-
-    __slots__ = ()
-
-    def to_json(self, nl: str) -> str:
-        if not self:
-            return "{}"
-        i = nl + "  "
-        lines = (f'"{key}": {"true" if value else "false"}'
-                 for key, value in sorted(self.items()))
-        return f"{{{i}{f',{i}'.join(lines)}{nl}}}"
-
-
-class _Ints(list):
-    """A list of ints, such as a report's `unconstrained_vars`; `to_json`
-    writes it as `_json` would a list."""
-
-    __slots__ = ()
-
-    def to_json(self, nl: str) -> str:
-        if not self:
-            return "[]"
-        i = nl + "  "
-        return f"[{i}{f',{i}'.join(map(str, self))}{nl}]"
-
-
-def _cube_entries(cubes: Iterable[tuple[Sequence[int], int]]) -> list[dict[str, Any]]:
-    return [_Cube(triple=list(triple), mask=mask_hex(mask)) for triple, mask in cubes]
-
-
-def build_report(
-    *,
-    instance: Instance,
-    source: str,
-    engine_verdict: str,
-    empty_triple: Sequence[int] | None,
-    cubes: Iterable[tuple[Sequence[int], int]],
-    stats: dict[str, int],
-    oracle_verdict: str | None,
-    oracle_agrees: bool | None,
-    assignment: dict[int, bool] | None,
-    assignment_verified: bool | None,
-    order: str,
-    seeds: dict[str, Any],
-    timings: dict[str, float] | None = None,
-) -> dict[str, Any]:
-    """Assemble the run-report document (see README for the schema).  The
-    `timings` block is added only when given."""
-    report = {
-        "tool": "satprop",
-        "version": __version__,
-        "source": source,
-        "instance": {
-            "num_vars": instance.num_vars,
-            "num_clauses": len(instance.clauses),
-            "tautologies_dropped": instance.tautologies_dropped,
-            "has_empty_clause": instance.has_empty_clause,
-            "unconstrained_vars": _Ints(instance.unconstrained_vars()),
-        },
-        "order": order,
-        "seeds": seeds,
-        "engine_verdict": engine_verdict,
-        "empty_triple": list(empty_triple) if empty_triple is not None else None,
-        "oracle_verdict": oracle_verdict,
-        "oracle_agrees": oracle_agrees,
-        "assignment": (
-            _Assignment({str(v): val for v, val in assignment.items()})
-            if assignment is not None
-            else None
-        ),
-        "assignment_verified": assignment_verified,
-        "cubes": _cube_entries(cubes),
-        "stats": stats,
-    }
-    if timings is not None:
-        report["timings"] = timings
-    return report
-
-
-def build_trace(
-    records: Iterable[Any], cubes: Iterable[tuple[Sequence[int], int]]
-) -> dict[str, Any]:
-    """Assemble the trace document: one record per change-making edge
-    application, from `propagate.TraceRecord`s, and the final cubes."""
-    return {
-        "tool": "satprop",
-        "version": __version__,
-        "records": [
-            _Record(edge=[list(rec.edge[0]), list(rec.edge[1])],
-                    before=mask_hex(rec.before), after=mask_hex(rec.after),
-                    cells_removed=rec.cells_removed)
-            for rec in records
-        ],
-        "final_cubes": _cube_entries(cubes),
-    }
-
-
-# json's text for null, false and true: a json.dumps call costs microseconds
-# and a report may hold thousands of these
-_CONSTANTS = {value: json.dumps(value) for value in (None, False, True)}
-# json's own string escaper, the one json.dumps calls for a str
-_string = json.encoder.encode_basestring_ascii
-# the builders' entry types, which write themselves
-_SELF_WRITING = frozenset({_Cube, _Record, _Assignment, _Ints})
-
-
-def write_report(doc: Any) -> str:
-    """Serialize a document deterministically: the text of
-    ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
-
-    json indents in pure Python, so the containers are walked here instead.
-    The cube entries, trace records, assignments and int lists that the
-    builders above make write themselves, each in one string operation,
-    and ints and constants are written as json writes them; every other
-    value, a plain dict or list of an entry's shape too, and every string
-    and key, is written by json."""
-    return _json(doc, "\n") + "\n"
-
-
-def _json(value: Any, nl: str) -> str:
-    """`value` as JSON on a line whose indent `nl` (a newline and spaces)
-    gives; nested lines are indented two more spaces per level."""
-    kind = type(value)
-    if kind in _SELF_WRITING:
-        return value.to_json(nl)
-    if value is None or value is True or value is False:
-        return _CONSTANTS[value]
-    if kind is int:
-        return str(value)  # as json writes an int, not a bool or subclass
-    if isinstance(value, str):
-        return _string(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = nl + "  "
-        items = (_json(item, inner) for item in value)
-        return f"[{inner}{(',' + inner).join(items)}{nl}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = nl + "  "
-        items = (f"{_key(key)}: {_json(item, inner)}"
-                 for key, item in sorted(value.items()))
-        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    return json.dumps(value)
-
-
-def _key(key: Any) -> str:
-    if isinstance(key, str):
-        return _string(key)
-    # json writes an int, float, bool or None key as its JSON text, quoted,
-    # and raises TypeError for any other type: '{"<key>": 0}'
-    return json.dumps({key: 0})[1:-4]

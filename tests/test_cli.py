@@ -27,7 +27,8 @@ from satprop.cli import (
     parse_gen_spec,
     parse_order,
 )
-from satprop.dimacs import gen_random_3sat, parse_dimacs, write_report
+from satprop.dimacs import gen_random_3sat, parse_dimacs
+from satprop.report import write_report
 
 UNSAT_CNF = "p cnf 3 8\n" + "".join(
     " ".join(str(v if s else -v) for v, s in zip((1, 2, 3), signs)) + " 0\n"

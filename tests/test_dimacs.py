@@ -1,4 +1,3 @@
-import json
 import random
 import re
 from pathlib import Path
@@ -12,21 +11,15 @@ from satprop.clausal import (
     EMPTY,
     TAUTOLOGY,
     Instance,
-    build_clausal_partition,
     canonicalize,
 )
 from satprop.dimacs import (
     ParseDiagnostic,
     ParseResult,
-    build_report,
-    build_trace,
     emit_dimacs,
     gen_random_3sat,
-    mask_hex,
     parse_dimacs,
-    write_report,
 )
-from satprop.propagate import extract_assignment, fixpoint
 
 
 # --- parsing ------------------------------------------------------------------
@@ -678,132 +671,3 @@ def test_generator_matches_sample_reference():
 @given(st.integers(3, 64), st.integers(0, 60), st.integers(-2**40, 2**40))
 def test_generator_matches_sample_reference_on_random_specs(n, m, seed):
     assert gen_random_3sat(n, m, seed).clauses == _sample_reference(n, m, seed)
-
-
-# --- report -------------------------------------------------------------------
-
-def test_mask_hex_format():
-    assert mask_hex(0xDF) == "0xDF"
-    assert mask_hex(0) == "0x00"
-
-
-def test_write_report_is_deterministic():
-    report = {"b": 1, "a": [1, 2], "c": {"y": None, "x": True}}
-    assert write_report(report) == write_report(dict(reversed(report.items())))
-    assert write_report(report).endswith("\n")
-
-
-@pytest.mark.parametrize("n, m, seed", [(20, 160, 7000), (12, 40, 3)])
-def test_builders_make_self_writing_entries(n, m, seed):
-    # the builders' cube entries and trace records write themselves, by one
-    # f-string each; a plain dict of the same shape takes the generic walker,
-    # so this pins the builders to the self-writing types and those types
-    # to json's text
-    inst = gen_random_3sat(n, m, seed)
-    result = fixpoint(build_clausal_partition(inst).state)
-    unsat = result.empty_triple is not None
-    extraction = None if unsat else extract_assignment(result, inst)
-    cubes = result.fixpoint.cubes.items()
-    report = build_report(
-        instance=inst, source="gen",
-        engine_verdict="unsat_by_empty_cube" if unsat else "no_empty_cube",
-        empty_triple=result.empty_triple, cubes=cubes, stats={},
-        oracle_verdict=None, oracle_agrees=None,
-        assignment=extraction and extraction.assignment,
-        assignment_verified=extraction and extraction.verified,
-        order="fifo", seeds={})
-    trace = build_trace(result.trace, cubes)
-    if unsat:
-        assert len(trace["records"]) > 100 and len(report["cubes"]) > 100
-    else:
-        assert extraction is not None and report["assignment"] is not None
-    assert all(type(entry) is dimacs._Cube
-               for entry in (*report["cubes"], *trace["final_cubes"]))
-    assert all(type(record) is dimacs._Record for record in trace["records"])
-    assert type(report["instance"]["unconstrained_vars"]) is dimacs._Ints
-    assert type(report["assignment"]) is (dimacs._Assignment if extraction else type(None))
-    for doc in (report, trace):
-        assert write_report(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize("num_vars, clauses", [
-    (0, ()),  # an empty assignment and no unconstrained variable
-    (12, ((1, -2, 3), (-10, 11), (4,))),  # keys 1, 10, 11, 12, 2, ... in json's order
-])
-def test_report_writes_assignment_and_unconstrained_vars_as_json(num_vars, clauses):
-    inst = Instance(num_vars, clauses)
-    result = fixpoint(build_clausal_partition(inst).state)
-    extraction = extract_assignment(result, inst)
-    report = build_report(
-        instance=inst, source="x", engine_verdict="no_empty_cube", empty_triple=None,
-        cubes=result.fixpoint.cubes.items(), stats={}, oracle_verdict=None,
-        oracle_agrees=None, assignment=extraction.assignment,
-        assignment_verified=extraction.verified, order="fifo", seeds={})
-    assert len(report["assignment"]) == num_vars
-    assert report["instance"]["unconstrained_vars"] == list(inst.unconstrained_vars())
-    assert write_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _reference_report(doc):
-    """The writer as it was: json's own indenting encoder."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# quotes, backslashes, newlines, controls, non-ASCII and astral characters
-_STRINGS = st.text(st.sampled_from('ax0 "\\\n\t\x00\x7f\u00e9\u2028\u20ac\U0001f600'))
-_INTS = st.integers(-(2**70), 2**70)
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), _INTS, _STRINGS, st.floats(),
-    # floats as bench writes its ratio
-    st.tuples(st.integers(0, 200), st.integers(1, 50)).map(
-        lambda mn: round(mn[0] / mn[1], 4)),
-)
-_TRIPLES = st.lists(st.integers(1, 2000), min_size=3, max_size=3)
-# entries that do not fit the writer's templates: other widths, bools,
-# tuples, extra keys, and masks that are not str
-_MISFIT_TRIPLES = st.one_of(
-    st.lists(st.one_of(_INTS, st.booleans()), min_size=1, max_size=4),
-    _TRIPLES.map(tuple),
-)
-_MASKS = st.one_of(st.integers(0, 255).map(mask_hex), _STRINGS)
-_CUBES = st.one_of(
-    st.fixed_dictionaries({"mask": _MASKS, "triple": _TRIPLES}),
-    st.fixed_dictionaries({"mask": _MASKS, "triple": _MISFIT_TRIPLES}),
-    st.fixed_dictionaries({"mask": _SCALARS, "triple": _TRIPLES}),
-    st.fixed_dictionaries({"mask": _MASKS, "triple": _TRIPLES},
-                          optional={"extra": _SCALARS, "Mask": _SCALARS}),
-)
-_RECORDS = st.fixed_dictionaries(
-    {"after": _MASKS, "before": _MASKS, "cells_removed": st.integers(0, 8),
-     "edge": st.lists(_TRIPLES, min_size=2, max_size=2)},
-    optional={"extra": _SCALARS},
-) | st.fixed_dictionaries(
-    {"after": st.one_of(_MASKS, _SCALARS), "before": _MASKS,
-     "cells_removed": st.one_of(st.booleans(), _INTS),
-     "edge": st.lists(st.one_of(_TRIPLES, _MISFIT_TRIPLES), min_size=1, max_size=3)},
-)
-_ASSIGNMENTS = st.dictionaries(st.integers(1, 10**6).map(str), st.booleans()).map(
-    dimacs._Assignment)
-_INT_LISTS = st.lists(_INTS).map(dimacs._Ints)
-_DOCUMENTS = st.recursive(
-    _SCALARS | st.lists(_CUBES) | st.lists(_RECORDS) | _ASSIGNMENTS | _INT_LISTS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(_STRINGS, children, max_size=4),
-        # json writes int, float, bool and None keys as strings
-        st.dictionaries(_INTS, children, max_size=3),
-        st.dictionaries(st.floats(allow_nan=False) | st.booleans(), children, max_size=3),
-        st.builds(lambda value: {None: value}, children),
-        st.fixed_dictionaries({"source": _STRINGS, "cubes": st.lists(_CUBES),
-                               "records": st.lists(_RECORDS), "rest": children}),
-        st.lists(st.one_of(_CUBES, _RECORDS, children), max_size=4),
-    ),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_DOCUMENTS)
-def test_write_report_matches_json_reference(doc):
-    assert write_report(doc) == _reference_report(doc)

@@ -12,7 +12,10 @@ each entry is one of the tracer's `TARGETS`.  `__init__.py` is exempt from
 that rule: its imports are the package's re-exports.  No module reads a
 private (underscore) name of a sibling module, by `from .sibling import
 _name` or as `sibling._name`, unless `PRIVATE_IMPORTS` names it with the
-reason it is shared.  Every `open(...)`
+reason it is shared.  `dimacs.py` imports no sibling module but
+`clausal`, and `report.py` is the only module that imports `json`, so
+DIMACS text needs nothing of the engine or the oracle and every JSON
+document is built and written in one place.  Every `open(...)`
 call that is not in binary mode passes `encoding=`, so no file's text
 depends on the locale.  Every module parses under the grammar of the
 oldest Python that `pyproject.toml` declares in `requires-python`.
@@ -216,6 +219,31 @@ def test_private_names_stay_in_their_module_or_are_allowed():
         f"{sorted(shared - set(PRIVATE_IMPORTS))}; "
         f"allowed, now not read: {sorted(set(PRIVATE_IMPORTS) - shared)}")
 
+
+
+def _imports(tree):
+    """The modules the imports of `tree` name: a relative import as its
+    sibling module, or as each name it takes from the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.level == 0:
+                yield node.module
+            elif node.module:
+                yield "." + node.module
+            else:
+                yield from ("." + alias.name for alias in node.names)
+
+
+def test_dimacs_text_and_json_documents_stay_apart():
+    imports = {path.stem: set(_imports(ast.parse(path.read_text(encoding="utf-8"))))
+               for path in sorted(SRC.glob("*.py"))}
+    siblings = {name for name in imports["dimacs"] if name.startswith(".")}
+    assert siblings == {".clausal"}, sorted(siblings)
+    writers = sorted(stem for stem, names in imports.items()
+                     if "json" in {name.partition(".")[0] for name in names})
+    assert writers == ["report"], writers
 
 TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 
