@@ -2,33 +2,21 @@
 
 An instance is a conjunction of disjunctive clauses of at most three
 literals.  A clause is a tuple of DIMACS literals, signed variable ids
-sorted by variable: `canonicalize` makes one from raw literals, and
-`Instance` checks that every clause it holds has that form.  The clausal
-partition maps canonical variable triples to 8-cell cubes; each clause
-marks RED the cells that falsify it (for a clause on three distinct
-variables that is exactly the complement assignment).  Clauses with fewer
-than three distinct variables are hosted on a triple padded with the
-smallest absent variable ids, so every cube stays 3-dimensional.
+sorted by variable, one per variable: the DIMACS reader makes one from raw
+literals, and `Instance` checks that every clause it holds has that form.
+The clausal partition maps canonical variable triples to 8-cell cubes;
+each clause marks RED the cells that falsify it (for a clause on three
+distinct variables that is exactly the complement assignment).  Clauses
+with fewer than three distinct variables are hosted on a triple padded
+with the smallest absent variable ids, so every cube stays 3-dimensional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Triple = tuple[int, int, int]
-
-
-class Degenerate(Enum):
-    """Outcomes of canonicalization that are not ordinary clauses."""
-
-    TAUTOLOGY = "tautology"
-    EMPTY = "empty"
-
-
-TAUTOLOGY = Degenerate.TAUTOLOGY
-EMPTY = Degenerate.EMPTY
 
 
 # One to three nonzero DIMACS literals, sorted by variable, one per variable
@@ -47,35 +35,9 @@ def _top_var(clause: Clause) -> int:
     return top
 
 
-def canonicalize(literals: Iterable[int], num_vars: int) -> Clause | Degenerate:
-    """Merge duplicate literals, sort by variable, detect tautologies and
-    the empty clause.  Raises on literal 0 and on variable ids outside
-    1..num_vars, anywhere in the clause, tautology or not.  The width is not
-    checked here: a result of more than three literals is rejected by
-    `Instance`."""
-    clause = tuple(literals)
-    if 0 < _top_var(clause) <= num_vars:
-        return clause  # already canonical
-    polarity: dict[int, int] = {}  # variable -> its first literal
-    tautology = False
-    for lit in clause:
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as clause terminator")
-        var = abs(lit)
-        if var > num_vars:
-            raise ValueError(f"variable u{var} exceeds declared count {num_vars}")
-        if polarity.setdefault(var, lit) != lit:
-            tautology = True
-    if tautology:
-        return TAUTOLOGY
-    if not polarity:
-        return EMPTY
-    return tuple([polarity[v] for v in sorted(polarity)])
-
-
 @dataclass(frozen=True)
 class Instance:
-    """A 3SAT instance E = (U, C) after canonicalization."""
+    """A 3SAT instance E = (U, C) of canonical clauses."""
 
     num_vars: int
     clauses: tuple[Clause, ...]

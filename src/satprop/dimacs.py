@@ -1,8 +1,10 @@
 """DIMACS CNF ingestion and emission, and random 3SAT generation.
 
 The parser is 3SAT-only: clauses of more than three distinct variables are
-rejected with a diagnostic rather than split.  Diagnostics carry 1-based
-line/column positions into the source text.
+rejected with a diagnostic rather than split.  It closes each clause
+itself: repeated literals merge, the literals are sorted by variable, and
+a tautology or an empty clause is counted and dropped.  Diagnostics carry
+1-based line/column positions into the source text.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
-from .clausal import EMPTY, TAUTOLOGY, Clause, Instance, canonicalize
+from .clausal import Clause, Instance
 
 _TOKEN = re.compile(r"\S+")
 
@@ -76,7 +78,7 @@ def parse_dimacs(text: str) -> ParseResult:
     clause of another width, a repeated variable, or anything that needs a
     diagnostic) goes to `_Reader.read_lines` alone, which gives every
     diagnostic, and the next chunk tries the bulk step again.  Either way
-    each clause is canonicalized once.
+    each clause is closed once.
     """
     text = text.removeprefix("\ufeff")
     reader = _Reader()
@@ -183,8 +185,8 @@ class _Reader:
         """Read the lines of `text` one at a time and token by token, with a
         positioned diagnostic for every fault, up to the end of the text or
         of the data: a '%' line or clause data before the problem line.
-        Each clause is closed by `_finish_clause`, so each is canonicalized
-        once and its diagnostics point at its first token."""
+        Each clause is closed once, by `_finish_clause`, and its
+        diagnostics point at its first token."""
         lines = text.splitlines()
         for lineno, line in enumerate(lines, start=self.lineno):
             stripped = line.lstrip()
@@ -244,26 +246,35 @@ class _Reader:
 
     def _finish_clause(self, start: tuple[int, str, int]) -> None:
         """Close the pending clause, whose first token (or terminating 0,
-        for an empty clause) is at `start`."""
-        literals, num_vars = self.pending, self.num_vars
-        assert num_vars is not None
+        for an empty clause) is at `start`: a clause of more than three
+        variables is an error, a tautology or an empty clause is counted
+        and dropped with a warning, and any other is appended with its
+        repeated literals merged and sorted by variable.  The literals are
+        nonzero and in range, as `read_lines` checks each one."""
+        literals = self.pending
         self.pending, self.pending_start = [], None
-        if len(literals) > 3:
-            width = len({abs(lit) for lit in literals})
-            if width > 3:
-                self.error(*_position(*start),
-                           f"clause has {width} distinct variables; this tool is 3SAT-only")
-                return
-        result = canonicalize(literals, num_vars)
-        if result is TAUTOLOGY:
-            self.tautologies += 1
-            self.warning(*_position(*start), "tautological clause dropped")
-        elif result is EMPTY:
-            self.empty_clauses += 1
-            self.warning(*_position(*start),
-                         "empty clause: instance is trivially unsatisfiable")
-        else:
-            self.clauses.append(result)
+        match literals:  # over ascending variables the literals are the clause as they stand
+            case [a, b, c] if abs(a) < abs(b) < abs(c):
+                self.clauses.append((a, b, c))
+            case [a, b] if abs(a) < abs(b):
+                self.clauses.append((a, b))
+            case [a]:
+                self.clauses.append((a,))
+            case _:
+                clause = tuple(sorted(set(literals), key=abs))  # repeated literals merged
+                width = len(set(map(abs, clause)))
+                if width > 3:
+                    self.error(*_position(*start), f"clause has {width} distinct "
+                                                   f"variables; this tool is 3SAT-only")
+                elif width < len(clause):  # a variable with both signs
+                    self.tautologies += 1
+                    self.warning(*_position(*start), "tautological clause dropped")
+                elif not clause:
+                    self.empty_clauses += 1
+                    self.warning(*_position(*start),
+                                 "empty clause: instance is trivially unsatisfiable")
+                else:
+                    self.clauses.append(clause)
 
     def result(self, text: str) -> ParseResult:
         """The result once `text` has been read: the diagnostics of its end,

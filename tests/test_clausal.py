@@ -6,47 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satprop.clausal import (
-    EMPTY,
-    TAUTOLOGY,
     Instance,
     _forbidden_mask,
     build_clausal_partition,
-    canonicalize,
     host_triple,
 )
 from satprop.dimacs import gen_random_3sat, parse_dimacs
 
 
-def clause_of(*lits, num_vars=10):
-    result = canonicalize(lits, num_vars)
+def clause_of(*lits):
+    result = _canonicalize_by_literal(lits)
     assert isinstance(result, tuple)
     return result
-
-
-# --- canonicalize ------------------------------------------------------------
-
-def test_canonicalize_merges_and_sorts():
-    c = clause_of(2, -1, 2)
-    assert c == (-1, 2)
-
-
-def test_canonicalize_tautology_and_empty():
-    assert canonicalize([1, -1, 3], 3) is TAUTOLOGY
-    assert canonicalize([], 3) is EMPTY
-
-
-def test_canonicalize_rejects_bad_ids():
-    cases = [
-        ([0], "literal 0"),
-        ([4], "exceeds declared count"),
-        # a bad literal after a variable shows both signs is still read
-        ([1, -1, 7], "exceeds declared count"),
-        ([1, -1, 0], "literal 0"),
-    ]
-    for literals, match in cases:
-        for fn in (canonicalize, _canonicalize_by_literal):
-            with pytest.raises(ValueError, match=match):
-                fn(literals, 3)
 
 
 # --- host triples ------------------------------------------------------------
@@ -57,8 +28,8 @@ def test_host_triple_padding():
     assert host_triple(clause_of(2, 3), 5) == (1, 2, 3)
     assert host_triple(clause_of(-2), 5) == (1, 2, 3)
     # phantom ids past num_vars when the instance is too small
-    assert host_triple(clause_of(1, 2, num_vars=2), 2) == (1, 2, 3)
-    assert host_triple(clause_of(1, num_vars=1), 1) == (1, 2, 3)
+    assert host_triple(clause_of(1, 2), 2) == (1, 2, 3)
+    assert host_triple(clause_of(1), 1) == (1, 2, 3)
 
 
 # --- forbidden cells ---------------------------------------------------------
@@ -92,7 +63,7 @@ def test_forbidden_cells_match_direct_evaluation(data):
     width = data.draw(st.integers(1, 3))
     vars_ = sorted(data.draw(st.sets(st.integers(1, 5), min_size=width, max_size=width)))
     lits = [v if data.draw(st.booleans()) else -v for v in vars_]
-    clause = clause_of(*lits, num_vars=8)
+    clause = clause_of(*lits)
     triple = host_triple(clause, 8)
     cells = forbidden_cells(clause, triple)
     for cell in range(8):
@@ -230,28 +201,25 @@ def _forbidden_cells_by_cell(clause, triple):
     return cells
 
 
-def _canonicalize_by_literal(literals, num_vars):
-    """canonicalize read literal by literal: every raw literal is checked
-    and split into a variable and a sign before a tautology is reported,
-    and the clause is rebuilt from them."""
+_TAUTOLOGY, _EMPTY = "tautology", "empty"
+
+
+def _canonicalize_by_literal(literals):
+    """A clause of nonzero literals closed literal by literal: each is
+    split into a variable and a sign, and the clause is rebuilt from them,
+    or is `_TAUTOLOGY` or `_EMPTY`."""
     polarity = {}
     tautology = False
     for lit in literals:
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as clause terminator")
         variable, negated = abs(lit), lit < 0
-        if variable > num_vars:
-            raise ValueError(
-                f"variable u{variable} exceeds declared count {num_vars}"
-            )
         if variable in polarity:
             tautology |= polarity[variable] != negated
         else:
             polarity[variable] = negated
     if tautology:
-        return TAUTOLOGY
+        return _TAUTOLOGY
     if not polarity:
-        return EMPTY
+        return _EMPTY
     return tuple(-v if polarity[v] else v for v in sorted(polarity))
 
 
@@ -265,10 +233,10 @@ def _outcome(fn, *args):
 def _reference_instance(num_vars, raw_clauses):
     clauses, tautologies, has_empty = [], 0, False
     for raw in raw_clauses:
-        result = _canonicalize_by_literal(raw, num_vars)
-        if result is TAUTOLOGY:
+        result = _canonicalize_by_literal(raw)
+        if result is _TAUTOLOGY:
             tautologies += 1
-        elif result is EMPTY:
+        elif result is _EMPTY:
             has_empty = True
         else:
             clauses.append(result)
@@ -309,25 +277,18 @@ def _assert_front_half_matches(instance, reference):
 @st.composite
 def raw_clauses(draw):
     """num_vars in 1..5 (below 3 the host triples pad past num_vars) and up
-    to eight raw clauses of zero to five literals: duplicates, tautologies,
-    literal 0 and ids past num_vars."""
+    to eight raw clauses of zero to five nonzero literals in range:
+    duplicates, tautologies and empty clauses."""
     num_vars = draw(st.integers(1, 5))
-    literal = st.integers(-num_vars - 1, num_vars + 1)
+    literal = st.integers(-num_vars, num_vars).filter(bool)
     return num_vars, draw(st.lists(st.lists(literal, max_size=5), max_size=8))
 
 
 @given(raw_clauses())
 def test_canonicalize_and_build_match_references(drawn):
     num_vars, raws = drawn
-    accepted = []
-    for raw in raws:
-        result = _outcome(canonicalize, raw, num_vars)
-        assert result == _outcome(_canonicalize_by_literal, raw, num_vars)
-        # keep the clauses the parser takes: no literal 0 (it ends a DIMACS
-        # clause), none past num_vars, at most three distinct variables
-        in_range = all(0 < abs(lit) <= num_vars for lit in raw)
-        if in_range and len(set(map(abs, raw))) <= 3:
-            accepted.append(raw)
+    # keep the clauses the parser takes: at most three distinct variables
+    accepted = [raw for raw in raws if len(set(map(abs, raw))) <= 3]
     text = f"p cnf {num_vars} {len(accepted)}\n" + "".join(
         " ".join(map(str, [*raw, 0])) + "\n" for raw in accepted)
     _assert_front_half_matches(

@@ -1,18 +1,16 @@
+import ast
+import inspect
 import random
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satprop import clausal, dimacs
-from satprop.clausal import (
-    EMPTY,
-    TAUTOLOGY,
-    Instance,
-    canonicalize,
-)
+from satprop import dimacs
+from satprop.clausal import Instance
 from satprop.dimacs import (
     ParseDiagnostic,
     ParseResult,
@@ -43,19 +41,26 @@ def test_parse_drops_tautology_with_warning():
 
 
 def test_parse_rejects_wide_clause():
-    result = parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
-    assert result.instance is None
-    (err,) = result.errors
-    assert "3SAT-only" in err.message
-    assert (err.line, err.column) == (2, 1)
+    # a wide clause that is also a tautology gets only the width error
+    for clause in ("1 2 3 4", "1 -1 2 3 4"):
+        result = parse_dimacs(f"p cnf 4 1\n{clause} 0\n")
+        assert result.instance is None
+        assert result.diagnostics == [
+            ParseDiagnostic(2, 1, "clause has 4 distinct variables; this tool is 3SAT-only",
+                            "error"),
+            ParseDiagnostic(3, 1, "header declares 1 clauses, found 0", "warning"),
+        ]
 
 
 def test_parse_comments_and_multiline_clauses():
-    text = "c header comment\np cnf 4 2\n1 -2\n3 0 2 3\n-4 0\n"
+    # after the comment line the line loop reads every clause: it sorts an
+    # unsorted one and merges repeated literals
+    text = ("c header comment\np cnf 4 5\n1 -2\n3 0 2 3\n-4 0\n"
+            "c mid comment\n3 -1 2 0\n1 2 1 3 0\n1 1 1 0\n")
     result = parse_dimacs(text)
-    assert result.instance is not None
+    assert result.diagnostics == []
     assert list(result.instance.clauses) == [
-        (1, -2, 3), (2, 3, -4)]
+        (1, -2, 3), (2, 3, -4), (-1, 2, 3), (1, 2, 3), (1,)]
 
 
 def test_parse_out_of_range_literal_position():
@@ -155,21 +160,13 @@ def test_parse_empty_clause_flags_trivially_unsat():
 
 
 def test_parse_canonicalizes_each_clause_once(monkeypatch):
-    calls = []
     built = []
-
-    def counting_canonicalize(literals, num_vars):
-        calls.append(list(literals))
-        return real_canonicalize(literals, num_vars)
 
     def counting_post_init(instance):
         built.append(instance)
         real_post_init(instance)
 
-    real_canonicalize = clausal.canonicalize
     real_post_init = Instance.__post_init__
-    monkeypatch.setattr(clausal, "canonicalize", counting_canonicalize)
-    monkeypatch.setattr(dimacs, "canonicalize", counting_canonicalize)
     monkeypatch.setattr(Instance, "__post_init__", counting_post_init)
     result = parse_dimacs("p cnf 4 3\n1 -1 2 0\n0\n1 2 3 0\n")
     inst = result.instance
@@ -181,15 +178,15 @@ def test_parse_canonicalizes_each_clause_once(monkeypatch):
         "2:1: warning: tautological clause dropped",
         "3:1: warning: empty clause: instance is trivially unsatisfiable",
     ]
-    assert calls == [[1, -1, 2], [], [1, 2, 3]]
     assert built == [inst]
 
 
 def _reference_parse(text):
     """The parser as it was before it split lines: every token through a
-    regex with its column, and a distinct-variable set per clause, with
-    counts and literals read as ASCII decimals.  Kept to check that
-    `parse_dimacs` gives the same instance and diagnostics."""
+    regex with its column, and a set of signs per variable of each clause,
+    with counts and literals read as ASCII decimals.  Kept to check that
+    `parse_dimacs` gives the same instance and diagnostics, so it reads
+    nothing of the parser's code (`test_reference_parse_shares_no_code`)."""
     diagnostics = []
     num_vars = None
     declared_clauses = 0
@@ -214,20 +211,21 @@ def _reference_parse(text):
     def finish_clause(line, col):
         nonlocal empty_clauses, tautologies
         start = pending_pos or (line, col)
-        distinct = {abs(lit) for lit in pending}
-        if len(distinct) > 3:
+        signs = {}  # variable -> the signs its literals carry
+        for lit in pending:
+            signs.setdefault(abs(lit), set()).add(lit > 0)
+        if len(signs) > 3:
             error(start[0], start[1],
-                  f"clause has {len(distinct)} distinct variables; this tool is 3SAT-only")
-            return
-        result = canonicalize(pending, num_vars)
-        if result is TAUTOLOGY:
+                  f"clause has {len(signs)} distinct variables; this tool is 3SAT-only")
+        elif {True, False} in signs.values():
             tautologies += 1
             warning(start[0], start[1], "tautological clause dropped")
-        elif result is EMPTY:
+        elif not signs:
             empty_clauses += 1
             warning(start[0], start[1], "empty clause: instance is trivially unsatisfiable")
         else:
-            clauses.append(result)
+            clauses.append(tuple(var if signs[var] == {True} else -var
+                                 for var in sorted(signs)))
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
@@ -295,6 +293,23 @@ def _reference_parse(text):
         return ParseResult(None, diagnostics)
     instance = Instance(num_vars, tuple(clauses), empty_clauses > 0, tautologies)
     return ParseResult(instance, diagnostics)
+
+
+def test_reference_parse_shares_no_code():
+    # the reference must close clauses by itself: a fault in code it shared
+    # with the parser would pass `test_parse_matches_regex_reference`
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(_reference_parse))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = globals().get(node.value.id)
+            if inspect.ismodule(target) and target.__name__.startswith("satprop"):
+                read.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in globals():
+            target = globals()[node.id]
+            if (not inspect.ismodule(target)
+                    and getattr(target, "__module__", "").startswith("satprop")):
+                read.add(node.id)
+    assert read <= {"Instance", "ParseDiagnostic", "ParseResult", "dimacs.MAX_VARS"}
 
 
 _TOKENS = st.one_of(
@@ -435,6 +450,20 @@ def test_parse_matches_regex_reference(monkeypatch, chunk):
         assert got.instance == want.instance
 
     check()
+
+
+
+def test_line_loop_closes_every_small_clause_as_the_reference():
+    # every clause of up to four literals over four variables, after a
+    # comment line so that `_Reader._finish_clause` closes it: ascending
+    # literals, repeats, both signs, too wide and empty
+    literals = [lit for var in range(1, 5) for lit in (var, -var)]
+    for width in range(5):
+        for clause in product(literals, repeat=width):
+            text = "p cnf 4 1\nc\n" + " ".join(map(str, [*clause, 0])) + "\n"
+            got, want = parse_dimacs(text), _reference_parse(text)
+            assert got.diagnostics == want.diagnostics, clause
+            assert got.instance == want.instance, clause
 
 
 # layouts of real 3-SAT files, whose clause data is 3-literal clauses with no

@@ -15,9 +15,11 @@ _name` or as `sibling._name`, unless `PRIVATE_IMPORTS` names it with the
 reason it is shared.  `dimacs.py` imports no sibling module but
 `clausal`, and `report.py` is the only module that imports `json`, so
 DIMACS text needs nothing of the engine or the oracle and every JSON
-document is built and written in one place.  Every `open(...)`
-call that is not in binary mode passes `encoding=`, so no file's text
-depends on the locale.  Every module parses under the grammar of the
+document is built and written in one place.  `dimacs.py` closes each raw
+clause itself, so it imports only `Clause` and `Instance` from `clausal`,
+and `clausal.py` imports no sibling module and no `enum`.  Every
+`open(...)` call that is not in binary mode passes `encoding=`, so no
+file's text depends on the locale.  Every module parses under the grammar of the
 oldest Python that `pyproject.toml` declares in `requires-python`.
 
 A definition counts as used when its name is read in `src/satprop` outside
@@ -244,6 +246,16 @@ def test_dimacs_text_and_json_documents_stay_apart():
     writers = sorted(stem for stem, names in imports.items()
                      if "json" in {name.partition(".")[0] for name in names})
     assert writers == ["report"], writers
+
+
+def test_raw_literals_are_read_in_one_module():
+    trees = {stem: ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("clausal", "dimacs")}
+    from_clausal = {alias.name for node in ast.walk(trees["dimacs"])
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "clausal" for alias in node.names}
+    assert from_clausal == {"Clause", "Instance"}, sorted(from_clausal)
+    assert set(_imports(trees["clausal"])) == {"dataclasses", "typing"}
 
 TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 
